@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -205,16 +206,18 @@ func main() {
 	}
 }
 
-// quantileMs returns the q-quantile of a sorted latency slice in
-// milliseconds (nearest-rank).
+// quantileMs returns the nearest-rank q-quantile of a sorted latency
+// slice in milliseconds: the smallest sample with at least q·n samples at
+// or below it, index ceil(q·n)−1.
 func quantileMs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
+	// The epsilon keeps q·n from rounding up past an exact rank (0.07·100
+	// is 7.000000000000001 in float64).
+	i := int(math.Ceil(q*float64(n)-1e-9)) - 1
+	i = min(max(i, 0), n-1)
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 

@@ -222,8 +222,10 @@ func countLiveWords(rsched *sched.RegionSchedule, instances int) int {
 			named[k] = true
 		}
 	}
+	var uses []cdfg.VarRef
 	for _, op := range rsched.Region.Ops() {
-		for _, u := range op.Uses() {
+		uses = op.AppendUses(uses[:0])
+		for _, u := range uses {
 			classify(u)
 		}
 		if d := op.Def(); d.Valid() {

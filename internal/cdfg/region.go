@@ -2,6 +2,7 @@ package cdfg
 
 import (
 	"fmt"
+	"sync"
 
 	"lppart/internal/behav"
 )
@@ -46,11 +47,13 @@ type Region struct {
 	Children []*Region
 	Parent   *Region
 
-	// ops caches the flattened op-pointer list served by Ops(). The cache
+	// ops caches the flattened op-pointer list served by Ops(), built
+	// once under opsOnce: concurrent searches share one IR. The cache
 	// assumes the block *structure* is frozen once analyses start (op
 	// contents may still be edited through the cached pointers, which
 	// alias the block slices).
-	ops []*Op
+	opsOnce sync.Once
+	ops     []*Op
 }
 
 // Depth returns the nesting depth (the function body is depth 0).
@@ -74,25 +77,21 @@ func (r *Region) Contains(id int) bool {
 
 // Ops returns pointers to every operation in the region, in block order.
 // The slab is built once per region and cached; callers must not modify
-// the returned slice.
+// the returned slice. Ops is safe for concurrent use.
 func (r *Region) Ops() []*Op {
-	if r.ops == nil {
+	r.opsOnce.Do(func() {
 		n := 0
 		for _, bid := range r.Blocks {
 			n += len(r.Func.Block(bid).Ops)
 		}
-		ops := make([]*Op, 0, n)
+		r.ops = make([]*Op, 0, n)
 		for _, bid := range r.Blocks {
 			b := r.Func.Block(bid)
 			for i := range b.Ops {
-				ops = append(ops, &b.Ops[i])
+				r.ops = append(r.ops, &b.Ops[i])
 			}
 		}
-		if ops == nil {
-			ops = []*Op{} // non-nil marks the cache as built
-		}
-		r.ops = ops
-	}
+	})
 	return r.ops
 }
 

@@ -273,9 +273,11 @@ type fnCtx struct {
 // countTempUses tallies how often each temporary local is read.
 func countTempUses(f *cdfg.Function) map[int]int {
 	uses := make(map[int]int)
+	var buf []cdfg.VarRef
 	for _, b := range f.Blocks {
 		for i := range b.Ops {
-			for _, u := range b.Ops[i].Uses() {
+			buf = b.Ops[i].AppendUses(buf[:0])
+			for _, u := range buf {
 				if !u.Global && f.Locals[u.ID].Temp {
 					uses[u.ID]++
 				}
@@ -292,13 +294,15 @@ func countTempUses(f *cdfg.Function) map[int]int {
 // callee clobbers the temporaries).
 func pickPinned(f *cdfg.Function) map[int]int {
 	count := make(map[int]int)
+	var uses []cdfg.VarRef
 	for _, b := range f.Blocks {
 		for i := range b.Ops {
 			op := &b.Ops[i]
 			if op.Code == cdfg.Call {
 				return nil
 			}
-			for _, u := range op.Uses() {
+			uses = op.AppendUses(uses[:0])
+			for _, u := range uses {
 				if !u.Global && !f.Locals[u.ID].Temp && !f.Locals[u.ID].IsArray() {
 					count[u.ID]++
 				}

@@ -50,6 +50,7 @@ func GenUse(p *cdfg.Program, r *cdfg.Region) (gen, use BitSet) {
 func GenUseOn(ix *Index, r *cdfg.Region) (gen, use BitSet) {
 	gen, use = ix.NewBitSet(), ix.NewBitSet()
 	written := ix.NewBitSet()
+	var uses []cdfg.VarRef
 	f := r.Func
 	for _, bid := range r.Blocks {
 		b := f.Block(bid)
@@ -57,7 +58,8 @@ func GenUseOn(ix *Index, r *cdfg.Region) (gen, use BitSet) {
 		for i := range b.Ops {
 			op := &b.Ops[i]
 			// Reads first.
-			for _, u := range op.Uses() {
+			uses = op.AppendUses(uses[:0])
+			for _, u := range uses {
 				ki := ix.IndexOf(keyOfVar(u))
 				if !written.ContainsIndex(ki) && !ix.IsTemp(ki) {
 					use.AddIndex(ki)
@@ -149,6 +151,7 @@ func SurroundingsOn(ix *Index, r *cdfg.Region) (genPred, useSucc BitSet) {
 			enclosedInLoop = true
 		}
 	}
+	var uses []cdfg.VarRef
 	record := func(op *cdfg.Op, before, after bool) {
 		if op.Code == cdfg.Store {
 			if before {
@@ -160,7 +163,8 @@ func SurroundingsOn(ix *Index, r *cdfg.Region) (genPred, useSucc BitSet) {
 			}
 		}
 		if after {
-			for _, u := range op.Uses() {
+			uses = op.AppendUses(uses[:0])
+			for _, u := range uses {
 				if ki := ix.IndexOf(keyOfVar(u)); !ix.IsTemp(ki) {
 					useSucc.AddIndex(ki)
 				}

@@ -111,3 +111,19 @@ func TestStoreBypassedInVerifyMode(t *testing.T) {
 		t.Errorf("verify-mode exploration wrote %d store records, want 0", st.Len())
 	}
 }
+
+// TestStoreWarmParallelFreshIR: a warm store skips the measurement
+// phase, so the workers are the first to walk a fresh IR's regions and
+// race to fill their op caches. Run under -race.
+func TestStoreWarmParallelFreshIR(t *testing.T) {
+	st, err := memostore.Open(t.TempDir(), memostore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ref := pointsJSON(t, run(t, buildApp(t, "MPG"), Config{Workers: 2, Store: st}))
+	warm := pointsJSON(t, run(t, buildApp(t, "MPG"), Config{Workers: 2, Store: st}))
+	if !bytes.Equal(ref, warm) {
+		t.Errorf("warm parallel run differs from the cold one:\n%s\nvs\n%s", ref, warm)
+	}
+}

@@ -28,6 +28,7 @@ package iss
 
 import (
 	"fmt"
+	"sync"
 
 	"lppart/internal/behav"
 	"lppart/internal/isa"
@@ -124,8 +125,43 @@ type Result struct {
 	// Regions holds per-cluster statistics, keyed by cdfg region ID
 	// (-1 collects untagged instructions).
 	Regions map[int]*RegionStat
-	// Mem is the final data memory (owned by the caller after Run).
+	// Mem is the final data memory. It is valid until Release, which
+	// hands it back to Run for reuse and sets Mem to nil; a caller that
+	// never calls Release owns it outright.
 	Mem []int32
+
+	// buf is the pooled buffer backing Mem.
+	buf *[]int32
+}
+
+// memPool recycles data memories between runs: the default memory map is
+// 4 MiB, while the applications touch only their globals and a little
+// stack.
+var memPool sync.Pool // of *[]int32
+
+// Release returns the data memory to the pool for the next Run and sets
+// Mem to nil. It is safe on a nil Result and idempotent.
+func (r *Result) Release() {
+	if r == nil {
+		return
+	}
+	if r.buf != nil {
+		memPool.Put(r.buf)
+	}
+	r.buf, r.Mem = nil, nil
+}
+
+// newMem takes a data memory of n words from the pool, or allocates one.
+// Programs rely on zero-initialized globals, so a reused buffer is
+// cleared.
+func newMem(n int) *[]int32 {
+	if bp, ok := memPool.Get().(*[]int32); ok && cap(*bp) >= n {
+		*bp = (*bp)[:n]
+		clear(*bp)
+		return bp
+	}
+	mem := make([]int32, n)
+	return &mem
 }
 
 // Utilization returns the whole-run U_µP.
@@ -185,8 +221,21 @@ var issToBinOp = [isa.NumOpcodes]behav.BinOp{
 	isa.CMPLE: behav.OpLeq, isa.CMPGT: behav.OpGt, isa.CMPGE: behav.OpGeq,
 }
 
-// Run simulates the program to completion (HALT).
+// Run simulates the program to completion (HALT). The result's data
+// memory comes from a pool; see Result.Release.
 func Run(p *isa.Program, opts Options) (*Result, error) {
+	bp := newMem(p.MemWords)
+	res, err := run(p, opts, *bp)
+	if err != nil {
+		memPool.Put(bp)
+		return nil, err
+	}
+	res.buf = bp
+	return res, nil
+}
+
+// run simulates the program on a zeroed data memory of p.MemWords words.
+func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 	micro := opts.Micro
 	if micro == nil {
 		micro = &tech.Default().Micro
@@ -195,7 +244,6 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 	if maxInstrs == 0 {
 		maxInstrs = 500_000_000
 	}
-	mem := make([]int32, p.MemWords)
 	var regs [isa.NumRegs]int32
 	regs[isa.SP] = int32(p.MemWords)
 

@@ -97,9 +97,10 @@ type Evaluation struct {
 	Decision    *partition.Decision
 	Profile     *interp.Profile
 
-	// initialLay is the all-software compile's layout, kept for the
-	// differential memory verify against the partitioned design.
-	initialLay *codegen.Layout
+	// initialGlobals holds the initial design's final global words in
+	// ir.Globals order, kept for the differential memory verify against
+	// the partitioned design.
+	initialGlobals []int32
 }
 
 // Savings returns Table 1's "Sav%" (negative = saving).
@@ -327,7 +328,10 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, rec *trace.Re
 		return nil, nil, fmt.Errorf("system: initial design: %w", err)
 	}
 	ev.Initial = initial
-	ev.initialLay = fullLay
+	// verify reads only the globals: keep a copy of them and hand the
+	// ISS memory back for the next run.
+	ev.initialGlobals = globalWords(ir, fullLay, initial.ISS.Mem)
+	initial.ISS.Release()
 
 	base := &partition.Baseline{
 		TotalEnergy:        initial.Total(),
@@ -358,10 +362,12 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 		return nil, fmt.Errorf("system: compile: %w", err)
 	}
 	rec := &trace.Recorder{}
-	if _, err := iss.Run(mp, iss.Options{Micro: &cfg.Part.Lib.Micro, Mem: rec,
-		MaxInstrs: cfg.MaxInstrs}); err != nil {
+	res, err := iss.Run(mp, iss.Options{Micro: &cfg.Part.Lib.Micro, Mem: rec,
+		MaxInstrs: cfg.MaxInstrs})
+	if err != nil {
 		return nil, fmt.Errorf("system: trace recording: %w", err)
 	}
+	res.Release()
 	return &rec.Trace, nil
 }
 
@@ -372,9 +378,6 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 // next boundary instead of running the flow to completion.
 func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, error) {
 	cfg.defaults()
-	lib := cfg.Part.Lib
-	micro := &lib.Micro
-
 	ev, base, err := MeasureInitialCtx(ctx, ir, cfg)
 	if err != nil {
 		return nil, err
@@ -393,11 +396,31 @@ func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluati
 		return ev, nil
 	}
 
-	// Partitioned design: recompile with the chosen cluster(s) excluded,
-	// build one ASIC core per cluster, co-simulate.
+	// Partitioned design, co-simulated and cross-checked.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	pd, partLay, err := runPartitioned(ir, dec, &cfg)
+	if err != nil {
+		return nil, err
+	}
+	ev.Partitioned = pd
+	// The partitioned memory is needed only for the cross-check.
+	defer pd.ISS.Release()
+	if !cfg.SkipVerify {
+		if err := verify(ir, ev.initialGlobals, partLay, pd.ISS.Mem); err != nil {
+			return nil, fmt.Errorf("system: partitioned design diverged: %w", err)
+		}
+	}
+	return ev, nil
+}
+
+// runPartitioned recompiles the program with the decision's cluster(s)
+// excluded, builds one ASIC core per cluster and co-simulates the design.
+// The returned design's ISS memory is still live; the layout locates its
+// globals.
+func runPartitioned(ir *cdfg.Program, dec *partition.Decision, cfg *Config) (*Design, *codegen.Layout, error) {
+	lib := cfg.Part.Lib
 	exclude := make(map[int]int, len(dec.Choices))
 	for i, ch := range dec.Choices {
 		exclude[ch.Region.ID] = i
@@ -407,7 +430,7 @@ func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluati
 		Exclude: exclude,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("system: partitioned compile: %w", err)
+		return nil, nil, fmt.Errorf("system: partitioned compile: %w", err)
 	}
 	asicBus := bus.New(lib)
 	asicMem := mem.New(lib)
@@ -417,14 +440,14 @@ func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluati
 		core, err := asic.NewCore(i, ir, ch.Region, ch.Binding,
 			partLay, lib, asicBus, asicMem)
 		if err != nil {
-			return nil, fmt.Errorf("system: ASIC core %d: %w", i, err)
+			return nil, nil, fmt.Errorf("system: ASIC core %d: %w", i, err)
 		}
 		cores[int32(i)] = core
 		totalGEQ += ch.Eval.GEQ
 	}
-	pd, pb, pm, err := runDesign("partitioned", &isaProgram{prog: part, lay: partLay}, &cfg, cores, micro)
+	pd, pb, pm, err := runDesign("partitioned", &isaProgram{prog: part, lay: partLay}, cfg, cores, &lib.Micro)
 	if err != nil {
-		return nil, fmt.Errorf("system: partitioned design: %w", err)
+		return nil, nil, fmt.Errorf("system: partitioned design: %w", err)
 	}
 	// Fold the ASIC's transfer traffic into the shared bus/memory cores.
 	pd.EBus = pb.Energy() + asicBus.Energy()
@@ -437,28 +460,32 @@ func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluati
 	}
 	pd.ASICCycles = pd.ISS.ASICCycles
 	pd.GEQ = totalGEQ
-	ev.Partitioned = pd
-
-	if !cfg.SkipVerify {
-		if err := verify(ir, ev.initialLay, ev.Initial.ISS.Mem, partLay, pd.ISS.Mem); err != nil {
-			return nil, fmt.Errorf("system: partitioned design diverged: %w", err)
-		}
-	}
-	return ev, nil
+	return pd, partLay, nil
 }
 
-// verify compares every global between the two designs' final memories.
-func verify(ir *cdfg.Program, layA *codegen.Layout, memA []int32,
-	layB *codegen.Layout, memB []int32) error {
+// globalWords copies every global's words out of a final memory, in
+// ir.Globals order.
+func globalWords(ir *cdfg.Program, lay *codegen.Layout, mem []int32) []int32 {
+	var out []int32
+	for gi := range ir.Globals {
+		addr, words, _ := lay.VarAddr(ir, "", true, gi)
+		out = append(out, mem[addr:addr+words]...)
+	}
+	return out
+}
+
+// verify compares every global of a final memory against the initial
+// design's globals (as copied by globalWords).
+func verify(ir *cdfg.Program, initial []int32, lay *codegen.Layout, mem []int32) error {
+	off := int32(0)
 	for gi, g := range ir.Globals {
-		addrA, words, _ := layA.VarAddr(ir, "", true, gi)
-		addrB, _, _ := layB.VarAddr(ir, "", true, gi)
+		addr, words, _ := lay.VarAddr(ir, "", true, gi)
 		for w := int32(0); w < words; w++ {
-			if memA[addrA+w] != memB[addrB+w] {
-				return fmt.Errorf("global %s[%d]: initial=%d partitioned=%d",
-					g.Name, w, memA[addrA+w], memB[addrB+w])
+			if a, b := initial[off+w], mem[addr+w]; a != b {
+				return fmt.Errorf("global %s[%d]: initial=%d partitioned=%d", g.Name, w, a, b)
 			}
 		}
+		off += words
 	}
 	return nil
 }
