@@ -94,10 +94,11 @@ func TestProgramFactsAndClosure(t *testing.T) {
 // TestHotClosureCoversAllocGuardedFunctions pins the pass to the repo's
 // runtime contract: every function guarded by a testing.AllocsPerRun
 // test (asic.(*Core).RunASIC via TestRunASICZeroAlloc,
-// partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc)
-// plus the annotated scheduler/splice inner loops must be hot roots,
-// and the closure must cross package boundaries (behav.EvalBinOp runs
-// inside the ASIC interpreter loop).
+// partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc,
+// milp.SolveInstance via TestSolveInstanceZeroAlloc) plus the annotated
+// scheduler/splice inner loops must be hot roots, and the closure must
+// cross package boundaries (behav.EvalBinOp runs inside the ASIC
+// interpreter loop).
 func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads half the module through the source importer")
@@ -105,6 +106,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	prog := loadProgram(t,
 		"internal/cdfg", "internal/tech", "internal/behav",
 		"internal/sched", "internal/asic", "internal/partition", "internal/dse",
+		"internal/milp",
 	)
 	for _, name := range []string{
 		"sched.ScheduleBlock",
@@ -113,6 +115,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 		"partition.(*Priced).Remove",
 		"partition.(*DeltaEvaluator).EvalInto",
 		"dse.searchGeometry.walk",
+		"milp.SolveInstance",
 	} {
 		if n := nodeByName(t, prog, name); !n.Facts.HotRoot {
 			t.Errorf("%s: HotRoot = false, want annotated root", name)

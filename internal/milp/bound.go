@@ -49,11 +49,15 @@ type relaxation struct {
 	// delta[j] is the cheapest relaxed objective delta of moving cluster
 	// j to hardware; +Inf when the cluster has no viable option.
 	delta []float64
-	// table[k][i] is the minimum relaxed delta sum achievable picking at
-	// most k clusters from Clusters[i:], overlaps ignored. table[k][n]=0.
-	table [][]float64
+	// table[k*(n+1)+i] is the minimum relaxed delta sum achievable
+	// picking at most k clusters from Clusters[i:], overlaps ignored: the
+	// D[k][i] above, one row per k. D[k][n] = D[0][i] = 0.
+	table []float64
 }
 
+// newRelaxation builds an instance's relaxation.
+//
+//lint:alloc per-solve precompute, sized by the instance and not by the search
 func newRelaxation(in *Instance) *relaxation {
 	n := len(in.Clusters)
 	maxK := in.maxPicks()
@@ -74,19 +78,17 @@ func newRelaxation(in *Instance) *relaxation {
 		}
 		r.delta[j] = best
 	}
-	r.table = make([][]float64, maxK+1)
-	for k := 0; k <= maxK; k++ {
-		r.table[k] = make([]float64, n+1)
-	}
+	r.table = make([]float64, (maxK+1)*(n+1))
 	for k := 1; k <= maxK; k++ {
+		row, prev := r.table[k*(n+1):(k+1)*(n+1)], r.table[(k-1)*(n+1):k*(n+1)]
 		for i := n - 1; i >= 0; i-- {
-			v := r.table[k][i+1]
+			v := row[i+1]
 			if !math.IsInf(r.delta[i], 1) {
-				if w := r.delta[i] + r.table[k-1][i+1]; w < v {
+				if w := r.delta[i] + prev[i+1]; w < v {
 					v = w
 				}
 			}
-			r.table[k][i] = v
+			row[i] = v
 		}
 	}
 	return r
@@ -109,6 +111,6 @@ func (r *relaxation) bound(f frame, next, used int) float64 {
 		slow = 0
 	}
 	lb := in.F*linE/in.E0 + in.HardwareWeight*float64(f.geq)/float64(in.GEQBudget) +
-		in.TimeWeight*slow + r.table[k][next]
+		in.TimeWeight*slow + r.table[k*(len(in.Clusters)+1)+next]
 	return downward(lb)
 }

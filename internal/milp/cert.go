@@ -2,7 +2,7 @@ package milp
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // CertNode is one node of the recorded bound trail, identified by its
@@ -41,37 +41,40 @@ type Certificate struct {
 
 // certPicks converts the solver's compact picks to the wire form.
 func certPicks(picks []pick) [][2]int {
-	out := make([][2]int, len(picks))
+	out := make([][2]int, len(picks)) //lint:alloc one wire node per recorded trail entry
 	for i, p := range picks {
 		out[i] = [2]int{p.j, p.oi}
 	}
 	return out
 }
 
-// nodeKey canonicalizes a subproblem identity for the cover maps.
-func nodeKey(picks []pick, next int) string {
-	var b strings.Builder
+// appendKey appends the canonical "j.oi,…|next" identity of a subproblem
+// for the cover maps.
+func appendKey(b []byte, picks []pick, next int) []byte {
 	for _, p := range picks {
-		fmt.Fprintf(&b, "%d.%d,", p.j, p.oi)
+		b = strconv.AppendInt(b, int64(p.j), 10)
+		b = append(b, '.')
+		b = strconv.AppendInt(b, int64(p.oi), 10)
+		b = append(b, ',')
 	}
-	fmt.Fprintf(&b, "|%d", next)
-	return b.String()
+	b = append(b, '|')
+	return strconv.AppendInt(b, int64(next), 10)
 }
 
 // prune and expand record trail nodes; both are no-ops on a nil
 // receiver so the solver's hot loop stays branch-light.
-func (c *Certificate) prune(nd *node) {
+func (c *Certificate) prune(ws *workspace, nd *node) {
 	if c == nil {
 		return
 	}
-	c.Pruned = append(c.Pruned, CertNode{Picks: certPicks(nd.picks), Next: nd.next, Value: nd.bound})
+	c.Pruned = append(c.Pruned, CertNode{Picks: certPicks(ws.picksOf(nd)), Next: nd.next, Value: nd.bound})
 }
 
-func (c *Certificate) expand(nd *node, of float64) {
+func (c *Certificate) expand(ws *workspace, nd *node, of float64) {
 	if c == nil {
 		return
 	}
-	c.Expanded = append(c.Expanded, CertNode{Picks: certPicks(nd.picks), Next: nd.next, Value: of})
+	c.Expanded = append(c.Expanded, CertNode{Picks: certPicks(ws.picksOf(nd)), Next: nd.next, Value: of})
 }
 
 // Check verifies a certificate against an instance. A nil error proves
@@ -101,52 +104,60 @@ func Check(in *Instance, cert *Certificate) error {
 	}
 
 	// (b) Coverage: rebuild the cover maps, then replay the branching
-	// rule from the root.
+	// rule from the root. Keys are built into one reused byte buffer;
+	// lookups through m[string(kb)] do not allocate, so each recorded
+	// node costs one key string.
 	exp := make(map[string]float64, len(cert.Expanded))
 	prn := make(map[string]float64, len(cert.Pruned))
 	pks := make([]pick, 0, maxPicks)
+	var kb []byte
 	for _, cn := range cert.Expanded {
 		pks = pks[:0]
 		for _, p := range cn.Picks {
 			pks = append(pks, pick{j: p[0], oi: p[1]})
 		}
-		exp[nodeKey(pks, cn.Next)] = cn.Value
+		kb = appendKey(kb[:0], pks, cn.Next)
+		exp[string(kb)] = cn.Value
 	}
 	for _, cn := range cert.Pruned {
 		pks = pks[:0]
 		for _, p := range cn.Picks {
 			pks = append(pks, pick{j: p[0], oi: p[1]})
 		}
-		prn[nodeKey(pks, cn.Next)] = cn.Value
+		kb = appendKey(kb[:0], pks, cn.Next)
+		prn[string(kb)] = cn.Value
 	}
 
 	r := newRelaxation(in)
 	n := len(in.Clusters)
+	// walk recurses over one pick buffer: a child appends in place at
+	// its parent's length, which stays below the buffer's capacity of
+	// maxPicks because only nodes under the budget have children.
 	var walk func(picks []pick, mask uint64, f frame, next int) error
 	walk = func(picks []pick, mask uint64, f frame, next int) error {
 		if of := in.objective(f); of < cert.OF {
 			return fmt.Errorf("milp: configuration %s beats the claimed optimum (%v < %v)",
-				nodeKey(picks, next), of, cert.OF)
+				appendKey(nil, picks, next), of, cert.OF)
 		}
 		if len(picks) >= maxPicks || next >= n {
 			return nil // childless: its own configuration was just checked
 		}
-		key := nodeKey(picks, next)
-		if b, ok := prn[key]; ok {
+		kb = appendKey(kb[:0], picks, next)
+		if b, ok := prn[string(kb)]; ok {
 			if rb := r.bound(f, next, len(picks)); rb != b {
-				return fmt.Errorf("milp: node %s records bound %v, recomputed %v", key, b, rb)
+				return fmt.Errorf("milp: node %s records bound %v, recomputed %v", kb, b, rb)
 			}
 			if b < cert.OF {
-				return fmt.Errorf("milp: node %s pruned with bound %v below the optimum %v", key, b, cert.OF)
+				return fmt.Errorf("milp: node %s pruned with bound %v below the optimum %v", kb, b, cert.OF)
 			}
 			return nil // the bound dominates the whole subtree
 		}
-		v, ok := exp[key]
+		v, ok := exp[string(kb)]
 		if !ok {
-			return fmt.Errorf("milp: node %s neither expanded nor pruned", key)
+			return fmt.Errorf("milp: node %s neither expanded nor pruned", kb)
 		}
 		if of := in.objective(f); of != v {
-			return fmt.Errorf("milp: node %s records objective %v, recomputed %v", key, v, of)
+			return fmt.Errorf("milp: node %s records objective %v, recomputed %v", kb, v, of)
 		}
 		for j := next; j < n; j++ {
 			if mask&(1<<uint(j)) != 0 {
@@ -161,5 +172,5 @@ func Check(in *Instance, cert *Certificate) error {
 		}
 		return nil
 	}
-	return walk(nil, 0, frame{}, 0)
+	return walk(pks[:0], 0, frame{}, 0)
 }

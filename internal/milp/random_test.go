@@ -1,0 +1,163 @@
+package milp
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// randomInstance draws a small instance from rng: up to 10 clusters of
+// 1–3 options, random overlaps and a pick budget of 1–4. Every value is
+// a small integer, so frame sums are exact whatever the pick order, and
+// distinct configurations often price to the same objective bits — the
+// ties the lexicographic tie-break decides.
+func randomInstance(rng *rand.Rand) *Instance {
+	n := rng.Intn(11)
+	in := &Instance{
+		App:  "random",
+		MuPE: 100, RestE: 60, E0: 160, T0: 1000,
+		IAcc:           float64(rng.Intn(2)),
+		F:              1,
+		HardwareWeight: float64(rng.Intn(2)),
+		TimeWeight:     float64(rng.Intn(2)),
+		GEQBudget:      1000,
+		MaxHW:          1 + rng.Intn(4),
+		Clusters:       make([]Cluster, n),
+	}
+	for j := range in.Clusters {
+		cl := &in.Clusters[j]
+		cl.Region = j
+		cl.Instrs = int64(10 * rng.Intn(3))
+		cl.Options = make([]Option, 1+rng.Intn(3))
+		for oi := range cl.Options {
+			cl.Options[oi] = Option{
+				Set:      "s",
+				SetIndex: oi,
+				Saved:    float64(10 * rng.Intn(5)),
+				EASIC:    float64(5 * rng.Intn(3)),
+				CycEx:    int64(100 * (rng.Intn(4) - 1)),
+				GEQ:      100 * rng.Intn(3),
+			}
+		}
+	}
+	for a := 0; a < n; a++ {
+		for b := a + 1; b < n; b++ {
+			if rng.Intn(4) == 0 {
+				in.SetOverlap(a, b)
+			}
+		}
+	}
+	for j := range in.Clusters {
+		for oi := range in.Clusters[j].Options {
+			in.Clusters[j].Options[oi].OF = in.objective(in.add(frame{}, j, oi))
+		}
+	}
+	return in
+}
+
+// optimaTied reports whether two or more configurations price to the
+// instance's minimum objective, by plain enumeration.
+func optimaTied(in *Instance) bool {
+	best, count := math.Inf(1), 0
+	var walk func(i, used int, mask uint64, f frame)
+	walk = func(i, used int, mask uint64, f frame) {
+		switch of := in.objective(f); {
+		case of < best:
+			best, count = of, 1
+		case of == best:
+			count++
+		}
+		if used == in.maxPicks() {
+			return
+		}
+		for j := i; j < len(in.Clusters); j++ {
+			if mask&(1<<uint(j)) != 0 {
+				continue
+			}
+			for oi := range in.Clusters[j].Options {
+				walk(j+1, used+1, mask|in.Clusters[j].Conflicts, in.add(f, j, oi))
+			}
+		}
+	}
+	walk(0, 0, 0, frame{})
+	return count > 1
+}
+
+// TestRandomInstancesMatchBruteForce is the seeded differential suite:
+// on 2000 random instances the solver must equal brute-force
+// enumeration bit for bit — objective, point and pick sequence — its
+// certificate must check, and each single mutation of the certificate
+// must be rejected.
+func TestRandomInstancesMatchBruteForce(t *testing.T) {
+	const instances = 2000
+	rng := rand.New(rand.NewSource(1))
+	var ties, dropExp, dropPrn, lowered int
+	for i := 0; i < instances; i++ {
+		in := randomInstance(rng)
+		opt, err := SolveInstance(context.Background(), in, Config{Certificate: true})
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
+		ref := BruteForce(in)
+		if math.Float64bits(opt.OF) != math.Float64bits(ref.OF) {
+			t.Fatalf("instance %d: solver OF %v != brute force %v", i, opt.OF, ref.OF)
+		}
+		if opt.Energy != ref.Energy || opt.Cycles != ref.Cycles || opt.GEQ != ref.GEQ {
+			t.Fatalf("instance %d: solver point (%v,%d,%d) != brute force (%v,%d,%d)",
+				i, opt.Energy, opt.Cycles, opt.GEQ, ref.Energy, ref.Cycles, ref.GEQ)
+		}
+		if !reflect.DeepEqual(opt.Picks, ref.Picks) {
+			t.Fatalf("instance %d: solver picks %+v != brute force %+v", i, opt.Picks, ref.Picks)
+		}
+		if optimaTied(in) {
+			ties++
+		}
+
+		cert := opt.Cert
+		if err := Check(in, cert); err != nil {
+			t.Fatalf("instance %d: genuine certificate rejected: %v", i, err)
+		}
+		reject := func(what string, forged Certificate) {
+			t.Helper()
+			if Check(in, &forged) == nil {
+				t.Fatalf("instance %d: Check accepted a certificate with %s", i, what)
+			}
+		}
+		if len(cert.Expanded) > 0 {
+			forged := *cert
+			forged.Expanded = without(cert.Expanded, rng.Intn(len(cert.Expanded)))
+			reject("an expanded node dropped", forged)
+			dropExp++
+		}
+		if len(cert.Pruned) > 0 {
+			k := rng.Intn(len(cert.Pruned))
+			forged := *cert
+			forged.Pruned = without(cert.Pruned, k)
+			reject("a pruned node dropped", forged)
+
+			forged.Pruned = append([]CertNode(nil), cert.Pruned...)
+			forged.Pruned[k].Value = math.Nextafter(forged.Pruned[k].Value, math.Inf(-1))
+			reject("a pruned bound lowered", forged)
+			dropPrn++
+		}
+		forged := *cert
+		forged.OF = math.Nextafter(cert.OF, math.Inf(-1))
+		reject("the optimum lowered", forged)
+		lowered++
+	}
+	t.Logf("%d instances: %d with tied optima, mutations: %d expanded drops, %d pruned drops and lowerings, %d OF lowerings",
+		instances, ties, dropExp, dropPrn, lowered)
+	// The suite is only as strong as its coverage: the tie-break and both
+	// trail mutations must each be exercised many times.
+	if ties < instances/10 || dropExp < instances/2 || dropPrn < instances/10 {
+		t.Fatalf("weak coverage: %d ties, %d expanded drops, %d pruned mutations", ties, dropExp, dropPrn)
+	}
+}
+
+// without returns a copy of nodes minus the k-th.
+func without(nodes []CertNode, k int) []CertNode {
+	out := append([]CertNode(nil), nodes[:k]...)
+	return append(out, nodes[k+1:]...)
+}

@@ -1,9 +1,9 @@
 package milp
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"lppart/internal/cache"
@@ -97,97 +97,178 @@ func lexLess(a, b []pick) bool {
 }
 
 // node is one open subproblem: the configuration picked so far plus the
-// suffix Clusters[next:] it may still draw from.
+// suffix Clusters[next:] it may still draw from. The pick sequence is not
+// stored: a node keeps its own last pick and its parent's slab index, and
+// workspace.picksOf rebuilds the sequence where it is read.
 type node struct {
-	seq   int64 // creation order; deterministic heap tie-break
-	bound float64
-	next  int
-	mask  uint64 // union of picked clusters' conflict masks
-	f     frame
-	picks []pick
+	bound  float64
+	f      frame
+	mask   uint64 // union of picked clusters' conflict masks
+	next   int
+	parent int32 // slab index of the parent node; -1 at the root
+	depth  int32 // picks made so far
+	last   pick  // the pick that created this node; unset at the root
 }
 
-// nodeHeap is a best-first min-heap on (bound, seq).
-type nodeHeap []*node
+// workspace is one solve's search storage. Queued nodes live by value in
+// slab, in queue order, so a node's slab index is its creation order —
+// the deterministic heap tie-break. open is a best-first min-heap of slab
+// indices on (bound, index); path is the scratch buffer workspace.picksOf
+// fills, best the incumbent's pick sequence. Workspaces are drawn from a
+// sync.Pool, so repeat solves allocate per solve, not per node. Every
+// field is reset before use, so pooling cannot affect results.
+type workspace struct {
+	slab []node
+	open []int32
+	path []pick
+	best []pick
+}
 
-func (h nodeHeap) Len() int { return len(h) }
-func (h nodeHeap) Less(a, b int) bool {
-	if h[a].bound != h[b].bound {
-		return h[a].bound < h[b].bound
+var wsPool = sync.Pool{New: func() any { return new(workspace) }}
+
+// reset empties the workspace for a solve of at most maxPicks picks.
+func (ws *workspace) reset(maxPicks int) {
+	ws.slab = ws.slab[:0]
+	ws.open = ws.open[:0]
+	ws.best = ws.best[:0]
+	if cap(ws.path) < maxPicks {
+		ws.path = make([]pick, maxPicks) //lint:alloc buffer growth to the high-water mark, then reused
 	}
-	return h[a].seq < h[b].seq
+	if cap(ws.best) < maxPicks {
+		ws.best = make([]pick, 0, maxPicks) //lint:alloc buffer growth to the high-water mark, then reused
+	}
 }
-func (h nodeHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *nodeHeap) Push(x any)   { *h = append(*h, x.(*node)) }
-func (h *nodeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+
+// picksOf rebuilds nd's pick sequence by following its parent links. The
+// result aliases the workspace's scratch buffer: it is valid until the
+// next call.
+func (ws *workspace) picksOf(nd *node) []pick {
+	p := ws.path[:nd.depth]
+	for i := len(p) - 1; i >= 0; i-- {
+		p[i] = nd.last
+		nd = &ws.slab[nd.parent]
+	}
+	return p
+}
+
+// queue copies nd into the slab and pushes its index on the heap.
+func (ws *workspace) queue(nd *node) {
+	ws.slab = append(ws.slab, *nd)                   //lint:alloc amortized slab growth, reused across solves
+	ws.open = append(ws.open, int32(len(ws.slab)-1)) //lint:alloc amortized heap growth, reused across solves
+	ws.up(len(ws.open) - 1)
+}
+
+// pop removes and returns the heap's minimum slab index.
+func (ws *workspace) pop() int32 {
+	n := len(ws.open) - 1
+	ws.open[0], ws.open[n] = ws.open[n], ws.open[0]
+	ws.down(0, n)
+	i := ws.open[n]
+	ws.open = ws.open[:n]
+	return i
+}
+
+// less orders heap positions a and b on (bound, slab index).
+func (ws *workspace) less(a, b int) bool {
+	x, y := ws.open[a], ws.open[b]
+	if ws.slab[x].bound != ws.slab[y].bound {
+		return ws.slab[x].bound < ws.slab[y].bound
+	}
+	return x < y
+}
+
+// up and down are container/heap's sift operations over the index heap.
+func (ws *workspace) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !ws.less(j, i) {
+			break
+		}
+		ws.open[i], ws.open[j] = ws.open[j], ws.open[i]
+		j = i
+	}
+}
+
+func (ws *workspace) down(i, n int) {
+	for {
+		j := 2*i + 1
+		if j >= n || j < 0 { // j < 0 after int overflow
+			break
+		}
+		if j2 := j + 1; j2 < n && ws.less(j2, j) {
+			j = j2 // the smaller child
+		}
+		if !ws.less(j, i) {
+			break
+		}
+		ws.open[i], ws.open[j] = ws.open[j], ws.open[i]
+		i = j
+	}
 }
 
 // SolveInstance runs the serial best-first branch-and-bound to the
 // provable minimum of one instance (or to Config.NodeLimit). Only
 // cfg.Certificate and cfg.NodeLimit are read here; fan-out and MaxHW
 // belong to the instance/driver.
+//
+//lint:hotpath the best-first expansion loop; allocates per solve, not per node
 func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, error) {
 	n := len(in.Clusters)
 	if n > 64 {
-		return nil, fmt.Errorf("milp: %d clusters exceed the 64-bit conflict mask", n)
+		return nil, fmt.Errorf("milp: %d clusters exceed the 64-bit conflict mask", n) //lint:alloc error path
 	}
 	maxPicks := in.maxPicks()
 	r := newRelaxation(in)
 	st := SolveStats{}
 	var cert *Certificate
 	if cfg.Certificate {
-		cert = &Certificate{App: in.App, MaxHW: maxPicks}
+		cert = &Certificate{App: in.App, MaxHW: maxPicks} //lint:alloc the returned certificate
 	}
+	ws := wsPool.Get().(*workspace)
+	defer wsPool.Put(ws)
+	ws.reset(maxPicks)
 
 	// The incumbent starts at the empty (all-software) configuration —
 	// always feasible, objective F when E_0 = µP+rest exactly.
 	bestOF := in.objective(frame{})
-	var bestPicks []pick
 	st.Nodes = 1
 
-	h := &nodeHeap{}
-	var seq int64
 	// consider bounds a fresh node and either queues it or records the
 	// prune. Nodes that cannot have children (pick budget exhausted or
 	// suffix empty) need no record: their own configuration was already
 	// priced against the incumbent.
 	consider := func(nd *node) {
-		if len(nd.picks) >= maxPicks || nd.next >= n {
+		if int(nd.depth) >= maxPicks || nd.next >= n {
 			return
 		}
-		nd.bound = r.bound(nd.f, nd.next, len(nd.picks))
+		nd.bound = r.bound(nd.f, nd.next, int(nd.depth))
 		if nd.bound >= bestOF {
 			st.Pruned++
-			cert.prune(nd)
+			cert.prune(ws, nd)
 			return
 		}
-		nd.seq = seq
-		seq++
-		heap.Push(h, nd)
+		ws.queue(nd)
 	}
-	consider(&node{})
+	root := node{parent: -1}
+	consider(&root)
 
 	limited := false
-	for h.Len() > 0 {
+	for len(ws.open) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		nd := heap.Pop(h).(*node)
+		idx := ws.pop()
+		// A copy: queueing children below may move the slab.
+		nd := ws.slab[idx]
 		if nd.bound >= bestOF {
 			// The incumbent improved since this node was queued. The heap
 			// is bound-ordered, so every remaining open node is proven
 			// dominated too: drain them all into the certificate.
 			st.Pruned++
-			cert.prune(nd)
-			for h.Len() > 0 {
+			cert.prune(ws, &nd)
+			for len(ws.open) > 0 {
 				st.Pruned++
-				cert.prune(heap.Pop(h).(*node))
+				cert.prune(ws, &ws.slab[ws.pop()])
 			}
 			break
 		}
@@ -199,25 +280,29 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			break
 		}
 		st.Expanded++
-		cert.expand(nd, in.objective(nd.f))
+		cert.expand(ws, &nd, in.objective(nd.f))
 		for j := nd.next; j < n; j++ {
 			if nd.mask&(1<<uint(j)) != 0 {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
 				st.Nodes++
-				child := &node{
-					next:  j + 1,
-					mask:  nd.mask | in.Clusters[j].Conflicts,
-					f:     in.add(nd.f, j, oi),
-					picks: append(append(make([]pick, 0, len(nd.picks)+1), nd.picks...), pick{j, oi}),
+				child := node{
+					next:   j + 1,
+					mask:   nd.mask | in.Clusters[j].Conflicts,
+					f:      in.add(nd.f, j, oi),
+					parent: idx,
+					depth:  nd.depth + 1,
+					last:   pick{j, oi},
 				}
 				of := in.objective(child.f)
-				if of < bestOF || (of == bestOF && lexLess(child.picks, bestPicks)) {
-					bestOF = of
-					bestPicks = child.picks
+				if of <= bestOF {
+					if p := ws.picksOf(&child); of < bestOF || lexLess(p, ws.best) {
+						bestOF = of
+						ws.best = append(ws.best[:0], p...)
+					}
 				}
-				consider(child)
+				consider(&child)
 			}
 		}
 	}
@@ -228,9 +313,9 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 		cert = nil
 	}
 
-	f := in.replay(bestPicks)
+	f := in.replay(ws.best)
 	e, c, g := in.point(f)
-	opt := &Optimum{
+	opt := &Optimum{ //lint:alloc the returned optimum
 		App:    in.App,
 		Geom:   in.Geom,
 		OF:     bestOF,
@@ -240,17 +325,20 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 		Stats:  st,
 		Inst:   in,
 	}
-	for _, p := range bestPicks {
-		cl := &in.Clusters[p.j]
-		o := &cl.Options[p.oi]
-		opt.Picks = append(opt.Picks, Pick{
-			Region: cl.Region, Label: cl.Label,
-			Set: o.Set, SetIndex: o.SetIndex, GEQ: o.GEQ, OF: o.OF,
-		})
+	if len(ws.best) > 0 {
+		opt.Picks = make([]Pick, len(ws.best)) //lint:alloc the returned picks
+		for i, p := range ws.best {
+			cl := &in.Clusters[p.j]
+			o := &cl.Options[p.oi]
+			opt.Picks[i] = Pick{
+				Region: cl.Region, Label: cl.Label,
+				Set: o.Set, SetIndex: o.SetIndex, GEQ: o.GEQ, OF: o.OF,
+			}
+		}
 	}
 	if cert != nil {
 		cert.OF = bestOF
-		cert.Picks = certPicks(bestPicks)
+		cert.Picks = certPicks(ws.best)
 		cert.Nodes = st.Nodes
 		opt.Cert = cert
 	}
