@@ -95,10 +95,12 @@ func TestProgramFactsAndClosure(t *testing.T) {
 // runtime contract: every function guarded by a testing.AllocsPerRun
 // test (asic.(*Core).RunASIC via TestRunASICZeroAlloc,
 // partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc,
-// milp.SolveInstance via TestSolveInstanceZeroAlloc) plus the annotated
-// scheduler/splice inner loops must be hot roots, and the closure must
-// cross package boundaries (behav.EvalBinOp runs inside the ASIC
-// interpreter loop).
+// milp.SolveInstance via TestSolveInstanceZeroAlloc, the online cache
+// profiler trace.(*Profiler).access via TestPrepareColdTraceZeroAlloc)
+// plus the annotated scheduler/splice inner loops must be hot roots, and
+// the closure must cross package boundaries (behav.EvalBinOp runs inside
+// the ASIC interpreter loop, stackdist.(*Profiler).Access inside the
+// online profiler).
 func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads half the module through the source importer")
@@ -106,7 +108,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	prog := loadProgram(t,
 		"internal/cdfg", "internal/tech", "internal/behav",
 		"internal/sched", "internal/asic", "internal/partition", "internal/dse",
-		"internal/milp",
+		"internal/milp", "internal/stackdist", "internal/trace",
 	)
 	for _, name := range []string{
 		"sched.ScheduleBlock",
@@ -116,6 +118,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 		"partition.(*DeltaEvaluator).EvalInto",
 		"dse.searchGeometry.walk",
 		"milp.SolveInstance",
+		"trace.(*Profiler).access",
 	} {
 		if n := nodeByName(t, prog, name); !n.Facts.HotRoot {
 			t.Errorf("%s: HotRoot = false, want annotated root", name)
@@ -123,6 +126,9 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	}
 	if n := nodeByName(t, prog, "behav.EvalBinOp"); !n.Facts.Hot {
 		t.Errorf("behav.EvalBinOp not in hot closure: cross-package BFS broken")
+	}
+	if n := nodeByName(t, prog, "stackdist.(*Profiler).Access"); !n.Facts.Hot {
+		t.Errorf("stackdist.(*Profiler).Access not in the online profiler's hot closure")
 	}
 	if n := nodeByName(t, prog, "partition.scheduleBind"); !n.Facts.AllocExempt {
 		t.Errorf("partition.scheduleBind: AllocExempt = false, want cold-fill boundary")

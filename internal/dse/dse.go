@@ -24,9 +24,9 @@
 // count. All geometries share one partition.Evaluator, whose
 // schedule/binding memo makes every (cluster, resource set) pair pay the
 // expensive Fig. 1 lines 8-10 at most once across the whole exploration;
-// the cache geometries themselves are priced from ONE recorded trace via
-// the single-pass stack-distance sweep (trace.Sweep), not by
-// re-simulating the program per geometry.
+// the cache geometries themselves are profiled online during the one ISS
+// run of the initial design by the single-pass stack-distance profiler
+// (trace.Profiler), not by re-simulating the program per geometry.
 package dse
 
 import (
@@ -58,8 +58,9 @@ type Config struct {
 	// MaxHW bounds how many clusters one configuration may move to
 	// hardware (the N of Eq. 3). 0 means 2.
 	MaxHW int
-	// Workers bounds the geometry fan-out (<= 0: one per CPU). The
-	// frontier is byte-identical at any worker count.
+	// Workers bounds how many geometries ExplorePrep searches at once
+	// (<= 0: one per CPU); Prepare's measurement is one ISS run and
+	// ignores it. The frontier is byte-identical at any worker count.
 	Workers int
 	// DisableBound turns branch-and-bound pruning off (exhaustive
 	// enumeration) — the differential-testing oracle for the bound's
@@ -217,12 +218,13 @@ type Frontier struct {
 }
 
 // Prep is the measured, priced half of an exploration: the application
-// profiled and traced once, every cache geometry priced from that single
-// trace into its own all-software baseline, and one shared
-// DeltaEvaluator (one schedule/binding memo) ready to price (cluster,
-// resource set) pairs against any of those baselines. A Prep feeds both
-// the Pareto search (ExplorePrep) and the exact solver (internal/milp),
-// so the two provably price the same design space from the same floats.
+// profiled and run on the ISS once, every cache geometry profiled during
+// that single run and priced into its own all-software baseline, and one
+// shared DeltaEvaluator (one schedule/binding memo) ready to price
+// (cluster, resource set) pairs against any of those baselines. A Prep
+// feeds both the Pareto search (ExplorePrep) and the exact solver
+// (internal/milp), so the two provably price the same design space from
+// the same floats.
 type Prep struct {
 	IR *cdfg.Program
 	// Delta wraps the shared Evaluator; all geometries re-run only the
@@ -235,17 +237,15 @@ type Prep struct {
 	Bases []*partition.Baseline
 }
 
-// Prepare measures the application once (profile, initial design,
-// reference trace), prices every cache geometry from the single recorded
-// trace, and derives each geometry's all-software baseline. With a store
-// attached, a previous run's measurement is replayed instead
+// Prepare measures the application once (profile, then one ISS run of
+// the initial design with the online cache profiler observing it),
+// prices every cache geometry from that run's profile, and derives each
+// geometry's all-software baseline. No reference trace is recorded. With
+// a store attached, a previous run's measurement is replayed instead
 // (bit-identical records, so every downstream result is byte-identical
 // to a cold run's). The geometry set is fixed here; ExplorePrep ignores
 // cfg.Geometries.
 func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = explore.DefaultWorkers()
-	}
 	geoms := make([][2]cache.Config, 0, len(cfg.Geometries))
 	if cfg.Geometries == nil {
 		geoms = DefaultGeometries()
@@ -279,11 +279,12 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 	pairs := append([][2]cache.Config{{anchorI, anchorD}}, geoms...)
 
 	// Measure once: profiling run, then ONE ISS execution of the initial
-	// all-software design on the anchor geometry with the trace recorder
-	// teed into the memory system, yielding both the measured baseline and
-	// the geometry-independent reference trace. With a store attached, a
-	// previous run's measurement is replayed instead (bit-identical
-	// records, so the frontier is byte-identical to a cold run's).
+	// all-software design on the anchor geometry with the online cache
+	// profiler teed into the memory system, yielding both the measured
+	// baseline and every geometry's report; the reference stream is never
+	// stored. With a store attached, a previous run's measurement is
+	// replayed instead (bit-identical records, so the frontier is
+	// byte-identical to a cold run's).
 	useStore := cfg.Store != nil && !cfg.Sys.Part.Verify
 	var fp [32]byte
 	if useStore {
@@ -294,20 +295,9 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 		m = loadMeasurement(cfg.Store, fp, pairs, lib)
 	}
 	if m == nil {
-		ev, base, tr, err := system.MeasureAndRecordCtx(ctx, ir, cfg.Sys)
-		if err != nil {
+		var err error
+		if m, err = measure(ctx, ir, cfg.Sys, pairs); err != nil {
 			return nil, err
-		}
-		reps, err := tr.SweepParallel(pairs, lib, cfg.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("dse: geometry sweep: %w", err)
-		}
-		m = &measurement{
-			emup:       ev.Initial.EMuP,
-			initCycles: ev.Initial.TotalCycles(),
-			base:       base,
-			prof:       ev.Profile,
-			reps:       reps,
 		}
 		if useStore {
 			storeMeasurement(cfg.Store, fp, pairs, m)

@@ -1,8 +1,8 @@
 // Persistent memoization of the exploration's measurement phase.
 //
-// An exploration's expensive front half — the profiling interpreter run,
-// the ISS execution of the all-software design with the trace recorder
-// teed in, and the stack-distance geometry sweep — is a pure function of
+// An exploration's expensive front half — the profiling interpreter run
+// and the ISS execution of the all-software design with the online
+// stack-distance geometry profiler teed in — is a pure function of
 // (IR, memory map, anchor caches, instruction budget, technology
 // library, geometry grid). With a memostore attached, Explore persists
 // that half as two content-addressed records keyed by the program
@@ -15,6 +15,7 @@
 package dse
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -28,6 +29,7 @@ import (
 	"lppart/internal/iss"
 	"lppart/internal/memostore"
 	"lppart/internal/partition"
+	"lppart/internal/system"
 	"lppart/internal/tech"
 	"lppart/internal/trace"
 	"lppart/internal/units"
@@ -43,6 +45,22 @@ type measurement struct {
 	base       *partition.Baseline
 	prof       *interp.Profile
 	reps       []trace.Report
+}
+
+// measure runs the measurement phase cold: the profiling run, then one
+// ISS execution of the initial design with every pair profiled online.
+func measure(ctx context.Context, ir *cdfg.Program, sys system.Config, pairs [][2]cache.Config) (*measurement, error) {
+	ev, base, reps, err := system.MeasureAndSweepCtx(ctx, ir, sys, pairs)
+	if err != nil {
+		return nil, err
+	}
+	return &measurement{
+		emup:       ev.Initial.EMuP,
+		initCycles: ev.Initial.TotalCycles(),
+		base:       base,
+		prof:       ev.Profile,
+		reps:       reps,
+	}, nil
 }
 
 const (

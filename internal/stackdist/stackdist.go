@@ -181,7 +181,7 @@ func (p *Profiler) Access(addr int32, write bool) {
 		copy(st[1:pos+1], st[:pos])
 	} else {
 		if len(st) < p.cap {
-			st = append(st, entry{})
+			st = append(st, entry{}) //lint:alloc bounded LRU-stack fill: at most cap entries per set, then reused
 			p.stacks[f] = st
 		}
 		e = st[len(st)-1] // dropped entry (its rm buffer is reused) or fresh
@@ -189,7 +189,7 @@ func (p *Profiler) Access(addr int32, write bool) {
 		e.line = line
 		if p.writeBack {
 			if e.rm == nil {
-				e.rm = make([]int32, len(p.setCounts))
+				e.rm = make([]int32, len(p.setCounts)) //lint:alloc bounded LRU-stack fill: once per stack entry, then reused
 			}
 			for si := range e.rm {
 				e.rm[si] = -1

@@ -128,27 +128,28 @@ func (m *memSys) FetchInstr(byteAddr uint32) int { return m.ic.Access(int32(byte
 func (m *memSys) ReadData(addr int32) int        { return m.dc.Access(addr, false) }
 func (m *memSys) WriteData(addr int32) int       { return m.dc.Access(addr, true) }
 
-// teeMemSys simulates the caches AND records the reference trace in one
-// pass. The recorder sees exactly the access sequence a dedicated
-// recording run would (the sequence is a pure function of the program),
-// so measurement and trace capture share a single ISS execution.
+// teeMemSys simulates the caches AND feeds an observer (a trace recorder
+// or an online cache profiler) in one pass. The observer sees exactly the
+// access sequence a dedicated run would (the sequence is a pure function
+// of the program), so measurement and observation share a single ISS
+// execution; the observer's stall cycles are ignored.
 type teeMemSys struct {
 	ms  *memSys
-	rec *trace.Recorder
+	obs iss.MemSystem
 }
 
 func (t *teeMemSys) FetchInstr(byteAddr uint32) int {
-	t.rec.FetchInstr(byteAddr)
+	t.obs.FetchInstr(byteAddr)
 	return t.ms.FetchInstr(byteAddr)
 }
 
 func (t *teeMemSys) ReadData(addr int32) int {
-	t.rec.ReadData(addr)
+	t.obs.ReadData(addr)
 	return t.ms.ReadData(addr)
 }
 
 func (t *teeMemSys) WriteData(addr int32) int {
-	t.rec.WriteData(addr)
+	t.obs.WriteData(addr)
 	return t.ms.WriteData(addr)
 }
 
@@ -159,10 +160,10 @@ func runDesign(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler
 	return runDesignRec(name, mp, cfg, handler, micro, nil)
 }
 
-// runDesignRec is runDesign with an optional trace recorder teed into the
+// runDesignRec is runDesign with an optional observer teed into the
 // memory system.
 func runDesignRec(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler,
-	micro *tech.MicroprocessorSpec, rec *trace.Recorder) (*Design, *bus.Bus, *mem.Memory, error) {
+	micro *tech.MicroprocessorSpec, obs iss.MemSystem) (*Design, *bus.Bus, *mem.Memory, error) {
 	lib := cfg.Part.Lib
 	b := bus.New(lib)
 	m := mem.New(lib)
@@ -177,8 +178,8 @@ func runDesignRec(name string, mp *isaProgram, cfg *Config, handler iss.ASICHand
 		return nil, nil, nil, err
 	}
 	var sys iss.MemSystem = &memSys{ic: ic, dc: dc}
-	if rec != nil {
-		sys = &teeMemSys{ms: sys.(*memSys), rec: rec}
+	if obs != nil {
+		sys = &teeMemSys{ms: sys.(*memSys), obs: obs}
 	}
 	res, err := iss.Run(mp.prog, iss.Options{
 		Micro:     micro,
@@ -292,13 +293,33 @@ func MeasureInitialCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Eval
 func MeasureAndRecordCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, *partition.Baseline, *trace.Trace, error) {
 	rec := &trace.Recorder{}
 	ev, base, err := measureCtx(ctx, ir, cfg, rec)
+	return ev, base, &rec.Trace, err
+}
+
+// MeasureAndSweepCtx is MeasureInitialCtx with an online cache profiler
+// teed into the initial design's memory system: one compile and one ISS
+// execution yield both the measured baseline and the reports of every
+// geometry pair, in input order. Nothing is recorded; the reports are
+// byte-identical to MeasureAndRecordCtx followed by a sweep of the
+// recorded trace.
+func MeasureAndSweepCtx(ctx context.Context, ir *cdfg.Program, cfg Config, pairs [][2]cache.Config) (*Evaluation, *partition.Baseline, []trace.Report, error) {
+	cfg.defaults()
+	prof, err := trace.NewProfiler(pairs)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("system: geometry sweep: %w", err)
+	}
+	ev, base, err := measureCtx(ctx, ir, cfg, prof)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return ev, base, &rec.Trace, nil
+	reps, err := prof.Reports(cfg.Part.Lib)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("system: geometry sweep: %w", err)
+	}
+	return ev, base, reps, nil
 }
 
-func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, rec *trace.Recorder) (*Evaluation, *partition.Baseline, error) {
+func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSystem) (*Evaluation, *partition.Baseline, error) {
 	cfg.defaults()
 	lib := cfg.Part.Lib
 	micro := &lib.Micro
@@ -323,7 +344,7 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, rec *trace.Re
 	if err != nil {
 		return nil, nil, fmt.Errorf("system: compile: %w", err)
 	}
-	initial, _, _, err := runDesignRec("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, rec)
+	initial, _, _, err := runDesignRec("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("system: initial design: %w", err)
 	}

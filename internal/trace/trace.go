@@ -1,18 +1,24 @@
 // Package trace implements the trace tool and cache profiler of the
 // paper's design flow (Fig. 5: "Trace Tool" feeding a "Cache Profiler",
-// after [17] WARTS): it records the exact instruction-fetch and data
-// reference stream of an ISS run once, then evaluates any number of
-// cache geometries against it without re-simulating the program — the
-// standard trace-driven methodology for tuning the cache cores to a
-// chosen partition ("those other cores have to be adapted efficiently
-// (e.g. size of memory, size of caches, cache policy etc.) according to
-// the particular hw/sw partitioning chosen", paper §1).
+// after [17] WARTS): it evaluates any number of cache geometries against
+// the exact instruction-fetch and data reference stream of ONE ISS run,
+// without re-simulating the program per geometry — the standard
+// trace-driven methodology for tuning the cache cores to a chosen
+// partition ("those other cores have to be adapted efficiently (e.g.
+// size of memory, size of caches, cache policy etc.) according to the
+// particular hw/sw partitioning chosen", paper §1).
 //
-// The stream is stored delta+varint-encoded in chunks (Compact), and
-// geometry sweeps run the single-pass stack-distance profiler of
-// internal/stackdist: one pass over the trace per distinct line size
-// covers every (Sets, Assoc) combination, with Replay retained as the
-// one-geometry-per-pass differential-testing oracle.
+// The cache profiler (Profiler) runs the single-pass stack-distance
+// profilers of internal/stackdist: one pass per distinct line size
+// covers every (Sets, Assoc) combination. It takes its stream in one of
+// two ways. Online, it observes the ISS run directly as an
+// iss.MemSystem, in the spirit of an on-chip profiler, and nothing is
+// stored; the exploration's measurement phase works this way. Recorded,
+// a Recorder stores the stream delta+varint-encoded in chunks (Compact)
+// and Trace.Sweep scans it once per line-size group; callers that need
+// the trace itself (its size, or replays against it) work this way.
+// Replay is retained as the one-geometry-per-pass differential-testing
+// oracle for both.
 package trace
 
 import (
@@ -21,9 +27,7 @@ import (
 	"lppart/internal/bus"
 	"lppart/internal/cache"
 	"lppart/internal/explore"
-	"lppart/internal/iss"
 	"lppart/internal/mem"
-	"lppart/internal/stackdist"
 	"lppart/internal/tech"
 	"lppart/internal/units"
 )
@@ -62,37 +66,26 @@ type Trace struct {
 }
 
 // Recorder implements iss.MemSystem: it appends every reference to the
-// trace and (optionally) forwards to an inner memory system whose stall
-// cycles it passes through.
+// trace and reports no stall cycles.
 type Recorder struct {
 	Trace Trace
-	Inner iss.MemSystem
 }
 
 // FetchInstr records an instruction fetch.
 func (r *Recorder) FetchInstr(byteAddr uint32) int {
 	r.Trace.Append(Fetch, int32(byteAddr/4))
-	if r.Inner != nil {
-		return r.Inner.FetchInstr(byteAddr)
-	}
 	return 0
 }
 
 // ReadData records a data load.
 func (r *Recorder) ReadData(addr int32) int {
 	r.Trace.Append(Read, addr)
-	if r.Inner != nil {
-		return r.Inner.ReadData(addr)
-	}
 	return 0
 }
 
 // WriteData records a data store.
 func (r *Recorder) WriteData(addr int32) int {
 	r.Trace.Append(Write, addr)
-	if r.Inner != nil {
-		return r.Inner.WriteData(addr)
-	}
 	return 0
 }
 
@@ -221,86 +214,17 @@ func (t *Trace) SweepReplay(pairs [][2]cache.Config, lib *tech.Library, workers 
 	})
 }
 
-// profileGroup runs one single-pass profile over the trace for every
-// geometry pair in g and synthesizes their reports.
+// profileGroup profiles one line-size group of pairs in one pass over the
+// trace and returns its reports in g.idx order.
 func (t *Trace) profileGroup(g sweepGroup, pairs [][2]cache.Config, lib *tech.Library) ([]Report, error) {
-	var iSets, dSets []int
-	iAssoc, dAssoc := 0, 0
-	for _, pi := range g.idx {
-		icfg, dcfg := pairs[pi][0], pairs[pi][1]
-		dcfg.WriteBack = true
-		if err := icfg.Validate(); err != nil {
-			return nil, err
-		}
-		if err := dcfg.Validate(); err != nil {
-			return nil, err
-		}
-		iSets = appendUnique(iSets, icfg.Sets)
-		dSets = appendUnique(dSets, dcfg.Sets)
-		iAssoc = max(iAssoc, icfg.Assoc)
-		dAssoc = max(dAssoc, dcfg.Assoc)
-	}
-	ip, err := stackdist.New(g.iLW, iSets, iAssoc, false)
-	if err != nil {
-		return nil, err
-	}
-	dp, err := stackdist.New(g.dLW, dSets, dAssoc, true)
-	if err != nil {
-		return nil, err
-	}
-	t.Scan(func(k Kind, addr int32) {
-		switch k {
-		case Fetch:
-			ip.Access(addr, false)
-		case Read:
-			dp.Access(addr, false)
-		case Write:
-			dp.Access(addr, true)
-		}
-	})
-	reps := make([]Report, len(g.idx))
+	sub := make([][2]cache.Config, len(g.idx))
 	for j, pi := range g.idx {
-		icfg, dcfg := pairs[pi][0], pairs[pi][1]
-		is, err := ip.Stats(icfg.Sets, icfg.Assoc)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := dp.Stats(dcfg.Sets, dcfg.Assoc)
-		if err != nil {
-			return nil, err
-		}
-		reps[j] = synthesize(icfg, dcfg, lib, is, ds)
+		sub[j] = pairs[pi]
 	}
-	return reps, nil
-}
-
-// synthesize prices one geometry pair's profiled Stats exactly as
-// Replay's live cores would have: the same integer traffic counts feed
-// the same float expressions, so the report is byte-identical to a
-// replay's.
-func synthesize(icfg, dcfg cache.Config, lib *tech.Library, is, ds cache.Stats) Report {
-	dcfg.WriteBack = true
-	readWords := icfg.RefillWords(is.Misses) + dcfg.RefillWords(ds.Misses)
-	writeWords := dcfg.WriteBackWords(ds.WriteBacks)
-	m := mem.Memory{T: lib.Memory, Reads: readWords, Writes: writeWords}
-	b := bus.Bus{T: lib.Bus, ReadWords: readWords, WriteWords: writeWords}
-	return Report{
-		ICfg: icfg, DCfg: dcfg,
-		I: is, D: ds,
-		EICache: units.Energy(float64(is.Accesses)) * icfg.AccessEnergy(lib.Cache),
-		EDCache: units.Energy(float64(ds.Accesses)) * dcfg.AccessEnergy(lib.Cache),
-		EMem:    m.Energy(),
-		EBus:    b.Energy(),
-		Stalls: icfg.MissStalls(lib.Memory, is.Misses, 0) +
-			dcfg.MissStalls(lib.Memory, ds.Misses, ds.WriteBacks),
+	p, err := NewProfiler(sub)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func appendUnique(s []int, v int) []int {
-	for _, x := range s {
-		if x == v {
-			return s
-		}
-	}
-	return append(s, v)
+	t.Scan(p.access)
+	return p.Reports(lib)
 }

@@ -129,8 +129,8 @@ func TestReplayMatchesLiveSimulation(t *testing.T) {
 	// Live simulation.
 	liveI, _ := cache.New("i", cache.DefaultICache(), lib.Cache, nil, nil)
 	liveD, _ := cache.New("d", cache.DefaultDCache(), lib.Cache, nil, nil)
-	rec := &Recorder{Inner: &liveMem{liveI, liveD}}
-	if _, err := iss.Run(mp, iss.Options{Mem: rec}); err != nil {
+	rec := &Recorder{}
+	if _, err := iss.Run(mp, iss.Options{Mem: tee{rec, &liveMem{liveI, liveD}}}); err != nil {
 		t.Fatal(err)
 	}
 	liveD.Flush()
@@ -148,6 +148,14 @@ func TestReplayMatchesLiveSimulation(t *testing.T) {
 }
 
 type liveMem struct{ ic, dc *cache.Cache }
+
+// tee feeds every reference to both memory systems and passes the
+// second one's stall cycles through.
+type tee struct{ a, b iss.MemSystem }
+
+func (t tee) FetchInstr(a uint32) int { t.a.FetchInstr(a); return t.b.FetchInstr(a) }
+func (t tee) ReadData(a int32) int    { t.a.ReadData(a); return t.b.ReadData(a) }
+func (t tee) WriteData(a int32) int   { t.a.WriteData(a); return t.b.WriteData(a) }
 
 func (m *liveMem) FetchInstr(a uint32) int { return m.ic.Access(int32(a/4), false) }
 func (m *liveMem) ReadData(a int32) int    { return m.dc.Access(a, false) }
@@ -360,5 +368,46 @@ func TestReplayRejectsBadGeometry(t *testing.T) {
 		{cache.DefaultICache(), {Sets: 64, Assoc: cache.MaxAssoc + 1, LineWords: 4}},
 	}, lib); err == nil {
 		t.Error("sweep must reject out-of-bounds associativity")
+	}
+}
+
+// TestProfilerOnlineMatchesSweep: a Profiler observing the ISS run
+// directly must price every pair exactly as a sweep of the recorded
+// trace, one line-size group or several.
+func TestProfilerOnlineMatchesSweep(t *testing.T) {
+	prog := behav.MustParse("t", walker)
+	ir := cdfg.MustBuild(prog)
+	mp, _, err := codegen.Compile(ir, codegen.Options{MemWords: 1 << 16, StackWords: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib := tech.Default()
+	pairs := append(profGrid(),
+		[2]cache.Config{cache.DefaultICache(), {Sets: 64, Assoc: 2, LineWords: 8, WriteBack: true}},
+		[2]cache.Config{{Sets: 64, Assoc: 1, LineWords: 8}, {Sets: 64, Assoc: 2, LineWords: 4, WriteBack: true}},
+	)
+	prof, err := NewProfiler(pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &Recorder{}
+	if _, err := iss.Run(mp, iss.Options{Mem: tee{rec, prof}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := prof.Reports(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rec.Trace.Sweep(pairs, lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("pair %d: online %+v != recorded %+v", i, got[i], want[i])
+		}
+	}
+	if _, err := NewProfiler([][2]cache.Config{{{Sets: 3, Assoc: 1, LineWords: 4}, cache.DefaultDCache()}}); err == nil {
+		t.Error("NewProfiler must reject a bad geometry")
 	}
 }
