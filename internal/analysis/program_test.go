@@ -93,8 +93,9 @@ func TestProgramFactsAndClosure(t *testing.T) {
 
 // TestHotClosureCoversAllocGuardedFunctions pins the pass to the repo's
 // runtime contract: every function guarded by a testing.AllocsPerRun
-// test (asic.(*Core).RunASIC via TestRunASICZeroAlloc,
-// partition.(*DeltaEvaluator).EvalInto via TestDeltaEvalIntoZeroAlloc,
+// test (asic.(*Core).RunASIC via TestRunASICZeroAlloc, asic.Bind via
+// TestBindZeroAllocScratch, partition.(*DeltaEvaluator).EvalInto via
+// TestDeltaEvalIntoZeroAlloc,
 // milp.SolveInstance via TestSolveInstanceZeroAlloc, the online cache
 // profiler trace.(*Profiler).access via TestPrepareColdTraceZeroAlloc)
 // plus the annotated scheduler/splice inner loops must be hot roots, and
@@ -113,6 +114,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	for _, name := range []string{
 		"sched.ScheduleBlock",
 		"asic.(*Core).RunASIC",
+		"asic.Bind",
 		"partition.(*Priced).Add",
 		"partition.(*Priced).Remove",
 		"partition.(*DeltaEvaluator).EvalInto",

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"lppart/internal/cdfg"
 	"lppart/internal/sched"
@@ -59,8 +60,12 @@ type Binding struct {
 	Schedule *sched.RegionSchedule
 	// Instances lists the instantiated resources in creation order.
 	Instances []Instance
-	// PlacementOf maps op IDs to their binding.
-	PlacementOf map[int]Placement
+	// OpInst is Fig. 4's op-to-instance binding, aligned with the
+	// schedule: entry k belongs to the k-th op of Schedule.Blocks[0].Ops,
+	// Schedule.Blocks[1].Ops, ... in order, and holds its index into
+	// Instances, or -1 for a memory op (buffer port). Kind, Dur and Mem
+	// live on the sched.PlacedOp itself; PlacementAt combines the two.
+	OpInst []int32
 	// NcycWeighted is the profile-weighted total cluster cycles
 	// (Fig. 4's N_cyc^c over the whole application run).
 	NcycWeighted int64
@@ -75,9 +80,15 @@ type Binding struct {
 	GEQDatapath, GEQController, GEQRegisters int
 	// Clock is the core's cycle time: the slowest instantiated resource.
 	Clock units.Time
-	// BlockLen maps block IDs to their control-step count, for the
-	// runtime replay.
-	BlockLen map[int]int
+}
+
+// PlacementAt returns where scheduled op p executes; k is p's position in
+// schedule order (see OpInst).
+func (b *Binding) PlacementAt(k int, p *sched.PlacedOp) Placement {
+	if p.Mem {
+		return Placement{Mem: true, Dur: p.Dur}
+	}
+	return Placement{Kind: p.Kind, Instance: int(b.OpInst[k]), Dur: p.Dur}
 }
 
 // GEQTotal is the core's total hardware effort in gate equivalents
@@ -95,73 +106,104 @@ func (b *Binding) InstanceCount(k tech.ResourceKind) int {
 	return n
 }
 
+// bindScratch is Bind's per-call working state, pooled so a warm Bind
+// allocates only its results.
+type bindScratch struct {
+	// ops and order hold the block being bound and its op positions in
+	// (Start, Op.ID) order; *bindScratch sorts order without allocating.
+	ops   []sched.PlacedOp
+	order []int32
+	// instOf lists each kind's instance indices in creation order.
+	instOf [tech.NumResourceKinds][]int32
+	// freeAt is, per instance, the first global step after its latest op.
+	freeAt []int
+	insts  []Instance
+	// countLiveWords' visited sets, one bit per global / local ID.
+	seenGlobal, seenLocal []uint64
+	uses                  []cdfg.VarRef
+}
+
+var bindPool = sync.Pool{New: func() any { return new(bindScratch) }}
+
+func (s *bindScratch) Len() int      { return len(s.order) }
+func (s *bindScratch) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
+func (s *bindScratch) Less(i, j int) bool {
+	a, b := &s.ops[s.order[i]], &s.ops[s.order[j]]
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	return a.Op.ID < b.Op.ID
+}
+
 // Bind runs the Fig. 4 algorithm over a scheduled cluster. blockFreq
 // returns the profiled execution count of a basic block (#ex_times); the
 // library supplies per-resource GEQ, power and cycle time.
+//
+// Fig. 4 lines 9-13 bind first-fit: an op reuses the first instance of
+// its kind free over its control steps, else instantiates a new one (the
+// scheduler guarantees a kind-level budget, so the instance count never
+// exceeds it). Ops are visited block by block, each block's by (Start,
+// Op.ID), over one global step numbering (block latencies concatenated).
+// That visit order is nondecreasing in global start step and every op
+// ends within its block, so a new op overlaps an earlier op on the same
+// instance exactly when that op ends after the new op starts: one free-at
+// step per instance decides occupancy. A zero-duration op occupies no
+// step and fits the kind's first instance.
+//
+//lint:hotpath guarded by TestBindZeroAllocScratch
 func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockID int) int64) (*Binding, error) {
 	if rsched == nil || lib == nil {
-		return nil, fmt.Errorf("asic: Bind requires a schedule and a library")
+		return nil, fmt.Errorf("asic: Bind requires a schedule and a library") //lint:alloc error path
 	}
-	b := &Binding{
-		Schedule:    rsched,
-		PlacementOf: make(map[int]Placement),
-		BlockLen:    make(map[int]int),
+	nOps := 0
+	for _, bs := range rsched.Blocks {
+		nOps += len(bs.Ops)
 	}
-	// busy[instanceIdx][globalStep] marks occupancy; instances are
-	// created on demand (Fig. 4 lines 9-13: reuse an already-instantiated
-	// instance free at this step, else instantiate — the scheduler
-	// guarantees a kind-level budget, so instance count never exceeds it).
-	busy := []map[int]bool{}
-	instOf := make(map[tech.ResourceKind][]int) // kind -> instance indices
+	b := &Binding{Schedule: rsched} //lint:alloc the returned binding
+	b.OpInst = make([]int32, nOps)  //lint:alloc result, owned by the returned binding
+	s := bindPool.Get().(*bindScratch)
+	defer bindPool.Put(s)
+	s.reset()
 
-	base := 0
+	base, k := 0, 0
 	for _, bs := range rsched.Blocks {
 		freq := blockFreq(bs.Block.ID)
-		b.BlockLen[bs.Block.ID] = bs.Len
 		b.NcycWeighted += int64(bs.Len) * freq
 		b.Steps += bs.Len
-		// Deterministic order: by start step, then op ID.
-		ops := make([]sched.PlacedOp, len(bs.Ops))
-		copy(ops, bs.Ops)
-		sort.Slice(ops, func(i, j int) bool {
-			if ops[i].Start != ops[j].Start {
-				return ops[i].Start < ops[j].Start
-			}
-			return ops[i].Op.ID < ops[j].Op.ID
-		})
-		for _, p := range ops {
+		s.sortBlock(bs.Ops)
+		for _, i := range s.order {
+			p := &bs.Ops[i]
 			if p.Mem {
-				b.PlacementOf[p.Op.ID] = Placement{Mem: true, Dur: p.Dur}
+				b.OpInst[k+int(i)] = -1
 				continue
 			}
 			lo, hi := base+p.Start, base+p.End()
-			chosen := -1
-			for _, ii := range instOf[p.Kind] {
-				free := true
-				for s := lo; s < hi; s++ {
-					if busy[ii][s] {
-						free = false
-						break
-					}
-				}
-				if free {
+			chosen := int32(-1)
+			for _, ii := range s.instOf[p.Kind] {
+				if lo == hi || s.freeAt[ii] <= lo {
 					chosen = ii
 					break
 				}
 			}
 			if chosen == -1 {
-				chosen = len(b.Instances)
-				b.Instances = append(b.Instances, Instance{Kind: p.Kind, Index: len(instOf[p.Kind])})
-				busy = append(busy, make(map[int]bool))
-				instOf[p.Kind] = append(instOf[p.Kind], chosen)
+				chosen = int32(len(s.insts))
+				s.insts = append(s.insts, Instance{Kind: p.Kind, Index: len(s.instOf[p.Kind])})
+				s.freeAt = append(s.freeAt, 0)
+				s.instOf[p.Kind] = append(s.instOf[p.Kind], chosen)
 			}
-			for s := lo; s < hi; s++ {
-				busy[chosen][s] = true
+			if hi > lo {
+				s.freeAt[chosen] = hi
 			}
-			b.Instances[chosen].ActiveWeighted += int64(p.Dur) * freq
-			b.PlacementOf[p.Op.ID] = Placement{Kind: p.Kind, Instance: chosen, Dur: p.Dur}
+			s.insts[chosen].ActiveWeighted += int64(p.Dur) * freq
+			b.OpInst[k+int(i)] = chosen
 		}
 		base += bs.Len
+		k += len(bs.Ops)
+	}
+	s.ops = nil
+	if len(s.insts) > 0 {
+		b.Instances = make([]Instance, len(s.insts)) //lint:alloc result, copied out of the scratch at exact size
+		copy(b.Instances, s.insts)
 	}
 
 	// Fig. 4 lines 16-18: hardware effort of the bound datapath.
@@ -169,7 +211,7 @@ func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockI
 		b.GEQDatapath += lib.Resource(in.Kind).GEQ
 	}
 	b.GEQController = lib.ControllerGEQPerStep * b.Steps
-	b.LiveWords = countLiveWords(rsched, len(b.Instances))
+	b.LiveWords = s.countLiveWords(rsched, len(b.Instances))
 	b.GEQRegisters = lib.RegisterGEQPerWord * b.LiveWords
 
 	// Fig. 4 line 24: U_R = mean per-instance utilization over the
@@ -200,43 +242,82 @@ func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockI
 	return b, nil
 }
 
+// reset empties the scratch for a new Bind call, keeping its slabs.
+func (s *bindScratch) reset() {
+	for k := range s.instOf {
+		s.instOf[k] = s.instOf[k][:0]
+	}
+	s.freeAt = s.freeAt[:0]
+	s.insts = s.insts[:0]
+}
+
+// sortBlock fills s.order with the positions of ops in (Start, Op.ID)
+// order.
+func (s *bindScratch) sortBlock(ops []sched.PlacedOp) {
+	s.ops = ops
+	s.order = s.order[:0]
+	for i := range ops {
+		s.order = append(s.order, int32(i)) //lint:alloc slab growth to the largest block, then reused
+	}
+	sort.Sort(s)
+}
+
 // countLiveWords estimates the datapath register need: every named scalar
 // the cluster touches holds state across control steps, while compiler
 // temporaries live only within one block and are register-shared after
 // scheduling — their physical need is bounded by the datapath's
 // parallelism (roughly two in-flight values per instance plus pipeline
 // margin), not by their count.
-func countLiveWords(rsched *sched.RegionSchedule, instances int) int {
-	type key struct {
-		g  bool
-		id int
-	}
-	named := make(map[key]bool)
-	temps := make(map[key]bool)
+func (s *bindScratch) countLiveWords(rsched *sched.RegionSchedule, instances int) int {
 	f := rsched.Region.Func
+	clear(s.seenGlobal)
+	clear(s.seenLocal)
+	named, temps := 0, 0
 	classify := func(r cdfg.VarRef) {
-		k := key{r.Global, r.ID}
-		if !r.Global && f.Locals[r.ID].Temp {
-			temps[k] = true
-		} else {
-			named[k] = true
+		switch {
+		case r.Global:
+			if !testAndSet(&s.seenGlobal, r.ID) {
+				named++
+			}
+		case !testAndSet(&s.seenLocal, r.ID):
+			if f.Locals[r.ID].Temp {
+				temps++
+			} else {
+				named++
+			}
 		}
 	}
-	var uses []cdfg.VarRef
-	for _, op := range rsched.Region.Ops() {
-		uses = op.AppendUses(uses[:0])
-		for _, u := range uses {
-			classify(u)
-		}
-		if d := op.Def(); d.Valid() {
-			classify(d)
+	for _, bid := range rsched.Region.Blocks {
+		blk := f.Block(bid)
+		for i := range blk.Ops {
+			op := &blk.Ops[i]
+			s.uses = op.AppendUses(s.uses[:0])
+			for _, u := range s.uses {
+				classify(u)
+			}
+			if d := op.Def(); d.Valid() {
+				classify(d)
+			}
 		}
 	}
 	tempRegs := 2*instances + 4
-	if len(temps) < tempRegs {
-		tempRegs = len(temps)
+	if temps < tempRegs {
+		tempRegs = temps
 	}
-	return len(named) + tempRegs
+	return named + tempRegs
+}
+
+// testAndSet sets bit i of *bits, growing the set as needed, and reports
+// whether the bit was already set.
+func testAndSet(bits *[]uint64, i int) bool {
+	w := i / 64
+	if w >= len(*bits) {
+		*bits = append(*bits, make([]uint64, w+1-len(*bits))...) //lint:alloc slab growth to the largest namespace, then reused
+	}
+	m := uint64(1) << (i % 64)
+	was := (*bits)[w]&m != 0
+	(*bits)[w] |= m
+	return was
 }
 
 // EnergySelectionEstimate is the quick, utilization-based energy estimate

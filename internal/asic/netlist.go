@@ -62,7 +62,7 @@ func (b *Binding) Verilog(name string, lib *tech.Library) string {
 	// FSM states: one per control step, grouped per basic block.
 	fmt.Fprintf(&sb, "    // controller: %d states (one per control step)\n", b.Steps)
 	fmt.Fprintf(&sb, "    localparam STATE_BITS = %d;\n", stateBits(b.Steps+1))
-	state := 0
+	state, k := 0, 0 // k: position in schedule order, for PlacementAt
 	type stepInfo struct {
 		state int
 		ops   []string
@@ -76,8 +76,10 @@ func (b *Binding) Verilog(name string, lib *tech.Library) string {
 			steps[i].state = state + i
 		}
 		ops := make([]opPlacement, 0, len(bs.Ops))
-		for _, p := range bs.Ops {
-			ops = append(ops, opPlacement{start: p.Start, op: p.Op})
+		for i := range bs.Ops {
+			p := &bs.Ops[i]
+			ops = append(ops, opPlacement{start: p.Start, op: p.Op, pl: b.PlacementAt(k, p)})
+			k++
 		}
 		sort.Slice(ops, func(i, j int) bool {
 			if ops[i].start != ops[j].start {
@@ -86,8 +88,7 @@ func (b *Binding) Verilog(name string, lib *tech.Library) string {
 			return ops[i].op.ID < ops[j].op.ID
 		})
 		for _, p := range ops {
-			desc := opDesc(p.op, b)
-			steps[p.start].ops = append(steps[p.start].ops, desc)
+			steps[p.start].ops = append(steps[p.start].ops, opDesc(p.op, p.pl))
 		}
 		for _, st := range steps {
 			if len(st.ops) == 0 {
@@ -122,6 +123,7 @@ func (b *Binding) Verilog(name string, lib *tech.Library) string {
 type opPlacement struct {
 	start int
 	op    *cdfg.Op
+	pl    Placement
 }
 
 func instName(idx int, in Instance) string {
@@ -137,8 +139,7 @@ func stateBits(n int) int {
 }
 
 // opDesc names an operation and where it executes, for netlist comments.
-func opDesc(op *cdfg.Op, b *Binding) string {
-	pl := b.PlacementOf[op.ID]
+func opDesc(op *cdfg.Op, pl Placement) string {
 	where := "buf"
 	if !pl.Mem {
 		where = fmt.Sprintf("%s#%d", strings.ToLower(pl.Kind.String()), pl.Instance)

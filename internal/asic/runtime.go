@@ -193,17 +193,22 @@ func (c *Core) buildTables(touched dataflow.BitSet) {
 	c.prevB = make([]int32, maxOp+1)
 	c.placements = make([]Placement, maxOp+1)
 	c.placedOK = make([]bool, maxOp+1)
-	for id, pl := range c.Binding.PlacementOf { //lint:ordered dense fill, one distinct slot per key
-		if id >= 0 && id <= maxOp {
-			c.placements[id] = pl
-			c.placedOK[id] = true
-		}
-	}
 	c.blockLen = make([]int64, maxBlock+1)
 	c.inRegion = make([]bool, maxBlock+1)
 	for _, bid := range c.Region.Blocks {
 		c.inRegion[bid] = true
-		c.blockLen[bid] = int64(c.Binding.BlockLen[bid])
+	}
+	// The schedule has one block per region block, so every block and op
+	// ID below is in range.
+	k := 0
+	for _, bs := range c.Binding.Schedule.Blocks {
+		c.blockLen[bs.Block.ID] = int64(bs.Len)
+		for i := range bs.Ops {
+			p := &bs.Ops[i]
+			c.placements[p.Op.ID] = c.Binding.PlacementAt(k, p)
+			c.placedOK[p.Op.ID] = true
+			k++
+		}
 	}
 }
 

@@ -27,12 +27,9 @@ func VerifyBinding(b *Binding, lib *tech.Library) error {
 	}
 
 	// Control-step accounting: Steps is the FSM state count over all
-	// blocks, and BlockLen mirrors the per-block latencies.
+	// blocks.
 	totalSteps := 0
 	for _, bs := range b.Schedule.Blocks {
-		if got, ok := b.BlockLen[bs.Block.ID]; !ok || got != bs.Len {
-			return fail("BlockLen[b%d]=%d, schedule says %d", bs.Block.ID, got, bs.Len)
-		}
 		totalSteps += bs.Len
 	}
 	if b.Steps != totalSteps {
@@ -48,50 +45,53 @@ func VerifyBinding(b *Binding, lib *tech.Library) error {
 	}
 
 	// Placement coverage and per-instance exclusivity, replayed over the
-	// same global step numbering Bind used (block latencies concatenated).
-	busy := make([]map[int]int, len(b.Instances)) // instance -> step -> op ID
-	for i := range busy {
-		busy[i] = make(map[int]int)
-	}
-	placed := 0
+	// same global step numbering Bind used (block latencies concatenated)
+	// with one step bit-row per instance — deliberately not Bind's
+	// free-at shortcut, whose premises are checked here instead.
+	rowWords := (totalSteps + 63) / 64
+	busy := make([]uint64, len(b.Instances)*rowWords)
+	k := 0
 	base := 0
 	for _, bs := range b.Schedule.Blocks {
 		for i := range bs.Ops {
 			p := &bs.Ops[i]
-			pl, ok := b.PlacementOf[p.Op.ID]
-			if !ok {
+			if k >= len(b.OpInst) {
 				return fail("scheduled op %d has no placement", p.Op.ID)
 			}
-			placed++
-			if pl.Mem != p.Mem {
-				return fail("op %d memory placement disagrees with schedule", p.Op.ID)
+			inst := int(b.OpInst[k])
+			k++
+			if p.Start < 0 || p.Dur < 0 || p.End() > bs.Len {
+				return fail("op %d at steps [%d,%d) outside block b%d of %d steps",
+					p.Op.ID, p.Start, p.End(), bs.Block.ID, bs.Len)
 			}
-			if pl.Dur != p.Dur {
-				return fail("op %d bound for %d steps, scheduled for %d", p.Op.ID, pl.Dur, p.Dur)
-			}
-			if pl.Mem {
+			if p.Mem {
+				if inst != -1 {
+					return fail("memory op %d bound to datapath instance %d", p.Op.ID, inst)
+				}
 				continue
 			}
-			if pl.Instance < 0 || pl.Instance >= len(b.Instances) {
-				return fail("op %d bound to missing instance %d", p.Op.ID, pl.Instance)
+			if inst == -1 {
+				return fail("scheduled op %d has no placement", p.Op.ID)
 			}
-			inst := b.Instances[pl.Instance]
-			if inst.Kind != pl.Kind || pl.Kind != p.Kind {
-				return fail("op %d kind mismatch: placed on %v, bound as %v, instance is %v",
-					p.Op.ID, p.Kind, pl.Kind, inst.Kind)
+			if inst < 0 || inst >= len(b.Instances) {
+				return fail("op %d bound to missing instance %d", p.Op.ID, inst)
 			}
+			in := b.Instances[inst]
+			if in.Kind != p.Kind {
+				return fail("op %d kind mismatch: placed on %v, instance is %v", p.Op.ID, p.Kind, in.Kind)
+			}
+			row := busy[inst*rowWords : (inst+1)*rowWords]
 			for s := base + p.Start; s < base+p.End(); s++ {
-				if prev, taken := busy[pl.Instance][s]; taken {
-					return fail("instance %v#%d serves ops %d and %d in step %d",
-						inst.Kind, inst.Index, prev, p.Op.ID, s)
+				if row[s/64]&(1<<(s%64)) != 0 {
+					return fail("instance %v#%d serves op %d in step %d, already taken", in.Kind, in.Index, p.Op.ID, s)
 				}
-				busy[pl.Instance][s] = p.Op.ID
+				row[s/64] |= 1 << (s % 64)
 			}
 		}
 		base += bs.Len
 	}
-	if placed != len(b.PlacementOf) {
-		return fail("%d placements recorded, %d ops scheduled", len(b.PlacementOf), placed)
+	if k != len(b.OpInst) {
+		return fail("%d placements recorded, %d ops scheduled", len(b.OpInst), k)
 	}
 
 	// Aggregate consistency: utilization in [0,1] per Eq. 4, no instance

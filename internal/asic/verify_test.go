@@ -48,18 +48,24 @@ func TestVerifyBindingNilInputs(t *testing.T) {
 
 func TestVerifyBindingDetectsDoubleBooking(t *testing.T) {
 	b, lib := boundFIR(t)
-	// Rebind every datapath op onto instance 0: some pair must collide in
-	// a control step (or at least break the kind budget).
-	for id, pl := range b.PlacementOf { //lint:ordered error detection only, first hit aborts
-		if !pl.Mem {
-			pl.Instance = 0
-			pl.Kind = b.Instances[0].Kind
-			b.PlacementOf[id] = pl
+	// Rebind every op of the second instance of some kind onto that
+	// kind's first instance: the ops that needed the second instance now
+	// collide in a control step.
+	first := map[tech.ResourceKind]int32{}
+	for idx, in := range b.Instances {
+		if in.Index == 0 {
+			first[in.Kind] = int32(idx)
+			continue
 		}
+		for k, inst := range b.OpInst {
+			if inst == int32(idx) {
+				b.OpInst[k] = first[in.Kind]
+			}
+		}
+		wantBindingError(t, b, lib, "already taken")
+		return
 	}
-	if err := VerifyBinding(b, lib); err == nil {
-		t.Fatal("VerifyBinding accepted a binding with everything on one instance")
-	}
+	t.Fatal("FIR binding has no kind with two instances; nothing to double-book")
 }
 
 func TestVerifyBindingDetectsUtilizationOutOfRange(t *testing.T) {
@@ -89,16 +95,53 @@ func TestVerifyBindingDetectsStepMiscount(t *testing.T) {
 }
 
 func TestVerifyBindingDetectsMissingPlacement(t *testing.T) {
-	b, lib := boundFIR(t)
-	for id := range b.PlacementOf { //lint:ordered deleting one arbitrary placement
-		delete(b.PlacementOf, id)
-		break
-	}
-	wantBindingError(t, b, lib, "no placement")
+	t.Run("unbound datapath op", func(t *testing.T) {
+		b, lib := boundFIR(t)
+		k := 0
+		for _, bs := range b.Schedule.Blocks {
+			for i := range bs.Ops {
+				if !bs.Ops[i].Mem {
+					b.OpInst[k] = -1
+					wantBindingError(t, b, lib, "no placement")
+					return
+				}
+				k++
+			}
+		}
+		t.Fatal("FIR binding has no datapath op")
+	})
+	t.Run("truncated", func(t *testing.T) {
+		b, lib := boundFIR(t)
+		b.OpInst = b.OpInst[:len(b.OpInst)-1]
+		wantBindingError(t, b, lib, "no placement")
+	})
 }
 
 func TestVerifyBindingDetectsSlowInstanceClock(t *testing.T) {
 	b, lib := boundFIR(t)
 	b.Clock = minClock / 2
 	wantBindingError(t, b, lib, "clock")
+}
+
+func TestVerifyBindingDetectsMemoryOpOnInstance(t *testing.T) {
+	b, lib := boundFIR(t)
+	k := 0
+	for _, bs := range b.Schedule.Blocks {
+		for i := range bs.Ops {
+			if bs.Ops[i].Mem {
+				b.OpInst[k] = 0
+				wantBindingError(t, b, lib, "memory op")
+				return
+			}
+			k++
+		}
+	}
+	t.Fatal("FIR binding has no memory op")
+}
+
+func TestVerifyBindingDetectsOpPastItsBlock(t *testing.T) {
+	b, lib := boundFIR(t)
+	bs := b.Schedule.Blocks[len(b.Schedule.Blocks)-1]
+	bs.Ops[len(bs.Ops)-1].Dur = bs.Len + 1
+	wantBindingError(t, b, lib, "outside block")
 }

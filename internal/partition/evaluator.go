@@ -73,7 +73,12 @@ func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
 	cum := cumulative(e.p, base.Regions)
 
 	// Steps 1-2: G = {V,E} and cluster decomposition are the cdfg region
-	// tree. Enumerate candidates with their eligibility.
+	// tree. Enumerate candidates with their eligibility. The Fig. 3
+	// estimate's variable index is built once per function.
+	var (
+		ix     *dataflow.Index
+		ixFunc *cdfg.Function
+	)
 	for _, r := range e.p.Regions() {
 		c := &Candidate{Region: r}
 		all = append(all, c)
@@ -83,7 +88,10 @@ func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
 		}
 		prev, next := siblings(r)
 		// Steps 3-4: bus transfer energy (Fig. 3).
-		c.Traffic = EstimateTraffic(e.p, r, prev, next, e.cfg.Lib)
+		if ixFunc != r.Func {
+			ix, ixFunc = dataflow.NewIndex(e.p, r.Func), r.Func
+		}
+		c.Traffic = estimateTrafficOn(ix, r, prev, next, e.cfg.Lib)
 		c.MuP = cum[r.ID]
 		c.Invocations = invocationsOf(e.prof, r)
 		if c.MuP == nil || c.MuP.Instrs == 0 {

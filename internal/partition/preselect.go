@@ -53,7 +53,12 @@ func (t Traffic) EffectiveWords(prevInHW, nextInHW bool) (in, out int) {
 // prev and next are the neighbouring sibling clusters (c_{i-1}, c_{i+1});
 // either may be nil.
 func EstimateTraffic(p *cdfg.Program, c *cdfg.Region, prev, next *cdfg.Region, lib *tech.Library) Traffic {
-	ix := dataflow.NewIndex(p, c.Func)
+	return estimateTrafficOn(dataflow.NewIndex(p, c.Func), c, prev, next, lib)
+}
+
+// estimateTrafficOn is EstimateTraffic over a prebuilt index of c's
+// function, shared by all candidates of that function.
+func estimateTrafficOn(ix *dataflow.Index, c *cdfg.Region, prev, next *cdfg.Region, lib *tech.Library) Traffic {
 	gen, use := dataflow.GenUseOn(ix, c)
 	genPred, useSucc := dataflow.SurroundingsOn(ix, c)
 	f := c.Func
