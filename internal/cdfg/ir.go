@@ -14,6 +14,8 @@ package cdfg
 
 import (
 	"fmt"
+	"io"
+	"strconv"
 	"strings"
 
 	"lppart/internal/behav"
@@ -415,79 +417,112 @@ func (p *Program) NumOps() int {
 // tests.
 func (p *Program) Dump() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "program %s\n", p.Name)
-	for _, g := range p.Globals {
-		if g.IsArray() {
-			fmt.Fprintf(&sb, "  global %s[%d]\n", g.Name, g.Len)
-		} else {
-			fmt.Fprintf(&sb, "  global %s\n", g.Name)
-		}
-	}
-	for _, f := range p.Funcs {
-		fmt.Fprintf(&sb, "func %s(", f.Name)
-		for i, pid := range f.Params {
-			if i > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(f.Locals[pid].Name)
-		}
-		sb.WriteString(")\n")
-		for _, b := range f.Blocks {
-			fmt.Fprintf(&sb, "  b%d:\n", b.ID)
-			for i := range b.Ops {
-				fmt.Fprintf(&sb, "    %s\n", p.opString(f, &b.Ops[i]))
-			}
-		}
-	}
+	_ = p.WriteDump(&sb) //lint:err a strings.Builder never fails
 	return sb.String()
 }
 
-func (p *Program) operandString(f *Function, o Operand) string {
-	if !o.Valid() {
-		return "_"
+// dumpChunk is the size WriteDump buffers the text to between writes.
+const dumpChunk = 4096
+
+// WriteDump writes Dump's text to w without building it whole: the text
+// goes out in chunks of about dumpChunk bytes through one reused buffer,
+// so hashing a program's dump costs one buffer, not a string of the
+// program's size.
+func (p *Program) WriteDump(w io.Writer) error {
+	b := make([]byte, 0, 2*dumpChunk)
+	var err error
+	flush := func(force bool) {
+		if err == nil && (force || len(b) >= dumpChunk) {
+			_, err = w.Write(b)
+			b = b[:0]
+		}
 	}
-	if o.IsConst {
-		return fmt.Sprintf("%d", o.K)
+	b = append(append(append(b, "program "...), p.Name...), '\n')
+	for _, g := range p.Globals {
+		b = append(append(b, "  global "...), g.Name...)
+		if g.IsArray() {
+			b = append(strconv.AppendInt(append(b, '['), int64(g.Len), 10), ']')
+		}
+		b = append(b, '\n')
 	}
-	return p.VarName(f, o.Ref)
+	for _, f := range p.Funcs {
+		b = append(append(append(b, "func "...), f.Name...), '(')
+		for i, pid := range f.Params {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, f.Locals[pid].Name...)
+		}
+		b = append(b, ")\n"...)
+		for _, bl := range f.Blocks {
+			b = append(strconv.AppendInt(append(b, "  b"...), int64(bl.ID), 10), ":\n"...)
+			for i := range bl.Ops {
+				b = append(p.appendOp(append(b, "    "...), f, &bl.Ops[i]), '\n')
+				flush(false)
+			}
+		}
+	}
+	flush(true)
+	return err
 }
 
-func (p *Program) opString(f *Function, op *Op) string {
+func (p *Program) appendOperand(b []byte, f *Function, o Operand) []byte {
+	if !o.Valid() {
+		return append(b, '_')
+	}
+	if o.IsConst {
+		return strconv.AppendInt(b, int64(o.K), 10)
+	}
+	return append(b, p.VarName(f, o.Ref)...)
+}
+
+// appendBlock appends a block reference "b<id>".
+func appendBlock(b []byte, id int) []byte {
+	return strconv.AppendInt(append(b, 'b'), int64(id), 10)
+}
+
+func (p *Program) appendOp(b []byte, f *Function, op *Op) []byte {
 	switch {
 	case op.Code == ConstOp:
-		return fmt.Sprintf("%s = const %d", p.VarName(f, op.Dst), op.Imm)
+		b = append(append(b, p.VarName(f, op.Dst)...), " = const "...)
+		return strconv.AppendInt(b, int64(op.Imm), 10)
 	case op.Code.IsBinary():
-		return fmt.Sprintf("%s = %s %s, %s", p.VarName(f, op.Dst), op.Code,
-			p.operandString(f, op.A), p.operandString(f, op.B))
+		b = append(append(append(append(b, p.VarName(f, op.Dst)...), " = "...), op.Code.String()...), ' ')
+		b = append(p.appendOperand(b, f, op.A), ", "...)
+		return p.appendOperand(b, f, op.B)
 	case op.Code.IsUnary():
-		return fmt.Sprintf("%s = %s %s", p.VarName(f, op.Dst), op.Code,
-			p.operandString(f, op.A))
+		b = append(append(append(append(b, p.VarName(f, op.Dst)...), " = "...), op.Code.String()...), ' ')
+		return p.appendOperand(b, f, op.A)
 	case op.Code == Load:
-		return fmt.Sprintf("%s = load %s[%s]", p.VarName(f, op.Dst),
-			p.ArrName(f, op.Arr), p.operandString(f, op.A))
+		b = append(append(append(append(b, p.VarName(f, op.Dst)...), " = load "...), p.ArrName(f, op.Arr)...), '[')
+		return append(p.appendOperand(b, f, op.A), ']')
 	case op.Code == Store:
-		return fmt.Sprintf("store %s[%s] = %s", p.ArrName(f, op.Arr),
-			p.operandString(f, op.A), p.operandString(f, op.B))
+		b = append(append(append(b, "store "...), p.ArrName(f, op.Arr)...), '[')
+		b = append(p.appendOperand(b, f, op.A), "] = "...)
+		return p.appendOperand(b, f, op.B)
 	case op.Code == Call:
-		args := make([]string, len(op.Args))
-		for i, a := range op.Args {
-			args[i] = p.operandString(f, a)
-		}
-		dst := ""
 		if op.Dst.Valid() {
-			dst = p.VarName(f, op.Dst) + " = "
+			b = append(append(b, p.VarName(f, op.Dst)...), " = "...)
 		}
-		return fmt.Sprintf("%scall %s(%s)", dst, op.Callee, strings.Join(args, ", "))
+		b = append(append(append(b, "call "...), op.Callee...), '(')
+		for i, a := range op.Args {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = p.appendOperand(b, f, a)
+		}
+		return append(b, ')')
 	case op.Code == Ret:
 		if op.A.Valid() {
-			return fmt.Sprintf("ret %s", p.operandString(f, op.A))
+			return p.appendOperand(append(b, "ret "...), f, op.A)
 		}
-		return "ret"
+		return append(b, "ret"...)
 	case op.Code == Br:
-		return fmt.Sprintf("br b%d", op.Target)
+		return appendBlock(append(b, "br "...), op.Target)
 	case op.Code == CBr:
-		return fmt.Sprintf("cbr %s, b%d, b%d", p.operandString(f, op.A), op.Then, op.Else)
+		b = append(p.appendOperand(append(b, "cbr "...), f, op.A), ", "...)
+		return appendBlock(append(appendBlock(b, op.Then), ", "...), op.Else)
 	default:
-		return op.Code.String()
+		return append(b, op.Code.String()...)
 	}
 }

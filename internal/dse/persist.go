@@ -71,10 +71,11 @@ const (
 // fingerprint content-addresses the measurement phase: the canonical IR
 // dump plus every configuration input the phase depends on. The
 // partitioning knobs (F, budgets, resource sets) are deliberately NOT
-// part of it — the grid evaluation and search always run live.
+// part of it — the grid evaluation and search always run live. The dump
+// streams into the hash rather than being built as one string.
 func fingerprint(ir *cdfg.Program, cfg *Config, anchorI, anchorD cache.Config, lib *tech.Library) [32]byte {
 	h := sha256.New()
-	io.WriteString(h, ir.Dump())
+	_ = ir.WriteDump(h) //lint:err a hash.Hash never returns an error
 	fmt.Fprintf(h, "\x00i%+v\x00d%+v\x00m%d\x00s%d\x00x%d\x00",
 		anchorI, anchorD, cfg.Sys.MemWords, cfg.Sys.StackWords, cfg.Sys.MaxInstrs)
 	fmt.Fprintf(h, "lib%+v", *lib)

@@ -3,6 +3,8 @@ package dse
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"lppart/internal/apps"
@@ -68,4 +70,28 @@ func FuzzDecodeMeasurement(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestFingerprintMatchesDumpString: streaming the IR dump into the hash
+// keys the measurement exactly as hashing the Dump string did, so
+// memostores written before keep hitting. The configuration suffix is
+// spelled out as fingerprint writes it.
+func TestFingerprintMatchesDumpString(t *testing.T) {
+	lib := tech.Default()
+	anchorI, anchorD := cache.DefaultICache(), cache.DefaultDCache()
+	var cfg Config
+	cfg.Sys.MemWords, cfg.Sys.StackWords, cfg.Sys.MaxInstrs = 1<<16, 512, 1e7
+	for _, a := range apps.All() {
+		ir, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		suffix := fmt.Sprintf("\x00i%+v\x00d%+v\x00m%d\x00s%d\x00x%d\x00",
+			anchorI, anchorD, cfg.Sys.MemWords, cfg.Sys.StackWords, cfg.Sys.MaxInstrs) +
+			fmt.Sprintf("lib%+v", *lib)
+		want := sha256.Sum256([]byte(ir.Dump() + suffix))
+		if got := fingerprint(ir, &cfg, anchorI, anchorD, lib); got != want {
+			t.Errorf("%s: fingerprint %x, want sha256(Dump()+suffix) %x", a.Name, got, want)
+		}
+	}
 }

@@ -32,15 +32,33 @@ func denseInstance(n int) *Instance {
 // The nodes, the open-node heap and the pick sequences live in the
 // pooled workspace.
 func TestSolveInstanceZeroAlloc(t *testing.T) {
+	// relaxation, its deltas and table; optimum, picks
+	warmSolveAllocs(t, Config{}, 5, func(o *Optimum) int64 { return o.Stats.Nodes })
+}
+
+// TestSolveInstanceCertZeroAlloc: a warm solve with a certificate adds a
+// constant number of allocations at any trail length. The compact trail
+// lives in the pooled workspace, and the returned certificate is
+// materialized once: the certificate, its claimed picks, one expanded
+// list, one pruned list and one picks arena.
+func TestSolveInstanceCertZeroAlloc(t *testing.T) {
+	warmSolveAllocs(t, Config{Certificate: true}, 5+5, func(o *Optimum) int64 {
+		return int64(len(o.Cert.Expanded) + len(o.Cert.Pruned))
+	})
+}
+
+// warmSolveAllocs asserts a warm SolveInstance under cfg allocates at
+// most maxAllocs times on two dense instances whose size (as measured)
+// differs at least twofold.
+func warmSolveAllocs(t *testing.T, cfg Config, maxAllocs float64, size func(*Optimum) int64) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops workspaces at random under -race")
 	}
-	const maxAllocs = 5 // relaxation, its deltas and table; optimum, picks
-	var nodes []int64
+	var sizes []int64
 	for _, n := range []int{12, 24} {
 		in := denseInstance(n)
 		solve := func() *Optimum {
-			opt, err := SolveInstance(context.Background(), in, Config{})
+			opt, err := SolveInstance(context.Background(), in, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -50,40 +68,46 @@ func TestSolveInstanceZeroAlloc(t *testing.T) {
 		if opt.Stats.Nodes < 1000 {
 			t.Fatalf("n=%d: search priced %d nodes, want >= 1000", n, opt.Stats.Nodes)
 		}
-		nodes = append(nodes, opt.Stats.Nodes)
+		sizes = append(sizes, size(opt))
 		// AllocsPerRun pins GOMAXPROCS to 1, so every pool Get finds the
 		// workspace the previous solve put back.
 		if a := testing.AllocsPerRun(20, func() { solve() }); a > maxAllocs {
-			t.Errorf("n=%d (%d nodes): warm SolveInstance allocates %v times, want <= %d",
-				n, opt.Stats.Nodes, a, maxAllocs)
+			t.Errorf("n=%d (size %d): warm SolveInstance allocates %v times, want <= %v",
+				n, size(opt), a, maxAllocs)
 		}
 	}
-	if nodes[1] < 2*nodes[0] {
-		t.Fatalf("node counts %v do not differ enough to show independence", nodes)
+	if sizes[1] < 2*sizes[0] {
+		t.Fatalf("sizes %v do not differ enough to show independence", sizes)
 	}
 }
 
-// TestCheckZeroAlloc: certificate replay allocates one key string per
-// recorded trail node plus a constant — the cover maps, the pick buffer
-// and the relaxation — and nothing per replayed child.
+// TestCheckZeroAlloc: certificate replay allocates a constant and
+// nothing per recorded trail node or replayed child, on trails that
+// differ at least twofold.
 func TestCheckZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	const slack = 16
-	in := denseInstance(16)
-	opt, err := SolveInstance(context.Background(), in, Config{Certificate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trail := len(opt.Cert.Expanded) + len(opt.Cert.Pruned)
-	a := testing.AllocsPerRun(5, func() {
-		if err := Check(in, opt.Cert); err != nil {
-			t.Fatal(err)
+	// claimed picks; cover index and its table; relaxation, its deltas
+	// and table; pick buffer
+	const maxAllocs = 7
+	var trails []int
+	for _, n := range []int{12, 24} {
+		in := denseInstance(n)
+		opt := solveCert(t, in)
+		trail := len(opt.Cert.Expanded) + len(opt.Cert.Pruned)
+		trails = append(trails, trail)
+		a := testing.AllocsPerRun(5, func() {
+			if err := Check(in, opt.Cert); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("n=%d: %d trail nodes, %d priced: Check allocates %v times", n, trail, opt.Stats.Nodes, a)
+		if a > maxAllocs {
+			t.Errorf("n=%d: Check allocates %v times, want <= %d", n, a, maxAllocs)
 		}
-	})
-	t.Logf("%d trail nodes, %d priced: Check allocates %v times", trail, opt.Stats.Nodes, a)
-	if a > float64(trail+slack) {
-		t.Errorf("Check allocates %v times, want <= %d trail nodes + %d", a, trail, slack)
+	}
+	if trails[1] < 2*trails[0] {
+		t.Fatalf("trail lengths %v do not differ enough to show independence", trails)
 	}
 }

@@ -41,40 +41,174 @@ type Certificate struct {
 
 // certPicks converts the solver's compact picks to the wire form.
 func certPicks(picks []pick) [][2]int {
-	out := make([][2]int, len(picks)) //lint:alloc one wire node per recorded trail entry
+	out := make([][2]int, len(picks)) //lint:alloc the certificate's claimed picks
 	for i, p := range picks {
 		out[i] = [2]int{p.j, p.oi}
 	}
 	return out
 }
 
-// appendKey appends the canonical "j.oi,…|next" identity of a subproblem
-// for the cover maps.
-func appendKey(b []byte, picks []pick, next int) []byte {
+// appendKey appends the canonical "j.oi,…|next" identity of a subproblem,
+// the form Check's error messages name a node by.
+func appendKey(b []byte, picks [][2]int, next int) []byte {
 	for _, p := range picks {
-		b = strconv.AppendInt(b, int64(p.j), 10)
+		b = strconv.AppendInt(b, int64(p[0]), 10)
 		b = append(b, '.')
-		b = strconv.AppendInt(b, int64(p.oi), 10)
+		b = strconv.AppendInt(b, int64(p[1]), 10)
 		b = append(b, ',')
 	}
 	b = append(b, '|')
 	return strconv.AppendInt(b, int64(next), 10)
 }
 
-// prune and expand record trail nodes; both are no-ops on a nil
-// receiver so the solver's hot loop stays branch-light.
-func (c *Certificate) prune(ws *workspace, nd *node) {
-	if c == nil {
-		return
+// certificate materializes the workspace's compact trail as the wire
+// Certificate with exactly sized allocations: one Expanded and one
+// Pruned slice (nil when empty, as an unrecorded list marshals to null)
+// and one picks arena that every CertNode.Picks is a capacity-limited
+// window of, so appending to one node's picks cannot overwrite its
+// neighbour's. Each window is rebuilt from the node's parent chain.
+func (ws *workspace) certificate(app string, maxPicks int, of float64, nodes int64) *Certificate {
+	var ne, np, total int
+	for i := range ws.trail {
+		if ws.trail[i].pruned {
+			np++
+		} else {
+			ne++
+		}
+		total += int(ws.trail[i].depth)
 	}
-	c.Pruned = append(c.Pruned, CertNode{Picks: certPicks(ws.picksOf(nd)), Next: nd.next, Value: nd.bound})
+	c := &Certificate{App: app, MaxHW: maxPicks, OF: of, Picks: certPicks(ws.best), Nodes: nodes} //lint:alloc the returned certificate
+	if ne > 0 {
+		c.Expanded = make([]CertNode, 0, ne) //lint:alloc the returned trail, sized exactly
+	}
+	if np > 0 {
+		c.Pruned = make([]CertNode, 0, np) //lint:alloc the returned trail, sized exactly
+	}
+	// Non-nil even when empty: a root-only trail's picks marshal to [].
+	arena := make([][2]int, total) //lint:alloc one picks arena for the whole trail
+	for i := range ws.trail {
+		t := &ws.trail[i]
+		d := int(t.depth)
+		p := arena[:d:d]
+		arena = arena[d:]
+		if d > 0 {
+			p[d-1] = [2]int{t.last.j, t.last.oi}
+			for k, par := d-2, t.parent; k >= 0; k-- {
+				nd := &ws.slab[par]
+				p[k] = [2]int{nd.last.j, nd.last.oi}
+				par = nd.parent
+			}
+		}
+		cn := CertNode{Picks: p, Next: t.next, Value: t.value}
+		if t.pruned {
+			c.Pruned = append(c.Pruned, cn)
+		} else {
+			c.Expanded = append(c.Expanded, cn)
+		}
+	}
+	return c
 }
 
-func (c *Certificate) expand(ws *workspace, nd *node, of float64) {
-	if c == nil {
-		return
+// Cover-index entry kinds, mixed into the hash. A pruned entry is
+// looked up before an expanded one for the same subproblem.
+const (
+	kindExpanded uint64 = iota + 1
+	kindPruned
+)
+
+// maxTrail bounds the trail length the int32 cover index can address.
+const maxTrail = 1 << 29
+
+// coverIndex is Check's replay index over a certificate's trail: an
+// open-addressed table of entry ids keyed by an FNV-1a hash of
+// (picks, next, kind), with collisions resolved by comparing the picks
+// themselves. Entry id i+1 names Expanded[i], len(Expanded)+i+1 names
+// Pruned[i]; 0 is an empty slot. Within a list the last entry of a key
+// wins, as a map assignment would.
+type coverIndex struct {
+	slots []int32
+	shift uint // 64 − log2(len(slots)): the hash's top bits pick the slot
+	cert  *Certificate
+}
+
+const fnvPrime = 1099511628211
+
+// keyHash is the FNV-1a hash of a subproblem, over 64-bit words.
+func keyHash(picks [][2]int, next int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, p := range picks {
+		h = (h ^ uint64(p[0])) * fnvPrime
+		h = (h ^ uint64(p[1])) * fnvPrime
 	}
-	c.Expanded = append(c.Expanded, CertNode{Picks: certPicks(ws.picksOf(nd)), Next: nd.next, Value: of})
+	return (h ^ uint64(next)) * fnvPrime
+}
+
+// node returns the trail node entry id e names.
+func (ix *coverIndex) node(e int32) *CertNode {
+	if i := int(e) - 1; i < len(ix.cert.Expanded) {
+		return &ix.cert.Expanded[i]
+	}
+	return &ix.cert.Pruned[int(e)-1-len(ix.cert.Expanded)]
+}
+
+// newCoverIndex indexes every trail node of cert.
+func newCoverIndex(cert *Certificate) *coverIndex {
+	total := len(cert.Expanded) + len(cert.Pruned)
+	shift := uint(64)
+	for size := 1; size < 2*total+1; size <<= 1 {
+		shift--
+	}
+	ix := &coverIndex{slots: make([]int32, 1<<(64-shift)), shift: shift, cert: cert} //lint:alloc one table per replay
+	for i := range cert.Expanded {
+		ix.insert(int32(i+1), kindExpanded, &cert.Expanded[i])
+	}
+	for i := range cert.Pruned {
+		ix.insert(int32(len(cert.Expanded)+i+1), kindPruned, &cert.Pruned[i])
+	}
+	return ix
+}
+
+// probe returns the slot holding the entry of this kind for (picks,
+// next), given h = keyHash(picks, next), or the empty slot where it
+// would go.
+func (ix *coverIndex) probe(h, kind uint64, picks [][2]int, next int) *int32 {
+	mask := uint64(len(ix.slots) - 1)
+	for s := ((h ^ kind) * fnvPrime) >> ix.shift; ; s = (s + 1) & mask {
+		e := &ix.slots[s]
+		if *e == 0 {
+			return e
+		}
+		pruned := int(*e) > len(ix.cert.Expanded)
+		if cn := ix.node(*e); pruned == (kind == kindPruned) && cn.Next == next && samePicks(cn.Picks, picks) {
+			return e
+		}
+	}
+}
+
+func samePicks(a, b [][2]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// insert stores entry id e, replacing an earlier entry of the same key.
+func (ix *coverIndex) insert(e int32, kind uint64, cn *CertNode) {
+	*ix.probe(keyHash(cn.Picks, cn.Next), kind, cn.Picks, cn.Next) = e
+}
+
+// lookup returns the value recorded for (picks, next) under kind, given
+// h = keyHash(picks, next).
+func (ix *coverIndex) lookup(h, kind uint64, picks [][2]int, next int) (float64, bool) {
+	if e := *ix.probe(h, kind, picks, next); e != 0 {
+		return ix.node(e).Value, true
+	}
+	return 0, false
 }
 
 // Check verifies a certificate against an instance. A nil error proves
@@ -103,38 +237,20 @@ func Check(in *Instance, cert *Certificate) error {
 		return fmt.Errorf("milp: claimed optimum prices to %v, certificate says %v", of, cert.OF)
 	}
 
-	// (b) Coverage: rebuild the cover maps, then replay the branching
-	// rule from the root. Keys are built into one reused byte buffer;
-	// lookups through m[string(kb)] do not allocate, so each recorded
-	// node costs one key string.
-	exp := make(map[string]float64, len(cert.Expanded))
-	prn := make(map[string]float64, len(cert.Pruned))
-	pks := make([]pick, 0, maxPicks)
-	var kb []byte
-	for _, cn := range cert.Expanded {
-		pks = pks[:0]
-		for _, p := range cn.Picks {
-			pks = append(pks, pick{j: p[0], oi: p[1]})
-		}
-		kb = appendKey(kb[:0], pks, cn.Next)
-		exp[string(kb)] = cn.Value
+	// (b) Coverage: index the trail, then replay the branching rule from
+	// the root.
+	if len(cert.Expanded)+len(cert.Pruned) > maxTrail {
+		return fmt.Errorf("milp: certificate trail of %d nodes exceeds %d",
+			len(cert.Expanded)+len(cert.Pruned), maxTrail)
 	}
-	for _, cn := range cert.Pruned {
-		pks = pks[:0]
-		for _, p := range cn.Picks {
-			pks = append(pks, pick{j: p[0], oi: p[1]})
-		}
-		kb = appendKey(kb[:0], pks, cn.Next)
-		prn[string(kb)] = cn.Value
-	}
-
+	ix := newCoverIndex(cert)
 	r := newRelaxation(in)
 	n := len(in.Clusters)
 	// walk recurses over one pick buffer: a child appends in place at
 	// its parent's length, which stays below the buffer's capacity of
 	// maxPicks because only nodes under the budget have children.
-	var walk func(picks []pick, mask uint64, f frame, next int) error
-	walk = func(picks []pick, mask uint64, f frame, next int) error {
+	var walk func(picks [][2]int, mask uint64, f frame, next int) error
+	walk = func(picks [][2]int, mask uint64, f frame, next int) error {
 		if of := in.objective(f); of < cert.OF {
 			return fmt.Errorf("milp: configuration %s beats the claimed optimum (%v < %v)",
 				appendKey(nil, picks, next), of, cert.OF)
@@ -142,29 +258,29 @@ func Check(in *Instance, cert *Certificate) error {
 		if len(picks) >= maxPicks || next >= n {
 			return nil // childless: its own configuration was just checked
 		}
-		kb = appendKey(kb[:0], picks, next)
-		if b, ok := prn[string(kb)]; ok {
+		h := keyHash(picks, next)
+		if b, ok := ix.lookup(h, kindPruned, picks, next); ok {
 			if rb := r.bound(f, next, len(picks)); rb != b {
-				return fmt.Errorf("milp: node %s records bound %v, recomputed %v", kb, b, rb)
+				return fmt.Errorf("milp: node %s records bound %v, recomputed %v", appendKey(nil, picks, next), b, rb)
 			}
 			if b < cert.OF {
-				return fmt.Errorf("milp: node %s pruned with bound %v below the optimum %v", kb, b, cert.OF)
+				return fmt.Errorf("milp: node %s pruned with bound %v below the optimum %v", appendKey(nil, picks, next), b, cert.OF)
 			}
 			return nil // the bound dominates the whole subtree
 		}
-		v, ok := exp[string(kb)]
+		v, ok := ix.lookup(h, kindExpanded, picks, next)
 		if !ok {
-			return fmt.Errorf("milp: node %s neither expanded nor pruned", kb)
+			return fmt.Errorf("milp: node %s neither expanded nor pruned", appendKey(nil, picks, next))
 		}
 		if of := in.objective(f); of != v {
-			return fmt.Errorf("milp: node %s records objective %v, recomputed %v", kb, v, of)
+			return fmt.Errorf("milp: node %s records objective %v, recomputed %v", appendKey(nil, picks, next), v, of)
 		}
 		for j := next; j < n; j++ {
 			if mask&(1<<uint(j)) != 0 {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
-				if err := walk(append(picks, pick{j, oi}),
+				if err := walk(append(picks, [2]int{j, oi}),
 					mask|in.Clusters[j].Conflicts, in.add(f, j, oi), j+1); err != nil {
 					return err
 				}
@@ -172,5 +288,5 @@ func Check(in *Instance, cert *Certificate) error {
 		}
 		return nil
 	}
-	return walk(pks[:0], 0, frame{}, 0)
+	return walk(make([][2]int, 0, maxPicks), 0, frame{}, 0)
 }

@@ -1,8 +1,8 @@
 package milp
 
 import (
-	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -25,20 +25,19 @@ func fuzzInstances() []*Instance {
 }
 
 // FuzzCheck feeds arbitrary JSON certificates to Check. It must never
-// panic, and it may accept a certificate only if its claimed objective
-// is the true minimum brute force finds. The corpus starts from each
-// instance's genuine certificate and its forgeries.
+// panic, it must give the map-keyed oracle's verdict, and it may accept a
+// certificate only if its claimed objective is the true minimum brute
+// force finds. The corpus starts from each instance's genuine
+// certificate, its forgeries and its trail edits: duplicate keys, a key
+// in both lists, out-of-range and non-ascending picks.
 func FuzzCheck(f *testing.F) {
 	instances := fuzzInstances()
 	minOF := make([]float64, len(instances))
 	for i, in := range instances {
 		minOF[i] = BruteForce(in).OF
-		opt, err := SolveInstance(context.Background(), in, Config{Certificate: true})
-		if err != nil {
-			f.Fatal(err)
-		}
+		opt := solveCert(f, in)
 		seeds := []Certificate{*opt.Cert}
-		for _, fg := range forgeries(opt.Cert) {
+		for _, fg := range append(forgeries(opt.Cert), trailEdits(opt.Cert)...) {
 			seeds = append(seeds, fg.cert)
 		}
 		for _, c := range seeds {
@@ -55,7 +54,7 @@ func FuzzCheck(f *testing.F) {
 			return
 		}
 		for i, in := range instances {
-			if Check(in, &cert) == nil && cert.OF != minOF[i] {
+			if sameVerdict(t, in, &cert, fmt.Sprintf("instance %d", i)) && cert.OF != minOF[i] {
 				t.Fatalf("instance %d: Check accepted objective %v, the minimum is %v", i, cert.OF, minOF[i])
 			}
 		}

@@ -2,6 +2,7 @@ package milp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -88,8 +89,9 @@ func optimaTied(in *Instance) bool {
 // TestRandomInstancesMatchBruteForce is the seeded differential suite:
 // on 2000 random instances the solver must equal brute-force
 // enumeration bit for bit — objective, point and pick sequence — its
-// certificate must check, and each single mutation of the certificate
-// must be rejected.
+// certificate must check, each single mutation of the certificate must
+// be rejected, and Check must give the map-keyed oracle's verdict on
+// every certificate, trail edits included.
 func TestRandomInstancesMatchBruteForce(t *testing.T) {
 	const instances = 2000
 	rng := rand.New(rand.NewSource(1))
@@ -119,11 +121,15 @@ func TestRandomInstancesMatchBruteForce(t *testing.T) {
 		if err := Check(in, cert); err != nil {
 			t.Fatalf("instance %d: genuine certificate rejected: %v", i, err)
 		}
+		sameVerdict(t, in, cert, fmt.Sprintf("instance %d: genuine certificate", i))
 		reject := func(what string, forged Certificate) {
 			t.Helper()
-			if Check(in, &forged) == nil {
+			if sameVerdict(t, in, &forged, fmt.Sprintf("instance %d: %s", i, what)) {
 				t.Fatalf("instance %d: Check accepted a certificate with %s", i, what)
 			}
+		}
+		for _, fg := range trailEdits(cert) {
+			sameVerdict(t, in, &fg.cert, fmt.Sprintf("instance %d: %s", i, fg.what))
 		}
 		if len(cert.Expanded) > 0 {
 			forged := *cert

@@ -110,18 +110,33 @@ type node struct {
 	last   pick  // the pick that created this node; unset at the root
 }
 
+// trailNode is one certificate trail entry in compact form: the
+// node's subproblem as its last pick plus its parent's slab index (every
+// parent was expanded, so it is in the slab), and the recorded value —
+// the objective of an expanded node, the bound of a pruned one.
+type trailNode struct {
+	value  float64
+	parent int32 // slab index of the parent node; -1 at the root
+	depth  int32
+	next   int
+	last   pick
+	pruned bool
+}
+
 // workspace is one solve's search storage. Queued nodes live by value in
 // slab, in queue order, so a node's slab index is its creation order —
 // the deterministic heap tie-break. open is a best-first min-heap of slab
 // indices on (bound, index); path is the scratch buffer workspace.picksOf
-// fills, best the incumbent's pick sequence. Workspaces are drawn from a
-// sync.Pool, so repeat solves allocate per solve, not per node. Every
-// field is reset before use, so pooling cannot affect results.
+// fills, best the incumbent's pick sequence, and trail the certificate's
+// expanded and pruned nodes in recording order. Workspaces are drawn
+// from a sync.Pool, so repeat solves allocate per solve, not per node.
+// Every field is reset before use, so pooling cannot affect results.
 type workspace struct {
-	slab []node
-	open []int32
-	path []pick
-	best []pick
+	slab  []node
+	open  []int32
+	path  []pick
+	best  []pick
+	trail []trailNode
 }
 
 var wsPool = sync.Pool{New: func() any { return new(workspace) }}
@@ -131,6 +146,7 @@ func (ws *workspace) reset(maxPicks int) {
 	ws.slab = ws.slab[:0]
 	ws.open = ws.open[:0]
 	ws.best = ws.best[:0]
+	ws.trail = ws.trail[:0]
 	if cap(ws.path) < maxPicks {
 		ws.path = make([]pick, maxPicks) //lint:alloc buffer growth to the high-water mark, then reused
 	}
@@ -149,6 +165,13 @@ func (ws *workspace) picksOf(nd *node) []pick {
 		nd = &ws.slab[nd.parent]
 	}
 	return p
+}
+
+// record appends nd to the certificate trail with its recorded value.
+func (ws *workspace) record(nd *node, value float64, pruned bool) {
+	ws.trail = append(ws.trail, trailNode{ //lint:alloc amortized trail growth, reused across solves
+		value: value, parent: nd.parent, depth: nd.depth, next: nd.next, last: nd.last, pruned: pruned,
+	})
 }
 
 // queue copies nd into the slab and pushes its index on the heap.
@@ -220,10 +243,7 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 	maxPicks := in.maxPicks()
 	r := newRelaxation(in)
 	st := SolveStats{}
-	var cert *Certificate
-	if cfg.Certificate {
-		cert = &Certificate{App: in.App, MaxHW: maxPicks} //lint:alloc the returned certificate
-	}
+	rec := cfg.Certificate
 	ws := wsPool.Get().(*workspace)
 	defer wsPool.Put(ws)
 	ws.reset(maxPicks)
@@ -244,7 +264,9 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 		nd.bound = r.bound(nd.f, nd.next, int(nd.depth))
 		if nd.bound >= bestOF {
 			st.Pruned++
-			cert.prune(ws, nd)
+			if rec {
+				ws.record(nd, nd.bound, true)
+			}
 			return
 		}
 		ws.queue(nd)
@@ -265,10 +287,14 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			// is bound-ordered, so every remaining open node is proven
 			// dominated too: drain them all into the certificate.
 			st.Pruned++
-			cert.prune(ws, &nd)
+			if rec {
+				ws.record(&nd, nd.bound, true)
+			}
 			for len(ws.open) > 0 {
 				st.Pruned++
-				cert.prune(ws, &ws.slab[ws.pop()])
+				if pn := &ws.slab[ws.pop()]; rec {
+					ws.record(pn, pn.bound, true)
+				}
 			}
 			break
 		}
@@ -280,7 +306,9 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			break
 		}
 		st.Expanded++
-		cert.expand(ws, &nd, in.objective(nd.f))
+		if rec {
+			ws.record(&nd, in.objective(nd.f), false)
+		}
 		for j := nd.next; j < n; j++ {
 			if nd.mask&(1<<uint(j)) != 0 {
 				continue
@@ -309,8 +337,6 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 	st.Proven = !limited
 	if st.Proven {
 		st.Bound = bestOF
-	} else {
-		cert = nil
 	}
 
 	f := in.replay(ws.best)
@@ -336,11 +362,8 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			}
 		}
 	}
-	if cert != nil {
-		cert.OF = bestOF
-		cert.Picks = certPicks(ws.best)
-		cert.Nodes = st.Nodes
-		opt.Cert = cert
+	if rec && st.Proven {
+		opt.Cert = ws.certificate(in.App, maxPicks, bestOF, st.Nodes)
 	}
 	return opt, nil
 }

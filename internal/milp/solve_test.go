@@ -2,6 +2,8 @@ package milp
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 )
 
@@ -145,5 +147,42 @@ func TestBoundAdmissibleOnTrap(t *testing.T) {
 	opt := BruteForce(in)
 	if b > opt.OF {
 		t.Fatalf("root bound %v exceeds the optimum %v", b, opt.OF)
+	}
+}
+
+// solveCert solves in with a certificate.
+func solveCert(t testing.TB, in *Instance) *Optimum {
+	t.Helper()
+	opt, err := SolveInstance(context.Background(), in, Config{Certificate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opt
+}
+
+// TestCertificateLayout: the materialized trail keeps the wire shape of
+// one slice per node. Each node's picks are capacity-limited, so an
+// append cannot overwrite the next node's picks in the shared arena, the
+// root's picks are an empty list, and an unrecorded list stays nil and
+// marshals to null.
+func TestCertificateLayout(t *testing.T) {
+	opt := solveCert(t, denseInstance(12))
+	for _, list := range [][]CertNode{opt.Cert.Expanded, opt.Cert.Pruned} {
+		for i, cn := range list {
+			if cn.Picks == nil || cap(cn.Picks) != len(cn.Picks) {
+				t.Fatalf("node %d: picks %v with capacity %d", i, cn.Picks, cap(cn.Picks))
+			}
+		}
+	}
+	if root := opt.Cert.Expanded[0]; len(root.Picks) != 0 || root.Next != 0 {
+		t.Fatalf("first expanded node %+v, want the root", root)
+	}
+	empty := solveCert(t, &Instance{App: "empty", MuPE: 1, E0: 1, T0: 1, F: 1, GEQBudget: 1})
+	b, err := json.Marshal(empty.Cert)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"expanded":null,"pruned":null`; !strings.Contains(string(b), want) {
+		t.Fatalf("empty instance's certificate %s, want %s", b, want)
 	}
 }

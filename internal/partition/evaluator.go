@@ -35,27 +35,65 @@ type Evaluator struct {
 	prof *interp.Profile
 	cfg  Config
 	memo *explore.Memo[PairKey, *bindResult]
+	// regions is p.Regions(); static[i] is regions[i]'s
+	// baseline-independent candidate half.
+	regions []*cdfg.Region
+	static  []staticCandidate
+}
+
+// staticCandidate is the half of a Candidate that does not depend on the
+// baseline: the eligibility verdict, the Fig. 3 bus-traffic estimate
+// (gen/use sets only) and the invocation count (the profile only).
+type staticCandidate struct {
+	skip        string
+	traffic     Traffic
+	invocations int64
 }
 
 // NewEvaluator validates the inputs (running the cdfg/dataflow verifiers
 // when cfg.Verify is set) and returns an evaluator with an empty memo.
+// It computes every region's baseline-independent candidate half here,
+// once, so Candidates — called per cache geometry by the design-space
+// searches — only prices the baseline-dependent rest.
 func NewEvaluator(p *cdfg.Program, prof *interp.Profile, cfg Config) (*Evaluator, error) {
 	cfg.defaults()
 	if prof == nil {
 		return nil, fmt.Errorf("partition: profile is required")
 	}
+	regions := p.Regions()
 	if cfg.Verify {
 		if err := cdfg.Verify(p); err != nil {
 			return nil, err
 		}
-		for _, r := range p.Regions() {
+		for _, r := range regions {
 			if err := dataflow.VerifyGenUse(p, r); err != nil {
 				return nil, err
 			}
 		}
 	}
+	// Steps 1-4 (Fig. 1), the baseline-independent part: eligibility
+	// and the Fig. 3 bus-traffic estimate, whose variable index is built
+	// once per function.
+	static := make([]staticCandidate, len(regions))
+	var (
+		ix     *dataflow.Index
+		ixFunc *cdfg.Function
+	)
+	for i, r := range regions {
+		s := &static[i]
+		if s.skip = ineligible(p, prof, r); s.skip != "" {
+			continue
+		}
+		prev, next := siblings(r)
+		if ixFunc != r.Func {
+			ix, ixFunc = dataflow.NewIndex(p, r.Func), r.Func
+		}
+		s.traffic = estimateTrafficOn(ix, r, prev, next, cfg.Lib)
+		s.invocations = invocationsOf(prof, r)
+	}
 	return &Evaluator{p: p, prof: prof, cfg: cfg,
-		memo: explore.NewMemo[PairKey, *bindResult](0)}, nil
+		memo:    explore.NewMemo[PairKey, *bindResult](0),
+		regions: regions, static: static}, nil
 }
 
 // Config returns the evaluator's fully-defaulted configuration.
@@ -68,32 +106,28 @@ func (e *Evaluator) Program() *cdfg.Program { return e.p }
 // decomposition (the region tree), per-cluster eligibility, the Fig. 3
 // bus-traffic estimate and score, and the N_max^c pre-selection. It
 // returns every candidate (with skip reasons filled in) and the
-// pre-selected pool in rank order.
+// pre-selected pool in rank order. Eligibility and traffic come from
+// NewEvaluator; only the cumulative µP costs, the scores and the rank
+// depend on base.
 func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
-	cum := cumulative(e.p, base.Regions)
+	cum := cumulative(e.regions, base.Regions)
 
 	// Steps 1-2: G = {V,E} and cluster decomposition are the cdfg region
-	// tree. Enumerate candidates with their eligibility. The Fig. 3
-	// estimate's variable index is built once per function.
-	var (
-		ix     *dataflow.Index
-		ixFunc *cdfg.Function
-	)
-	for _, r := range e.p.Regions() {
-		c := &Candidate{Region: r}
-		all = append(all, c)
-		if reason := ineligible(e.p, e.prof, r); reason != "" {
-			c.SkipReason = reason
+	// tree. Every call returns fresh candidates: callers fill in Evals.
+	cands := make([]Candidate, len(e.regions))
+	all = make([]*Candidate, len(e.regions))
+	for i, r := range e.regions {
+		c, s := &cands[i], &e.static[i]
+		c.Region = r
+		all[i] = c
+		if s.skip != "" {
+			c.SkipReason = s.skip
 			continue
 		}
-		prev, next := siblings(r)
 		// Steps 3-4: bus transfer energy (Fig. 3).
-		if ixFunc != r.Func {
-			ix, ixFunc = dataflow.NewIndex(e.p, r.Func), r.Func
-		}
-		c.Traffic = estimateTrafficOn(ix, r, prev, next, e.cfg.Lib)
+		c.Traffic = s.traffic
 		c.MuP = cum[r.ID]
-		c.Invocations = invocationsOf(e.prof, r)
+		c.Invocations = s.invocations
 		if c.MuP == nil || c.MuP.Instrs == 0 {
 			c.SkipReason = "cluster never executed on the µP"
 			continue
@@ -117,8 +151,9 @@ func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
 		return pool[i].Region.ID < pool[j].Region.ID
 	})
 	if len(pool) > e.cfg.MaxClusters {
+		reason := fmt.Sprintf("pre-selection: below top %d by bus-traffic score", e.cfg.MaxClusters)
 		for _, c := range pool[e.cfg.MaxClusters:] {
-			c.SkipReason = fmt.Sprintf("pre-selection: below top %d by bus-traffic score", e.cfg.MaxClusters)
+			c.SkipReason = reason
 		}
 		pool = pool[:e.cfg.MaxClusters]
 	}

@@ -124,9 +124,9 @@ type Baseline struct {
 // of its descendants: E_µP,c_i of Fig. 1 line 12 is the energy of *every*
 // instruction in the cluster, nested subclusters included (the ISS tags
 // instructions with their innermost region only).
-func cumulative(p *cdfg.Program, flat map[int]*iss.RegionStat) map[int]*iss.RegionStat {
-	out := make(map[int]*iss.RegionStat)
-	for _, r := range p.Regions() {
+func cumulative(regions []*cdfg.Region, flat map[int]*iss.RegionStat) map[int]*iss.RegionStat {
+	out := make(map[int]*iss.RegionStat, len(regions))
+	for _, r := range regions {
 		agg := &iss.RegionStat{}
 		r.Walk(func(x *cdfg.Region) {
 			s := flat[x.ID]
