@@ -9,17 +9,10 @@
 //	lppartbench                          # spawn an in-process server and bench it
 //	lppartbench -url=http://host:8095    # bench a running lppartd
 //	lppartbench -clients=16 -duration=10s -out=BENCH_serve.json
-//	lppartbench -cluster=3 -frontier-out=frontier.json
-//	                                     # boot a 3-node exploration cluster,
-//	                                     # run every app's frontier through it
 //
 // By default the benchmark spawns its own server (4 workers, 1024 cache
 // entries) on an ephemeral local port, so one command reproduces the
-// repo's BENCH_serve.json numbers. With -cluster=N it instead boots an
-// N-node exploration cluster and writes BENCH_cluster.json (wall clock,
-// 1-node speedup, bound-sharing work reduction); -frontier-out captures
-// the merged Pareto points as deterministic JSON for byte-diffing runs
-// at different node counts.
+// repo's BENCH_serve.json numbers.
 package main
 
 import (
@@ -50,6 +43,9 @@ type benchConfig struct {
 	CacheEntries int     `json:"cache_entries"`
 }
 
+// benchApps is the benchmarked application set: the six Table 1 rows.
+var benchApps = []string{"3d", "MPG", "ckey", "digs", "engine", "trick"}
+
 // result is the benchmark report written to -out.
 type result struct {
 	URL        string      `json:"url"`
@@ -79,15 +75,8 @@ func main() {
 		workers  = flag.Int("workers", 4, "spawned server: worker pool size")
 		queue    = flag.Int("queue", 64, "spawned server: admission queue depth")
 		entries  = flag.Int("cache", 1024, "spawned server: result cache entries")
-		clusterN = flag.Int("cluster", 0, "cluster bench: boot this many in-process nodes and run every app's frontier through /v1/cluster (0: closed-loop load bench)")
-		frontier = flag.String("frontier-out", "", "cluster bench: write the merged frontiers here as deterministic JSON")
 	)
 	flag.Parse()
-
-	if *clusterN > 0 {
-		runClusterMode(*clusterN, *workers, *out, *frontier)
-		return
-	}
 
 	res := result{Clients: *clients, SpawnedSrv: *url == ""}
 	res.Config = benchConfig{

@@ -15,8 +15,9 @@
 //	lppartd -addr=:9000 -workers=8 -queue=128 -cache=4096 -timeout=60s
 //	lppartd -store=/var/lib/lppartd # persist results across restarts
 //	lppartd -pprof=localhost:6060   # opt-in profiling listener
-//	lppartd -peers=http://n1:8095,http://n2:8095 -self=http://n1:8095 -coordinator
-//	                                # one node of an exploration cluster
+//	lppartd -peers=http://n1:8095,http://n2:8095 -self=http://n1:8095
+//	                                # one node of a fleet: partitions route
+//	                                # to each key's owner, /v1/jobs lists all
 //
 // On SIGINT/SIGTERM the daemon drains: /readyz flips to 503, new
 // evaluations are shed, in-flight work completes (up to -drain), then
@@ -50,9 +51,8 @@ func main() {
 		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies byte-identically)")
 		roStore  = flag.Bool("store-readonly", false, "open -store read-only (fleet nodes sharing a writer's directory)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
-		peersCSV = flag.String("peers", "", "comma-separated cluster peer base URLs, including this node's (e.g. http://n1:8095,http://n2:8095)")
-		selfURL  = flag.String("self", "", "this node's base URL as it appears in -peers")
-		coord    = flag.Bool("coordinator", false, "accept POST /v1/cluster on this node (standalone nodes always do)")
+		peersCSV = flag.String("peers", "", "comma-separated fleet peer base URLs, including this node's (e.g. http://n1:8095,http://n2:8095)")
+		selfURL  = flag.String("self", "", "this node's base URL exactly as it appears in -peers")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -66,19 +66,13 @@ func main() {
 		CacheEntries: *entries,
 		Timeout:      *timeout,
 		Self:         *selfURL,
-		Coordinator:  *coord,
 	}
-	if *peersCSV != "" {
-		for _, p := range strings.Split(*peersCSV, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				scfg.Peers = append(scfg.Peers, p)
-			}
-		}
-		if *selfURL == "" {
-			fmt.Fprintln(os.Stderr, "lppartd: -peers requires -self (this node's URL in the peer list)")
-			os.Exit(2)
-		}
+	peers, err := parsePeers(*peersCSV, *selfURL)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lppartd: %v\n", err)
+		os.Exit(2)
 	}
+	scfg.Peers = peers
 	if *storeDir != "" {
 		st, err := memostore.Open(*storeDir, memostore.Options{ReadOnly: *roStore})
 		if err != nil {
@@ -137,4 +131,31 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "lppartd: drained cleanly")
+}
+
+// parsePeers splits the -peers list, trimming whitespace and dropping
+// empty entries, and checks that self names this node exactly as the
+// list does. A self missing from the list would make the ring treat
+// this node as a foreign peer: its own keys would be forwarded back to
+// itself over HTTP and its jobs listed twice in GET /v1/jobs. An empty
+// list means standalone and ignores self.
+func parsePeers(csv, self string) ([]string, error) {
+	var peers []string
+	for _, p := range strings.Split(csv, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
+		}
+	}
+	if len(peers) == 0 {
+		return nil, nil
+	}
+	if self == "" {
+		return nil, fmt.Errorf("-peers requires -self (this node's URL in the peer list)")
+	}
+	for _, p := range peers {
+		if p == self {
+			return peers, nil
+		}
+	}
+	return nil, fmt.Errorf("-self %q is not in -peers %q (URLs must match exactly, trailing slash included)", self, strings.Join(peers, ","))
 }

@@ -38,7 +38,6 @@ var gated = map[string]bool{
 	"dse":       true,
 	"jobs":      true,
 	"milp":      true,
-	"cluster":   true,
 }
 
 // Analyzer is the detrange pass.
@@ -46,7 +45,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detrange",
 	Doc: "flag nondeterministic map iteration in result-producing packages " +
 		"(partition, sched, system, report, explore, asic, stackdist, " +
-		"serve, client, metrics, dse, jobs, milp, cluster); " +
+		"serve, client, metrics, dse, jobs, milp); " +
 		"iterate sorted keys or acknowledge order-insensitive loops with //lint:ordered",
 	Run: run,
 }

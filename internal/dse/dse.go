@@ -32,7 +32,6 @@ package dse
 import (
 	"context"
 	"fmt"
-	"math"
 	"sort"
 	"sync/atomic"
 
@@ -81,58 +80,7 @@ type Config struct {
 	// OnProgress, when set, is called after each geometry finishes with
 	// (completed, total) counts. It may be called concurrently.
 	OnProgress func(done, total int)
-
-	// Roots, when non-nil, restricts the search's FIRST pick to the
-	// given pool indices (ascending): the search explores exactly the
-	// configurations whose lowest-ranked hardware cluster is one of the
-	// roots, plus the empty configuration. This is the cluster shard
-	// unit — the union of the root-branch shards of a geometry (any
-	// partition of [0, len(pool)) plus the dup-safe empty point) covers
-	// the unrestricted search, so Reduce over the union reproduces the
-	// whole frontier.
-	Roots []int
-	// Incumbents seeds the pruning with objective points already known
-	// achievable elsewhere in the SAME design space (other shards of a
-	// cluster exploration). An incumbent cuts a subtree only when its
-	// cycles and GEQ are <= the subtree's integer lower bounds (computed
-	// exactly) AND its energy clears the float energy bound by a safety
-	// margin that exceeds the bound's rounding drift: every point of
-	// such a subtree is then weakly dominated — strictly on energy — by
-	// a distinct achievable point, so it can never survive the merged
-	// Reduce. The merged frontier is therefore invariant under incumbent
-	// timing, which is what lets bound-sharing stay asynchronous without
-	// breaking byte-determinism. The margin is what makes this sound:
-	// LowerBound's energy is evaluated by a differently-associated float
-	// expression than Point()'s, so it can land a few ulp ABOVE an
-	// achievable point — a bare <=-with-one-strict-axis rule lets that
-	// drift manufacture strictness and prune a subtree containing the
-	// incumbent's own configuration (observed: a frontier point lost to
-	// a bound 2 ulp above it). With the margin, exact ties and
-	// near-ties never prune, so Reduce's Key tie-breaks are preserved.
-	Incumbents []Incumbent
 }
-
-// Incumbent is one achievable objective point donated to the
-// branch-and-bound as a pruning seed (cluster bound-sharing). See
-// Config.Incumbents for the margin-backed rule that keeps the merged
-// frontier invariant under when (or whether) incumbents arrive.
-type Incumbent struct {
-	Energy float64 `json:"energy"`
-	Cycles int64   `json:"cycles"`
-	GEQ    int     `json:"geq"`
-}
-
-// incEnergySlack is the relative safety margin an incumbent's energy
-// must clear the subtree's energy lower bound by before it may prune.
-// The bound's float expression (LowerBound) associates differently
-// than the achieved value's (Priced.Point), so the two can disagree by
-// a few ulp (~1e-15 relative); the margin must exceed that drift —
-// otherwise rounding can fake strict dominance and cut a subtree
-// containing the incumbent's own configuration — while staying far
-// below any real energy separation between distinct configurations
-// (>= ~1e-6 relative on every measured app), so the pruning power
-// given up is nil.
-const incEnergySlack = 1e-9
 
 // DefaultGeometries returns the explored cache grid: the reference
 // geometry plus halved i-cache, halved d-cache, and both halved — the
@@ -180,9 +128,8 @@ type Point struct {
 
 	// Key is the deterministic tie-break (geometry dims + ordered picks)
 	// the DESIGN.md §7 dominance ordering breaks exact objective ties
-	// on. It is exported — and on the wire — so a cluster coordinator
-	// merging shard frontiers from remote processes reproduces Reduce's
-	// ordering byte-identically.
+	// on. It stays on the wire because every explore and exact response
+	// body already carries it: dropping it would change those bytes.
 	Key string `json:"key,omitempty"`
 }
 
@@ -197,12 +144,6 @@ type Stats struct {
 	PairEvals  int64 `json:"pair_evals"` // objective evaluations of (cluster, set) pairs
 	MemoAdds   int64 `json:"memo_adds"`  // distinct schedule/bind computations
 	MemoSize   int   `json:"memo_size"`
-	// PrunedRemote counts the subset of Pruned cut by donated
-	// Incumbents (cluster bound-sharing). It is deterministic only for
-	// a fixed incumbent set; a coordinator's asynchronous broadcasts
-	// make it timing-dependent, so cluster-merged bodies omit it from
-	// deterministic output (it feeds the work report and metrics).
-	PrunedRemote int64 `json:"pruned_remote,omitempty"`
 
 	// Memo is the shared schedule/binding memo snapshot (hit/miss split
 	// is scheduling-dependent; see above).
@@ -387,9 +328,8 @@ func ExplorePrep(ctx context.Context, p *Prep, cfg Config) (*Frontier, error) {
 		st.Configs += r.configs
 		st.Pruned += r.pruned
 		st.PairEvals += r.pairEvals
-		st.PrunedRemote += r.prunedRemote
 	}
-	pts := Reduce(all)
+	pts := reduce(all)
 	for i := range pts {
 		pts[i].ID = i
 	}
@@ -425,7 +365,6 @@ func (f *Frontier) Audit(pcfg partition.Config) error {
 type geoResult struct {
 	points                     []Point
 	configs, pruned, pairEvals int64
-	prunedRemote               int64
 }
 
 // searchGeometry runs the serial branch-and-bound over (cluster subset ×
@@ -496,23 +435,6 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		}
 		return false
 	}
-	// Incumbents prune only when strictly below the energy bound by a
-	// margin dwarfing the bound's float drift (the integer axes are
-	// exact, energy is not — see Config.Incumbents): every subtree point
-	// then sits strictly above the incumbent on energy, so it is weakly
-	// dominated by a distinct achievable point and can never survive the
-	// merged Reduce. Exact and near-exact ties fail the margin test and
-	// survive to the merge, where Reduce's canonical Key tie-break picks
-	// the winner deterministically.
-	incDominated := func(p obj) bool {
-		for _, in := range cfg.Incumbents {
-			if in.Energy <= p.e-incEnergySlack*math.Abs(p.e) &&
-				in.Cycles <= p.c && in.GEQ <= p.g {
-				return true
-			}
-		}
-		return false
-	}
 	push := func(p obj) {
 		kept := front[:0]
 		for _, f := range front {
@@ -558,15 +480,7 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		}
 		dE, dC, dG := hint.SuffixFloor(i, cfg.MaxHW-len(path), picked)
 		e, c, g := pr.LowerBound(dE, dC, dG)
-		lb := obj{e: e, c: c, g: g}
-		if dominated(lb) {
-			return true
-		}
-		if incDominated(lb) {
-			res.prunedRemote++
-			return true
-		}
-		return false
+		return dominated(obj{e: e, c: c, g: g})
 	}
 	// A BranchHint additionally floors single branches (first pick = j):
 	// a dominated branch floor skips just cluster j's implementations
@@ -584,15 +498,7 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		}
 		dE, dC, dG := bh.BranchFloor(j, cfg.MaxHW-len(path), picked)
 		e, c, g := pr.LowerBound(dE, dC, dG)
-		lb := obj{e: e, c: c, g: g}
-		if dominated(lb) {
-			return true
-		}
-		if incDominated(lb) {
-			res.prunedRemote++
-			return true
-		}
-		return false
+		return dominated(obj{e: e, c: c, g: g})
 	}
 	overlapsPath := func(r *cdfg.Region) bool {
 		for _, el := range path {
@@ -630,22 +536,8 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 	}
 
 	// The empty subset — pure cache tuning, no hardware — is a valid
-	// configuration and seeds the pruning frontier. Every root-branch
-	// shard records it too: the duplicates carry identical objectives
-	// AND identical keys, so the merge's weak-dominance filter drops
-	// all but one without a tie-break ambiguity.
+	// configuration and seeds the pruning frontier.
 	record(point())
-
-	// isRoot gates the FIRST pick when the search is sharded; deeper
-	// levels are unrestricted (a shard owns every configuration whose
-	// lowest-ranked pick is one of its roots).
-	var rootSet map[int]bool
-	if cfg.Roots != nil {
-		rootSet = make(map[int]bool, len(cfg.Roots))
-		for _, r := range cfg.Roots {
-			rootSet[r] = true
-		}
-	}
 
 	var walk func(i int) error
 	walk = func(i int) error { //lint:hotpath the branch-and-bound DFS body
@@ -657,9 +549,6 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 			return nil
 		}
 		for j := i; j < len(pool); j++ {
-			if rootSet != nil && len(path) == 0 && !rootSet[j] {
-				continue
-			}
 			// The bound tightens as j advances (the suffix shrinks), so
 			// one dominated bound cuts the rest of this level too.
 			if bounded(j) {
@@ -740,18 +629,15 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		p.Decision = dec
 	}
 	// Local reduction before the merge keeps the cross-geometry set small.
-	res.points = Reduce(res.points)
+	res.points = reduce(res.points)
 	return res, nil
 }
 
-// Reduce sorts points by (Energy, Cycles, GEQ, Key) and filters every
+// reduce sorts points by (Energy, Cycles, GEQ, Key) and filters every
 // point weakly dominated by an earlier survivor — the DESIGN.md §7
 // dominance ordering. Ties on all three objectives keep the smallest
-// Key, so the outcome is a pure function of the point multiset: a
-// cluster coordinator merging shard frontiers calls exactly this on the
-// union and gets bytes identical to a single-process run regardless of
-// shard arrival order.
-func Reduce(all []Point) []Point {
+// Key, so the outcome is a pure function of the point multiset.
+func reduce(all []Point) []Point {
 	sort.Slice(all, func(i, j int) bool {
 		a, b := &all[i], &all[j]
 		if a.Energy != b.Energy {

@@ -3,7 +3,7 @@
 // transport errors) with capped exponential backoff plus full jitter, so
 // a fleet of clients hitting a shedding server spreads its retries
 // instead of thundering back in lockstep. With several endpoints
-// (NewMulti), retries rotate across the cluster's peers and repeatedly
+// (NewMulti), retries rotate across the fleet's peers and repeatedly
 // failing peers are sidelined until they answer again, so one dead or
 // shedding node costs a backoff, not an error.
 package client
@@ -27,7 +27,7 @@ import (
 type Config struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8095".
 	BaseURL string
-	// Endpoints are additional equivalent server roots (a cluster's
+	// Endpoints are additional equivalent server roots (a fleet's
 	// peers). Requests go to the preferred endpoint; a retryable
 	// failure rotates the retry — same backoff, same Retry-After floor
 	// — onto the next peer, and an endpoint that fails repeatedly is
@@ -135,7 +135,7 @@ func New(baseURL string, opts ...func(*Config)) *Client {
 }
 
 // NewMulti returns a failover client over several equivalent endpoints
-// (a cluster's peer URLs). The first endpoint is preferred; see
+// (a fleet's peer URLs). The first endpoint is preferred; see
 // Config.Endpoints for the rotation rules.
 func NewMulti(endpoints []string, opts ...func(*Config)) *Client {
 	if len(endpoints) == 0 {

@@ -196,9 +196,6 @@ type JobBody struct {
 	// Exact is a finished exact solve (an ExactBody), present once an
 	// exact job's State is "done".
 	Exact json.RawMessage `json:"exact,omitempty"`
-	// Cluster is a finished cluster exploration (a ClusterBody), present
-	// once a cluster job's State is "done".
-	Cluster json.RawMessage `json:"cluster,omitempty"`
 }
 
 // jobBody renders one snapshot for the named job endpoint ("explore"
@@ -216,8 +213,6 @@ func jobBody(endpoint string, snap jobs.Snapshot, existing bool) *JobBody {
 	switch endpoint {
 	case "exact":
 		b.Exact = snap.Result
-	case "cluster":
-		b.Cluster = snap.Result
 	default:
 		b.Frontier = snap.Result
 	}

@@ -21,7 +21,9 @@
 // /v1/exact (certified exact optimum per geometry via the milp
 // oracle, certificates replayed server-side before the job finishes),
 // GET /v1/apps (the built-in Table 1 applications), plus /healthz,
-// /readyz and a Prometheus-text /metrics.
+// /readyz and a Prometheus-text /metrics. Nodes given a peer list also
+// route partitions to each key's owner, batch them (POST /v1/batch) and
+// list the fleet's jobs (GET /v1/jobs); see fleet.go.
 package serve
 
 import (
@@ -37,7 +39,6 @@ import (
 	"lppart/internal/behav"
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
-	"lppart/internal/cluster"
 	"lppart/internal/memostore"
 	"lppart/internal/serve/jobs"
 	"lppart/internal/serve/metrics"
@@ -69,20 +70,13 @@ type Config struct {
 	// with 429 (default 64).
 	MaxJobs int
 	// Self is this node's own base URL as it appears in Peers
-	// ("http://127.0.0.1:8095"). Shards and forwarded requests that the
-	// consistent-hash ring assigns to Self are computed locally instead
-	// of proxied back to this node's own listener.
+	// ("http://127.0.0.1:8095"). Requests that the consistent-hash ring
+	// assigns to Self are computed locally instead of proxied back to
+	// this node's own listener.
 	Self string
-	// Peers are the cluster's node base URLs, including Self. Empty
-	// means standalone: no request routing, and cluster explorations
-	// run coordinator-only with a single local executor.
+	// Peers are the fleet's node base URLs, including Self. Empty means
+	// standalone: no request routing and no peer ledgers.
 	Peers []string
-	// Coordinator enables POST /v1/cluster on this node. Standalone
-	// nodes are always coordinators (of their one-node cluster); in a
-	// fleet, pointing every client at one coordinator keeps the job
-	// ledger and the prep cache hot in one place, so worker-only nodes
-	// answer 403 on /v1/cluster while still serving /v1/shard.
-	Coordinator bool
 	// Store, when non-nil, persistently backs the result cache:
 	// successful (200) bodies are written through to the
 	// content-addressed store and replayed verbatim on a hit, so a
@@ -115,9 +109,6 @@ func (c *Config) defaults() {
 	if c.MaxJobs <= 0 {
 		c.MaxJobs = 64
 	}
-	if len(c.Peers) == 0 {
-		c.Coordinator = true
-	}
 }
 
 // maxBodyBytes caps request bodies; a request is at most a source plus
@@ -134,11 +125,9 @@ type Server struct {
 	jobs    *jobs.Store
 	reg     *metrics.Registry
 
-	// Cluster state: the consistent-hash ring over cfg.Peers (nil when
-	// standalone), the shared prep cache behind /v1/shard and
-	// /v1/cluster, and the passively-tracked peer health.
-	ring  *cluster.Ring
-	preps *cluster.PrepCache
+	// Fleet state: the consistent-hash ring over cfg.Peers (nil when
+	// standalone) and the passively-tracked peer health.
+	ring *ring
 
 	peerMu   sync.Mutex
 	peerDown map[string]bool
@@ -153,21 +142,13 @@ type Server struct {
 	cacheHit  *metrics.Counter
 	cacheMiss *metrics.Counter
 	cacheEvic *metrics.Counter
-
-	// Cluster instruments (satellite of the distributed-exploration
-	// subsystem): accepted shard results by executing peer, plus the
-	// coordinator's steal / duplicate / bound-broadcast tallies.
-	shardsByPeer map[string]*metrics.Counter
-	steals       *metrics.Counter
-	duplicates   *metrics.Counter
-	broadcasts   *metrics.Counter
 }
 
 // endpoints and outcomes instrumented up front, so the /metrics
 // exposition is complete (all-zero) from the first scrape.
 var endpointNames = []string{
 	"partition", "sweep", "explore", "exact", "apps", "version",
-	"shard", "batch", "cluster", "jobs",
+	"batch", "jobs",
 }
 
 var outcomeNames = []string{
@@ -191,11 +172,10 @@ func New(cfg Config) *Server {
 		abort:    cancel,
 		latency:  make(map[string]*metrics.Histogram),
 		outcomes: make(map[[2]string]*metrics.Counter),
-		preps:    cluster.NewPrepCache(0),
 		peerDown: make(map[string]bool),
 	}
 	if len(cfg.Peers) > 0 {
-		s.ring = cluster.NewRing(cfg.Peers, 0)
+		s.ring = newRing(cfg.Peers)
 	}
 	for _, ep := range endpointNames {
 		s.latency[ep] = s.reg.Histogram("lppartd_request_seconds",
@@ -226,29 +206,12 @@ func New(cfg Config) *Server {
 			metrics.Labels("state", st.String()),
 			func() float64 { return float64(s.jobs.Count(st)) })
 	}
-	// Cluster instruments are registered up front (all-zero) even when
-	// standalone, so the exposition's shape does not depend on flags;
-	// per-peer shard counters cover the configured peers, with "local"
-	// naming the standalone coordinator's single anonymous executor.
-	s.reg.GaugeFunc("lppartd_peers", "cluster peers by health state",
+	// The peer gauge is registered up front (all-zero) even when
+	// standalone, so the exposition's shape does not depend on flags.
+	s.reg.GaugeFunc("lppartd_peers", "fleet peers by health state",
 		metrics.Labels("state", "up"), func() float64 { return float64(s.countPeers(false)) })
-	s.reg.GaugeFunc("lppartd_peers", "cluster peers by health state",
+	s.reg.GaugeFunc("lppartd_peers", "fleet peers by health state",
 		metrics.Labels("state", "down"), func() float64 { return float64(s.countPeers(true)) })
-	s.shardsByPeer = make(map[string]*metrics.Counter)
-	for _, p := range cfg.Peers {
-		s.shardsByPeer[p] = s.reg.Counter("lppartd_cluster_shards_total",
-			"accepted shard results by executing peer", metrics.Labels("peer", p))
-	}
-	if len(cfg.Peers) == 0 {
-		s.shardsByPeer[""] = s.reg.Counter("lppartd_cluster_shards_total",
-			"accepted shard results by executing peer", metrics.Labels("peer", "local"))
-	}
-	s.steals = s.reg.Counter("lppartd_cluster_steals_total",
-		"shards taken from another peer's queue", "")
-	s.duplicates = s.reg.Counter("lppartd_cluster_duplicates_total",
-		"straggler re-runs whose result lost the race", "")
-	s.broadcasts = s.reg.Counter("lppartd_cluster_bound_broadcasts_total",
-		"shard dispatches carrying a non-empty incumbent set", "")
 
 	s.mux.HandleFunc("POST /v1/partition", s.handlePartition)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
@@ -258,11 +221,7 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/exact", s.handleExact)
 	s.mux.HandleFunc("GET /v1/exact/{id}", s.handleExactGet)
 	s.mux.HandleFunc("DELETE /v1/exact/{id}", s.handleExactDelete)
-	s.mux.HandleFunc("POST /v1/shard", s.handleShard)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/cluster", s.handleCluster)
-	s.mux.HandleFunc("GET /v1/cluster/{id}", s.handleClusterGet)
-	s.mux.HandleFunc("DELETE /v1/cluster/{id}", s.handleClusterDelete)
 	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	s.mux.HandleFunc("GET /v1/apps", s.handleApps)
 	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
@@ -462,7 +421,7 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
 		s.observe("partition", "bad_request", start)
 		return
 	}
-	// In a cluster, the canonical key's ring owner computes (and caches)
+	// In a fleet, the canonical key's ring owner computes (and caches)
 	// the result; everyone else proxies, so the LRU + memostore tiers
 	// shard cleanly instead of duplicating entries on every node.
 	if s.forwardPartition(w, r, &req, key, start) {
