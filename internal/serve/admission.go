@@ -2,19 +2,23 @@ package serve
 
 import (
 	"context"
-	"errors"
+	"net/http"
 	"sync/atomic"
 )
 
-// Admission-control errors, mapped to 429 / 503 by the handlers.
+// Admission failures, already in wire form: the synchronous endpoints
+// serve them as 429 / 503 / 504 and async jobs fail with their message.
 var (
 	// errQueueFull sheds a request because the wait queue is at its
 	// depth limit (429 + Retry-After: better to push back early than to
 	// let latency collapse under an unbounded backlog).
-	errQueueFull = errors.New("serve: queue full")
+	errQueueFull = &apiError{Status: http.StatusTooManyRequests, Err: "queue full"}
 	// errDraining sheds a request because the server is shutting down
 	// (503; in-flight work still completes).
-	errDraining = errors.New("serve: draining")
+	errDraining = &apiError{Status: http.StatusServiceUnavailable, Err: "draining"}
+	// errQueuedTooLong fails a request whose deadline expired while it
+	// waited for a slot.
+	errQueuedTooLong = &apiError{Status: http.StatusGatewayTimeout, Err: "deadline exceeded while queued"}
 )
 
 // admission is the bounded-concurrency gate in front of the evaluation
@@ -48,9 +52,9 @@ func newAdmission(workers, queueDepth int) *admission {
 
 // acquire takes a worker slot, waiting in the bounded queue if none is
 // free. It fails fast with errQueueFull past the depth limit,
-// errDraining during shutdown, and ctx.Err() when the caller's deadline
-// expires while queued.
-func (a *admission) acquire(ctx context.Context) error {
+// errDraining during shutdown, and errQueuedTooLong when the caller's
+// deadline expires while queued.
+func (a *admission) acquire(ctx context.Context) *apiError {
 	if a.draining.Load() {
 		return errDraining
 	}
@@ -70,7 +74,7 @@ func (a *admission) acquire(ctx context.Context) error {
 		a.busy.Add(1)
 		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		return errQueuedTooLong
 	}
 }
 

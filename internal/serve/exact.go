@@ -3,20 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"net/http"
-	"time"
+	"fmt"
 
-	"lppart/internal/cdfg"
 	"lppart/internal/dse"
 	"lppart/internal/milp"
 )
-
-// ExactRequest is the body of POST /v1/exact: the same tuple as an
-// exploration request, but solved to the certified exact optimum per
-// cache geometry instead of searched for a Pareto frontier. The
-// endpoint is asynchronous — the response carries a job ID to poll —
-// and the two endpoints never deduplicate onto each other's jobs.
-type ExactRequest = ExploreRequest
 
 // ExactOptimum is one geometry's proven minimum on the wire, paired
 // with the Fig. 1 greedy objective it is measured against. The bound
@@ -39,111 +30,28 @@ type ExactBody struct {
 	CacheSignature string         `json:"request_key"`
 }
 
-func (s *Server) handleExact(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	var req ExactRequest
-	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("exact", "bad_request", start)
-		return
-	}
-	in, key, aerr := req.canonicalize("exact/v1", s.cfg.MaxSourceBytes)
-	if aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("exact", "bad_request", start)
-		return
-	}
-	// The job is server-owned from birth: bounded by the configured
-	// timeout, cancelled by Abort or DELETE, independent of this request.
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
-	snap, created, err := s.jobs.Create(key, cancel)
+// solveExact is the exact kind: it measures the application once,
+// solves every geometry to its proven minimum with a certificate, and
+// replays each certificate with milp.Check before returning, so a
+// "done" job carries only re-proven optima.
+func solveExact(ctx context.Context, in *jobInput, progress func(done, total int)) ([]byte, error) {
+	prep, err := dse.Prepare(ctx, in.ir, in.cfg)
 	if err != nil {
-		cancel()
-		res := errResult(&apiError{Status: http.StatusTooManyRequests, Err: "job table full"})
-		writeResult(w, res)
-		s.observe("exact", "shed_queue", start)
-		return
-	}
-	if !created {
-		cancel()
-		res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("exact", snap, true))}
-		writeResult(w, res)
-		s.observe("exact", "ok", start)
-		return
-	}
-	go s.runExact(ctx, cancel, snap.ID, &req, in, key)
-	res := &flightResult{status: http.StatusAccepted, body: jsonBody(jobBody("exact", snap, false))}
-	writeResult(w, res)
-	s.observe("exact", "ok", start)
-}
-
-// runExact is the job's worker goroutine: it queues for an admission
-// slot like every synchronous evaluation, then measures and solves
-// serially inside that one slot. Every geometry is solved with a
-// certificate and the certificate is replayed with milp.Check before
-// the job finishes, so a "done" job carries only re-proven optima.
-func (s *Server) runExact(ctx context.Context, cancel context.CancelFunc, id string,
-	req *ExactRequest, in *exploreInputs, key string) {
-	defer cancel()
-	if aerr := s.adm.acquire(ctx); aerr != nil {
-		switch aerr {
-		case errQueueFull:
-			s.jobs.Fail(id, "queue full")
-		case errDraining:
-			s.jobs.Fail(id, "draining")
-		default:
-			s.jobs.Fail(id, "deadline exceeded while queued")
-		}
-		return
-	}
-	defer s.adm.release()
-	if !s.jobs.Start(id) {
-		return // canceled while queued
-	}
-	ir, err := cdfg.Build(in.prog)
-	if err != nil {
-		s.jobs.Fail(id, err.Error())
-		return
-	}
-	dcfg := dse.Config{
-		Geometries: in.geoms,
-		MaxHW:      req.MaxHW,
-		Workers:    1,
-	}
-	dcfg.Sys.MaxInstrs = s.cfg.MaxInstrs
-	dcfg.Sys.Part.F = req.F
-	dcfg.Sys.Part.MaxClusters = req.MaxClusters
-	dcfg.Sys.Part.GEQBudget = req.GEQBudget
-	dcfg.Sys.Part.ResourceSets = in.sets
-	dcfg.Sys.Part.Verify = req.Verify
-	prep, err := dse.Prepare(ctx, ir, dcfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.jobs.Fail(id, "exact solve deadline exceeded")
-			return
-		}
-		s.jobs.Fail(id, err.Error())
-		return
+		return nil, err
 	}
 	res, err := milp.Solve(ctx, prep, milp.Config{
-		MaxHW:       req.MaxHW,
+		MaxHW:       in.cfg.MaxHW,
 		Workers:     1,
 		Certificate: true,
-		OnProgress:  func(done, total int) { s.jobs.Progress(id, done, total) },
+		OnProgress:  progress,
 	})
 	if err != nil {
-		if ctx.Err() != nil {
-			s.jobs.Fail(id, "exact solve deadline exceeded")
-			return
-		}
-		s.jobs.Fail(id, err.Error())
-		return
+		return nil, err
 	}
 	optima := make([]ExactOptimum, 0, len(res.Optima))
 	for _, o := range res.Optima {
-		if cerr := milp.Check(o.Inst, o.Cert); cerr != nil {
-			s.jobs.Fail(id, "certificate replay failed: "+cerr.Error())
-			return
+		if err := milp.Check(o.Inst, o.Cert); err != nil {
+			return nil, fmt.Errorf("certificate replay failed: %w", err)
 		}
 		gOF, _, _ := o.Inst.Greedy()
 		gap := 0.0
@@ -155,43 +63,14 @@ func (s *Server) runExact(ctx context.Context, cancel context.CancelFunc, id str
 		wire.Inst = nil
 		optima = append(optima, ExactOptimum{Optimum: wire, GreedyOF: gOF, GapPct: gap})
 	}
-	body, merr := json.Marshal(&ExactBody{
+	body, err := json.Marshal(&ExactBody{
 		App:            res.App,
 		Optima:         optima,
 		Certified:      true,
-		CacheSignature: key,
+		CacheSignature: in.key,
 	})
-	if merr != nil {
-		s.jobs.Fail(id, "exact result not marshalable: "+merr.Error())
-		return
+	if err != nil {
+		return nil, fmt.Errorf("exact result not marshalable: %w", err)
 	}
-	s.jobs.Finish(id, body)
-}
-
-func (s *Server) handleExactGet(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	snap, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
-		writeResult(w, res)
-		s.observe("exact", outcomeOf(res), start)
-		return
-	}
-	res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("exact", snap, false))}
-	writeResult(w, res)
-	s.observe("exact", "ok", start)
-}
-
-func (s *Server) handleExactDelete(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	snap, ok := s.jobs.Delete(r.PathValue("id"))
-	if !ok {
-		res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
-		writeResult(w, res)
-		s.observe("exact", outcomeOf(res), start)
-		return
-	}
-	res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("exact", snap, false))}
-	writeResult(w, res)
-	s.observe("exact", "ok", start)
+	return body, nil
 }

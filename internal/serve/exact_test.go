@@ -145,6 +145,7 @@ func TestExactValidation(t *testing.T) {
 		{"bad geometry", `{"app":"engine","geometries":[{"dsets":3}]}`},
 		{"negative knob", `{"app":"engine","max_hw":-1}`},
 		{"unknown field", `{"app":"engine","bogus":1}`},
+		{"too many geometries", `{"app":"engine","geometries":[` + strings.Repeat(`{},`, maxGeometries) + `{}]}`},
 	} {
 		if st, b, _ := post(t, ts.URL+"/v1/exact", tc.body); st != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", tc.name, st, b)
@@ -201,5 +202,27 @@ func TestExactMetricsExposition(t *testing.T) {
 	rest := out[i+len(`lppartd_requests_total{endpoint="exact",outcome="ok"} `):]
 	if strings.HasPrefix(rest, "0\n") {
 		t.Error("exact ok counter stuck at zero")
+	}
+}
+
+// TestJobWrongEndpoint pins that a job is reachable only through its
+// own kind's routes: GET and DELETE on the other job endpoint answer
+// 404 and leave the job untouched.
+func TestJobWrongEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	st, b, _ := post(t, ts.URL+"/v1/exact", exactReq)
+	if st != http.StatusAccepted {
+		t.Fatalf("POST /v1/exact: status %d: %s", st, b)
+	}
+	id := decodeJob(t, b).JobID
+	if st, b := get(t, ts.URL+"/v1/explore/"+id); st != http.StatusNotFound {
+		t.Errorf("GET /v1/explore/%s: status %d, want 404: %s", id, st, b)
+	}
+	if st, b := del(t, ts.URL+"/v1/explore/"+id); st != http.StatusNotFound {
+		t.Errorf("DELETE /v1/explore/%s: status %d, want 404: %s", id, st, b)
+	}
+	done := pollJobAt(t, ts.URL+"/v1/exact/", id)
+	if done.State != "done" || len(done.Exact) == 0 {
+		t.Fatalf("exact job after wrong-endpoint calls: state %s error %q", done.State, done.Error)
 	}
 }

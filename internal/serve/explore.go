@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
 
 	"lppart/internal/behav"
 	"lppart/internal/cache"
@@ -27,9 +26,12 @@ type GeometrySpec struct {
 	DLineWords int `json:"dline_words,omitempty"`
 }
 
-// ExploreRequest is the body of POST /v1/explore: the Fig. 1 input tuple
-// plus the design-space axes (cluster-count bound, cache-geometry grid).
-// The endpoint is asynchronous — the response carries a job ID to poll.
+// ExploreRequest is the body of both job endpoints: the Fig. 1 input
+// tuple plus the design-space axes (cluster-count bound, cache-geometry
+// grid). POST /v1/explore searches it for a Pareto frontier and POST
+// /v1/exact solves it to the certified exact optimum per geometry. Both
+// are asynchronous — the response carries a job ID to poll — and never
+// deduplicate onto each other's jobs.
 type ExploreRequest struct {
 	App          string            `json:"app,omitempty"`
 	Source       string            `json:"source,omitempty"`
@@ -65,6 +67,9 @@ func resolveGeometries(specs []GeometrySpec) ([][2]cache.Config, error) {
 	if len(specs) == 0 {
 		return dse.DefaultGeometries(), nil
 	}
+	if len(specs) > maxGeometries {
+		return nil, fmt.Errorf("geometries: %d entries exceed the limit of %d", len(specs), maxGeometries)
+	}
 	out := make([][2]cache.Config, 0, len(specs))
 	for i, spec := range specs {
 		icfg, dcfg := cache.DefaultICache(), cache.DefaultDCache()
@@ -98,28 +103,28 @@ func resolveGeometries(specs []GeometrySpec) ([][2]cache.Config, error) {
 	return out, nil
 }
 
-// canonicalize validates the explore request and returns the resolved
-// inputs plus the job dedupe key. kind versions the key space: the
-// explore and exact endpoints accept the same body but must never
-// deduplicate onto each other's jobs.
-func (req *ExploreRequest) canonicalize(kind string, maxSourceBytes int) (*exploreInputs, string, *apiError) {
+// canonicalize validates the request and resolves it into one job's
+// input. kind versions the key space: the explore and exact endpoints
+// accept the same body but must never deduplicate onto each other's
+// jobs.
+func (req *ExploreRequest) canonicalize(kind string, maxSourceBytes int) (*jobInput, *apiError) {
 	prog, srcSHA, aerr := parseSource(req.App, req.Source, maxSourceBytes)
 	if aerr != nil {
-		return nil, "", aerr
+		return nil, aerr
 	}
 	if req.F < 0 {
-		return nil, "", badRequest("f must be >= 0")
+		return nil, badRequest("f must be >= 0")
 	}
 	if req.MaxClusters < 0 || req.GEQBudget < 0 || req.MaxHW < 0 {
-		return nil, "", badRequest("max_clusters, geq_budget and max_hw must be >= 0")
+		return nil, badRequest("max_clusters, geq_budget and max_hw must be >= 0")
 	}
 	sets, err := resolveResourceSets(req.ResourceSets)
 	if err != nil {
-		return nil, "", badRequest(err.Error())
+		return nil, badRequest(err.Error())
 	}
 	geoms, err := resolveGeometries(req.Geometries)
 	if err != nil {
-		return nil, "", badRequest(err.Error())
+		return nil, badRequest(err.Error())
 	}
 	c := canonExplore{
 		Kind:        kind,
@@ -156,15 +161,43 @@ func (req *ExploreRequest) canonicalize(kind string, maxSourceBytes int) (*explo
 			g[1].Sets, g[1].Assoc, g[1].LineWords,
 		})
 	}
-	return &exploreInputs{prog: prog, sets: sets, geoms: geoms}, hashCanon(c), nil
+	in := &jobInput{prog: prog, key: hashCanon(c)}
+	in.cfg = dse.Config{Geometries: geoms, MaxHW: req.MaxHW, Workers: 1}
+	in.cfg.Sys.Part.F = req.F
+	in.cfg.Sys.Part.MaxClusters = req.MaxClusters
+	in.cfg.Sys.Part.GEQBudget = req.GEQBudget
+	in.cfg.Sys.Part.ResourceSets = sets
+	in.cfg.Sys.Part.Verify = req.Verify
+	return in, nil
 }
 
-// exploreInputs carries one explore job's resolved inputs from the
-// handler to the worker goroutine.
-type exploreInputs struct {
-	prog  *behav.Program
-	sets  []tech.ResourceSet
-	geoms [][2]cache.Config
+// jobInput carries one job's resolved input from the handler to the
+// worker goroutine, which adds the built CDFG and the server's
+// simulation budget to cfg before the kind's search runs.
+type jobInput struct {
+	prog *behav.Program
+	ir   *cdfg.Program
+	cfg  dse.Config // shared by both kinds; OnProgress unset
+	key  string
+}
+
+// jobKind is one async job endpoint. The kinds share the request body,
+// dedupe, admission, lifecycle and job body; only run differs. name
+// gives the route (/v1/<name>), the key space (<name>/v1) and the
+// JobBody result field.
+type jobKind struct {
+	name        string
+	deadlineMsg string // the job's error when its deadline cuts run short
+	// run searches one job's input and returns the finished result body,
+	// reporting finished/scheduled geometries through progress.
+	run func(ctx context.Context, in *jobInput, progress func(done, total int)) ([]byte, error)
+}
+
+// jobKinds is every async job endpoint; New registers POST, GET and
+// DELETE routes for each.
+var jobKinds = []*jobKind{
+	{name: "explore", deadlineMsg: "exploration deadline exceeded", run: exploreFrontier},
+	{name: "exact", deadlineMsg: "exact solve deadline exceeded", run: solveExact},
 }
 
 // FrontierBody is a finished exploration on the wire: the Pareto points
@@ -175,6 +208,28 @@ type FrontierBody struct {
 	Stats          dse.Stats   `json:"stats"`
 	Verified       bool        `json:"verified"`
 	CacheSignature string      `json:"request_key"`
+}
+
+// exploreFrontier is the explore kind: the branch-and-bound Pareto
+// frontier over every geometry.
+func exploreFrontier(ctx context.Context, in *jobInput, progress func(done, total int)) ([]byte, error) {
+	cfg := in.cfg
+	cfg.OnProgress = progress
+	f, err := dse.Explore(ctx, in.ir, cfg)
+	if err != nil {
+		return nil, err
+	}
+	body, err := json.Marshal(&FrontierBody{
+		App:            f.App,
+		Points:         f.Points,
+		Stats:          f.Stats,
+		Verified:       cfg.Sys.Part.Verify,
+		CacheSignature: in.key,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("frontier not marshalable: %w", err)
+	}
+	return body, nil
 }
 
 // JobBody is an async job's state on the wire: the POST, GET and
@@ -198,81 +253,80 @@ type JobBody struct {
 	Exact json.RawMessage `json:"exact,omitempty"`
 }
 
-// jobBody renders one snapshot for the named job endpoint ("explore"
-// or "exact"), which picks the poll path and the result field.
-func jobBody(endpoint string, snap jobs.Snapshot, existing bool) *JobBody {
+// jobResult renders one snapshot as a job body; the snapshot's kind
+// picks the poll path and the result field.
+func jobResult(status int, snap jobs.Snapshot, existing bool) *flightResult {
 	b := &JobBody{
 		JobID:    snap.ID,
 		State:    snap.State.String(),
 		Done:     snap.Done,
 		Total:    snap.Total,
-		Poll:     "/v1/" + endpoint + "/" + snap.ID,
+		Poll:     "/v1/" + snap.Kind + "/" + snap.ID,
 		Error:    snap.Error,
 		Existing: existing,
 	}
-	switch endpoint {
-	case "exact":
+	if snap.Kind == "exact" {
 		b.Exact = snap.Result
-	default:
+	} else {
 		b.Frontier = snap.Result
 	}
-	return b
+	return &flightResult{status: status, body: jsonBody(b)}
 }
 
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	var req ExploreRequest
-	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("explore", "bad_request", start)
-		return
+// submitJob is POST /v1/<kind>: it creates the job (or finds the
+// identical one) and starts its worker.
+func (s *Server) submitJob(k *jobKind) func(http.ResponseWriter, *http.Request) *flightResult {
+	return func(w http.ResponseWriter, r *http.Request) *flightResult {
+		var req ExploreRequest
+		if aerr := s.decodeBody(w, r, &req); aerr != nil {
+			return errResult(aerr)
+		}
+		in, aerr := req.canonicalize(k.name+"/v1", s.cfg.MaxSourceBytes)
+		if aerr != nil {
+			return errResult(aerr)
+		}
+		// The job is server-owned from birth: bounded by the configured
+		// timeout, cancelled by Abort or DELETE, independent of this request.
+		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
+		snap, created, err := s.jobs.Create(k.name, in.key, cancel)
+		switch {
+		case err != nil:
+			cancel()
+			return errResult(&apiError{Status: http.StatusTooManyRequests, Err: "job table full"})
+		case !created:
+			cancel()
+			return jobResult(http.StatusOK, snap, true)
+		}
+		go s.runJob(ctx, cancel, k, snap.ID, in)
+		return jobResult(http.StatusAccepted, snap, false)
 	}
-	in, key, aerr := req.canonicalize("explore/v1", s.cfg.MaxSourceBytes)
-	if aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("explore", "bad_request", start)
-		return
-	}
-	// The job is server-owned from birth: bounded by the configured
-	// timeout, cancelled by Abort or DELETE, independent of this request.
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
-	snap, created, err := s.jobs.Create(key, cancel)
-	if err != nil {
-		cancel()
-		res := errResult(&apiError{Status: http.StatusTooManyRequests, Err: "job table full"})
-		writeResult(w, res)
-		s.observe("explore", "shed_queue", start)
-		return
-	}
-	if !created {
-		cancel()
-		res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("explore", snap, true))}
-		writeResult(w, res)
-		s.observe("explore", "ok", start)
-		return
-	}
-	go s.runExplore(ctx, cancel, snap.ID, &req, in, key)
-	res := &flightResult{status: http.StatusAccepted, body: jsonBody(jobBody("explore", snap, false))}
-	writeResult(w, res)
-	s.observe("explore", "ok", start)
 }
 
-// runExplore is the job's worker goroutine: it queues for an admission
-// slot like every synchronous evaluation, then runs the exploration
+// jobStatus is GET and DELETE /v1/<kind>/{id}. A job is reachable only
+// through its own kind's routes: any other ID is an unknown job, and a
+// DELETE on the wrong route leaves the job untouched.
+func (s *Server) jobStatus(k *jobKind) func(http.ResponseWriter, *http.Request) *flightResult {
+	return func(_ http.ResponseWriter, r *http.Request) *flightResult {
+		id := r.PathValue("id")
+		snap, ok := s.jobs.Get(id)
+		if ok && snap.Kind == k.name && r.Method == http.MethodDelete {
+			snap, ok = s.jobs.Delete(id)
+		}
+		if !ok || snap.Kind != k.name {
+			return errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
+		}
+		return jobResult(http.StatusOK, snap, false)
+	}
+}
+
+// runJob is a job's worker goroutine: it queues for an admission slot
+// like every synchronous evaluation, then runs the kind's search
 // serially inside that one slot (request-level parallelism belongs to
 // the worker pool, not to the inside of one slot).
-func (s *Server) runExplore(ctx context.Context, cancel context.CancelFunc, id string,
-	req *ExploreRequest, in *exploreInputs, key string) {
+func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, k *jobKind, id string, in *jobInput) {
 	defer cancel()
 	if aerr := s.adm.acquire(ctx); aerr != nil {
-		switch aerr {
-		case errQueueFull:
-			s.jobs.Fail(id, "queue full")
-		case errDraining:
-			s.jobs.Fail(id, "draining")
-		default:
-			s.jobs.Fail(id, "deadline exceeded while queued")
-		}
+		s.jobs.Fail(id, aerr.Err)
 		return
 	}
 	defer s.adm.release()
@@ -284,65 +338,15 @@ func (s *Server) runExplore(ctx context.Context, cancel context.CancelFunc, id s
 		s.jobs.Fail(id, err.Error())
 		return
 	}
-	cfg := dse.Config{
-		Geometries: in.geoms,
-		MaxHW:      req.MaxHW,
-		Workers:    1,
-		OnProgress: func(done, total int) { s.jobs.Progress(id, done, total) },
-	}
-	cfg.Sys.MaxInstrs = s.cfg.MaxInstrs
-	cfg.Sys.Part.F = req.F
-	cfg.Sys.Part.MaxClusters = req.MaxClusters
-	cfg.Sys.Part.GEQBudget = req.GEQBudget
-	cfg.Sys.Part.ResourceSets = in.sets
-	cfg.Sys.Part.Verify = req.Verify
-	f, err := dse.Explore(ctx, ir, cfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			s.jobs.Fail(id, "exploration deadline exceeded")
-			return
-		}
+	in.ir = ir
+	in.cfg.Sys.MaxInstrs = s.cfg.MaxInstrs
+	body, err := k.run(ctx, in, func(done, total int) { s.jobs.Progress(id, done, total) })
+	switch {
+	case err == nil:
+		s.jobs.Finish(id, body)
+	case ctx.Err() != nil:
+		s.jobs.Fail(id, k.deadlineMsg)
+	default:
 		s.jobs.Fail(id, err.Error())
-		return
 	}
-	body, merr := json.Marshal(&FrontierBody{
-		App:            f.App,
-		Points:         f.Points,
-		Stats:          f.Stats,
-		Verified:       req.Verify,
-		CacheSignature: key,
-	})
-	if merr != nil {
-		s.jobs.Fail(id, "frontier not marshalable: "+merr.Error())
-		return
-	}
-	s.jobs.Finish(id, body)
-}
-
-func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	snap, ok := s.jobs.Get(r.PathValue("id"))
-	if !ok {
-		res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
-		writeResult(w, res)
-		s.observe("explore", outcomeOf(res), start)
-		return
-	}
-	res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("explore", snap, false))}
-	writeResult(w, res)
-	s.observe("explore", "ok", start)
-}
-
-func (s *Server) handleExploreDelete(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	snap, ok := s.jobs.Delete(r.PathValue("id"))
-	if !ok {
-		res := errResult(&apiError{Status: http.StatusNotFound, Err: "unknown job"})
-		writeResult(w, res)
-		s.observe("explore", outcomeOf(res), start)
-		return
-	}
-	res := &flightResult{status: http.StatusOK, body: jsonBody(jobBody("explore", snap, false))}
-	writeResult(w, res)
-	s.observe("explore", "ok", start)
 }

@@ -223,6 +223,7 @@ func TestExploreValidation(t *testing.T) {
 		{"bad geometry", `{"app":"engine","geometries":[{"dsets":3}]}`},
 		{"negative knob", `{"app":"engine","max_hw":-1}`},
 		{"unknown field", `{"app":"engine","bogus":1}`},
+		{"too many geometries", `{"app":"engine","geometries":[` + strings.Repeat(`{},`, maxGeometries) + `{}]}`},
 	} {
 		if st, b, _ := post(t, ts.URL+"/v1/explore", tc.body); st != http.StatusBadRequest {
 			t.Errorf("%s: status %d: %s", tc.name, st, b)

@@ -24,7 +24,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"time"
 )
 
 // forwardHeader marks a request already routed once; a node receiving
@@ -97,49 +96,45 @@ func (r *ring) owner(key string) string {
 }
 
 // forwardPartition routes one canonicalized /v1/partition request to
-// its consistent-hash owner, reporting whether it wrote the response.
-// Local computation is the fallback for every failure mode — ring
-// empty, owner down, transport error — so routing can only ever cost
-// an extra hop, never an answer.
-func (s *Server) forwardPartition(w http.ResponseWriter, r *http.Request,
-	req *PartitionRequest, key string, start time.Time) bool {
+// its consistent-hash owner and returns the owner's answer, reporting
+// whether there is one. Local computation is the fallback for every
+// failure mode — ring empty, owner down, transport error — so routing
+// can only ever cost an extra hop, never an answer.
+func (s *Server) forwardPartition(r *http.Request, req *PartitionRequest, key string) (*flightResult, bool) {
 	if s.ring == nil || r.Header.Get(forwardHeader) != "" {
-		return false
+		return nil, false
 	}
 	owner := s.ring.owner(key)
 	if owner == "" || owner == s.cfg.Self || s.peerIsDown(owner) {
-		return false
+		return nil, false
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		return false
+		return nil, false
 	}
 	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
 		owner+"/v1/partition", bytes.NewReader(payload))
 	if err != nil {
-		return false
+		return nil, false
 	}
 	preq.Header.Set("Content-Type", "application/json")
 	preq.Header.Set(forwardHeader, s.cfg.Self)
 	hres, err := http.DefaultClient.Do(preq)
 	if err != nil {
 		s.markPeer(owner, false)
-		return false
+		return nil, false
 	}
 	defer hres.Body.Close()
 	raw, err := io.ReadAll(io.LimitReader(hres.Body, maxPeerResponseBytes))
 	if err != nil {
 		s.markPeer(owner, false)
-		return false
+		return nil, false
 	}
 	s.markPeer(owner, true)
 	// The owner's answer is authoritative, sheds included: a 429 from
 	// the owner is the fleet's backpressure, not a routing failure.
-	res := &flightResult{status: hres.StatusCode, body: raw,
-		cacheHit: hres.Header.Get("X-Cache") == "hit"}
-	writeResult(w, res)
-	s.observe("partition", outcomeOf(res), start)
-	return true
+	return &flightResult{status: hres.StatusCode, body: raw,
+		cacheHit: hres.Header.Get("X-Cache") == "hit"}, true
 }
 
 // maxBatchItems caps one /v1/batch request.
@@ -165,23 +160,16 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *flightResult {
 	var req BatchRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("batch", "bad_request", start)
-		return
+		return errResult(aerr)
 	}
 	if len(req.Requests) == 0 {
-		writeResult(w, errResult(badRequest("empty batch")))
-		s.observe("batch", "bad_request", start)
-		return
+		return errResult(badRequest("empty batch"))
 	}
 	if len(req.Requests) > maxBatchItems {
-		writeResult(w, errResult(badRequest("batch too large")))
-		s.observe("batch", "bad_request", start)
-		return
+		return errResult(badRequest("batch too large"))
 	}
 	resp := BatchResponse{Results: make([]BatchItem, 0, len(req.Requests))}
 	for i := range req.Requests {
@@ -194,8 +182,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		res := s.resultFor(r, key, s.partitionCompute(item, prog, sets, key))
 		resp.Results = append(resp.Results, BatchItem{Status: res.status, Body: res.body})
 	}
-	writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(&resp)})
-	s.observe("batch", "ok", start)
+	return &flightResult{status: http.StatusOK, body: jsonBody(&resp)}
 }
 
 // JobSummary is one ledger row of GET /v1/jobs.
@@ -219,8 +206,7 @@ type JobsResponse struct {
 // handleJobs lists this node's jobs and — on a fleet node, unless the
 // request was itself forwarded — every reachable peer's, so any node
 // answers for the whole fleet's ledger.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) *flightResult {
 	var resp JobsResponse
 	for _, snap := range s.jobs.All() {
 		resp.Jobs = append(resp.Jobs, JobSummary{
@@ -231,8 +217,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if s.ring != nil && r.Header.Get(forwardHeader) == "" {
 		resp.Jobs = append(resp.Jobs, s.peerJobs(r.Context())...)
 	}
-	writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(&resp)})
-	s.observe("jobs", "ok", start)
+	return &flightResult{status: http.StatusOK, body: jsonBody(&resp)}
 }
 
 // peerJobs collects the reachable peers' ledgers, sorted by peer URL so

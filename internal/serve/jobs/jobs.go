@@ -1,6 +1,6 @@
-// Package jobs is the bounded in-memory job table behind the async
-// exploration endpoint: POST /v1/explore enqueues work that outlives the
-// HTTP request, GET polls it, DELETE cancels it. The table is
+// Package jobs is the bounded in-memory job table behind the async job
+// endpoints: POST /v1/explore or /v1/exact enqueues work that outlives
+// the HTTP request, GET polls it, DELETE cancels it. The table is
 // deliberately clock-free — jobs are identified by a sequence number and
 // evicted in creation order — so the package stays inside the repo's
 // determinism gates (nondetsource): nothing in a job's observable state
@@ -55,6 +55,7 @@ var ErrFull = errors.New("jobs: table full of unfinished jobs")
 // Snapshot is a job's observable state at one instant.
 type Snapshot struct {
 	ID    string
+	Kind  string // the job kind ("explore", "exact") that created it
 	Key   string // canonical request key the job deduplicates on
 	State State
 	// Done/Total are coarse progress counters (explored geometries).
@@ -88,12 +89,12 @@ func NewStore(max int) *Store {
 	return &Store{max: max, jobs: make(map[string]*job), byKey: make(map[string]string)}
 }
 
-// Create returns the job for the canonical key, creating it when none
-// exists. created reports whether the caller owns the computation (and
-// must eventually call Finish or Fail); on dedupe the passed cancel is
-// NOT retained and the existing job's snapshot is returned. A full table
-// of unfinished jobs returns ErrFull.
-func (s *Store) Create(key string, cancel context.CancelFunc) (Snapshot, bool, error) {
+// Create returns the job for the canonical key, creating one of the
+// given kind when none exists. created reports whether the caller owns
+// the computation (and must eventually call Finish or Fail); on dedupe
+// the passed cancel is NOT retained and the existing job's snapshot is
+// returned. A full table of unfinished jobs returns ErrFull.
+func (s *Store) Create(kind, key string, cancel context.CancelFunc) (Snapshot, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if id, ok := s.byKey[key]; ok {
@@ -103,7 +104,7 @@ func (s *Store) Create(key string, cancel context.CancelFunc) (Snapshot, bool, e
 		return Snapshot{}, false, ErrFull
 	}
 	s.seq++
-	j := &job{snap: Snapshot{ID: fmt.Sprintf("j%06d", s.seq), Key: key, State: Queued}, cancel: cancel}
+	j := &job{snap: Snapshot{ID: fmt.Sprintf("j%06d", s.seq), Kind: kind, Key: key, State: Queued}, cancel: cancel}
 	s.jobs[j.snap.ID] = j
 	s.byKey[key] = j.snap.ID
 	s.order = append(s.order, j.snap.ID)

@@ -8,7 +8,7 @@ import (
 
 func TestLifecycle(t *testing.T) {
 	s := NewStore(4)
-	snap, created, err := s.Create("k1", nil)
+	snap, created, err := s.Create("explore", "k1", nil)
 	if err != nil || !created {
 		t.Fatalf("Create: created=%v err=%v", created, err)
 	}
@@ -37,17 +37,17 @@ func TestLifecycle(t *testing.T) {
 
 func TestDedupeByKey(t *testing.T) {
 	s := NewStore(4)
-	a, created, _ := s.Create("k", nil)
+	a, created, _ := s.Create("explore", "k", nil)
 	if !created {
 		t.Fatal("first Create not created")
 	}
-	b, created, _ := s.Create("k", nil)
+	b, created, _ := s.Create("explore", "k", nil)
 	if created || b.ID != a.ID {
 		t.Fatalf("dedupe failed: created=%v id=%s want %s", created, b.ID, a.ID)
 	}
 	// After Delete, the key is free again.
 	s.Delete(a.ID)
-	c, created, _ := s.Create("k", nil)
+	c, created, _ := s.Create("explore", "k", nil)
 	if !created || c.ID == a.ID {
 		t.Fatalf("post-delete Create: created=%v id=%s", created, c.ID)
 	}
@@ -55,15 +55,15 @@ func TestDedupeByKey(t *testing.T) {
 
 func TestFullTableAndEviction(t *testing.T) {
 	s := NewStore(2)
-	a, _, _ := s.Create("a", nil)
-	s.Create("b", nil)
-	if _, _, err := s.Create("c", nil); !errors.Is(err, ErrFull) {
+	a, _, _ := s.Create("explore", "a", nil)
+	s.Create("explore", "b", nil)
+	if _, _, err := s.Create("explore", "c", nil); !errors.Is(err, ErrFull) {
 		t.Fatalf("full table: err=%v, want ErrFull", err)
 	}
 	// Finishing one job frees its slot for eviction.
 	s.Start(a.ID)
 	s.Finish(a.ID, nil)
-	c, created, err := s.Create("c", nil)
+	c, created, err := s.Create("explore", "c", nil)
 	if err != nil || !created {
 		t.Fatalf("Create after finish: created=%v err=%v", created, err)
 	}
@@ -79,7 +79,7 @@ func TestFullTableAndEviction(t *testing.T) {
 func TestCancelFiresAndWins(t *testing.T) {
 	s := NewStore(2)
 	ctx, cancel := context.WithCancel(context.Background())
-	snap, _, _ := s.Create("k", cancel)
+	snap, _, _ := s.Create("explore", "k", cancel)
 	s.Start(snap.ID)
 	got, ok := s.Cancel(snap.ID)
 	if !ok || got.State != Failed || got.Error != "canceled" {
@@ -101,7 +101,7 @@ func TestCancelFiresAndWins(t *testing.T) {
 
 func TestStartAfterCancel(t *testing.T) {
 	s := NewStore(2)
-	snap, _, _ := s.Create("k", func() {})
+	snap, _, _ := s.Create("explore", "k", func() {})
 	s.Cancel(snap.ID)
 	if s.Start(snap.ID) {
 		t.Error("Start accepted a canceled job")
@@ -110,9 +110,9 @@ func TestStartAfterCancel(t *testing.T) {
 
 func TestCounts(t *testing.T) {
 	s := NewStore(8)
-	a, _, _ := s.Create("a", nil)
-	b, _, _ := s.Create("b", nil)
-	s.Create("c", nil)
+	a, _, _ := s.Create("explore", "a", nil)
+	b, _, _ := s.Create("explore", "b", nil)
+	s.Create("explore", "c", nil)
 	s.Start(a.ID)
 	s.Start(b.ID)
 	s.Finish(b.ID, nil)

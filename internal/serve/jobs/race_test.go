@@ -17,7 +17,7 @@ func TestConcurrentCancelFinishRace(t *testing.T) {
 	const n = 64
 	ids := make([]string, n)
 	for i := range ids {
-		snap, created, err := s.Create(fmt.Sprintf("key-%d", i), func() {})
+		snap, created, err := s.Create("explore", fmt.Sprintf("key-%d", i), func() {})
 		if err != nil || !created {
 			t.Fatalf("Create %d: created=%v err=%v", i, created, err)
 		}
@@ -67,7 +67,7 @@ func TestConcurrentDualFinishRace(t *testing.T) {
 	s := NewStore(256)
 	const n = 64
 	for i := 0; i < n; i++ {
-		snap, _, err := s.Create(fmt.Sprintf("dual-%d", i), func() {})
+		snap, _, err := s.Create("explore", fmt.Sprintf("dual-%d", i), func() {})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestConcurrentProgressAndAll(t *testing.T) {
 	const n = 32
 	ids := make([]string, n)
 	for i := range ids {
-		snap, _, err := s.Create(fmt.Sprintf("p-%d", i), nil)
+		snap, _, err := s.Create("explore", fmt.Sprintf("p-%d", i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

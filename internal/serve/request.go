@@ -53,6 +53,13 @@ type SweepRequest struct {
 	LineWords int   `json:"line_words,omitempty"`
 }
 
+// maxGeometries caps the cache geometries one request may ask for: a
+// sweep's sets×assoc grid or a job's geometry list. Requests are checked
+// before any grid is built, so a small body cannot make the handler
+// allocate a huge one. The defaults are far below it (cacheprof's sweep
+// grid has 14 points).
+const maxGeometries = 256
+
 // kindByName resolves a resource mnemonic; the array is small, so a
 // linear scan beats maintaining a parallel map.
 func kindByName(name string) (tech.ResourceKind, bool) {
@@ -274,6 +281,9 @@ func (req *SweepRequest) canonicalize(maxSourceBytes int) (*behav.Program, [][2]
 	}
 	if c.LineWords <= 0 || c.LineWords&(c.LineWords-1) != 0 {
 		return nil, nil, "", badRequest(fmt.Sprintf("line_words: %d is not a positive power of two", c.LineWords))
+	}
+	if n := len(c.Sets) * len(c.Assoc); n > maxGeometries {
+		return nil, nil, "", badRequest(fmt.Sprintf("sets×assoc: %d geometries exceed the limit of %d", n, maxGeometries))
 	}
 	var pairs [][2]cache.Config
 	for _, s := range c.Sets {

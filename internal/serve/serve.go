@@ -65,9 +65,9 @@ type Config struct {
 	// so an adversarial source cannot pin a worker for the full default
 	// simulation budget (default 50M).
 	MaxInstrs int64
-	// MaxJobs bounds the async exploration job table; once every slot
-	// holds an unfinished job, new POST /v1/explore requests are shed
-	// with 429 (default 64).
+	// MaxJobs bounds the async job table; once every slot holds an
+	// unfinished job, new POST /v1/explore and POST /v1/exact requests
+	// are shed with 429 (default 64).
 	MaxJobs int
 	// Self is this node's own base URL as it appears in Peers
 	// ("http://127.0.0.1:8095"). Requests that the consistent-hash ring
@@ -137,20 +137,13 @@ type Server struct {
 	abort   context.CancelFunc
 
 	// Instruments.
-	latency   map[string]*metrics.Histogram
-	outcomes  map[[2]string]*metrics.Counter
 	cacheHit  *metrics.Counter
 	cacheMiss *metrics.Counter
 	cacheEvic *metrics.Counter
 }
 
-// endpoints and outcomes instrumented up front, so the /metrics
-// exposition is complete (all-zero) from the first scrape.
-var endpointNames = []string{
-	"partition", "sweep", "explore", "exact", "apps", "version",
-	"batch", "jobs",
-}
-
+// outcomeNames are instrumented up front for every route, so the
+// /metrics exposition is complete (all-zero) from the first scrape.
 var outcomeNames = []string{
 	"ok", "cache_hit", "shed_queue", "shed_drain", "deadline",
 	"bad_request", "error",
@@ -170,22 +163,10 @@ func New(cfg Config) *Server {
 		reg:      metrics.NewRegistry(),
 		baseCtx:  ctx,
 		abort:    cancel,
-		latency:  make(map[string]*metrics.Histogram),
-		outcomes: make(map[[2]string]*metrics.Counter),
 		peerDown: make(map[string]bool),
 	}
 	if len(cfg.Peers) > 0 {
 		s.ring = newRing(cfg.Peers)
-	}
-	for _, ep := range endpointNames {
-		s.latency[ep] = s.reg.Histogram("lppartd_request_seconds",
-			"request latency by endpoint", metrics.Labels("endpoint", ep),
-			metrics.LatencyBuckets())
-		for _, oc := range outcomeNames {
-			s.outcomes[[2]string{ep, oc}] = s.reg.Counter("lppartd_requests_total",
-				"requests by endpoint and outcome",
-				metrics.Labels("endpoint", ep, "outcome", oc))
-		}
 	}
 	s.cacheHit = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "hit"))
 	s.cacheMiss = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "miss"))
@@ -213,18 +194,17 @@ func New(cfg Config) *Server {
 	s.reg.GaugeFunc("lppartd_peers", "fleet peers by health state",
 		metrics.Labels("state", "down"), func() float64 { return float64(s.countPeers(true)) })
 
-	s.mux.HandleFunc("POST /v1/partition", s.handlePartition)
-	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
-	s.mux.HandleFunc("POST /v1/explore", s.handleExplore)
-	s.mux.HandleFunc("GET /v1/explore/{id}", s.handleExploreGet)
-	s.mux.HandleFunc("DELETE /v1/explore/{id}", s.handleExploreDelete)
-	s.mux.HandleFunc("POST /v1/exact", s.handleExact)
-	s.mux.HandleFunc("GET /v1/exact/{id}", s.handleExactGet)
-	s.mux.HandleFunc("DELETE /v1/exact/{id}", s.handleExactDelete)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleJobs)
-	s.mux.HandleFunc("GET /v1/apps", s.handleApps)
-	s.mux.HandleFunc("GET /v1/version", s.handleVersion)
+	s.handle("POST /v1/partition", "partition", s.handlePartition)
+	s.handle("POST /v1/sweep", "sweep", s.handleSweep)
+	for _, k := range jobKinds {
+		s.handle("POST /v1/"+k.name, k.name, s.submitJob(k))
+		s.handle("GET /v1/"+k.name+"/{id}", k.name, s.jobStatus(k))
+		s.handle("DELETE /v1/"+k.name+"/{id}", k.name, s.jobStatus(k))
+	}
+	s.handle("POST /v1/batch", "batch", s.handleBatch)
+	s.handle("GET /v1/jobs", "jobs", s.handleJobs)
+	s.handle("GET /v1/apps", "apps", s.handleApps)
+	s.handle("GET /v1/version", "version", s.handleVersion)
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, healthLine())
@@ -261,15 +241,28 @@ func (s *Server) Drain() { s.adm.drain() }
 // after the drain grace period).
 func (s *Server) Abort() { s.abort() }
 
-// observe records one finished request.
-func (s *Server) observe(endpoint, outcome string, start time.Time) {
-	if c, ok := s.outcomes[[2]string{endpoint, outcome}]; ok {
-		c.Inc()
+// handle registers one instrumented route. h returns its response
+// instead of writing it; handle writes it, counts its outcome and times
+// it, so the route's endpoint×outcome series exist from the first scrape
+// and this is the package's one clock read.
+func (s *Server) handle(pattern, endpoint string, h func(http.ResponseWriter, *http.Request) *flightResult) {
+	latency := s.reg.Histogram("lppartd_request_seconds", "request latency by endpoint",
+		metrics.Labels("endpoint", endpoint), metrics.LatencyBuckets())
+	outcomes := make(map[string]*metrics.Counter, len(outcomeNames))
+	for _, oc := range outcomeNames {
+		outcomes[oc] = s.reg.Counter("lppartd_requests_total", "requests by endpoint and outcome",
+			metrics.Labels("endpoint", endpoint, "outcome", oc))
 	}
-	s.latency[endpoint].Observe(time.Since(start).Seconds()) //lint:nondet latency metric only; never in a response body
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now() //lint:nondet latency metric only; never in a response body
+		res := h(w, r)
+		writeResult(w, res)
+		outcomes[outcomeOf(res)].Inc()
+		latency.Observe(time.Since(start).Seconds())
+	})
 }
 
-// writeJSON writes a prepared body verbatim.
+// writeResult writes a prepared body verbatim.
 func writeResult(w http.ResponseWriter, res *flightResult) {
 	w.Header().Set("Content-Type", "application/json")
 	if res.cacheHit {
@@ -327,20 +320,10 @@ func outcomeOf(res *flightResult) string {
 	}
 }
 
-// serveKey runs the cached → coalesced → computed ladder for one
-// canonical key and writes the result. compute runs under the server's
-// context; the caller's wait is bounded by its own request context plus
-// the configured timeout.
-func (s *Server) serveKey(w http.ResponseWriter, r *http.Request, endpoint, key string,
-	start time.Time, compute func(ctx context.Context) *flightResult) {
-	res := s.resultFor(r, key, compute)
-	writeResult(w, res)
-	s.observe(endpoint, outcomeOf(res), start)
-}
-
-// resultFor is serveKey's ladder without the response writing, so the
-// batch endpoint can run many keys through the same cache, coalescing
-// and admission machinery and assemble the bodies itself.
+// resultFor runs the cached → coalesced → computed ladder for one
+// canonical key. compute runs under the server's context; the caller's
+// wait is bounded by its own request context plus the configured
+// timeout. The batch endpoint runs many keys through the same ladder.
 func (s *Server) resultFor(r *http.Request, key string,
 	compute func(ctx context.Context) *flightResult) *flightResult {
 	if cb, ok := s.cache.get(key); ok {
@@ -366,14 +349,7 @@ func (s *Server) resultFor(r *http.Request, key string,
 		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
 		defer cancel()
 		if aerr := s.adm.acquire(ctx); aerr != nil {
-			switch aerr {
-			case errQueueFull:
-				return errResult(&apiError{Status: http.StatusTooManyRequests, Err: "queue full"})
-			case errDraining:
-				return errResult(&apiError{Status: http.StatusServiceUnavailable, Err: "draining"})
-			default: // deadline expired while queued
-				return errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "deadline exceeded while queued"})
-			}
+			return errResult(aerr)
 		}
 		defer s.adm.release()
 		res := compute(ctx)
@@ -407,27 +383,22 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiE
 	return nil
 }
 
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
+func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) *flightResult {
 	var req PartitionRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("partition", "bad_request", start)
-		return
+		return errResult(aerr)
 	}
 	prog, sets, key, aerr := req.canonicalize(s.cfg.MaxSourceBytes)
 	if aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("partition", "bad_request", start)
-		return
+		return errResult(aerr)
 	}
 	// In a fleet, the canonical key's ring owner computes (and caches)
 	// the result; everyone else proxies, so the LRU + memostore tiers
 	// shard cleanly instead of duplicating entries on every node.
-	if s.forwardPartition(w, r, &req, key, start) {
-		return
+	if res, ok := s.forwardPartition(r, &req, key); ok {
+		return res
 	}
-	s.serveKey(w, r, "partition", key, start, s.partitionCompute(&req, prog, sets, key))
+	return s.resultFor(r, key, s.partitionCompute(&req, prog, sets, key))
 }
 
 // partitionCompute is the /v1/partition evaluation as a flight compute
@@ -454,26 +425,17 @@ func (s *Server) partitionCompute(req *PartitionRequest, prog *behav.Program,
 	}
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *flightResult {
 	var req SweepRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("sweep", "bad_request", start)
-		return
+		return errResult(aerr)
 	}
 	prog, pairs, key, aerr := req.canonicalize(s.cfg.MaxSourceBytes)
 	if aerr != nil {
-		writeResult(w, errResult(aerr))
-		s.observe("sweep", "bad_request", start)
-		return
+		return errResult(aerr)
 	}
-	s.serveKey(w, r, "sweep", key, start, func(ctx context.Context) *flightResult {
-		res, aerr := s.computeSweep(ctx, prog, &req, pairs, key)
-		if aerr != nil {
-			return errResult(aerr)
-		}
-		return res
+	return s.resultFor(r, key, func(ctx context.Context) *flightResult {
+		return s.computeSweep(ctx, prog, &req, pairs, key)
 	})
 }
 
@@ -482,35 +444,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // profiler pass per distinct line size): request-level parallelism
 // belongs to the worker pool, not to the inside of one slot.
 func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *SweepRequest,
-	pairs [][2]cache.Config, key string) (*flightResult, *apiError) {
+	pairs [][2]cache.Config, key string) *flightResult {
 	ir, err := cdfg.Build(prog)
 	if err != nil {
-		return nil, &apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()}
+		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
 	tr, err := system.RecordTraceCtx(ctx, ir, system.Config{MaxInstrs: s.cfg.MaxInstrs})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, &apiError{Status: http.StatusGatewayTimeout, Err: "sweep deadline exceeded"}
-		}
-		return nil, &apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()}
-	}
 	if ctx.Err() != nil {
-		return nil, &apiError{Status: http.StatusGatewayTimeout, Err: "sweep deadline exceeded"}
+		return errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "sweep deadline exceeded"})
+	}
+	if err != nil {
+		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
 	reps, err := tr.Sweep(pairs, tech.Default())
 	if err != nil {
-		return nil, &apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()}
+		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
 	name := req.App
 	if name == "" {
 		name = ir.Name
 	}
 	return &flightResult{status: http.StatusOK,
-		body: jsonBody(buildSweepResponse(name, req.ISweep, tr, pairs, reps, key))}, nil
+		body: jsonBody(buildSweepResponse(name, req.ISweep, tr, pairs, reps, key))}
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
+func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) *flightResult {
 	var resp AppsResponse
 	for _, a := range apps.All() {
 		resp.Apps = append(resp.Apps, AppBody{
@@ -521,6 +479,5 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) {
 			SourceBytes:     len(a.Source),
 		})
 	}
-	writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(&resp)})
-	s.observe("apps", "ok", start)
+	return &flightResult{status: http.StatusOK, body: jsonBody(&resp)}
 }

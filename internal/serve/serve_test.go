@@ -294,6 +294,14 @@ func TestSweepEndpoint(t *testing.T) {
 	if st != 400 {
 		t.Errorf("non-power-of-two sets: status %d, want 400 (%s)", st, b)
 	}
+
+	// sets×assoc = 16×(maxGeometries/16+1) grid points, over the limit.
+	over := `{"app":"engine","sets":[16` + strings.Repeat(`,16`, 15) + `],"assoc":[1` +
+		strings.Repeat(`,1`, maxGeometries/16) + `]}`
+	st, b, _ = post(t, ts.URL+"/v1/sweep", over)
+	if st != 400 || !strings.Contains(string(b), "exceed the limit") {
+		t.Errorf("over-limit geometry grid: status %d, want 400 (%s)", st, b)
+	}
 }
 
 func TestAppsEndpoint(t *testing.T) {

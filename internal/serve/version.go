@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"time"
 )
 
 // VersionInfo identifies the running build: the Go toolchain, the main
@@ -65,8 +64,6 @@ func healthLine() string {
 	return line
 }
 
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	start := time.Now() //lint:nondet latency metric only; never in a response body
-	writeResult(w, &flightResult{status: http.StatusOK, body: jsonBody(Version())})
-	s.observe("version", "ok", start)
+func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) *flightResult {
+	return &flightResult{status: http.StatusOK, body: jsonBody(Version())}
 }
