@@ -28,7 +28,6 @@ import (
 	"lppart/internal/iss"
 	"lppart/internal/mem"
 	"lppart/internal/memostore"
-	"lppart/internal/milp"
 	"lppart/internal/partition"
 	"lppart/internal/sched"
 	"lppart/internal/system"
@@ -415,12 +414,12 @@ func BenchmarkFrontierDelta(b *testing.B) {
 	})
 }
 
-// BenchmarkFrontierHinted times the Pareto search with milp's donated
-// bounds (exact suffix/branch floors plus dominance cuts) against the
-// default hint, measurement excluded from the timed section. Both runs
-// produce byte-identical frontiers (TestHintedFrontierByteIdentical);
-// the configs/pruned metrics record the bound-donor pruning delta on
-// MPG tracked in BENCH_dse.json.
+// BenchmarkFrontierHinted times the Pareto search with the exact bound
+// (dse.Config.ExactBound: exact suffix/branch floors plus dominance
+// cuts) against the default suffix-sum bound, measurement excluded from
+// the timed section. Both runs produce byte-identical frontiers
+// (dse's TestExactBound); the configs/pruned metrics record the
+// exact bound's pruning delta on MPG.
 func BenchmarkFrontierHinted(b *testing.B) {
 	a, err := apps.ByName("MPG")
 	if err != nil {
@@ -458,7 +457,7 @@ func BenchmarkFrontierHinted(b *testing.B) {
 	b.Run("hinted", func(b *testing.B) {
 		var f *dse.Frontier
 		for i := 0; i < b.N; i++ {
-			f, err = dse.ExplorePrep(context.Background(), prep, dse.Config{Hints: milp.Hints{}})
+			f, err = dse.ExplorePrep(context.Background(), prep, dse.Config{ExactBound: true})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -106,13 +106,15 @@ func main() {
 			if serr != nil {
 				fatal(serr)
 			}
-			fmt.Print(report.Exact(res))
+			// Replay every proof before printing: a failing certificate
+			// must not leave an optimum table on stdout.
 			for _, o := range res.Optima {
 				if cerr := milp.Check(o.Inst, o.Cert); cerr != nil {
 					fatal(fmt.Errorf("certificate for geometry %dx%d sets: %w",
 						o.Geom[0].Sets, o.Geom[1].Sets, cerr))
 				}
 			}
+			fmt.Print(report.Exact(res))
 			fmt.Printf("\ncertificates: %d/%d optimality proofs re-checked\n",
 				len(res.Optima), len(res.Optima))
 			return

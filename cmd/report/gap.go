@@ -13,7 +13,7 @@ import (
 )
 
 // runGap renders the per-application optimality-gap table — Fig. 1
-// greedy vs the certified exact oracle vs the milp-hinted Pareto
+// greedy vs the certified exact oracle vs the exact-bound Pareto
 // frontier — and asserts the frontier verdicts recorded in
 // EXPERIMENTS.md against the oracle. Any violated assertion is an
 // error, so CI's gap smoke run is an executable form of the published
@@ -55,9 +55,10 @@ func runGap(list []apps.App, jobs int, verify bool) error {
 			}
 		}
 
-		// The bound-donor flow: the Pareto search consumes milp's exact
-		// suffix floors, branch floors and dominance cuts.
-		dcfg.Hints = milp.Hints{}
+		// The Pareto search prunes with the exact floors: suffix and branch
+		// floors solved over the geometry's conflict masks, plus the
+		// option-dominance cuts.
+		dcfg.ExactBound = true
 		f, err := dse.ExplorePrep(context.Background(), prep, dcfg)
 		if err != nil {
 			return fmt.Errorf("%s: frontier: %w", a.Name, err)

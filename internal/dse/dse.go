@@ -65,12 +65,13 @@ type Config struct {
 	// enumeration) — the differential-testing oracle for the bound's
 	// admissibility and the denominator of the pruning-rate measurements.
 	DisableBound bool
-	// Hints, when non-nil, supplies the branch-and-bound suffix floors
-	// per geometry in place of DefaultHint (e.g. milp.Hints donates exact
-	// subproblem optima as tighter floors). A hint must be admissible and
-	// deterministic; see BoundHint. HintFor returning nil falls back to
-	// the default for that geometry.
-	Hints HintSource
+	// ExactBound prunes with the exact floors: each bound query's
+	// cardinality/overlap subproblem solved exactly, per-branch floors
+	// and option-dominance cuts (see floors). It applies to pools of at
+	// most 24 clusters; larger pools keep the default suffix-sum floors.
+	// The frontier is byte-identical either way; only the search
+	// counters move.
+	ExactBound bool
 	// Store, when non-nil, persists the measurement phase (profile,
 	// baseline, geometry sweep) content-addressed by the program
 	// fingerprint: a warm run skips the interpreter, the ISS and the
@@ -293,8 +294,8 @@ func Explore(ctx context.Context, ir *cdfg.Program, cfg Config) (*Frontier, erro
 
 // ExplorePrep runs the Pareto search over an already-prepared
 // measurement. The geometry set comes from the Prep (cfg.Geometries is
-// ignored here); the partitioning knobs, pick budget, hint source and
-// worker count come from cfg.
+// ignored here); the partitioning knobs, pick budget, bound choice
+// and worker count come from cfg.
 func ExplorePrep(ctx context.Context, p *Prep, cfg Config) (*Frontier, error) {
 	if cfg.MaxHW <= 0 {
 		cfg.MaxHW = 2
@@ -368,56 +369,18 @@ type geoResult struct {
 }
 
 // searchGeometry runs the serial branch-and-bound over (cluster subset ×
-// per-cluster resource set) for one cache geometry.
+// per-cluster resource set) for one cache geometry's priced grid.
 func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *partition.Baseline,
 	g [2]cache.Config, cfg *Config) (*geoResult, error) {
-	pe := de.Evaluator()
-	all, pool := pe.Candidates(gbase)
-	pcfg := pe.Config()
-	ns := len(pcfg.ResourceSets)
-	res := &geoResult{}
-
+	grid, err := NewGrid(de, gbase)
+	if err != nil {
+		return nil, err
+	}
+	pool, evals, viable := grid.Pool, grid.Evals, grid.Viable
+	pcfg := de.Evaluator().Config()
+	res := &geoResult{pairEvals: int64(len(pool) * len(pcfg.ResourceSets))}
 	t0 := gbase.TotalCycles
-
-	// Evaluate the (cluster, resource set) grid against this geometry's
-	// baseline. The delta evaluator memoizes both the schedule/binding
-	// and the baseline-independent term decomposition across geometries,
-	// so only the first geometry pays Fig. 1 lines 8-10 here; every other
-	// geometry re-runs just the baseline-dependent price tail.
-	// Branching is restricted to picks that pass the Fig. 1 acceptance
-	// test (eligible AND OF below the all-software objective): that keeps
-	// every point's decision trail auditable — AuditDecision requires
-	// Chosen.OF < F — and matches what the greedy loop could ever select.
-	evals := make([][]*partition.SetEval, len(pool))
-	viable := make([][]int, len(pool)) // set indices passing the acceptance test
-	for j := range pool {
-		evals[j] = make([]*partition.SetEval, ns)
-		for si := 0; si < ns; si++ {
-			e, err := de.Eval(gbase, pool[j], si, false, false)
-			if err != nil {
-				return nil, err
-			}
-			evals[j][si] = e
-			res.pairEvals++
-			if e.Eligible && e.OF < pcfg.F {
-				viable[j] = append(viable[j], si)
-			}
-		}
-	}
-
-	// The suffix floors bounding what any extension of a subtree can
-	// still achieve. DefaultHint aggregates the admissible per-cluster
-	// Potentials into plain suffix sums; a Config.Hints source (e.g.
-	// milp.Hints) may donate tighter — but still admissible — floors.
-	hin := &HintInputs{Pool: pool, Evals: evals, Viable: viable,
-		Base: gbase, Config: pcfg, Geom: g, MaxHW: cfg.MaxHW}
-	var hint BoundHint
-	if cfg.Hints != nil {
-		hint = cfg.Hints.HintFor(hin)
-	}
-	if hint == nil {
-		hint = DefaultHint(hin)
-	}
+	fl := newFloors(grid, gbase, cfg.ExactBound && !cfg.DisableBound && len(pool) <= 24)
 
 	// obj is one point in objective space; front holds the non-dominated
 	// objectives found so far in THIS geometry, used for pruning.
@@ -460,43 +423,33 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		ev    *partition.SetEval
 	}
 	// Depth is bounded by the pool (one pick per region), so one up-front
-	// allocation serves every push/pop of the DFS. picked mirrors path's
-	// pool indices for the hint (rebuilt per bound query, backing array
-	// reused).
+	// allocation serves every push/pop of the DFS.
 	path := make([]pathEl, 0, len(pool))
-	picked := make([]int, 0, len(pool))
+	// pathMask ORs the picked clusters' conflict masks for the exact
+	// floors (the default floors ignore it).
+	pathMask := func() (m uint64) {
+		if fl.exact {
+			for _, el := range path {
+				m |= fl.conf[el.j]
+			}
+		}
+		return m
+	}
 	// bounded reports whether no extension drawing clusters from pool[i:]
 	// can reach a non-dominated point. The bound under-approximates every
 	// reachable objective (clamping only raises the real values), so a
 	// dominated bound proves the whole subtree dominated — admissible
-	// pruning, verified differentially against DisableBound.
-	bounded := func(i int) bool {
-		if cfg.DisableBound {
+	// pruning, verified differentially against DisableBound. The exact
+	// floors additionally bound single branches (first pick = j).
+	bounded := func(i int, branch bool) bool {
+		if cfg.DisableBound || (branch && !fl.exact) {
 			return false
 		}
-		picked = picked[:0]
-		for _, el := range path {
-			picked = append(picked, el.j)
+		floor := fl.level
+		if branch {
+			floor = fl.branch
 		}
-		dE, dC, dG := hint.SuffixFloor(i, cfg.MaxHW-len(path), picked)
-		e, c, g := pr.LowerBound(dE, dC, dG)
-		return dominated(obj{e: e, c: c, g: g})
-	}
-	// A BranchHint additionally floors single branches (first pick = j):
-	// a dominated branch floor skips just cluster j's implementations
-	// where the level bound above cuts whole suffixes. An OptionCut
-	// skips single implementations dominated within their own cluster.
-	bh, _ := hint.(BranchHint)
-	oc, _ := hint.(OptionCut)
-	branchBounded := func(j int) bool {
-		if cfg.DisableBound || bh == nil {
-			return false
-		}
-		picked = picked[:0]
-		for _, el := range path {
-			picked = append(picked, el.j)
-		}
-		dE, dC, dG := bh.BranchFloor(j, cfg.MaxHW-len(path), picked)
+		dE, dC, dG := floor(i, cfg.MaxHW-len(path), pathMask())
 		e, c, g := pr.LowerBound(dE, dC, dG)
 		return dominated(obj{e: e, c: c, g: g})
 	}
@@ -516,13 +469,29 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		picks := make([]Pick, len(path))                                               //lint:alloc only for a point that survives the dominance filter
 		key := fmt.Sprintf("%d/%d/%d|%d/%d/%d", g[0].Sets, g[0].Assoc, g[0].LineWords, //lint:alloc only for a point that survives the dominance filter
 			g[1].Sets, g[1].Assoc, g[1].LineWords)
+		// The point's Fig. 1 decision trail, auditable against gbase: its
+		// choices in (OF, region) order, the best one Chosen.
+		dec := &partition.Decision{BaselineOF: pcfg.F, Candidates: grid.All} //lint:alloc only for a point that survives the dominance filter
 		for i, el := range path {
+			c := pool[el.j]
 			picks[i] = Pick{
-				Region: pool[el.j].Region.ID, Label: pool[el.j].Region.Label,
+				Region: c.Region.ID, Label: c.Region.Label,
 				Set: el.ev.RS.Name, SetIndex: el.si,
 				GEQ: el.ev.GEQ, OF: el.ev.OF,
 			}
 			key += fmt.Sprintf("|r%ds%d", picks[i].Region, el.si) //lint:alloc only for a point that survives the dominance filter
+			dec.Choices = append(dec.Choices, &partition.Choice{  //lint:alloc only for a point that survives the dominance filter
+				Region: c.Region, RS: el.ev.RS, Binding: el.ev.Binding, Eval: el.ev,
+			})
+		}
+		sort.Slice(dec.Choices, func(a, b int) bool { //lint:alloc only for a point that survives the dominance filter
+			if dec.Choices[a].Eval.OF != dec.Choices[b].Eval.OF {
+				return dec.Choices[a].Eval.OF < dec.Choices[b].Eval.OF
+			}
+			return dec.Choices[a].Region.ID < dec.Choices[b].Region.ID
+		})
+		if len(dec.Choices) > 0 {
+			dec.Chosen = dec.Choices[0]
 		}
 		base := pr.MuPE + pr.RestE
 		res.points = append(res.points, Point{
@@ -530,6 +499,7 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 			Energy: units.Energy(o.e), Cycles: o.c, GEQ: o.g,
 			EnergyRatio: o.e / base,
 			CycleRatio:  float64(o.c) / float64(t0),
+			Decision:    dec,
 			Baseline:    gbase,
 			Key:         key,
 		})
@@ -551,19 +521,19 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 		for j := i; j < len(pool); j++ {
 			// The bound tightens as j advances (the suffix shrinks), so
 			// one dominated bound cuts the rest of this level too.
-			if bounded(j) {
+			if bounded(j, false) {
 				res.pruned++
 				return nil
 			}
 			if overlapsPath(pool[j].Region) {
 				continue
 			}
-			if len(viable[j]) > 0 && branchBounded(j) {
+			if len(viable[j]) > 0 && bounded(j, true) {
 				res.pruned++
 				continue
 			}
 			for _, si := range viable[j] {
-				if oc != nil && !cfg.DisableBound && oc.CutOption(j, si) {
+				if fl.cut[[2]int{j, si}] {
 					res.pruned++
 					continue
 				}
@@ -583,50 +553,6 @@ func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *pa
 	}
 	if err := walk(0); err != nil {
 		return nil, err
-	}
-
-	// Attach this geometry's evaluations to the shared candidate trail in
-	// deterministic (rank, set) order, then reconstruct a Decision per
-	// recorded point.
-	for j := range pool {
-		for si := 0; si < ns; si++ {
-			if e := evals[j][si]; e != nil {
-				pool[j].Evals = append(pool[j].Evals, e)
-			}
-		}
-	}
-	byID := make(map[int]*partition.Candidate, len(pool))
-	setIdx := make(map[int]map[int]*partition.SetEval, len(pool))
-	for j, c := range pool {
-		byID[c.Region.ID] = c
-		m := make(map[int]*partition.SetEval, ns)
-		for si := 0; si < ns; si++ {
-			if e := evals[j][si]; e != nil {
-				m[si] = e
-			}
-		}
-		setIdx[c.Region.ID] = m
-	}
-	for i := range res.points {
-		p := &res.points[i]
-		dec := &partition.Decision{BaselineOF: pcfg.F, Candidates: all}
-		for _, pk := range p.Clusters {
-			c := byID[pk.Region]
-			e := setIdx[pk.Region][pk.SetIndex]
-			dec.Choices = append(dec.Choices, &partition.Choice{
-				Region: c.Region, RS: e.RS, Binding: e.Binding, Eval: e,
-			})
-		}
-		sort.Slice(dec.Choices, func(a, b int) bool {
-			if dec.Choices[a].Eval.OF != dec.Choices[b].Eval.OF {
-				return dec.Choices[a].Eval.OF < dec.Choices[b].Eval.OF
-			}
-			return dec.Choices[a].Region.ID < dec.Choices[b].Region.ID
-		})
-		if len(dec.Choices) > 0 {
-			dec.Chosen = dec.Choices[0]
-		}
-		p.Decision = dec
 	}
 	// Local reduction before the merge keeps the cross-geometry set small.
 	res.points = reduce(res.points)

@@ -141,6 +141,10 @@ func Open(dir string, opts Options) (*Store, error) {
 // chunk ends in a torn or corrupt record (counted in skipped); scanning
 // stops at the first bad record since nothing after it can be trusted.
 func (s *Store) scanChunk(ci int, f *os.File) (torn bool, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return false, fmt.Errorf("memostore: %w", err)
+	}
 	r := &countReader{r: f}
 	br := &byteReader{r: r}
 	for {
@@ -161,8 +165,10 @@ func (s *Store) scanChunk(ci int, f *os.File) (torn bool, err error) {
 			s.skipped++
 			return true, nil
 		}
+		// A length past the chunk's end is a torn or corrupt record:
+		// reject it before allocating the value buffer.
 		vlen, err := binary.ReadUvarint(br)
-		if err != nil || vlen > 1<<31 {
+		if err != nil || vlen > uint64(st.Size()-r.n) {
 			s.skipped++
 			return true, nil
 		}

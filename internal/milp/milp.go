@@ -33,6 +33,7 @@ import (
 	"fmt"
 
 	"lppart/internal/cache"
+	"lppart/internal/dse"
 	"lppart/internal/partition"
 )
 
@@ -58,8 +59,8 @@ type Cluster struct {
 	Instrs int64  `json:"instrs"` // µP instructions the move removes
 	// Conflicts is the bitmask (over instance cluster indices) of
 	// clusters whose regions overlap this one; picking both is
-	// infeasible. BuildInstance fills it from partition.RegionsOverlap,
-	// hand-built instances use SetOverlap.
+	// infeasible. BuildInstance copies it from the dse grid, hand-built
+	// instances use SetOverlap.
 	Conflicts uint64   `json:"conflicts"`
 	Options   []Option `json:"options"`
 }
@@ -220,20 +221,21 @@ func (in *Instance) Greedy() (of float64, j, oi int) {
 	return of, j, oi
 }
 
-// BuildInstance prices the (cluster, resource set) grid of one cache
-// geometry through the shared DeltaEvaluator into a self-contained
-// Instance. Only picks passing the Fig. 1 acceptance test (eligible AND
-// OF below the all-software objective) become Options — the same
-// branching restriction internal/dse applies, so the two engines search
-// the same feasible space.
+// BuildInstance flattens one cache geometry's priced grid (dse.NewGrid,
+// against the shared DeltaEvaluator) into a self-contained Instance.
+// Only picks passing the Fig. 1 acceptance test become Options — the
+// grid's Viable lists, which internal/dse branches on too, so the two
+// engines search the same feasible space.
 func BuildInstance(de *partition.DeltaEvaluator, base *partition.Baseline,
 	geom [2]cache.Config, maxHW int) (*Instance, error) {
-	pe := de.Evaluator()
-	pcfg := pe.Config()
-	_, pool := pe.Candidates(base)
-	if len(pool) > 64 {
-		return nil, fmt.Errorf("milp: pool of %d clusters exceeds the 64-bit conflict mask", len(pool))
+	g, err := dse.NewGrid(de, base)
+	if err != nil {
+		return nil, err
 	}
+	if g.Conflicts == nil {
+		return nil, fmt.Errorf("milp: pool of %d clusters exceeds the 64-bit conflict mask", len(g.Pool))
+	}
+	pcfg := de.Evaluator().Config()
 	in := &Instance{
 		Geom:           geom,
 		MuPE:           float64(base.MuPEnergy),
@@ -246,36 +248,22 @@ func BuildInstance(de *partition.DeltaEvaluator, base *partition.Baseline,
 		TimeWeight:     pcfg.TimeWeight,
 		GEQBudget:      pcfg.GEQBudget,
 		MaxHW:          maxHW,
-		Clusters:       make([]Cluster, len(pool)),
+		Clusters:       make([]Cluster, len(g.Pool)),
 	}
-	for j, c := range pool {
+	for j, c := range g.Pool {
 		cl := &in.Clusters[j]
-		cl.Region = c.Region.ID
-		cl.Label = c.Region.Label
-		cl.Instrs = c.MuP.Instrs
-		for si := range pcfg.ResourceSets {
-			e, err := de.Eval(base, c, si, false, false)
-			if err != nil {
-				return nil, err
-			}
-			if e.Eligible && e.OF < pcfg.F {
-				cl.Options = append(cl.Options, Option{
-					Set:      e.RS.Name,
-					SetIndex: si,
-					Saved:    float64(e.EMuPSaved),
-					EASIC:    float64(e.EASIC),
-					CycEx:    e.EstCycles - base.TotalCycles,
-					GEQ:      e.GEQ,
-					OF:       e.OF,
-				})
-			}
-		}
-	}
-	for a := range pool {
-		for b := a + 1; b < len(pool); b++ {
-			if partition.RegionsOverlap(pool[a].Region, pool[b].Region) {
-				in.SetOverlap(a, b)
-			}
+		cl.Region, cl.Label, cl.Instrs, cl.Conflicts = c.Region.ID, c.Region.Label, c.MuP.Instrs, g.Conflicts[j]
+		for _, si := range g.Viable[j] {
+			e := g.Evals[j][si]
+			cl.Options = append(cl.Options, Option{
+				Set:      e.RS.Name,
+				SetIndex: si,
+				Saved:    float64(e.EMuPSaved),
+				EASIC:    float64(e.EASIC),
+				CycEx:    e.EstCycles - base.TotalCycles,
+				GEQ:      e.GEQ,
+				OF:       e.OF,
+			})
 		}
 	}
 	return in, nil

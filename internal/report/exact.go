@@ -54,14 +54,14 @@ type GapRow struct {
 	Picks     string  // the exact optimum's configuration
 	Certified bool    // bound-trail certificate re-checked
 	Points    int     // global Pareto frontier size
-	Configs   int64   // configurations the hinted search evaluated
-	Pruned    int64   // subtrees/options the hinted search cut
+	Configs   int64   // configurations the exact-bound search evaluated
+	Pruned    int64   // subtrees/options the exact-bound search cut
 	Verdict   string  // where the greedy Table 1 point ended up
 }
 
 // Gap renders the per-application optimality-gap table: the Fig. 1
 // greedy objective against the certified exact minimum on the reference
-// geometry, the milp-hinted Pareto search's counters, and the fate of
+// geometry, the exact-bound Pareto search's counters, and the fate of
 // the greedy Table 1 point against the frontier.
 func Gap(rows []GapRow) string {
 	var sb strings.Builder
