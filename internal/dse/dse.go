@@ -77,10 +77,21 @@ type Config struct {
 	// fingerprint: a warm run skips the interpreter, the ISS and the
 	// sweep entirely and produces a byte-identical frontier. Verify mode
 	// bypasses the store — an audit must exercise the full live flow.
-	Store *memostore.Store
+	// Never assign it a nil *memostore.Store: the typed nil is a
+	// non-nil Store.
+	Store Store
 	// OnProgress, when set, is called after each geometry finishes with
 	// (completed, total) counts. It may be called concurrently.
 	OnProgress func(done, total int)
+}
+
+// Store holds the measurement phase's content-addressed records.
+// *memostore.Store implements it. Get's bytes are only read, so an
+// implementation may hand out a slice it keeps; errors read as a miss
+// (Get) or are ignored (Put), since the store only saves work.
+type Store interface {
+	Get(memostore.Key) ([]byte, bool, error)
+	Put(memostore.Key, []byte) error
 }
 
 // DefaultGeometries returns the explored cache grid: the reference

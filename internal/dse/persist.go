@@ -4,14 +4,15 @@
 // and the ISS execution of the all-software design with the online
 // stack-distance geometry profiler teed in — is a pure function of
 // (IR, memory map, anchor caches, instruction budget, technology
-// library, geometry grid). With a memostore attached, Explore persists
+// library, geometry grid). With a Store attached, Prepare persists
 // that half as two content-addressed records keyed by the program
-// fingerprint, so a warm run (same binary or a restarted one, or a fleet
-// node sharing the directory read-only) skips straight to the
-// branch-and-bound search. The records hold raw IEEE-754 bit patterns
-// and exact integers, so a warm frontier is byte-identical to a cold
-// one; any missing, version-skewed or undecodable record silently falls
-// back to the cold path and rewrites the records.
+// fingerprint, so a warm run (same binary or a restarted one, a fleet
+// node sharing the directory read-only, or a later lppartd job on the
+// same program at another F) skips straight to the search. The records
+// hold raw IEEE-754 bit patterns and exact integers, so a warm frontier
+// is byte-identical to a cold one; any missing, version-skewed or
+// undecodable record silently falls back to the cold path and rewrites
+// the records.
 package dse
 
 import (
@@ -336,7 +337,7 @@ func decodeReports(buf []byte, pairs [][2]cache.Config) []trace.Report {
 // loadMeasurement returns the persisted measurement phase, or nil when
 // either record is absent or undecodable (including store read errors —
 // a sick store degrades to the cold path, it never fails the run).
-func loadMeasurement(st *memostore.Store, fp [32]byte, pairs [][2]cache.Config, lib *tech.Library) *measurement {
+func loadMeasurement(st Store, fp [32]byte, pairs [][2]cache.Config, lib *tech.Library) *measurement {
 	mb, ok, err := st.Get(measureKey(fp))
 	if err != nil || !ok {
 		return nil
@@ -359,7 +360,7 @@ func loadMeasurement(st *memostore.Store, fp [32]byte, pairs [][2]cache.Config, 
 // storeMeasurement persists the freshly measured phase. Write errors are
 // swallowed: persistence is an accelerator, not a correctness dependency
 // (and the store may legitimately be read-only on fleet nodes).
-func storeMeasurement(st *memostore.Store, fp [32]byte, pairs [][2]cache.Config, m *measurement) {
+func storeMeasurement(st Store, fp [32]byte, pairs [][2]cache.Config, m *measurement) {
 	_ = st.Put(measureKey(fp), encodeMeasurement(m))       //lint:err persistence is best-effort (see doc comment)
 	_ = st.Put(sweepKey(fp, pairs), encodeReports(m.reps)) //lint:err persistence is best-effort (see doc comment)
 }

@@ -55,6 +55,10 @@ type Options struct {
 // ErrReadOnly is returned by Put on a read-only store.
 var ErrReadOnly = errors.New("memostore: store is read-only")
 
+// ErrClosed is returned by Get, Put and Compact once Close has run;
+// a closed store touches no files.
+var ErrClosed = errors.New("memostore: store is closed")
+
 // loc addresses one record's value bytes inside a chunk.
 type loc struct {
 	chunk int // index into Store.chunks
@@ -76,6 +80,7 @@ type Store struct {
 
 	index   map[Key]loc
 	skipped int64
+	closed  bool
 }
 
 // chunkName formats the n-th chunk's file name.
@@ -247,6 +252,9 @@ func (s *Store) newChunk(n int) error {
 func (s *Store) Get(key Key) ([]byte, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return nil, false, ErrClosed
+	}
 	l, ok := s.index[key]
 	if !ok {
 		return nil, false, nil
@@ -263,6 +271,9 @@ func (s *Store) Get(key Key) ([]byte, bool, error) {
 func (s *Store) Put(key Key, val []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if s.readOnly {
 		return ErrReadOnly
 	}
@@ -319,6 +330,9 @@ func (s *Store) Skipped() int64 {
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
 	if s.readOnly {
 		return ErrReadOnly
 	}
@@ -413,10 +427,12 @@ func (s *Store) Compact() error {
 	return s.openActive(false)
 }
 
-// Close releases all file handles. The store must not be used after.
+// Close releases all file handles; Get, Put and Compact return
+// ErrClosed afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	var first error
 	for _, f := range s.chunks {
 		if err := f.Close(); err != nil && first == nil {

@@ -297,3 +297,49 @@ func TestCompact(t *testing.T) {
 		t.Fatalf("post-compact append lost: %q ok=%v", v, ok)
 	}
 }
+
+// TestUseAfterClose: Get, Put and Compact on a closed store return
+// ErrClosed and create, rewrite or remove no file — in particular a Put
+// whose append chunk is full must not rotate to a fresh chunk.
+func TestUseAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{ChunkBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One record larger than the chunk bound: the next Put would rotate.
+	if err := s.Put(keyOf("k"), bytes.Repeat([]byte{1}, 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out string
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out += fmt.Sprintf("%s:%d ", e.Name(), info.Size())
+		}
+		return out
+	}
+	before := listing()
+	if _, ok, err := s.Get(keyOf("k")); err != ErrClosed || ok {
+		t.Errorf("Get after Close: ok=%v err=%v, want ErrClosed", ok, err)
+	}
+	if err := s.Put(keyOf("k2"), []byte("v")); err != ErrClosed {
+		t.Errorf("Put after Close: err=%v, want ErrClosed", err)
+	}
+	if err := s.Compact(); err != ErrClosed {
+		t.Errorf("Compact after Close: err=%v, want ErrClosed", err)
+	}
+	if after := listing(); after != before {
+		t.Errorf("closed store touched files:\nbefore %s\nafter  %s", before, after)
+	}
+}

@@ -3,39 +3,35 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"lppart/internal/memostore"
 )
 
-// cachedBody is one finished response: the exact bytes (and status) the
-// computing request wrote, replayed verbatim on every hit so cached and
-// freshly computed answers are byte-identical by construction.
-type cachedBody struct {
-	status int
-	body   []byte
-}
-
-// lruCache is a bounded most-recently-used result cache keyed by the
-// canonical request hash.
+// lruCache is a bounded most-recently-used cache of finished bytes keyed
+// by content address: 200 response bodies under their storeKey and
+// dse measurement records under dse's own keys. The key derivations are
+// domain-separated hashes, so the two kinds never collide.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int
 	ll    *list.List // front = most recent; values are *lruEntry
-	items map[string]*list.Element
+	items map[memostore.Key]*list.Element
 }
 
 type lruEntry struct {
-	key string
-	val *cachedBody
+	key memostore.Key
+	val []byte
 }
 
 func newLRUCache(max int) *lruCache {
 	if max < 1 {
 		max = 1
 	}
-	return &lruCache{max: max, ll: list.New(), items: make(map[string]*list.Element)}
+	return &lruCache{max: max, ll: list.New(), items: make(map[memostore.Key]*list.Element)}
 }
 
-// get returns the cached body and refreshes its recency.
-func (c *lruCache) get(key string) (*cachedBody, bool) {
+// get returns the cached bytes and refreshes their recency.
+func (c *lruCache) get(key memostore.Key) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -46,9 +42,9 @@ func (c *lruCache) get(key string) (*cachedBody, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// add inserts (or refreshes) a body and evicts the least recently used
+// add inserts (or refreshes) an entry and evicts the least recently used
 // entry past capacity. It reports how many entries were evicted.
-func (c *lruCache) add(key string, val *cachedBody) int {
+func (c *lruCache) add(key memostore.Key, val []byte) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -72,4 +68,53 @@ func (c *lruCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// tierGet is the server's one lookup ladder: the LRU, then the
+// persistent store, whose hit warms the LRU. A store read error reads as
+// a miss, so the caller recomputes instead of failing.
+func (s *Server) tierGet(key memostore.Key) ([]byte, bool) {
+	if b, ok := s.cache.get(key); ok {
+		return b, true
+	}
+	if s.cfg.Store == nil {
+		return nil, false
+	}
+	b, ok, err := s.cfg.Store.Get(key)
+	if err != nil || !ok {
+		return nil, false
+	}
+	s.cacheEvic.Add(int64(s.cache.add(key, b)))
+	return b, true
+}
+
+// tierPut adds val to the LRU and writes it through to the persistent
+// store. Callers swallow the store's error (ErrReadOnly on fleet nodes,
+// ErrClosed after shutdown): persistence accelerates, it must never
+// fail a request or a job.
+func (s *Server) tierPut(key memostore.Key, val []byte) error {
+	s.cacheEvic.Add(int64(s.cache.add(key, val)))
+	if s.cfg.Store == nil {
+		return nil
+	}
+	return s.cfg.Store.Put(key, val)
+}
+
+// measureTier is the dse.Store a job's measurement phase reads and
+// writes: the server's tiers, counted on their own hit/miss series so
+// lppartd_cache_ops_total keeps counting requests only.
+type measureTier struct{ s *Server }
+
+func (m measureTier) Get(key memostore.Key) ([]byte, bool, error) {
+	b, ok := m.s.tierGet(key)
+	if ok {
+		m.s.measureHit.Inc()
+	} else {
+		m.s.measureMiss.Inc()
+	}
+	return b, ok, nil
+}
+
+func (m measureTier) Put(key memostore.Key, val []byte) error {
+	return m.s.tierPut(key, val)
 }

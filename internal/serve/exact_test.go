@@ -160,8 +160,10 @@ func TestExactValidation(t *testing.T) {
 }
 
 // TestExactMetricsExposition pins the exact endpoint's slice of the
-// /metrics exposition: per-outcome request counters and the
-// lppartd_jobs{state} gauges tracking the job table.
+// /metrics exposition: per-outcome request counters, the
+// lppartd_jobs{state} gauges tracking the job table, and the
+// measurement tier (a cold job misses the measurement record and caches
+// both records, while the request-level cache counters stay at zero).
 func TestExactMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	if st, b, _ := post(t, ts.URL+"/v1/exact", `{}`); st != http.StatusBadRequest {
@@ -188,6 +190,11 @@ func TestExactMetricsExposition(t *testing.T) {
 		`lppartd_jobs{state="running"} 0`,
 		`lppartd_jobs{state="done"} 1`,
 		`lppartd_jobs{state="failed"} 0`,
+		`lppartd_measure_ops_total{op="hit"} 0`,
+		`lppartd_measure_ops_total{op="miss"} 1`,
+		`lppartd_cache_ops_total{op="hit"} 0`,
+		`lppartd_cache_ops_total{op="miss"} 0`,
+		`lppartd_cache_entries 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -172,8 +172,8 @@ func (req *ExploreRequest) canonicalize(kind string, maxSourceBytes int) (*jobIn
 }
 
 // jobInput carries one job's resolved input from the handler to the
-// worker goroutine, which adds the built CDFG and the server's
-// simulation budget to cfg before the kind's search runs.
+// worker goroutine, which adds the built CDFG, the server's simulation
+// budget and its measurement tier to cfg before the kind's search runs.
 type jobInput struct {
 	prog *behav.Program
 	ir   *cdfg.Program
@@ -340,6 +340,10 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, k *jobKi
 	}
 	in.ir = ir
 	in.cfg.Sys.MaxInstrs = s.cfg.MaxInstrs
+	// F and the other partitioning knobs do not enter the measurement,
+	// so every job on the same program replays it from the server's
+	// tiers after the first (verify jobs still measure live).
+	in.cfg.Store = measureTier{s}
 	body, err := k.run(ctx, in, func(done, total int) { s.jobs.Progress(id, done, total) })
 	switch {
 	case err == nil:

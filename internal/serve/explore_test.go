@@ -12,7 +12,7 @@ import (
 )
 
 // get fetches a URL and returns status and body.
-func get(t *testing.T, url string) (int, []byte) {
+func get(t testing.TB, url string) (int, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -46,7 +46,7 @@ func del(t *testing.T, url string) (int, []byte) {
 }
 
 // decodeJob parses a JobBody response.
-func decodeJob(t *testing.T, b []byte) *JobBody {
+func decodeJob(t testing.TB, b []byte) *JobBody {
 	t.Helper()
 	var jb JobBody
 	if err := json.Unmarshal(b, &jb); err != nil {
@@ -61,7 +61,7 @@ func pollJob(t *testing.T, base, id string) *JobBody {
 }
 
 // pollJobAt polls one job endpoint until the job is terminal.
-func pollJobAt(t *testing.T, prefix, id string) *JobBody {
+func pollJobAt(t testing.TB, prefix, id string) *JobBody {
 	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for {
@@ -78,6 +78,24 @@ func pollJobAt(t *testing.T, prefix, id string) *JobBody {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// runJobBody posts one job, polls it to completion and returns its
+// result field (the frontier or the exact body).
+func runJobBody(t testing.TB, base, kind, req string) json.RawMessage {
+	t.Helper()
+	st, b, _ := post(t, base+"/v1/"+kind, req)
+	if st != http.StatusAccepted {
+		t.Fatalf("POST /v1/%s %s: status %d: %s", kind, req, st, b)
+	}
+	jb := pollJobAt(t, base+"/v1/"+kind+"/", decodeJob(t, b).JobID)
+	if jb.State != "done" {
+		t.Fatalf("%s %s: job %s: %s", kind, req, jb.State, jb.Error)
+	}
+	if kind == "exact" {
+		return jb.Exact
+	}
+	return jb.Frontier
 }
 
 // exploreReq is a small two-geometry exploration, fast enough to run to

@@ -1,0 +1,220 @@
+package serve
+
+import (
+	"bytes"
+	"fmt"
+	"net/http"
+	"testing"
+
+	"lppart/internal/apps"
+	"lppart/internal/memostore"
+)
+
+// measureOps reads the measurement tier's hit and miss counters.
+func measureOps(s *Server) (hits, misses int64) {
+	return s.measureHit.Value(), s.measureMiss.Value()
+}
+
+// TestJobMeasurementReplay is the measurement tier's contract for every
+// application and both job kinds: once an F=0.7 job has measured a
+// program, an F=1.3 job replays both measurement records from the LRU
+// and returns exactly the bytes the same request returns on a fresh
+// server; a verify job reads no record at all.
+func TestJobMeasurementReplay(t *testing.T) {
+	warm, wts := newTestServer(t, Config{Workers: 2})
+	for _, a := range apps.All() {
+		runJobBody(t, wts.URL, "explore", fmt.Sprintf(`{"app":%q,"f":0.7}`, a.Name))
+		for _, kind := range []string{"explore", "exact"} {
+			req := fmt.Sprintf(`{"app":%q,"f":1.3}`, a.Name)
+			_, fts := newTestServer(t, Config{Workers: 2})
+			fresh := runJobBody(t, fts.URL, kind, req)
+			fts.Close()
+
+			h0, m0 := measureOps(warm)
+			got := runJobBody(t, wts.URL, kind, req)
+			if h, m := measureOps(warm); h != h0+2 || m != m0 {
+				t.Errorf("%s %s: measurement hits +%d misses +%d, want +2 +0", kind, a.Name, h-h0, m-m0)
+			}
+			if !bytes.Equal(got, fresh) {
+				t.Errorf("%s %s: warm-tier body differs from a fresh server's:\n%s\nvs\n%s", kind, a.Name, got, fresh)
+			}
+
+			h0, m0 = measureOps(warm)
+			runJobBody(t, wts.URL, kind, fmt.Sprintf(`{"app":%q,"f":1.3,"verify":true}`, a.Name))
+			if h, m := measureOps(warm); h != h0 || m != m0 {
+				t.Errorf("%s %s verify: measurement hits +%d misses +%d, want no lookups", kind, a.Name, h-h0, m-m0)
+			}
+		}
+	}
+	if hits, misses := warm.cacheHit.Value(), warm.cacheMiss.Value(); hits != 0 || misses != 0 {
+		t.Errorf("request cache counted %d hits, %d misses for job-only traffic, want 0, 0", hits, misses)
+	}
+}
+
+// TestJobMeasurementRestart: a daemon restarted over the same -store
+// directory replays the previous daemon's measurement on its first job
+// and returns the previous daemon's bytes; a job on a server whose store
+// was closed under it still finishes, measuring cold.
+func TestJobMeasurementRestart(t *testing.T) {
+	dir := t.TempDir()
+	req := `{"app":"engine","f":0.7}`
+
+	st1, err := memostore.Open(dir, memostore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := newTestServer(t, Config{Workers: 2, Store: st1})
+	want := runJobBody(t, ts1.URL, "exact", req)
+	if err := st1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h0, m0 := measureOps(s1)
+	runJobBody(t, ts1.URL, "explore", `{"app":"digs"}`)
+	if h, m := measureOps(s1); h != h0 || m != m0+1 {
+		t.Errorf("job over a closed store: measurement hits +%d misses +%d, want +0 +1", h-h0, m-m0)
+	}
+	ts1.Close()
+
+	st2, err := memostore.Open(dir, memostore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st2.Close() })
+	if n := st2.Len(); n != 2 {
+		t.Fatalf("store holds %d records, want the engine measurement's 2", n)
+	}
+	s2, ts2 := newTestServer(t, Config{Workers: 2, Store: st2})
+	got := runJobBody(t, ts2.URL, "exact", req)
+	if h, m := measureOps(s2); h != 2 || m != 0 {
+		t.Errorf("restarted daemon: measurement hits %d misses %d, want 2, 0", h, m)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("restarted daemon's body differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestJobMeasurementConcurrent runs jobs on three programs at two F
+// values at once through a tier small enough to evict (and a store
+// behind it), and checks every body against the same job run alone on
+// a fresh server. Run it under -race.
+func TestJobMeasurementConcurrent(t *testing.T) {
+	st, err := memostore.Open(t.TempDir(), memostore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	_, ts := newTestServer(t, Config{Workers: 4, CacheEntries: 3, Store: st})
+	type job struct{ kind, req, id string }
+	var jobs []*job
+	for _, app := range []string{"engine", "digs", "ckey"} {
+		for _, f := range []float64{0.7, 1.3} {
+			for _, kind := range []string{"explore", "exact"} {
+				j := &job{kind: kind, req: fmt.Sprintf(`{"app":%q,"f":%v,"max_hw":1}`, app, f)}
+				code, b, _ := post(t, ts.URL+"/v1/"+kind, j.req)
+				if code != http.StatusAccepted {
+					t.Fatalf("POST /v1/%s %s: status %d: %s", kind, j.req, code, b)
+				}
+				j.id = decodeJob(t, b).JobID
+				jobs = append(jobs, j)
+			}
+		}
+	}
+	for _, j := range jobs {
+		jb := pollJobAt(t, ts.URL+"/v1/"+j.kind+"/", j.id)
+		if jb.State != "done" {
+			t.Fatalf("%s %s: job %s: %s", j.kind, j.req, jb.State, jb.Error)
+		}
+		got := jb.Frontier
+		if j.kind == "exact" {
+			got = jb.Exact
+		}
+		_, fts := newTestServer(t, Config{Workers: 1})
+		if want := runJobBody(t, fts.URL, j.kind, j.req); !bytes.Equal(got, want) {
+			t.Errorf("%s %s: concurrent body differs from a fresh server's:\n%s\nvs\n%s", j.kind, j.req, got, want)
+		}
+		fts.Close()
+	}
+}
+
+// runAppJobs posts every application's job of each kind at F f, then
+// polls them all to completion.
+func runAppJobs(tb testing.TB, base string, kinds []string, f float64) {
+	tb.Helper()
+	type job struct{ kind, id string }
+	var posted []job
+	for _, a := range apps.All() {
+		req := fmt.Sprintf(`{"app":%q,"f":%v}`, a.Name, f)
+		for _, kind := range kinds {
+			st, b, _ := post(tb, base+"/v1/"+kind, req)
+			if st != http.StatusAccepted {
+				tb.Fatalf("POST /v1/%s %s: status %d: %s", kind, req, st, b)
+			}
+			posted = append(posted, job{kind, decodeJob(tb, b).JobID})
+		}
+	}
+	for _, j := range posted {
+		if jb := pollJobAt(tb, base+"/v1/"+j.kind+"/", j.id); jb.State != "done" {
+			tb.Fatalf("%s job %s: %s: %s", j.kind, j.id, jb.State, jb.Error)
+		}
+	}
+}
+
+// BenchmarkJobTraffic times the six applications' explore and exact jobs
+// under the two kinds of traffic the measurement tier sees, and reports
+// measure_hit_%, the share of measurement-record lookups that hit.
+//
+//   - distinct: every job's program is new to its server (each op runs
+//     each kind on a fresh server), so every lookup misses and each job
+//     pays the record encodes and LRU inserts on top of its cold
+//     measurement; distinct-store also appends the records to a fresh
+//     -store directory.
+//   - repeated: one server, warmed by one round, runs each op's twelve
+//     jobs at a new F, so every job replays its program's measurement.
+func BenchmarkJobTraffic(b *testing.B) {
+	kinds := []string{"explore", "exact"}
+	share := func(b *testing.B, hits, misses int64) {
+		if hits+misses > 0 {
+			b.ReportMetric(100*float64(hits)/float64(hits+misses), "measure_hit_%")
+		}
+	}
+	distinct := func(b *testing.B, withStore bool) {
+		b.ReportAllocs()
+		var hits, misses int64
+		for i := 0; i < b.N; i++ {
+			for _, kind := range kinds {
+				var cfg Config
+				if withStore {
+					st, err := memostore.Open(b.TempDir(), memostore.Options{})
+					if err != nil {
+						b.Fatal(err)
+					}
+					cfg.Store = st
+				}
+				s, ts := newTestServer(b, cfg)
+				runAppJobs(b, ts.URL, []string{kind}, 1)
+				ts.Close()
+				if cfg.Store != nil {
+					cfg.Store.Close()
+				}
+				h, m := measureOps(s)
+				hits, misses = hits+h, misses+m
+			}
+		}
+		share(b, hits, misses)
+	}
+	b.Run("distinct", func(b *testing.B) { distinct(b, false) })
+	b.Run("distinct-store", func(b *testing.B) { distinct(b, true) })
+	b.Run("repeated", func(b *testing.B) {
+		b.ReportAllocs()
+		s, ts := newTestServer(b, Config{})
+		runAppJobs(b, ts.URL, kinds, 0.5)
+		h0, m0 := measureOps(s)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			runAppJobs(b, ts.URL, kinds, 0.6+0.001*float64(i))
+		}
+		b.StopTimer()
+		h, m := measureOps(s)
+		share(b, h-h0, m-m0)
+	})
+}

@@ -78,11 +78,12 @@ type Config struct {
 	// standalone: no request routing and no peer ledgers.
 	Peers []string
 	// Store, when non-nil, persistently backs the result cache:
-	// successful (200) bodies are written through to the
-	// content-addressed store and replayed verbatim on a hit, so a
-	// restarted daemon — or a fleet node sharing the directory read-only
-	// — answers previously-computed requests byte-identically without
-	// recomputing them. Non-200 outcomes are never persisted, mirroring
+	// successful (200) bodies and the explore/exact jobs' measurement
+	// records are written through to the content-addressed store and
+	// replayed verbatim on a hit, so a restarted daemon — or a fleet
+	// node sharing the directory read-only — answers previously-computed
+	// requests byte-identically without recomputing them, and measures
+	// no program twice. Non-200 outcomes are never persisted, mirroring
 	// the in-memory cache's rule.
 	Store *memostore.Store
 }
@@ -140,6 +141,9 @@ type Server struct {
 	cacheHit  *metrics.Counter
 	cacheMiss *metrics.Counter
 	cacheEvic *metrics.Counter
+	// Job measurement-record lookups in the same tiers (measureTier).
+	measureHit  *metrics.Counter
+	measureMiss *metrics.Counter
 }
 
 // outcomeNames are instrumented up front for every route, so the
@@ -171,6 +175,8 @@ func New(cfg Config) *Server {
 	s.cacheHit = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "hit"))
 	s.cacheMiss = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "miss"))
 	s.cacheEvic = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "evict"))
+	s.measureHit = s.reg.Counter("lppartd_measure_ops_total", "job measurement record lookups", metrics.Labels("op", "hit"))
+	s.measureMiss = s.reg.Counter("lppartd_measure_ops_total", "job measurement record lookups", metrics.Labels("op", "miss"))
 	s.reg.GaugeFunc("lppartd_queue_depth", "requests waiting for a worker", "",
 		func() float64 { return float64(s.adm.queueLen()) })
 	s.reg.GaugeFunc("lppartd_workers", "worker pool size", "",
@@ -179,7 +185,7 @@ func New(cfg Config) *Server {
 		func() float64 { return float64(s.adm.busyWorkers()) })
 	s.reg.GaugeFunc("lppartd_worker_utilization", "busy workers / pool size", "",
 		func() float64 { return float64(s.adm.busyWorkers()) / float64(cfg.Workers) })
-	s.reg.GaugeFunc("lppartd_cache_entries", "result cache occupancy", "",
+	s.reg.GaugeFunc("lppartd_cache_entries", "result cache occupancy (response bodies and measurement records)", "",
 		func() float64 { return float64(s.cache.len()) })
 	for _, st := range []jobs.State{jobs.Queued, jobs.Running, jobs.Done, jobs.Failed} {
 		st := st
@@ -278,8 +284,9 @@ func writeResult(w http.ResponseWriter, res *flightResult) {
 }
 
 // storeKey maps a canonical request hash to its content address in the
-// persistent result store. The prefix versions the stored schema: bump
-// it if response bodies ever change shape for the same request.
+// LRU and the persistent result store. The prefix versions the stored
+// schema: bump it if response bodies ever change shape for the same
+// request.
 func storeKey(key string) memostore.Key {
 	return sha256.Sum256([]byte("lppartd/result/v1\x00" + key))
 }
@@ -326,19 +333,12 @@ func outcomeOf(res *flightResult) string {
 // timeout. The batch endpoint runs many keys through the same ladder.
 func (s *Server) resultFor(r *http.Request, key string,
 	compute func(ctx context.Context) *flightResult) *flightResult {
-	if cb, ok := s.cache.get(key); ok {
+	// Only 200 bodies are ever cached, so a hit replays the stored bytes
+	// verbatim as a 200.
+	sk := storeKey(key)
+	if body, ok := s.tierGet(sk); ok {
 		s.cacheHit.Inc()
-		return &flightResult{status: cb.status, body: cb.body, cacheHit: true}
-	}
-	// The persistent store is the second cache tier: a hit replays the
-	// stored bytes verbatim (and warms the LRU); a read error degrades to
-	// a recompute, never to a failed request.
-	if s.cfg.Store != nil {
-		if body, ok, err := s.cfg.Store.Get(storeKey(key)); err == nil && ok {
-			s.cacheHit.Inc()
-			s.cacheEvic.Add(int64(s.cache.add(key, &cachedBody{status: http.StatusOK, body: body})))
-			return &flightResult{status: http.StatusOK, body: body, cacheHit: true}
-		}
+		return &flightResult{status: http.StatusOK, body: body, cacheHit: true}
 	}
 	s.cacheMiss.Inc()
 	waitCtx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
@@ -356,13 +356,7 @@ func (s *Server) resultFor(r *http.Request, key string,
 		if res.status == http.StatusOK {
 			// Only successes warm the cache; sheds and failures must
 			// not mask a later, healthier attempt.
-			s.cacheEvic.Add(int64(s.cache.add(key, &cachedBody{status: res.status, body: res.body})))
-			if s.cfg.Store != nil {
-				// Write errors (including ErrReadOnly on fleet nodes)
-				// are deliberately swallowed: persistence accelerates,
-				// it must never fail a served request.
-				_ = s.cfg.Store.Put(storeKey(key), res.body) //lint:err persistence must never fail a served request
-			}
+			_ = s.tierPut(sk, res.body) //lint:err persistence must never fail a served request
 		}
 		return res
 	})

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := New(cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -21,7 +21,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 // post sends a JSON request and returns status, body and the X-Cache
 // header.
-func post(t *testing.T, url string, body string) (int, []byte, string) {
+func post(t testing.TB, url string, body string) (int, []byte, string) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
@@ -339,6 +339,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lppartd_requests_total{endpoint="partition",outcome="cache_hit"} 1`,
 		`lppartd_cache_ops_total{op="hit"} 1`,
 		`lppartd_cache_ops_total{op="miss"} 1`,
+		`lppartd_measure_ops_total{op="hit"} 0`,
+		`lppartd_measure_ops_total{op="miss"} 0`,
 		`lppartd_cache_entries 1`,
 		`lppartd_workers 3`,
 		`lppartd_queue_depth 0`,
