@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -23,8 +24,7 @@ import (
 	"lppart/internal/apps"
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
-	"lppart/internal/codegen"
-	"lppart/internal/iss"
+	"lppart/internal/system"
 	"lppart/internal/tech"
 	"lppart/internal/trace"
 )
@@ -88,15 +88,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mp, _, err := codegen.Compile(ir, codegen.Options{})
+	tr, err := system.RecordTraceCtx(context.Background(), ir, system.Config{})
 	if err != nil {
 		fatal(err)
 	}
-	rec := &trace.Recorder{}
-	if _, err := iss.Run(mp, iss.Options{Mem: rec}); err != nil {
-		fatal(err)
-	}
-	tr := &rec.Trace
 	f, r, w := tr.Counts()
 	fmt.Printf("application %s: trace with %d fetches, %d reads, %d writes (%d bytes compact)\n\n",
 		a.Name, f, r, w, tr.Bytes())

@@ -23,6 +23,11 @@
 //     the region's own blocks are dropped from the instruction stream
 //     (which is why the partitioned designs in Table 1 also show reduced
 //     I-cache energy).
+//   - The output lets the ISS stand in for the interpreter: every IR
+//     block's first instruction is tagged and its op count recorded (the
+//     ISS counts block entries and IR steps from them), and every
+//     array's extent is recorded and named by its LD/ST instructions, so
+//     the ISS can trap an out-of-range index as the interpreter does.
 package codegen
 
 import (
@@ -153,6 +158,7 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 
 	cg := &compiler{prog: p, opts: opts, lay: lay,
 		calls: []pendingCall{}, funcs: make(map[string]int)}
+	cg.layoutTables()
 	// Startup stub: call main, halt.
 	cg.emit(isa.Instr{Op: isa.CALL, Region: -1, Comment: "startup"})
 	cg.calls = append(cg.calls, pendingCall{at: 0, callee: "main"})
@@ -162,6 +168,7 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 		if err := cg.compileFunc(f); err != nil {
 			return nil, nil, err
 		}
+		cg.blockBase += len(f.Blocks)
 	}
 	for _, pc := range cg.calls {
 		at, ok := cg.funcs[pc.callee]
@@ -176,7 +183,68 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 		Entry:    0,
 		Funcs:    cg.funcs,
 		MemWords: opts.MemWords,
+		BlockOps: cg.blockOps,
+		Arrays:   cg.arrays,
 	}, lay, nil
+}
+
+// layoutTables sizes the block op count and array extent tables exactly
+// and fills in every block's op count and the global arrays' extents.
+func (c *compiler) layoutTables() {
+	p := c.prog
+	nBlocks, nArrays, maxLocals := 0, 0, 0
+	for _, g := range p.Globals {
+		if g.IsArray() {
+			nArrays++
+		}
+	}
+	for _, f := range p.Funcs {
+		nBlocks += len(f.Blocks)
+		maxLocals = max(maxLocals, len(f.Locals))
+		for _, v := range f.Locals {
+			if v.IsArray() {
+				nArrays++
+			}
+		}
+	}
+	c.blockOps = make([]int32, 0, nBlocks)
+	for _, f := range p.Funcs {
+		for _, b := range f.Blocks {
+			c.blockOps = append(c.blockOps, int32(len(b.Ops)))
+		}
+	}
+	c.arrays = make([]isa.Extent, 0, nArrays)
+	c.globalArr = make([]int32, len(p.Globals))
+	for gi, g := range p.Globals {
+		if g.IsArray() {
+			c.arrays = append(c.arrays, isa.Extent{Base: c.lay.GlobalAddr[gi], Len: g.Len})
+			c.globalArr[gi] = int32(len(c.arrays))
+		}
+	}
+	c.tagBuf = make([]int32, 0, maxLocals)
+}
+
+// localArrays appends the extents of f's array locals to the array table
+// and returns, per local ID, the Target of its LD/ST instructions (0 for
+// scalars). The returned slice is reused for the next function.
+func (c *compiler) localArrays(f *cdfg.Function) []int32 {
+	tags := c.tagBuf[:0]
+	for li, v := range f.Locals {
+		tag := int32(0)
+		if v.IsArray() {
+			e := isa.Extent{Len: v.Len}
+			if c.lay.Recursive[f.Name] {
+				e.Base, e.SP = c.lay.FrameOff[f.Name][li], true
+			} else {
+				e.Base = c.lay.StaticBase[f.Name][li]
+			}
+			c.arrays = append(c.arrays, e)
+			tag = int32(len(c.arrays))
+		}
+		tags = append(tags, tag)
+	}
+	c.tagBuf = tags
+	return tags
 }
 
 type raEntry struct {
@@ -207,6 +275,18 @@ type compiler struct {
 	code  []isa.Instr
 	calls []pendingCall
 	funcs map[string]int
+
+	// blockOps holds every block's op count in program block order (see
+	// isa.Program); blockBase is the index of the current function's
+	// block 0 in it.
+	blockOps  []int32
+	blockBase int
+	// arrays holds every array's extent; globalArr[globalID] is 1 + a
+	// global array's index in it, the Target of its LD/ST instructions
+	// (0 for scalars). tagBuf backs fnCtx.localArr.
+	arrays    []isa.Extent
+	globalArr []int32
+	tagBuf    []int32
 }
 
 func (c *compiler) emit(i isa.Instr) int {
@@ -254,6 +334,7 @@ func findRecursive(p *cdfg.Program) map[string]bool {
 type fnCtx struct {
 	c         *compiler
 	fn        *cdfg.Function
+	localArr  []int32 // local ID -> Target of its array accesses
 	recursive bool
 	blockAt   map[int]int   // block ID -> instruction index
 	fixups    []blockFixup  // branches to patch
@@ -339,7 +420,7 @@ func pickPinned(f *cdfg.Function) map[int]int {
 type entry struct {
 	asicID int
 	exit   int
-	region int
+	region int32
 }
 
 type blockFixup struct {
@@ -361,6 +442,7 @@ func (c *compiler) compileFunc(f *cdfg.Function) error {
 	fx := &fnCtx{
 		c:         c,
 		fn:        f,
+		localArr:  c.localArrays(f),
 		recursive: c.lay.Recursive[f.Name],
 		blockAt:   make(map[int]int),
 		excluded:  make(map[int]bool),
@@ -388,7 +470,7 @@ func (c *compiler) compileFunc(f *cdfg.Function) error {
 			for _, bid := range r.Blocks {
 				fx.excluded[bid] = true
 			}
-			fx.asicEntry[r.Entry] = entry{asicID: asicID, exit: exit, region: r.ID}
+			fx.asicEntry[r.Entry] = entry{asicID: asicID, exit: exit, region: int32(r.ID)}
 		}
 	}
 
@@ -456,10 +538,17 @@ func (c *compiler) compileFunc(f *cdfg.Function) error {
 			}
 			continue
 		}
-		fx.blockAt[bid] = len(c.code)
+		at := len(c.code)
+		fx.blockAt[bid] = at
 		if err := fx.compileBlock(f.Block(bid)); err != nil {
 			return err
 		}
+		if len(c.code) == at {
+			// Two blocks would share a first instruction, and the ISS
+			// could not tell their entries apart.
+			return fmt.Errorf("codegen: %s: block b%d compiles to no instructions", f.Name, bid)
+		}
+		c.code[at].Block = int32(c.blockBase + bid + 1)
 	}
 	for _, fix := range fx.fixups {
 		at, ok := fx.blockAt[fix.block]
@@ -534,7 +623,7 @@ type slotKey struct {
 // regState is the block-local allocator.
 type regState struct {
 	fx      *fnCtx
-	region  int // region tag for emitted instructions
+	region  int32 // region tag for emitted instructions
 	slotOf  [isa.NumRegs]slotKey
 	hasSlot [isa.NumRegs]bool
 	dirty   [isa.NumRegs]bool
@@ -545,7 +634,7 @@ type regState struct {
 }
 
 func newRegState(fx *fnCtx, region int) *regState {
-	return &regState{fx: fx, region: region, inReg: make(map[slotKey]int)}
+	return &regState{fx: fx, region: int32(region), inReg: make(map[slotKey]int)}
 }
 
 func (rs *regState) emit(i isa.Instr) {
@@ -563,6 +652,14 @@ func (rs *regState) homeAddr(k slotKey) (int, int32) {
 		return isa.SP, fx.c.lay.FrameOff[fx.fn.Name][k.id]
 	}
 	return isa.Zero, fx.c.lay.StaticBase[fx.fn.Name][k.id]
+}
+
+// arrayTag returns the Target that bounds an array's LD/ST instructions.
+func (fx *fnCtx) arrayTag(a cdfg.ArrRef) int {
+	if a.Global {
+		return int(fx.c.globalArr[a.ID])
+	}
+	return int(fx.localArr[a.ID])
 }
 
 // arrBase returns (base register, offset) of an array's first element.
@@ -824,9 +921,10 @@ func (fx *fnCtx) compileOp(rs *regState, op *cdfg.Op) error {
 
 	case op.Code == cdfg.Load:
 		base, off := rs.arrBase(op.Arr)
+		arr := fx.arrayTag(op.Arr)
 		if op.A.IsConst {
 			rd := rs.writeReg(dstKey())
-			rs.emit(isa.Instr{Op: isa.LD, Rd: rd, Rs1: base, Imm: off + op.A.K})
+			rs.emit(isa.Instr{Op: isa.LD, Rd: rd, Rs1: base, Imm: off + op.A.K, Target: arr})
 			return nil
 		}
 		ri := rs.operandReg(op.A)
@@ -840,16 +938,17 @@ func (fx *fnCtx) compileOp(rs *regState, op *cdfg.Op) error {
 		}
 		rd := rs.writeReg(dstKey())
 		rs.unpin(ri)
-		rs.emit(isa.Instr{Op: isa.LD, Rd: rd, Rs1: addr, Imm: off})
+		rs.emit(isa.Instr{Op: isa.LD, Rd: rd, Rs1: addr, Imm: off, Target: arr})
 		return nil
 
 	case op.Code == cdfg.Store:
 		base, off := rs.arrBase(op.Arr)
+		arr := fx.arrayTag(op.Arr)
 		rv := rs.operandReg(op.B)
 		rs.pin(rv)
 		if op.A.IsConst {
 			rs.unpin(rv)
-			rs.emit(isa.Instr{Op: isa.ST, Rs1: base, Rs2: rv, Imm: off + op.A.K})
+			rs.emit(isa.Instr{Op: isa.ST, Rs1: base, Rs2: rv, Imm: off + op.A.K, Target: arr})
 			return nil
 		}
 		ri := rs.operandReg(op.A)
@@ -859,7 +958,7 @@ func (fx *fnCtx) compileOp(rs *regState, op *cdfg.Op) error {
 			rs.emit(isa.Instr{Op: isa.ADD, Rd: isa.AT, Rs1: base, Rs2: ri})
 			addr = isa.AT
 		}
-		rs.emit(isa.Instr{Op: isa.ST, Rs1: addr, Rs2: rv, Imm: off})
+		rs.emit(isa.Instr{Op: isa.ST, Rs1: addr, Rs2: rv, Imm: off, Target: arr})
 		return nil
 
 	case op.Code == cdfg.Call:

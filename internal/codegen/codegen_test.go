@@ -35,7 +35,7 @@ func compileAndRun(t *testing.T, src string) (*cdfg.Program, *Layout, *iss.Resul
 }
 
 // differential runs src on both the interpreter and the ISS and compares
-// the return value and every global.
+// the return value, every global and the block profile.
 func differential(t *testing.T, src string) {
 	t.Helper()
 	prog, err := behav.Parse("t", src)
@@ -46,7 +46,7 @@ func differential(t *testing.T, src string) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	want, err := interp.Run(ir, interp.Options{})
+	want, err := interp.Run(ir, interp.Options{CollectProfile: true})
 	if err != nil {
 		t.Fatalf("interp: %v", err)
 	}
@@ -57,6 +57,15 @@ func differential(t *testing.T, src string) {
 	got, err := iss.Run(mp, iss.Options{})
 	if err != nil {
 		t.Fatalf("iss: %v\n%s", err, mp.Listing())
+	}
+	off := 0
+	for _, f := range ir.Funcs {
+		for b, n := range want.Prof.BlockFreq[f.Name] {
+			if got.BlockEntries[off+b] != n {
+				t.Errorf("%s b%d entries: iss=%d interp=%d", f.Name, b, got.BlockEntries[off+b], n)
+			}
+		}
+		off += len(f.Blocks)
 	}
 	if got.RV != want.Ret {
 		t.Errorf("return value: iss=%d interp=%d\n%s", got.RV, want.Ret, mp.Listing())
@@ -268,7 +277,7 @@ func main() {
 	}
 	tagged := 0
 	for _, ins := range mp.Code {
-		if ins.Region == loop.ID {
+		if int(ins.Region) == loop.ID {
 			tagged++
 		}
 	}
@@ -406,5 +415,78 @@ func main() {
 	fr, fm := frac(regHeavy), frac(memHeavy)
 	if fm < fr+0.1 {
 		t.Errorf("memory-walking kernel mem fraction %.2f not above register kernel %.2f", fm, fr)
+	}
+}
+
+// TestBlockAndArrayTables checks what the ISS profiles and bounds-checks
+// with: exactly sized tables, one distinct first instruction per
+// compiled block, none for blocks an ASIC replaces, and every array
+// access tagged with its array's extent.
+func TestBlockAndArrayTables(t *testing.T) {
+	src := `
+var g[8]; var s;
+func rec(n) { var fr[3]; if n <= 0 { return 0; } fr[n % 3] = n; return fr[n % 3] + rec(n - 1); }
+func main() { var i; var loc[4]; for i = 0; i < 8; i = i + 1 { g[i] = i; loc[i & 3] = g[i]; } s = rec(4) + loc[2]; }
+`
+	ir := cdfg.MustBuild(behav.MustParse("t", src))
+	mp, lay, err := Compile(ir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// starts returns how many blocks have a marked first instruction;
+	// each block is marked at most once.
+	starts := func(mp *isa.Program) int {
+		seen := make(map[int32]bool)
+		for _, ins := range mp.Code {
+			if ins.Block != 0 {
+				if seen[ins.Block] {
+					t.Errorf("block %d marked twice", ins.Block-1)
+				}
+				seen[ins.Block] = true
+			}
+		}
+		return len(seen)
+	}
+	nBlocks := 0
+	var ops []int32
+	for _, f := range ir.Funcs {
+		nBlocks += len(f.Blocks)
+		for _, b := range f.Blocks {
+			ops = append(ops, int32(len(b.Ops)))
+		}
+	}
+	if fmt.Sprint(mp.BlockOps) != fmt.Sprint(ops) || cap(mp.BlockOps) != nBlocks {
+		t.Errorf("BlockOps %v (cap %d), want %v", mp.BlockOps, cap(mp.BlockOps), ops)
+	}
+	if got := starts(mp); got != nBlocks {
+		t.Errorf("%d blocks have a first instruction, want all %d", got, nBlocks)
+	}
+	want := []isa.Extent{
+		{Base: lay.GlobalAddr[0], Len: 8},
+		{Base: lay.FrameOff["rec"][1], Len: 3, SP: true},
+		{Base: lay.StaticBase["main"][1], Len: 4},
+	}
+	if fmt.Sprint(mp.Arrays) != fmt.Sprint(want) || cap(mp.Arrays) != len(want) {
+		t.Errorf("Arrays %v (cap %d), want %v", mp.Arrays, cap(mp.Arrays), want)
+	}
+	tagged := 0
+	for _, ins := range mp.Code {
+		if (ins.Op == isa.LD || ins.Op == isa.ST) && ins.Target != 0 {
+			tagged++
+		}
+	}
+	if tagged != 6 { // g[i]=, loc[]=, g[i], fr[]=, fr[], loc[2]
+		t.Errorf("%d tagged array accesses, want 6\n%s", tagged, mp.Listing())
+	}
+
+	// An excluded loop's blocks leave the stream: only the blocks still
+	// compiled keep a first instruction.
+	loop := ir.Func("main").Root.Children[0]
+	part, _, err := Compile(ir, Options{Exclude: map[int]int{loop.ID: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := starts(part); got != nBlocks-len(loop.Blocks) {
+		t.Errorf("partitioned: %d block starts, want %d", got, nBlocks-len(loop.Blocks))
 	}
 }

@@ -231,10 +231,10 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 	}
 	pairs := append([][2]cache.Config{{anchorI, anchorD}}, geoms...)
 
-	// Measure once: profiling run, then ONE ISS execution of the initial
-	// all-software design on the anchor geometry with the online cache
-	// profiler teed into the memory system, yielding both the measured
-	// baseline and every geometry's report; the reference stream is never
+	// Measure once: ONE ISS execution of the initial all-software design
+	// on the anchor geometry with the online cache profiler teed into the
+	// memory system, yielding the block profile, the measured baseline
+	// and every geometry's report; the reference stream is never
 	// stored. With a store attached, a previous run's measurement is
 	// replayed instead (bit-identical records, so the frontier is
 	// byte-identical to a cold run's).

@@ -1,7 +1,7 @@
 // Persistent memoization of the exploration's measurement phase.
 //
-// An exploration's expensive front half — the profiling interpreter run
-// and the ISS execution of the all-software design with the online
+// An exploration's expensive front half — the ISS execution of the
+// all-software design, which counts the block profile, with the online
 // stack-distance geometry profiler teed in — is a pure function of
 // (IR, memory map, anchor caches, instruction budget, technology
 // library, geometry grid). With a Store attached, Prepare persists
@@ -48,8 +48,9 @@ type measurement struct {
 	reps       []trace.Report
 }
 
-// measure runs the measurement phase cold: the profiling run, then one
-// ISS execution of the initial design with every pair profiled online.
+// measure runs the measurement phase cold: one ISS execution of the
+// initial design, with the block profile counted and every pair profiled
+// online.
 func measure(ctx context.Context, ir *cdfg.Program, sys system.Config, pairs [][2]cache.Config) (*measurement, error) {
 	ev, base, reps, err := system.MeasureAndSweepCtx(ctx, ir, sys, pairs)
 	if err != nil {

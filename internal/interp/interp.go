@@ -1,19 +1,18 @@
-// Package interp executes CDFG programs directly. It serves three roles:
+// Package interp executes CDFG programs directly, one IR operation at a
+// time. It is the golden reference of the toolchain: the code generator
+// and ISS pipeline must reproduce its observable results, and the
+// block frequencies ("#ex_times", paper Fig. 4) the ISS counts for the
+// Fig. 5 flow must equal the ones it collects with
+// Options.CollectProfile (differential testing).
 //
-//  1. Golden reference: the code generator + ISS pipeline must reproduce
-//     its observable results exactly (differential testing).
-//  2. Profiler: it records how often each basic block executes, which is
-//     the "#ex_times" the paper obtains "through profiling" (Fig. 4) and
-//     which weights every control step of a cluster schedule.
-//  3. Activity tracer: it records per-operation operand toggle statistics
-//     (average Hamming distance between consecutive executions), which
-//     drive the gate-level-style switching-energy estimation of the ASIC
-//     core (paper Fig. 1 line 15).
+// It is also the fault oracle. It traps division by zero, out-of-range
+// array indices and runaway programs at the IR operation that causes
+// them and names its source position. When the compiled program fails,
+// internal/system runs it here to report that positioned error.
 package interp
 
 import (
 	"fmt"
-	"math/bits"
 
 	"lppart/internal/behav"
 	"lppart/internal/cdfg"
@@ -25,48 +24,14 @@ type Options struct {
 	MaxSteps int64
 	// MaxDepth bounds the call stack; 0 means the default (1024 frames).
 	MaxDepth int
-	// CollectProfile enables block-frequency and operand-activity
-	// recording.
+	// CollectProfile enables block-frequency recording.
 	CollectProfile bool
-}
-
-// OpKey identifies an operation program-wide.
-type OpKey struct {
-	Func string
-	OpID int
-}
-
-// OpStat aggregates the activity trace of one operation.
-type OpStat struct {
-	Count int64 // number of executions
-	// toggle accumulation: total bit flips between consecutive operand
-	// values, per operand.
-	togglesA, togglesB int64
-	prevA, prevB       int32
-	seen               bool
-}
-
-// ActivityA returns the average per-execution toggle rate (0..1) of
-// operand A: mean Hamming distance between consecutive values over the
-// 32-bit width. The first execution contributes no toggles.
-func (s *OpStat) ActivityA() float64 { return activity(s.togglesA, s.Count) }
-
-// ActivityB returns the average toggle rate of operand B.
-func (s *OpStat) ActivityB() float64 { return activity(s.togglesB, s.Count) }
-
-func activity(toggles, count int64) float64 {
-	if count <= 1 {
-		return 0
-	}
-	return float64(toggles) / float64(count-1) / 32
 }
 
 // Profile is the result of a profiling run.
 type Profile struct {
 	// BlockFreq[funcName][blockID] is the execution count of the block.
 	BlockFreq map[string][]int64
-	// Ops holds per-operation activity statistics.
-	Ops map[OpKey]*OpStat
 }
 
 // RegionEntries returns how many times the region was entered: the
@@ -114,34 +79,11 @@ type machine struct {
 	opts    Options
 	globals [][]int32 // index parallel to prog.Globals; scalars are len-1
 	steps   int64
-	prof    *Profile
-	// Dense profiling storage, parallel to prog.Funcs. The hot loop
-	// indexes these slabs by block/op ID; the public Profile maps are
-	// materialized once at the end of Run.
-	fnProf []fnProfile
-	fnIdx  map[*cdfg.Function]int
-	depth  int
-}
-
-// fnProfile is the dense per-function profiling slab: freq is indexed by
-// block ID, ops by op ID (op IDs are unique within a function).
-type fnProfile struct {
-	freq []int64
-	ops  []OpStat
-}
-
-// maxOpID returns the largest op ID in the function (op IDs are assigned
-// densely at build time, but scanning keeps corrupted IR safe).
-func maxOpID(f *cdfg.Function) int {
-	max := -1
-	for _, b := range f.Blocks {
-		for i := range b.Ops {
-			if b.Ops[i].ID > max {
-				max = b.Ops[i].ID
-			}
-		}
-	}
-	return max
+	// freq holds the block counts, parallel to prog.Funcs and indexed
+	// by block ID; nil unless profiling.
+	freq  [][]int64
+	fnIdx map[*cdfg.Function]int
+	depth int
 }
 
 // Run executes the program's main function.
@@ -162,13 +104,10 @@ func Run(p *cdfg.Program, opts Options) (*Result, error) {
 		m.globals[i] = make([]int32, n)
 	}
 	if opts.CollectProfile {
-		m.fnProf = make([]fnProfile, len(p.Funcs))
+		m.freq = make([][]int64, len(p.Funcs))
 		m.fnIdx = make(map[*cdfg.Function]int, len(p.Funcs))
 		for i, f := range p.Funcs {
-			m.fnProf[i] = fnProfile{
-				freq: make([]int64, len(f.Blocks)),
-				ops:  make([]OpStat, maxOpID(f)+1),
-			}
+			m.freq[i] = make([]int64, len(f.Blocks))
 			m.fnIdx[f] = i
 		}
 	}
@@ -180,23 +119,14 @@ func Run(p *cdfg.Program, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	res := &Result{Ret: ret, Steps: m.steps,
+		Globals: make(map[string][]int32, len(p.Globals))}
 	if opts.CollectProfile {
-		m.prof = &Profile{
-			BlockFreq: make(map[string][]int64, len(p.Funcs)),
-			Ops:       make(map[OpKey]*OpStat),
-		}
+		res.Prof = &Profile{BlockFreq: make(map[string][]int64, len(p.Funcs))}
 		for i, f := range p.Funcs {
-			m.prof.BlockFreq[f.Name] = m.fnProf[i].freq
-			ops := m.fnProf[i].ops
-			for id := range ops {
-				if ops[id].Count > 0 {
-					m.prof.Ops[OpKey{Func: f.Name, OpID: id}] = &ops[id]
-				}
-			}
+			res.Prof.BlockFreq[f.Name] = m.freq[i]
 		}
 	}
-	res := &Result{Ret: ret, Steps: m.steps, Prof: m.prof,
-		Globals: make(map[string][]int32, len(p.Globals))}
 	for i, g := range p.Globals {
 		vals := make([]int32, len(m.globals[i]))
 		copy(vals, m.globals[i])
@@ -209,7 +139,7 @@ func Run(p *cdfg.Program, opts Options) (*Result, error) {
 type frame struct {
 	fn     *cdfg.Function
 	locals [][]int32
-	prof   *fnProfile // nil unless profiling
+	freq   []int64 // the function's block counts; nil unless profiling
 }
 
 func (m *machine) call(fn *cdfg.Function, args []int32) (int32, error) {
@@ -219,8 +149,8 @@ func (m *machine) call(fn *cdfg.Function, args []int32) (int32, error) {
 		return 0, &RuntimeError{Msg: fmt.Sprintf("call depth exceeds %d", m.opts.MaxDepth)}
 	}
 	fr := &frame{fn: fn, locals: make([][]int32, len(fn.Locals))}
-	if m.fnProf != nil {
-		fr.prof = &m.fnProf[m.fnIdx[fn]]
+	if m.freq != nil {
+		fr.freq = m.freq[m.fnIdx[fn]]
 	}
 	for i, l := range fn.Locals {
 		n := int32(1)
@@ -234,8 +164,8 @@ func (m *machine) call(fn *cdfg.Function, args []int32) (int32, error) {
 	}
 	blockID := fn.Entry
 	for {
-		if fr.prof != nil {
-			fr.prof.freq[blockID]++
+		if fr.freq != nil {
+			fr.freq[blockID]++
 		}
 		b := fn.Block(blockID)
 		for i := range b.Ops {
@@ -280,21 +210,6 @@ func (m *machine) operand(fr *frame, o cdfg.Operand) int32 {
 	return *m.slot(fr, o.Ref)
 }
 
-// record updates the activity trace of op with this execution's operand
-// values.
-func (m *machine) record(fr *frame, op *cdfg.Op, a, b int32) {
-	if fr.prof == nil {
-		return
-	}
-	st := &fr.prof.ops[op.ID]
-	if st.seen {
-		st.togglesA += int64(bits.OnesCount32(uint32(st.prevA ^ a)))
-		st.togglesB += int64(bits.OnesCount32(uint32(st.prevB ^ b)))
-	}
-	st.prevA, st.prevB, st.seen = a, b, true
-	st.Count++
-}
-
 // exec runs one operation. It returns the next block ID (or -1 to
 // continue), and done/ret when the function returns.
 func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, err error) {
@@ -303,32 +218,22 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 	case op.Code == cdfg.Nop:
 	case op.Code == cdfg.ConstOp:
 		*m.slot(fr, op.Dst) = op.Imm
-		m.record(fr, op, op.Imm, 0)
 	case op.Code == cdfg.Copy:
-		v := m.operand(fr, op.A)
-		*m.slot(fr, op.Dst) = v
-		m.record(fr, op, v, 0)
+		*m.slot(fr, op.Dst) = m.operand(fr, op.A)
 	case op.Code.IsBinary():
 		a := m.operand(fr, op.A)
 		b := m.operand(fr, op.B)
-		m.record(fr, op, a, b)
 		v, evalErr := behav.EvalBinOp(cdfg.BehavBinOp(op.Code), a, b)
 		if evalErr != nil {
 			return 0, 0, false, &RuntimeError{Pos: op.Pos, Msg: evalErr.Error()}
 		}
 		*m.slot(fr, op.Dst) = v
 	case op.Code == cdfg.Neg:
-		v := m.operand(fr, op.A)
-		m.record(fr, op, v, 0)
-		*m.slot(fr, op.Dst) = -v
+		*m.slot(fr, op.Dst) = -m.operand(fr, op.A)
 	case op.Code == cdfg.Not:
-		v := m.operand(fr, op.A)
-		m.record(fr, op, v, 0)
-		*m.slot(fr, op.Dst) = ^v
+		*m.slot(fr, op.Dst) = ^m.operand(fr, op.A)
 	case op.Code == cdfg.LNot:
-		v := m.operand(fr, op.A)
-		m.record(fr, op, v, 0)
-		if v == 0 {
+		if m.operand(fr, op.A) == 0 {
 			*m.slot(fr, op.Dst) = 1
 		} else {
 			*m.slot(fr, op.Dst) = 0
@@ -340,9 +245,7 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 			return 0, 0, false, &RuntimeError{Pos: op.Pos,
 				Msg: fmt.Sprintf("index %d out of range [0,%d) of %s", idx, len(arr), m.prog.ArrName(fr.fn, op.Arr))}
 		}
-		v := arr[idx]
-		m.record(fr, op, idx, v)
-		*m.slot(fr, op.Dst) = v
+		*m.slot(fr, op.Dst) = arr[idx]
 	case op.Code == cdfg.Store:
 		idx := m.operand(fr, op.A)
 		val := m.operand(fr, op.B)
@@ -351,7 +254,6 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 			return 0, 0, false, &RuntimeError{Pos: op.Pos,
 				Msg: fmt.Sprintf("index %d out of range [0,%d) of %s", idx, len(arr), m.prog.ArrName(fr.fn, op.Arr))}
 		}
-		m.record(fr, op, idx, val)
 		arr[idx] = val
 	case op.Code == cdfg.Call:
 		callee := m.prog.Func(op.Callee)
@@ -377,9 +279,7 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 	case op.Code == cdfg.Br:
 		next = op.Target
 	case op.Code == cdfg.CBr:
-		v := m.operand(fr, op.A)
-		m.record(fr, op, v, 0)
-		if v != 0 {
+		if m.operand(fr, op.A) != 0 {
 			next = op.Then
 		} else {
 			next = op.Else

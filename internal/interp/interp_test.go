@@ -259,64 +259,6 @@ func main() {
 	}
 }
 
-func TestProfileActivity(t *testing.T) {
-	// An operand alternating between 0 and ~0 toggles all 32 bits each
-	// execution; a constant operand toggles none.
-	prog := behav.MustParse("t", `
-var a; var s;
-func main() {
-	var i;
-	for i = 0; i < 16; i = i + 1 {
-		a = ~a;
-		s = s ^ a;
-	}
-}
-`)
-	ir := cdfg.MustBuild(prog)
-	res, err := Run(ir, Options{CollectProfile: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var xorStat *OpStat
-	f := ir.Func("main")
-	for _, b := range f.Blocks {
-		for i := range b.Ops {
-			if b.Ops[i].Code == cdfg.Xor {
-				xorStat = res.Prof.Ops[OpKey{Func: "main", OpID: b.Ops[i].ID}]
-			}
-		}
-	}
-	if xorStat == nil {
-		t.Fatal("no xor stat recorded")
-	}
-	if xorStat.Count != 16 {
-		t.Errorf("xor count = %d, want 16", xorStat.Count)
-	}
-	// Operand B is `a`, alternating 0xFFFFFFFF / 0x00000000: activity 1.
-	if got := xorStat.ActivityB(); got < 0.99 || got > 1.01 {
-		t.Errorf("xor activity B = %g, want ~1.0", got)
-	}
-}
-
-func TestActivityBounds(t *testing.T) {
-	res := run(t, `
-var out[32];
-func main() {
-	var i;
-	for i = 0; i < 32; i = i + 1 { out[i] = i * 16777619; }
-}
-`, Options{CollectProfile: true})
-	for key, st := range res.Prof.Ops {
-		a, b := st.ActivityA(), st.ActivityB()
-		if a < 0 || a > 1 || b < 0 || b > 1 {
-			t.Errorf("%v: activity out of [0,1]: %g %g", key, a, b)
-		}
-		if st.Count <= 0 {
-			t.Errorf("%v: non-positive count", key)
-		}
-	}
-}
-
 func TestStepsCounted(t *testing.T) {
 	res := run(t, "func main() { return 1; }", Options{})
 	if res.Steps <= 0 || res.Steps > 10 {

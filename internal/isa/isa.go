@@ -127,11 +127,19 @@ type Instr struct {
 	Rs2    int   // second source register / store data
 	Imm    int32 // immediate: operand, address offset, or ASIC core id
 	UseImm bool  // binary ALU ops: use Imm instead of Rs2
-	Target int   // instruction index for B/BEQZ/BNEZ/CALL
+	// Target is the instruction index for B/BEQZ/BNEZ/CALL. For an
+	// array LD/ST it is 1 + the index in Program.Arrays of the array the
+	// access must stay within; 0 marks a scalar access.
+	Target int
 	// Region tags the innermost cluster (cdfg region ID) this instruction
 	// was generated from, or -1. The ISS aggregates per-region statistics
 	// from it (per-cluster µP energy and utilization, Fig. 1 lines 9/12).
-	Region int
+	Region int32
+	// Block marks the first instruction of an IR basic block with 1 +
+	// the block's index in program block order (see Program.BlockOps);
+	// it is 0 elsewhere. The ISS counts block entries from it. Region
+	// and Block share one word, so Instr stays 72 bytes.
+	Block int32
 	// Comment carries the source construct for listings.
 	Comment string
 }
@@ -178,6 +186,23 @@ type Program struct {
 	// MemWords is the data memory size the program assumes (word
 	// addresses 0..MemWords-1; the stack starts at the top).
 	MemWords int
+
+	// BlockOps[i] is the number of IR operations in block i, in program
+	// block order: the blocks of the first IR function by block ID, then
+	// the second function's, and so on. Instr.Block marks where each
+	// block starts; blocks replaced by an ASIC rendezvous have no start.
+	BlockOps []int32
+	// Arrays lists the word extent of every array variable; array
+	// LD/ST instructions refer to it through Instr.Target.
+	Arrays []Extent
+}
+
+// Extent is the word range [Base, Base+Len) an array occupies. When SP
+// is set the array lives in a stack frame and Base is relative to the
+// stack pointer.
+type Extent struct {
+	Base, Len int32
+	SP        bool
 }
 
 // ByteAddr returns the byte address of the instruction at index idx, as

@@ -1,8 +1,10 @@
 package isa
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestOpcodeStrings(t *testing.T) {
@@ -104,5 +106,18 @@ func TestListing(t *testing.T) {
 		if !strings.Contains(l, want) {
 			t.Errorf("listing missing %q:\n%s", want, l)
 		}
+	}
+}
+
+// TestInstrSize pins the instruction at 72 bytes on 64-bit targets: the
+// compiled programs are a large share of a measurement's allocation, so
+// the block tag shares Region's word and the array extents live in a
+// per-program table (Program.Arrays).
+func TestInstrSize(t *testing.T) {
+	if strconv.IntSize != 64 {
+		t.Skip("sizes pinned for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Instr{}); got != 72 {
+		t.Errorf("isa.Instr is %d bytes, want 72", got)
 	}
 }

@@ -19,6 +19,15 @@
 // per cluster (instructions are tagged with their source region), which is
 // what Fig. 1 line 9 compares against a candidate ASIC implementation.
 //
+// A program the code generator emitted carries block marks
+// (isa.Program.BlockOps), and its run also counts how often each IR basic
+// block is entered: the "#ex_times" the paper obtains through profiling
+// (Fig. 4), with no second simulation. Such a run enforces the
+// interpreter's IR step limit over the entered blocks' ops. Every run
+// traps the faults the interpreter traps: division by zero, an array
+// index outside its array's extent, and call depth past the interpreter's
+// limit.
+//
 // When the program was compiled with excluded clusters, the ASIC
 // instruction transfers control to an ASICHandler: the µP core is shut
 // down while the ASIC core runs (Eq. 3's "whenever one of the cores is
@@ -66,9 +75,16 @@ type Options struct {
 	// ASIC handles rendezvous instructions; required only when the
 	// program contains them.
 	ASIC ASICHandler
-	// MaxInstrs aborts runaway programs (default 500M).
+	// MaxInstrs aborts runaway programs (default 500M). A program with
+	// block marks also stops at the interpreter's step limit: MaxInstrs
+	// IR operations, or 200M when MaxInstrs is 0. Each block entry adds
+	// the block's IR op count (isa.Program.BlockOps) to the steps.
 	MaxInstrs int64
 }
+
+// maxDepth is the interpreter's call depth limit, counted up by CALL and
+// down by JR.
+const maxDepth = 1024
 
 // RegionStat aggregates per-cluster statistics (keyed by cdfg region ID).
 type RegionStat struct {
@@ -125,6 +141,10 @@ type Result struct {
 	// Regions holds per-cluster statistics, keyed by cdfg region ID
 	// (-1 collects untagged instructions).
 	Regions map[int]*RegionStat
+	// BlockEntries counts the entries to every IR block, in program
+	// block order (isa.Program.BlockOps); nil when the program has no
+	// block marks.
+	BlockEntries []int64
 	// Mem is the final data memory. It is valid until Release, which
 	// hands it back to Run for reuse and sets Mem to nil; a caller that
 	// never calls Release owns it outright.
@@ -246,6 +266,7 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 	}
 	var regs [isa.NumRegs]int32
 	regs[isa.SP] = int32(p.MemWords)
+	depth := 0
 
 	res := &Result{Regions: make(map[int]*RegionStat), Mem: mem}
 	// Dense per-region accumulators indexed by region ID + 1 (untagged
@@ -253,9 +274,7 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 	// HALT; the per-instruction loop below never touches a map.
 	maxRegion := -1
 	for i := range p.Code {
-		if p.Code[i].Region > maxRegion {
-			maxRegion = p.Code[i].Region
-		}
+		maxRegion = max(maxRegion, int(p.Code[i].Region))
 	}
 	regStats := make([]RegionStat, maxRegion+2)
 	finish := func() {
@@ -263,6 +282,16 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			if regStats[id].Instrs > 0 {
 				res.Regions[id-1] = &regStats[id]
 			}
+		}
+	}
+
+	profile := len(p.BlockOps) > 0
+	var steps, maxSteps int64
+	if profile {
+		res.BlockEntries = make([]int64, len(p.BlockOps))
+		maxSteps = opts.MaxInstrs
+		if maxSteps == 0 {
+			maxSteps = 200_000_000
 		}
 	}
 
@@ -275,6 +304,14 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 		ins := &p.Code[pc]
 		if res.Instrs >= maxInstrs {
 			return nil, &SimError{PC: pc, Msg: fmt.Sprintf("instruction limit %d exceeded", maxInstrs)}
+		}
+		if profile && ins.Block != 0 {
+			b := ins.Block - 1
+			res.BlockEntries[b]++
+			steps += int64(p.BlockOps[b])
+			if steps > maxSteps {
+				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("step limit %d exceeded", maxSteps)}
+			}
 		}
 
 		if ins.Op == isa.HALT {
@@ -322,6 +359,11 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			regs[ins.Rd] = ^regs[ins.Rs1]
 		case isa.LD:
 			addr := regs[ins.Rs1] + ins.Imm
+			if ins.Target != 0 {
+				if err := checkIndex(p, pc, addr, regs[isa.SP]); err != nil {
+					return nil, err
+				}
+			}
 			if addr < 0 || int(addr) >= len(mem) {
 				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("load address %d out of range", addr)}
 			}
@@ -331,6 +373,11 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			regs[ins.Rd] = mem[addr]
 		case isa.ST:
 			addr := regs[ins.Rs1] + ins.Imm
+			if ins.Target != 0 {
+				if err := checkIndex(p, pc, addr, regs[isa.SP]); err != nil {
+					return nil, err
+				}
+			}
 			if addr < 0 || int(addr) >= len(mem) {
 				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("store address %d out of range", addr)}
 			}
@@ -349,9 +396,14 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 				next = ins.Target
 			}
 		case isa.CALL:
+			depth++
+			if depth > maxDepth {
+				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("call depth exceeds %d", maxDepth)}
+			}
 			regs[isa.RA] = int32(pc + 1)
 			next = ins.Target
 		case isa.JR:
+			depth--
 			next = int(regs[ins.Rs1])
 		default:
 			if !ins.Op.IsBinaryALU() {
@@ -383,4 +435,19 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 
 		pc = next
 	}
+}
+
+// checkIndex bounds the array access at pc: addr must lie in the extent
+// its Target names. The index is computed in wrapping int32 arithmetic,
+// like the address, so it equals the source-level index.
+func checkIndex(p *isa.Program, pc int, addr, sp int32) *SimError {
+	e := &p.Arrays[p.Code[pc].Target-1]
+	base := e.Base
+	if e.SP {
+		base += sp
+	}
+	if idx := addr - base; uint32(idx) >= uint32(e.Len) {
+		return &SimError{PC: pc, Msg: fmt.Sprintf("index %d out of range [0,%d)", idx, e.Len)}
+	}
+	return nil
 }

@@ -298,3 +298,95 @@ func TestUtilizationZeroCycles(t *testing.T) {
 		t.Errorf("empty region utilization %g, want 0", u)
 	}
 }
+
+// TestIndexTrap bounds array accesses by their extents: a static array
+// at a fixed address and one in a stack frame, SP-relative.
+func TestIndexTrap(t *testing.T) {
+	static := func(imm int32) *isa.Program {
+		p := asm(
+			isa.Instr{Op: isa.LD, Rd: 8, Rs1: isa.Zero, Imm: imm, Target: 1},
+			isa.Instr{Op: isa.HALT},
+		)
+		p.Arrays = []isa.Extent{{Base: 100, Len: 3}}
+		return p
+	}
+	if _, err := Run(static(102), Options{}); err != nil {
+		t.Errorf("last element: %v", err)
+	}
+	for imm, want := range map[int32]string{103: "index 3 out of range [0,3)", 99: "index -1 out of range [0,3)"} {
+		if _, err := Run(static(imm), Options{}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("load at %d: %v, want %q", imm, err, want)
+		}
+	}
+	frame := asm(
+		isa.Instr{Op: isa.SUB, Rd: isa.SP, Rs1: isa.SP, Imm: 4, UseImm: true},
+		isa.Instr{Op: isa.LI, Rd: 9, Imm: 2},
+		isa.Instr{Op: isa.ADD, Rd: isa.AT, Rs1: isa.SP, Rs2: 9},
+		isa.Instr{Op: isa.ST, Rs1: isa.AT, Rs2: 9, Imm: 1, Target: 1},
+		isa.Instr{Op: isa.HALT},
+	)
+	frame.Arrays = []isa.Extent{{Base: 1, Len: 2, SP: true}}
+	if _, err := Run(frame, Options{}); err == nil || !strings.Contains(err.Error(), "index 2 out of range [0,2)") {
+		t.Errorf("frame store: %v", err)
+	}
+	frame.Arrays[0].Len = 3
+	if _, err := Run(frame, Options{}); err != nil {
+		t.Errorf("frame store in range: %v", err)
+	}
+}
+
+// TestDepthLimit counts CALL up and JR down: runaway recursion faults,
+// while many calls in sequence never grow the depth past one.
+func TestDepthLimit(t *testing.T) {
+	recurse := asm(
+		isa.Instr{Op: isa.CALL, Target: 2},
+		isa.Instr{Op: isa.HALT},
+		isa.Instr{Op: isa.CALL, Target: 2},
+	)
+	if _, err := Run(recurse, Options{}); err == nil || !strings.Contains(err.Error(), "call depth exceeds 1024") {
+		t.Errorf("runaway recursion: %v", err)
+	}
+	sequence := asm(
+		isa.Instr{Op: isa.LI, Rd: 8, Imm: 2000},
+		isa.Instr{Op: isa.CALL, Target: 5},
+		isa.Instr{Op: isa.SUB, Rd: 8, Rs1: 8, Imm: 1, UseImm: true},
+		isa.Instr{Op: isa.BNEZ, Rs1: 8, Target: 1},
+		isa.Instr{Op: isa.HALT},
+		isa.Instr{Op: isa.JR, Rs1: isa.RA},
+	)
+	if _, err := Run(sequence, Options{}); err != nil {
+		t.Errorf("2000 calls in sequence: %v", err)
+	}
+}
+
+// TestBlockProfile counts block entries and charges each entry its
+// block's IR ops against the step limit, which a program with block marks
+// takes from MaxInstrs: the 11 instructions below stay within it while
+// the 17 IR steps reach it.
+func TestBlockProfile(t *testing.T) {
+	p := asm(
+		isa.Instr{Op: isa.LI, Rd: 8, Imm: 5, Block: 1},
+		isa.Instr{Op: isa.SUB, Rd: 8, Rs1: 8, Imm: 1, UseImm: true, Block: 2},
+		isa.Instr{Op: isa.BNEZ, Rs1: 8, Target: 1},
+		isa.Instr{Op: isa.HALT},
+	)
+	p.BlockOps = []int32{2, 3}
+	res, err := Run(p, Options{MaxInstrs: 2 + 5*3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.BlockEntries; len(got) != 2 || got[0] != 1 || got[1] != 5 {
+		t.Errorf("block entries %v, want [1 5]", got)
+	}
+	if _, err := Run(p, Options{MaxInstrs: 2 + 5*3 - 1}); err == nil || !strings.Contains(err.Error(), "step limit 16 exceeded") {
+		t.Errorf("one step over: %v", err)
+	}
+	// Without block ops, the same limit bounds only the instructions and
+	// nothing is counted.
+	p.BlockOps = nil
+	if res, err := Run(p, Options{MaxInstrs: 12}); err != nil {
+		t.Errorf("run without block ops: %v", err)
+	} else if res.BlockEntries != nil {
+		t.Errorf("run without block ops counted block entries %v", res.BlockEntries)
+	}
+}

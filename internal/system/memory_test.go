@@ -55,6 +55,35 @@ func TestEvaluateIRISSMemoryZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMeasureInitialProfileZeroAlloc guards the one-simulation
+// measurement: the block profile comes from the initial design's ISS run,
+// so a warm MeasureInitialCtx(MPG) allocates no interpreter state. It
+// allocated 213.7 KB while an interpreter profiling run (69.2 KB of it)
+// preceded the ISS; the ceiling sits 53.7 KB below that, so a second
+// simulation cannot come back unnoticed.
+func TestMeasureInitialProfileZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under -race")
+	}
+	ir := buildApp(t, "MPG")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	measure := func() {
+		if _, _, err := MeasureInitialCtx(context.Background(), ir, Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	measure() // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	measure()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("warm MeasureInitialCtx(MPG) allocates %d B", got)
+	if got >= 160_000 {
+		t.Errorf("warm MeasureInitialCtx(MPG) allocates %d B, want under 160000 B", got)
+	}
+}
+
 // TestCrossCheckDetectsCorruptedGlobal makes sure Evaluate releases both
 // ISS memories and that the copied globals still catch a partitioned
 // design that diverges from the initial one.

@@ -4,8 +4,9 @@
 // — "it is an important feature of our approach that all system
 // components are taken into consideration to estimate energy savings"
 // (paper §4). Its Evaluate function runs the complete design flow of
-// Fig. 5: profile → initial design measurement → partitioning →
-// partitioned design co-simulation → verification.
+// Fig. 5: initial design measurement, whose ISS run also yields the block
+// profile → partitioning → partitioned design co-simulation →
+// verification.
 package system
 
 import (
@@ -37,7 +38,10 @@ type Config struct {
 	ICache, DCache cache.Config
 	// MemWords/StackWords size the µP's memory map.
 	MemWords, StackWords int
-	// MaxInstrs bounds the ISS runs.
+	// MaxInstrs bounds the ISS runs (500M instructions when 0). It also
+	// sets the IR step limit, 200M when 0: the initial design's ISS run
+	// enforces it over the IR ops of the blocks it enters, and the
+	// interpreter applies it when it re-runs a failed program.
 	MaxInstrs int64
 	// Verify cross-checks the partitioned design's memory against the
 	// initial design's (differential co-simulation check). Default true;
@@ -95,7 +99,9 @@ type Evaluation struct {
 	Initial     *Design
 	Partitioned *Design // nil when no partition was chosen
 	Decision    *partition.Decision
-	Profile     *interp.Profile
+	// Profile holds the block frequencies the initial design's ISS run
+	// counted, in the interpreter's shape.
+	Profile *interp.Profile
 
 	// initialGlobals holds the initial design's final global words in
 	// ir.Globals order, kept for the differential memory verify against
@@ -274,12 +280,13 @@ func EvaluateIR(ir *cdfg.Program, cfg Config) (*Evaluation, error) {
 }
 
 // MeasureInitialCtx runs the measurement front half of the Fig. 5 flow —
-// the profiling run and the initial (all-software) design — and returns
-// the partially-filled Evaluation (IR, Profile, Initial) together with
-// the partitioning Baseline derived from the measured design. Evaluate
-// continues from here into the greedy Fig. 1 loop; internal/dse's Pareto
-// explorer continues into a branch-and-bound search instead, but judges
-// every configuration against this same measured baseline.
+// one ISS run of the initial (all-software) design, which also counts
+// the block profile — and returns the partially-filled Evaluation (IR,
+// Profile, Initial) together with the partitioning Baseline derived from
+// the measured design. Evaluate continues from here into the greedy
+// Fig. 1 loop; internal/dse's Pareto explorer continues into a
+// branch-and-bound search instead, but judges every configuration
+// against this same measured baseline.
 func MeasureInitialCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, *partition.Baseline, error) {
 	return measureCtx(ctx, ir, cfg, nil)
 }
@@ -324,31 +331,23 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 	lib := cfg.Part.Lib
 	micro := &lib.Micro
 
-	// Profiling run (Fig. 5 "Trace Tool" / profiler).
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	profRes, err := interp.Run(ir, interp.Options{CollectProfile: true,
-		MaxSteps: cfg.MaxInstrs})
-	if err != nil {
-		return nil, nil, fmt.Errorf("system: profiling: %w", err)
-	}
-	ev := &Evaluation{App: ir.Name, IR: ir, Profile: profRes.Prof}
-
-	// Initial (all-software) design.
+	// Initial (all-software) design. Its ISS run is also the profiling
+	// run (Fig. 5's profiler): it counts the IR block entries that become
+	// #ex_times.
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	full, fullLay, err := codegen.Compile(ir, codegen.Options{
 		MemWords: cfg.MemWords, StackWords: cfg.StackWords})
 	if err != nil {
-		return nil, nil, fmt.Errorf("system: compile: %w", err)
+		return nil, nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: compile: %w", err))
 	}
 	initial, _, _, err := runDesignRec("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
 	if err != nil {
-		return nil, nil, fmt.Errorf("system: initial design: %w", err)
+		return nil, nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: initial design: %w", err))
 	}
-	ev.Initial = initial
+	ev := &Evaluation{App: ir.Name, IR: ir, Initial: initial,
+		Profile: blockProfile(ir, initial.ISS.BlockEntries)}
 	// verify reads only the globals: keep a copy of them and hand the
 	// ISS memory back for the next run.
 	ev.initialGlobals = globalWords(ir, fullLay, initial.ISS.Mem)
@@ -366,12 +365,44 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 	return ev, base, nil
 }
 
+// blockProfile shapes the ISS's block entry counts, which are in program
+// block order, into the interpreter's per-function BlockFreq. The
+// per-function slices share the counts' storage.
+func blockProfile(ir *cdfg.Program, entries []int64) *interp.Profile {
+	freq := make(map[string][]int64, len(ir.Funcs))
+	off := 0
+	for _, f := range ir.Funcs {
+		n := len(f.Blocks)
+		freq[f.Name] = entries[off : off+n : off+n]
+		off += n
+	}
+	return &interp.Profile{BlockFreq: freq}
+}
+
+// interpError picks the error a failed compile or simulation reports.
+// The interpreter runs the program again under the same limits; if it
+// traps too, its positioned fault is the error, as "system: profiling:
+// ...". Otherwise the program is sound at the IR level and err stands.
+// A request whose ctx is already done gets ctx's error instead of the
+// extra interpreter run.
+func interpError(ctx context.Context, ir *cdfg.Program, cfg *Config, err error) error {
+	if cerr := ctx.Err(); cerr != nil {
+		return cerr
+	}
+	if _, ierr := interp.Run(ir, interp.Options{MaxSteps: cfg.MaxInstrs}); ierr != nil {
+		return fmt.Errorf("system: profiling: %w", ierr)
+	}
+	return err
+}
+
 // RecordTraceCtx compiles the program and replays it on the ISS with a
 // trace recorder attached, returning the complete memory-reference trace
 // (instruction fetches, data reads and writes). The trace feeds the
 // single-pass stack-distance cache sweeps: the access sequence is a pure
 // function of the program, independent of any cache geometry, so one
-// recording prices every geometry.
+// recording prices every geometry. The run traps what the measurement
+// traps, so a program the interpreter rejects fails here with the same
+// positioned error.
 func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.Trace, error) {
 	cfg.defaults()
 	if err := ctx.Err(); err != nil {
@@ -380,13 +411,13 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 	mp, _, err := codegen.Compile(ir, codegen.Options{
 		MemWords: cfg.MemWords, StackWords: cfg.StackWords})
 	if err != nil {
-		return nil, fmt.Errorf("system: compile: %w", err)
+		return nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: compile: %w", err))
 	}
 	rec := &trace.Recorder{}
 	res, err := iss.Run(mp, iss.Options{Micro: &cfg.Part.Lib.Micro, Mem: rec,
 		MaxInstrs: cfg.MaxInstrs})
 	if err != nil {
-		return nil, fmt.Errorf("system: trace recording: %w", err)
+		return nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: trace recording: %w", err))
 	}
 	res.Release()
 	return &rec.Trace, nil
