@@ -8,7 +8,7 @@
 // The pass works interprocedurally. Functions annotated with a
 // `//lint:hotpath` comment on (or directly above) their declaration —
 // sched.ScheduleBlock, asic.(*Core).RunASIC, partition.(*Priced).Add and
-// Remove, partition.(*DeltaEvaluator).EvalInto, and the DFS body of the
+// Remove, partition.(*Evaluator).EvalInto, and the DFS body of the
 // dse explorer — are the hot roots. The analysis computes their call
 // closure over the whole-module call graph (closures bound to local
 // variables are first-class nodes, so a hot DFS body pulls its helper

@@ -94,10 +94,10 @@ func TestProgramFactsAndClosure(t *testing.T) {
 // TestHotClosureCoversAllocGuardedFunctions pins the pass to the repo's
 // runtime contract: every function guarded by a testing.AllocsPerRun
 // test (asic.(*Core).RunASIC via TestRunASICZeroAlloc, asic.Bind via
-// TestBindZeroAllocScratch, partition.(*DeltaEvaluator).EvalInto via
-// TestDeltaEvalIntoZeroAlloc,
-// milp.SolveInstance via TestSolveInstanceZeroAlloc, the online cache
-// profiler trace.(*Profiler).access via TestPrepareColdTraceZeroAlloc)
+// TestBindZeroAllocScratch, partition.(*Evaluator).EvalInto via
+// TestEvalIntoZeroAlloc, milp.SolveInstance via
+// TestSolveInstanceZeroAlloc, the online cache profiler
+// trace.(*Profiler).access via TestPrepareColdTraceZeroAlloc)
 // plus the annotated scheduler/splice inner loops must be hot roots, and
 // the closure must cross package boundaries (behav.EvalBinOp runs inside
 // the ASIC interpreter loop, stackdist.(*Profiler).Access inside the
@@ -117,7 +117,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 		"asic.Bind",
 		"partition.(*Priced).Add",
 		"partition.(*Priced).Remove",
-		"partition.(*DeltaEvaluator).EvalInto",
+		"partition.(*Evaluator).EvalInto",
 		"dse.searchGeometry.walk",
 		"milp.SolveInstance",
 		"trace.(*Profiler).access",

@@ -21,12 +21,13 @@
 // Determinism is by construction, like everywhere else in this repo:
 // geometries fan out on an explore.MapCtx pool and each geometry's
 // search is serial, so the frontier is byte-identical at any worker
-// count. All geometries share one partition.Evaluator, whose
-// schedule/binding memo makes every (cluster, resource set) pair pay the
-// expensive Fig. 1 lines 8-10 at most once across the whole exploration;
-// the cache geometries themselves are profiled online during the one ISS
-// run of the initial design by the single-pass stack-distance profiler
-// (trace.Profiler), not by re-simulating the program per geometry.
+// count. All geometries share one partition.Evaluator, whose pair cache
+// makes every (cluster, resource set) pair pay the expensive Fig. 1
+// lines 8-10 once across the whole exploration (twice only when two
+// geometries race to bind it first); the cache geometries themselves are
+// profiled online during the one ISS run of the initial design by the
+// single-pass stack-distance profiler (trace.Profiler), not by
+// re-simulating the program per geometry.
 package dse
 
 import (
@@ -146,20 +147,17 @@ type Point struct {
 }
 
 // Stats counts the search's work. Configs, Pruned and PairEvals are
-// deterministic at any worker count (each geometry's search is serial);
-// the Memo hit/miss split is NOT — concurrent geometries race to compute
-// a pair first — so only Adds/Size from it appear in rendered output.
+// deterministic at any worker count (each geometry's search is serial),
+// and so are MemoAdds and MemoSize: both are the number of distinct pairs
+// the evaluator cached. Its bind/hit split is not — concurrent geometries
+// race to bind a pair first — so it stays out of Stats.
 type Stats struct {
 	Geometries int   `json:"geometries"`
 	Configs    int64 `json:"configs"`    // configurations evaluated (search-tree nodes)
 	Pruned     int64 `json:"pruned"`     // subtrees cut by the lower bound
 	PairEvals  int64 `json:"pair_evals"` // objective evaluations of (cluster, set) pairs
-	MemoAdds   int64 `json:"memo_adds"`  // distinct schedule/bind computations
+	MemoAdds   int64 `json:"memo_adds"`  // distinct (cluster, set) pairs bound
 	MemoSize   int   `json:"memo_size"`
-
-	// Memo is the shared schedule/binding memo snapshot (hit/miss split
-	// is scheduling-dependent; see above).
-	Memo explore.MemoStats `json:"-"`
 }
 
 // Frontier is the outcome of one exploration: the non-dominated points
@@ -173,16 +171,16 @@ type Frontier struct {
 // Prep is the measured, priced half of an exploration: the application
 // profiled and run on the ISS once, every cache geometry profiled during
 // that single run and priced into its own all-software baseline, and one
-// shared DeltaEvaluator (one schedule/binding memo) ready to price
-// (cluster, resource set) pairs against any of those baselines. A Prep
-// feeds both the Pareto search (ExplorePrep) and the exact solver
-// (internal/milp), so the two provably price the same design space from
-// the same floats.
+// shared Evaluator (one pair cache) ready to price (cluster, resource
+// set) pairs against any of those baselines. A Prep feeds both the
+// Pareto search (ExplorePrep) and the exact solver (internal/milp), so
+// the two provably price the same design space from the same floats.
 type Prep struct {
 	IR *cdfg.Program
-	// Delta wraps the shared Evaluator; all geometries re-run only the
-	// cheap baseline-dependent price tail after the first decomposition.
-	Delta *partition.DeltaEvaluator
+	// Delta is the shared Evaluator: after the first geometry binds and
+	// decomposes a pair, every other geometry re-runs only the cheap
+	// baseline-dependent price tail.
+	Delta *partition.Evaluator
 	// Geoms[i] is priced against Bases[i]. Geoms excludes the anchor
 	// unless it is itself an explored geometry (the default grid's first
 	// entry is the anchor pair).
@@ -259,16 +257,14 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 	anchor, reps := m.reps[0], m.reps[1:]
 	base := m.base
 
-	// One evaluator — one schedule/binding memo — for every geometry and
-	// subtree, wrapped in a delta evaluator: geometries differ only in
-	// their baseline, so after the first geometry decomposes a (cluster,
-	// resource set) pair, every other geometry re-runs just the cheap
-	// baseline-dependent price tail.
+	// One evaluator — one pair cache — for every geometry and subtree:
+	// geometries differ only in their baseline, so after the first
+	// geometry decomposes a (cluster, resource set) pair, every other
+	// geometry re-runs just the cheap baseline-dependent price tail.
 	pe, err := partition.NewEvaluator(ir, m.prof, cfg.Sys.Part)
 	if err != nil {
 		return nil, err
 	}
-	de := partition.NewDeltaEvaluator(pe)
 
 	// Each geometry's all-software baseline, derived from the anchor
 	// measurement: swap the memory subsystem's energy for the swept one,
@@ -289,7 +285,7 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 		}
 		bases[gi] = gbase
 	}
-	return &Prep{IR: ir, Delta: de, Geoms: geoms, Bases: bases}, nil
+	return &Prep{IR: ir, Delta: pe, Geoms: geoms, Bases: bases}, nil
 }
 
 // Explore measures the application once (Prepare), then runs the
@@ -314,8 +310,7 @@ func ExplorePrep(ctx context.Context, p *Prep, cfg Config) (*Frontier, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = explore.DefaultWorkers()
 	}
-	pe := p.Delta.Evaluator()
-	pcfg := pe.Config()
+	pcfg := p.Delta.Config()
 
 	total := len(p.Geoms)
 	var done atomic.Int64
@@ -345,8 +340,8 @@ func ExplorePrep(ctx context.Context, p *Prep, cfg Config) (*Frontier, error) {
 	for i := range pts {
 		pts[i].ID = i
 	}
-	ms := pe.MemoStats()
-	st.MemoAdds, st.MemoSize, st.Memo = ms.Adds, ms.Size, ms
+	ms := p.Delta.MemoStats()
+	st.MemoAdds, st.MemoSize = int64(ms.Pairs), ms.Pairs
 
 	f := &Frontier{App: p.IR.Name, Points: pts, Stats: st}
 	if pcfg.Verify {
@@ -381,14 +376,14 @@ type geoResult struct {
 
 // searchGeometry runs the serial branch-and-bound over (cluster subset ×
 // per-cluster resource set) for one cache geometry's priced grid.
-func searchGeometry(ctx context.Context, de *partition.DeltaEvaluator, gbase *partition.Baseline,
+func searchGeometry(ctx context.Context, pe *partition.Evaluator, gbase *partition.Baseline,
 	g [2]cache.Config, cfg *Config) (*geoResult, error) {
-	grid, err := NewGrid(de, gbase)
+	grid, err := NewGrid(pe, gbase)
 	if err != nil {
 		return nil, err
 	}
 	pool, evals, viable := grid.Pool, grid.Evals, grid.Viable
-	pcfg := de.Evaluator().Config()
+	pcfg := pe.Config()
 	res := &geoResult{pairEvals: int64(len(pool) * len(pcfg.ResourceSets))}
 	t0 := gbase.TotalCycles
 	fl := newFloors(grid, gbase, cfg.ExactBound && !cfg.DisableBound && len(pool) <= 24)

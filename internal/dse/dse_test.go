@@ -141,28 +141,36 @@ func TestBoundExactAndEffective(t *testing.T) {
 		ex.Stats.Configs, bb.Stats.Configs, 100*float64(ex.Stats.Configs-bb.Stats.Configs)/float64(ex.Stats.Configs), bb.Stats.Pruned)
 }
 
-// All geometries share one schedule/binding memo: on a multi-geometry,
-// 2-cluster frontier run only the first geometry pays for each (cluster,
-// resource set) schedule/binding; the rest must hit the memo.
+// All geometries share one pair cache: on a multi-geometry, 2-cluster
+// frontier run only the first geometry pays for each (cluster, resource
+// set) schedule/binding; the rest must hit the cache.
 func TestMemoSharedAcrossGeometries(t *testing.T) {
 	ir := buildApp(t, "engine")
-	f := run(t, ir, Config{Workers: 1, MaxHW: 2})
+	cfg := Config{Workers: 1, MaxHW: 2}
+	p, err := Prepare(context.Background(), ir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ExplorePrep(context.Background(), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if f.Stats.Geometries < 2 {
 		t.Fatalf("default grid has %d geometries, need >= 2", f.Stats.Geometries)
 	}
-	if f.Stats.Memo.Hits == 0 {
-		t.Errorf("schedule/binding memo never hit across %d geometries: %+v",
-			f.Stats.Geometries, f.Stats.Memo)
+	ms := p.Delta.MemoStats()
+	if ms.Hits == 0 {
+		t.Errorf("pair cache never hit across %d geometries: %+v", f.Stats.Geometries, ms)
 	}
-	if rate := f.Stats.Memo.HitRate(); rate <= 0 {
-		t.Errorf("memo hit rate = %v, want > 0", rate)
+	if rate := ms.HitRate(); rate <= 0 {
+		t.Errorf("pair cache hit rate = %v, want > 0", rate)
+	}
+	if ms.Binds != ms.Pairs {
+		t.Errorf("one worker bound %d times for %d pairs", ms.Binds, ms.Pairs)
 	}
 	if f.Stats.MemoAdds >= f.Stats.PairEvals && f.Stats.PairEvals > 0 {
 		t.Errorf("every pair evaluation scheduled from scratch (adds=%d, pair evals=%d)",
 			f.Stats.MemoAdds, f.Stats.PairEvals)
-	}
-	if f.Stats.MemoSize != int(f.Stats.MemoAdds) {
-		t.Errorf("memo size %d != adds %d (unexpected eviction)", f.Stats.MemoSize, f.Stats.MemoAdds)
 	}
 }
 

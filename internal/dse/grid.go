@@ -26,12 +26,11 @@ type Grid struct {
 }
 
 // NewGrid prices one geometry's (cluster, resource set) grid against
-// base. The delta evaluator memoizes both the schedule/binding and the
-// baseline-independent term decomposition across geometries, so only
-// the first geometry pays Fig. 1 lines 8-10; every other geometry
-// re-runs just the baseline-dependent price tail.
-func NewGrid(de *partition.DeltaEvaluator, base *partition.Baseline) (*Grid, error) {
-	pe := de.Evaluator()
+// base. The evaluator caches both the schedule/binding and the
+// baseline-independent term decomposition of every pair across
+// geometries, so only the first geometry pays Fig. 1 lines 8-10; every
+// other geometry re-runs just the baseline-dependent price tail.
+func NewGrid(pe *partition.Evaluator, base *partition.Baseline) (*Grid, error) {
 	pcfg := pe.Config()
 	all, pool := pe.Candidates(base)
 	g := &Grid{All: all, Pool: pool,
@@ -41,7 +40,7 @@ func NewGrid(de *partition.DeltaEvaluator, base *partition.Baseline) (*Grid, err
 	for j, c := range pool {
 		g.Evals[j] = make([]*partition.SetEval, len(pcfg.ResourceSets))
 		for si := range g.Evals[j] {
-			e, err := de.Eval(base, c, si, false, false)
+			e, err := pe.Eval(base, c, si, false, false)
 			if err != nil {
 				return nil, err
 			}

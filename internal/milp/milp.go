@@ -222,20 +222,20 @@ func (in *Instance) Greedy() (of float64, j, oi int) {
 }
 
 // BuildInstance flattens one cache geometry's priced grid (dse.NewGrid,
-// against the shared DeltaEvaluator) into a self-contained Instance.
+// against the shared Evaluator) into a self-contained Instance.
 // Only picks passing the Fig. 1 acceptance test become Options — the
 // grid's Viable lists, which internal/dse branches on too, so the two
 // engines search the same feasible space.
-func BuildInstance(de *partition.DeltaEvaluator, base *partition.Baseline,
+func BuildInstance(pe *partition.Evaluator, base *partition.Baseline,
 	geom [2]cache.Config, maxHW int) (*Instance, error) {
-	g, err := dse.NewGrid(de, base)
+	g, err := dse.NewGrid(pe, base)
 	if err != nil {
 		return nil, err
 	}
 	if g.Conflicts == nil {
 		return nil, fmt.Errorf("milp: pool of %d clusters exceeds the 64-bit conflict mask", len(g.Pool))
 	}
-	pcfg := de.Evaluator().Config()
+	pcfg := pe.Config()
 	in := &Instance{
 		Geom:           geom,
 		MuPE:           float64(base.MuPEnergy),

@@ -378,7 +378,7 @@ type Result struct {
 }
 
 // Solve builds and exactly solves one instance per prepared geometry.
-// The Prep supplies the measurement, the shared evaluator memo and the
+// The Prep supplies the measurement, the shared evaluator and the
 // per-geometry baselines, so milp prices the identical floats the
 // Pareto search does.
 func Solve(ctx context.Context, p *dse.Prep, cfg Config) (*Result, error) {

@@ -31,7 +31,7 @@ func TestCandidatesMatchPerCallAcrossApps(t *testing.T) {
 			if len(p.Bases) != len(dse.DefaultGeometries()) {
 				t.Fatalf("%s: %d baselines, want one per default geometry", a.Name, len(p.Bases))
 			}
-			e := p.Delta.Evaluator()
+			e := p.Delta
 			for gi, base := range p.Bases {
 				all, pool := e.Candidates(base)
 				wantAll, wantPool := e.CandidatesPerCall(base)

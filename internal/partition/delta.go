@@ -1,113 +1,5 @@
 package partition
 
-import (
-	"sync"
-)
-
-// deltaKey identifies one cached pairTerms decomposition: the (cluster,
-// resource set) pair plus the Fig. 3 synergy flags it was derived with.
-type deltaKey struct {
-	region, set    int
-	prevHW, nextHW bool
-}
-
-// cachedTerms couples a pairTerms decomposition with the identity of the
-// memoized bindResult it was derived from. When the underlying
-// schedule/binding memo evicts and recomputes a pair, the fresh
-// *bindResult pointer no longer matches and the stale terms are discarded
-// — an evicted parent always forces a clean full re-price, never a stale
-// splice.
-type cachedTerms struct {
-	br *bindResult
-	t  *pairTerms
-}
-
-// DeltaStats reports the DeltaEvaluator's term-cache effectiveness:
-// Misses counts full termsOf decompositions, Hits counts evaluations that
-// re-ran only the baseline-dependent price tail.
-type DeltaStats struct {
-	Hits   int64
-	Misses int64
-}
-
-// DeltaEvaluator prices (cluster, resource set) pairs incrementally:
-// given a priced configuration and a neighbor differing only in its
-// baseline — one greedy round's shifted baseline, or one cache geometry's
-// swept baseline — it re-runs only the baseline-dependent tail of the
-// Fig. 1 arithmetic (pairTerms.price) and splices the result into the
-// cached decomposition. The priced SetEval is byte-identical to a full
-// evaluation: termsOf/price partition the original expression tree
-// without reassociating any float operation.
-//
-// It is safe for concurrent use; terms derive from the wrapped
-// Evaluator's schedule/binding memo and are invalidated whenever that
-// memo recomputes a pair (see cachedTerms).
-type DeltaEvaluator struct {
-	e     *Evaluator
-	mu    sync.Mutex
-	terms map[deltaKey]*cachedTerms
-	stats DeltaStats
-}
-
-// NewDeltaEvaluator wraps an Evaluator with a pair-terms cache.
-func NewDeltaEvaluator(e *Evaluator) *DeltaEvaluator {
-	return &DeltaEvaluator{e: e, terms: make(map[deltaKey]*cachedTerms)}
-}
-
-// Evaluator returns the wrapped Evaluator.
-func (d *DeltaEvaluator) Evaluator() *Evaluator { return d.e }
-
-// Stats returns a snapshot of the term-cache counters.
-func (d *DeltaEvaluator) Stats() DeltaStats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
-// EvalInto prices one (cluster, resource set, synergy) triple against a
-// baseline, writing into out. The warm path — terms cached, binding
-// memoized — performs no heap allocation. The returned error is a
-// Config.Verify violation, never a property of the design point.
-//
-//lint:hotpath guarded by TestDeltaEvalIntoZeroAlloc
-func (d *DeltaEvaluator) EvalInto(base *Baseline, c *Candidate, si int, prevHW, nextHW bool, out *SetEval) error {
-	rs := &d.e.cfg.ResourceSets[si]
-	key := PairKey{Region: c.Region.ID, Set: si}
-	br, ok := d.e.memo.Get(key)
-	if !ok {
-		br = scheduleBind(d.e.prof, d.e.cfg, c, rs)
-		d.e.memo.Add(key, br)
-	}
-	if br.verifyErr != nil {
-		return br.verifyErr
-	}
-	dk := deltaKey{region: c.Region.ID, set: si, prevHW: prevHW, nextHW: nextHW}
-	d.mu.Lock()
-	ct := d.terms[dk]
-	if ct == nil || ct.br != br || ct.t.micro != base.Micro {
-		// First sighting, a memo eviction recomputed the binding, or the
-		// baseline's µP model changed: decompose from scratch.
-		ct = &cachedTerms{br: br, t: termsOf(base, d.e.cfg, c, rs, br, prevHW, nextHW)} //lint:alloc term-cache miss; the warm path reuses the cached entry
-		d.terms[dk] = ct
-		d.stats.Misses++
-	} else {
-		d.stats.Hits++
-	}
-	d.mu.Unlock()
-	ct.t.price(base, d.e.cfg, rs, out)
-	return nil
-}
-
-// Eval is EvalInto with a freshly allocated SetEval, mirroring
-// Evaluator.Eval.
-func (d *DeltaEvaluator) Eval(base *Baseline, c *Candidate, si int, prevHW, nextHW bool) (*SetEval, error) {
-	out := &SetEval{}
-	if err := d.EvalInto(base, c, si, prevHW, nextHW, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // pricedFrame is one snapshot of the Priced accumulators.
 type pricedFrame struct {
 	saved, easic  float64

@@ -12,11 +12,12 @@ import (
 	"lppart/internal/units"
 )
 
-// TestDeltaMatchesFullAcrossApps differentially tests the delta
-// evaluator against full evaluation on all six Table 1 applications:
-// for every (cluster, resource set, synergy) triple and several shifted
-// baselines, the spliced price must be byte-identical — exact float
-// equality on every field — to evaluating from scratch.
+// TestDeltaMatchesFullAcrossApps differentially tests the evaluator's
+// cached term decompositions against single-pass evaluation on all six
+// Table 1 applications: for every (cluster, resource set, synergy)
+// triple and several shifted baselines, the price of the cached terms
+// must be byte-identical — exact float equality on every field — to
+// evaluating from scratch.
 func TestDeltaMatchesFullAcrossApps(t *testing.T) {
 	for _, a := range apps.All() {
 		a := a
@@ -52,7 +53,6 @@ func TestDeltaMatchesFullAcrossApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			de := partition.NewDeltaEvaluator(e)
 			_, pool := e.Candidates(base)
 			if len(pool) == 0 {
 				t.Fatal("no pre-selected candidates")
@@ -76,11 +76,11 @@ func TestDeltaMatchesFullAcrossApps(t *testing.T) {
 				for _, c := range pool {
 					for si := 0; si < ns; si++ {
 						for _, syn := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
-							full, err := e.Eval(b, c, si, syn[0], syn[1])
+							full, err := e.EvalFull(b, c, si, syn[0], syn[1])
 							if err != nil {
 								t.Fatal(err)
 							}
-							delta, err := de.Eval(b, c, si, syn[0], syn[1])
+							delta, err := e.Eval(b, c, si, syn[0], syn[1])
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -98,8 +98,8 @@ func TestDeltaMatchesFullAcrossApps(t *testing.T) {
 					}
 				}
 			}
-			if s := de.Stats(); s.Hits == 0 {
-				t.Errorf("delta evaluator never hit its term cache: %+v", s)
+			if s := e.MemoStats(); s.Hits == 0 || s.Binds != s.Pairs {
+				t.Errorf("MemoStats = %+v, want hits and one bind per pair", s)
 			}
 		})
 	}

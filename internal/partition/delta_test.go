@@ -1,9 +1,10 @@
 package partition
 
 import (
+	"fmt"
+	"math"
+	"sync"
 	"testing"
-
-	"lppart/internal/explore"
 )
 
 // evalFields compares every observable field of two SetEvals exactly
@@ -18,7 +19,7 @@ func evalFields(t *testing.T, tag string, full, delta *SetEval) {
 		t.Errorf("%s: Reason %q vs %q", tag, full.Reason, delta.Reason)
 	}
 	if full.Binding != delta.Binding {
-		t.Errorf("%s: Binding pointers differ (memo should be shared)", tag)
+		t.Errorf("%s: Binding pointers differ (the pair cache should share one)", tag)
 	}
 	if full.UASIC != delta.UASIC || full.UMuP != delta.UMuP {
 		t.Errorf("%s: U mismatch: (%v,%v) vs (%v,%v)", tag, full.UASIC, full.UMuP, delta.UASIC, delta.UMuP)
@@ -40,92 +41,83 @@ func evalFields(t *testing.T, tag string, full, delta *SetEval) {
 	}
 }
 
-// TestDeltaEvictionForcesFullReprice: when the schedule/binding memo
-// evicts a pair, the delta evaluator's cached terms for that pair refer
-// to the retired bindResult. Re-evaluating the pair must recompute the
-// binding AND the terms from scratch (a clean full re-price), and the
-// result must still match a full evaluation — never a stale splice.
-func TestDeltaEvictionForcesFullReprice(t *testing.T) {
+// TestConcurrentPairEvalSharesBinding: concurrent first evaluations of
+// one pair may all miss the cache and bind, but the first stored binding
+// wins — the cache holds one pair, and every evaluation shares its
+// *asic.Binding and prices the same bits.
+func TestConcurrentPairEvalSharesBinding(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
+	probe, err := NewEvaluator(ir, prof, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pool := probe.Candidates(base)
+	if len(pool) == 0 {
+		t.Fatal("no candidates")
+	}
+	// The first resource set the top cluster binds on.
+	si := -1
+	for s := range probe.Config().ResourceSets {
+		if ev, err := probe.Eval(base, pool[0], s, false, false); err == nil && ev.Binding != nil {
+			si = s
+			break
+		}
+	}
+	if si < 0 {
+		t.Fatal("top cluster binds on no resource set")
+	}
 	e, err := NewEvaluator(ir, prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A capacity-1 memo evicts pair A as soon as pair B is bound.
-	e.memo = explore.NewMemo[PairKey, *bindResult](1)
-	de := NewDeltaEvaluator(e)
-	_, pool := e.Candidates(base)
-	if len(pool) < 2 {
-		t.Fatalf("need two candidates, have %d", len(pool))
+	const n = 8
+	evs := make([]*SetEval, n)
+	var wg sync.WaitGroup
+	for i := range evs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ev, err := e.Eval(base, pool[0], si, false, false)
+			if err != nil {
+				t.Error(err)
+			}
+			evs[i] = ev
+		}(i)
 	}
-	a, b := pool[0], pool[1]
-
-	evalA1, err := de.Eval(base, a, 0, false, false)
-	if err != nil {
-		t.Fatal(err)
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	if s := de.Stats(); s.Misses != 1 || s.Hits != 0 {
-		t.Fatalf("first eval: stats = %+v, want 1 miss", s)
+	if s := e.MemoStats(); s.Pairs != 1 || s.Binds+s.Hits != n {
+		t.Errorf("MemoStats = %+v, want 1 pair and %d evaluations", s, n)
 	}
-	// Same pair again, no eviction in between: pure price-tail splice.
-	if _, err := de.Eval(base, a, 0, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if s := de.Stats(); s.Hits != 1 {
-		t.Fatalf("re-eval without eviction: stats = %+v, want 1 hit", s)
-	}
-
-	// Bind pair B: capacity 1 evicts pair A from the memo.
-	if _, err := de.Eval(base, b, 0, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if ms := e.memo.Stats(); ms.Evictions == 0 {
-		t.Fatalf("expected an eviction, memo stats = %+v", ms)
-	}
-
-	// Pair A again: the memo recomputes the binding, so the cached terms
-	// must be discarded (miss, not hit) and the result must equal both
-	// the pre-eviction evaluation and a fresh full evaluation.
-	before := de.Stats()
-	evalA2, err := de.Eval(base, a, 0, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after := de.Stats()
-	if after.Misses != before.Misses+1 || after.Hits != before.Hits {
-		t.Errorf("post-eviction eval must be a clean re-price: stats %+v -> %+v", before, after)
-	}
-	full, err := e.Eval(base, a, 0, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if evalA2.OF != evalA1.OF || evalA2.OF != full.OF ||
-		evalA2.EstCycles != evalA1.EstCycles || evalA2.GEQ != evalA1.GEQ {
-		t.Errorf("post-eviction re-price diverged: before=%v after=%v full=%v",
-			evalA1.OF, evalA2.OF, full.OF)
+	for i, ev := range evs[1:] {
+		evalFields(t, fmt.Sprintf("goroutine %d", i+1), evs[0], ev)
+		if math.Float64bits(ev.OF) != math.Float64bits(evs[0].OF) {
+			t.Errorf("goroutine %d: OF bits %x, want %x", i+1, math.Float64bits(ev.OF), math.Float64bits(evs[0].OF))
+		}
 	}
 }
 
-// TestDeltaEvalIntoZeroAlloc: the warm delta path (binding memoized,
-// terms cached) must not heap allocate.
-func TestDeltaEvalIntoZeroAlloc(t *testing.T) {
+// TestEvalIntoZeroAlloc: the warm path (pair bound, terms cached) must
+// not heap allocate.
+func TestEvalIntoZeroAlloc(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
 	e, err := NewEvaluator(ir, prof, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	de := NewDeltaEvaluator(e)
 	_, pool := e.Candidates(base)
 	if len(pool) == 0 {
 		t.Fatal("no candidates")
 	}
 	c := pool[0]
 	var out SetEval
-	if err := de.EvalInto(base, c, 0, false, false, &out); err != nil {
+	if err := e.EvalInto(base, c, 0, false, false, &out); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := de.EvalInto(base, c, 0, false, false, &out); err != nil {
+		if err := e.EvalInto(base, c, 0, false, false, &out); err != nil {
 			t.Error(err)
 		}
 	})

@@ -3,42 +3,55 @@ package partition
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"lppart/internal/cdfg"
 	"lppart/internal/dataflow"
-	"lppart/internal/explore"
 	"lppart/internal/interp"
 )
 
-// PairKey identifies one (cluster, resource set) pair in the
-// schedule/binding memo: Fig. 1 lines 8-10 depend only on this pair, not
-// on the baseline they are judged against, so every search over the
-// design space — the greedy MaxCores rounds here, the branch-and-bound
-// subtrees and cache geometries of internal/dse — can share one memo.
-type PairKey struct {
-	Region int // region ID
-	Set    int // resource-set index
+// pairKey identifies one (cluster, resource set) pair in the evaluator's
+// cache: Fig. 1 lines 8-10 depend only on this pair, not on the baseline
+// they are judged against, so every search over the design space — the
+// greedy MaxCores rounds here, the branch-and-bound subtrees and cache
+// geometries of internal/dse, the exact instance of internal/milp — can
+// share one cache.
+type pairKey struct {
+	region int // region ID
+	set    int // resource-set index
+}
+
+// pairEntry is one pair's cached work: its schedule/binding and, per
+// Fig. 3 synergy-flag combination (bit 0 prevHW, bit 1 nextHW), the
+// baseline-independent term decomposition priced on top of it.
+type pairEntry struct {
+	br    *bindResult
+	terms [4]*pairTerms
 }
 
 // Evaluator exposes the Fig. 1 building blocks — candidate enumeration
 // with the Fig. 3 bus-traffic pre-selection, and the per-(cluster,
 // resource set) schedule/bind/objective evaluation — to callers that
 // walk the design space in a different order than the greedy loop.
-// Partition itself runs on one, and internal/dse's Pareto explorer
-// shares the schedule/binding memo across its subtrees and cache
-// geometries through the same type.
+// Partition itself runs on one, and internal/dse's Pareto explorer and
+// internal/milp's exact instance share its pair cache across their
+// subtrees and cache geometries through the same type.
 //
-// The evaluator is safe for concurrent Eval calls: the memo serializes
-// its own accesses and scheduleBind is a pure function of the pair.
+// The evaluator is safe for concurrent use: one mutex guards the pair
+// cache, and scheduleBind, termsOf and price are pure functions of their
+// inputs.
 type Evaluator struct {
 	p    *cdfg.Program
 	prof *interp.Profile
 	cfg  Config
-	memo *explore.Memo[PairKey, *bindResult]
 	// regions is p.Regions(); static[i] is regions[i]'s
 	// baseline-independent candidate half.
 	regions []*cdfg.Region
 	static  []staticCandidate
+
+	mu    sync.Mutex
+	pairs map[pairKey]*pairEntry
+	stats MemoStats // Binds and Hits; Pairs is len(pairs)
 }
 
 // staticCandidate is the half of a Candidate that does not depend on the
@@ -51,7 +64,8 @@ type staticCandidate struct {
 }
 
 // NewEvaluator validates the inputs (running the cdfg/dataflow verifiers
-// when cfg.Verify is set) and returns an evaluator with an empty memo.
+// when cfg.Verify is set) and returns an evaluator with an empty pair
+// cache.
 // It computes every region's baseline-independent candidate half here,
 // once, so Candidates — called per cache geometry by the design-space
 // searches — only prices the baseline-dependent rest.
@@ -92,8 +106,8 @@ func NewEvaluator(p *cdfg.Program, prof *interp.Profile, cfg Config) (*Evaluator
 		s.invocations = invocationsOf(prof, r)
 	}
 	return &Evaluator{p: p, prof: prof, cfg: cfg,
-		memo:    explore.NewMemo[PairKey, *bindResult](0),
-		regions: regions, static: static}, nil
+		regions: regions, static: static,
+		pairs: make(map[pairKey]*pairEntry)}, nil
 }
 
 // Config returns the evaluator's fully-defaulted configuration.
@@ -163,30 +177,82 @@ func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
 	return all, pool
 }
 
-// Eval runs Fig. 1 lines 8-13 for one (cluster, resource set) pair
-// against a baseline, reusing the schedule/binding memo: only the first
+// EvalInto runs Fig. 1 lines 8-13 for one (cluster, resource set,
+// synergy) triple against a baseline, writing into out. Only the first
 // evaluation of a pair pays for the list schedule and the Fig. 4
-// binding; every later baseline, synergy-flag combination or search
-// subtree recomputes just the objective arithmetic. The returned error
-// is a Config.Verify violation (an internal invariant failure), never a
-// property of the design point — infeasible points come back as
-// ineligible SetEvals.
-func (e *Evaluator) Eval(base *Baseline, c *Candidate, si int, prevHW, nextHW bool) (*SetEval, error) {
+// binding, and only the first per synergy-flag combination for the
+// baseline-independent term decomposition; every later baseline — a
+// greedy round's shifted one, a cache geometry's swept one — re-runs
+// just the baseline-dependent price tail. The priced SetEval is
+// byte-identical to a single-pass evaluation: termsOf/price partition
+// the original expression tree without reassociating any float
+// operation. The warm path performs no heap allocation.
+//
+// When concurrent misses on one pair race, the first stored binding
+// wins, so every evaluation of a pair shares one *asic.Binding. The
+// returned error is a Config.Verify violation (an internal invariant
+// failure), never a property of the design point — infeasible points
+// come back as ineligible SetEvals.
+//
+//lint:hotpath guarded by TestEvalIntoZeroAlloc
+func (e *Evaluator) EvalInto(base *Baseline, c *Candidate, si int, prevHW, nextHW bool, out *SetEval) error {
 	rs := &e.cfg.ResourceSets[si]
-	key := PairKey{Region: c.Region.ID, Set: si}
-	br, ok := e.memo.Get(key)
-	if !ok {
-		br = scheduleBind(e.prof, e.cfg, c, rs)
-		e.memo.Add(key, br)
+	key := pairKey{region: c.Region.ID, set: si}
+	e.mu.Lock()
+	ent := e.pairs[key]
+	if ent == nil {
+		e.stats.Binds++
+		e.mu.Unlock()
+		br := scheduleBind(e.prof, e.cfg, c, rs)
+		e.mu.Lock()
+		if ent = e.pairs[key]; ent == nil {
+			ent = &pairEntry{br: br} //lint:alloc pair-cache miss; the warm path reuses the cached entry
+			e.pairs[key] = ent
+		}
+	} else {
+		e.stats.Hits++
 	}
+	br := ent.br
 	if br.verifyErr != nil {
-		return nil, br.verifyErr
+		e.mu.Unlock()
+		return br.verifyErr
 	}
-	return evaluate(base, e.cfg, c, rs, br, prevHW, nextHW), nil
+	syn := 0
+	if prevHW {
+		syn |= 1
+	}
+	if nextHW {
+		syn |= 2
+	}
+	t := ent.terms[syn]
+	if t == nil || t.micro != base.Micro {
+		// First sighting of these flags, or the baseline's µP model
+		// changed: decompose from scratch.
+		t = termsOf(base, e.cfg, c, rs, br, prevHW, nextHW)
+		ent.terms[syn] = t
+	}
+	e.mu.Unlock()
+	t.price(base, e.cfg, rs, out)
+	return nil
 }
 
-// MemoStats reports the schedule/binding memo's effectiveness.
-func (e *Evaluator) MemoStats() explore.MemoStats { return e.memo.Stats() }
+// Eval is EvalInto with a freshly allocated SetEval.
+func (e *Evaluator) Eval(base *Baseline, c *Candidate, si int, prevHW, nextHW bool) (*SetEval, error) {
+	out := &SetEval{}
+	if err := e.EvalInto(base, c, si, prevHW, nextHW, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// MemoStats reports the pair cache's effectiveness.
+func (e *Evaluator) MemoStats() MemoStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	s := e.stats
+	s.Pairs = len(e.pairs)
+	return s
+}
 
 // RegionsOverlap reports whether two clusters share basic blocks: nested
 // or identical regions cannot both move to hardware, so any design-space

@@ -5,6 +5,19 @@ import (
 	"sort"
 )
 
+// EvalFull is the single-pass reference EvalInto's cached terms are
+// compared with: evaluate (termsOf then price, nothing cached) on the
+// pair's cached schedule/binding, which an Eval binds first if needed.
+func (e *Evaluator) EvalFull(base *Baseline, c *Candidate, si int, prevHW, nextHW bool) (*SetEval, error) {
+	if _, err := e.Eval(base, c, si, prevHW, nextHW); err != nil {
+		return nil, err
+	}
+	e.mu.Lock()
+	br := e.pairs[pairKey{region: c.Region.ID, set: si}].br
+	e.mu.Unlock()
+	return evaluate(base, e.cfg, c, &e.cfg.ResourceSets[si], br, prevHW, nextHW), nil
+}
+
 // CandidatesPerCall is the reference Candidates is compared with: it
 // derives every field on each call, running EstimateTraffic per region
 // (one dataflow.Index each) and recounting eligibility and invocations.

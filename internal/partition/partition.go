@@ -185,14 +185,18 @@ type Choice struct {
 	Eval    *SetEval
 }
 
-// MemoStats reports the effectiveness of the cross-round schedule/binding
-// memo: Binds counts (cluster, resource set) pairs scheduled and bound
-// from scratch, Hits counts pairs whose Fig. 4 result a later MaxCores
-// round reused, recomputing only the objective-function arithmetic. It is
-// the partition-level view of the underlying explore.MemoStats.
+// MemoStats reports the effectiveness of an Evaluator's pair cache:
+// Binds counts evaluations that scheduled and bound a (cluster, resource
+// set) pair from scratch, Hits counts evaluations that reused a cached
+// Fig. 4 result and recomputed only the objective-function arithmetic,
+// and Pairs counts the distinct pairs cached. The cache never evicts, so
+// Binds equals Pairs unless concurrent evaluations of one pair raced (the
+// first stored binding wins); that happens across dse geometries, never
+// within one greedy round.
 type MemoStats struct {
 	Binds int
 	Hits  int
+	Pairs int
 }
 
 // HitRate returns Hits/(Hits+Binds), 0 when nothing was evaluated.
@@ -240,10 +244,6 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *interp.Profile, ba
 		return nil, err
 	}
 	cfg = e.cfg
-	// Rounds >= 2 revisit the same (cluster, resource set) pairs against a
-	// shifted baseline: the delta evaluator re-runs only the
-	// baseline-dependent price tail on the cached decomposition.
-	de := NewDeltaEvaluator(e)
 	dec := &Decision{BaselineOF: cfg.F}
 
 	// Steps 1-5: candidate enumeration, Fig. 3 traffic estimates and
@@ -258,12 +258,13 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *interp.Profile, ba
 	// shifted by the accepted cluster and the synergy discounts enabled
 	// for its siblings.
 	//
-	// The grid fans out on a bounded worker pool (Config.Workers) and
-	// schedules/bindings are memoized across rounds: Fig. 1 lines 8-10
-	// depend only on (cluster, resource set), so rounds >= 2 reuse them
-	// and recompute only the objective-function arithmetic. Each round
-	// visits a (region, set) pair at most once, so the memo computes every
-	// pair exactly once no matter how the pool schedules the grid.
+	// The grid fans out on a bounded worker pool (Config.Workers) and the
+	// evaluator caches schedules/bindings and their term decompositions
+	// across rounds: Fig. 1 lines 8-10 depend only on (cluster, resource
+	// set), so rounds >= 2 re-run only the baseline-dependent price tail.
+	// Each round visits a (region, set) pair at most once, so the cache
+	// binds every pair exactly once no matter how the pool schedules the
+	// grid.
 	round := *base
 	inHW := make(map[int]bool) // region IDs already in hardware
 	type gridTask struct {
@@ -287,7 +288,7 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *interp.Profile, ba
 			}
 		}
 		results, err := explore.MapCtx(ctx, cfg.Workers, tasks, func(_ int, t gridTask) (*SetEval, error) {
-			return de.Eval(&round, t.c, t.si, t.prevHW, t.nextHW)
+			return e.Eval(&round, t.c, t.si, t.prevHW, t.nextHW)
 		})
 		if err != nil {
 			return nil, err // ctx cancellation or a Config.Verify violation
@@ -324,8 +325,7 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *interp.Profile, ba
 	if len(dec.Choices) > 0 {
 		dec.Chosen = dec.Choices[0]
 	}
-	ms := e.MemoStats()
-	dec.Memo = MemoStats{Binds: int(ms.Misses), Hits: int(ms.Hits)}
+	dec.Memo = e.MemoStats()
 	if cfg.Verify {
 		if err := AuditDecision(dec, base, cfg); err != nil {
 			return nil, err
@@ -394,7 +394,7 @@ func invocationsOf(prof *interp.Profile, r *cdfg.Region) int64 {
 // set) evaluation: Fig. 1 lines 8-10 (list schedule, Fig. 4 binding,
 // hardware effort, ASIC-side utilization). It depends only on the cluster,
 // the resource set and the static configuration — not on the shifted
-// baseline or the synergy flags — so the MaxCores rounds memoize it.
+// baseline or the synergy flags — so the Evaluator caches it per pair.
 type bindResult struct {
 	err     error
 	reason  string
@@ -410,7 +410,7 @@ type bindResult struct {
 // scheduleBind runs the expensive half: Fig. 1 line 8's list schedule and
 // Fig. 4's instance binding.
 //
-//lint:alloc cold-fill boundary, runs only on a schedule/binding memo miss — the warm EvalInto path (TestDeltaEvalIntoZeroAlloc) never enters
+//lint:alloc cold-fill boundary, runs only on a pair-cache miss — the warm EvalInto path (TestEvalIntoZeroAlloc) never enters
 func scheduleBind(prof *interp.Profile, cfg Config, c *Candidate, rs *tech.ResourceSet) *bindResult {
 	br := &bindResult{}
 	// Line 8: list schedule.
@@ -451,9 +451,9 @@ func scheduleBind(prof *interp.Profile, cfg Config, c *Candidate, rs *tech.Resou
 // resource set, synergy flags) evaluation: everything in Fig. 1 lines
 // 8-13 that does not read the (shifted or per-geometry) baseline. The
 // only baseline inputs to these terms are the µP model and its clock —
-// which every derived baseline shares with the measured one — so a
-// DeltaEvaluator can price the same terms against many baselines by
-// re-running just the cheap tail (price).
+// which every derived baseline shares with the measured one — so the
+// Evaluator can price the same terms against many baselines by re-running
+// just the cheap tail (price).
 type pairTerms struct {
 	err    error
 	reason string // for err, or a baseline-independent rejection
@@ -591,10 +591,11 @@ func (t *pairTerms) price(base *Baseline, cfg Config, rs *tech.ResourceSet, out 
 }
 
 // evaluate runs the cheap half of Fig. 1 lines 8-13 for one (cluster,
-// resource set) pair on top of a (possibly memoized) schedule+binding:
+// resource set) pair on top of a schedule+binding in a single pass:
 // eligibility, energy estimates and the objective function — the
 // decomposition (termsOf) followed by the baseline-dependent tail
-// (price).
+// (price), with nothing cached. It is the reference the Evaluator's
+// cached terms must reproduce bit for bit.
 func evaluate(base *Baseline, cfg Config,
 	c *Candidate, rs *tech.ResourceSet, br *bindResult, prevHW, nextHW bool) *SetEval {
 	ev := &SetEval{}

@@ -1,10 +1,12 @@
 package system
 
 import (
+	"context"
 	"testing"
 
 	"lppart/internal/apps"
 	"lppart/internal/behav"
+	"lppart/internal/partition"
 )
 
 // twoHotLoops has two independent multiply-heavy clusters separated by a
@@ -131,4 +133,43 @@ func mustParse(t *testing.T, a apps.App) *behav.Program {
 		t.Fatal(err)
 	}
 	return src
+}
+
+// TestGreedyMemoCounters pins the greedy loop's schedule/binding memo
+// counters (partition.Decision.Memo) on the six Table 1 applications at
+// one and three cores. Each greedy round visits a (cluster, resource
+// set) pair at most once, so Binds (distinct pairs scheduled and bound)
+// and Hits (later rounds reusing them) are deterministic at any worker
+// count; a change to either is a change to the search, not noise.
+func TestGreedyMemoCounters(t *testing.T) {
+	// want[app][k] is {Binds, Hits} at 1 (k=0) and 3 (k=1) cores.
+	want := map[string][2][2]int{
+		"3d":     {{25, 0}, {25, 35}},
+		"MPG":    {{25, 0}, {25, 10}},
+		"ckey":   {{25, 0}, {25, 15}},
+		"digs":   {{25, 0}, {25, 5}},
+		"engine": {{25, 0}, {25, 25}},
+		"trick":  {{15, 0}, {15, 0}},
+	}
+	for _, a := range apps.All() {
+		ir, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, base, err := MeasureInitialCtx(context.Background(), ir, Config{})
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		for k, cores := range []int{1, 3} {
+			var pc partition.Config
+			pc.MaxCores = cores
+			dec, err := partition.Partition(ir, ev.Profile, base, pc)
+			if err != nil {
+				t.Fatalf("%s cores=%d: %v", a.Name, cores, err)
+			}
+			if got, w := dec.Memo, want[a.Name][k]; got.Binds != w[0] || got.Hits != w[1] {
+				t.Errorf("%s cores=%d: Memo = %+v, want Binds %d Hits %d", a.Name, cores, got, w[0], w[1])
+			}
+		}
+	}
 }

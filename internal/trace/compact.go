@@ -16,7 +16,7 @@ const chunkBytes = 1 << 16
 // address delta against the previous access of the SAME kind:
 // instruction fetches are mostly sequential and data references local,
 // so most accesses encode in one or two bytes versus the eight bytes of
-// the previous []Access representation (~4-8x smaller on the benchmark
+// a plain (kind, address) slice (~4-8x smaller on the benchmark
 // applications' traces). Chunks are storage segmentation only — the
 // delta chain runs across them — so decoding always streams from the
 // start, which is the only access pattern replay and profiling need.
@@ -29,7 +29,7 @@ type Compact struct {
 	scans  atomic.Int64
 }
 
-// Append records one access. Appending invalidates open iterators.
+// Append records one access.
 func (c *Compact) Append(k Kind, addr int32) {
 	delta := int64(addr) - int64(c.last[k])
 	c.last[k] = addr
@@ -89,50 +89,6 @@ func scanChunk(b []byte, last *[3]int32, fn func(k Kind, addr int32)) {
 		last[k] = addr
 		fn(k, addr)
 	}
-}
-
-// Iter returns a pull-style iterator over the stream. The iterator is
-// invalidated by Append.
-type Iter struct {
-	c      *Compact
-	chunks [][]byte
-	b      []byte
-	ci     int
-	last   [3]int32
-	done   bool
-}
-
-// Iter starts a new iteration from the first access.
-func (c *Compact) Iter() *Iter {
-	chunks := c.chunks[:len(c.chunks):len(c.chunks)]
-	if len(c.cur) > 0 {
-		chunks = append(chunks, c.cur)
-	}
-	return &Iter{c: c, chunks: chunks}
-}
-
-// Next returns the next access, or ok=false at the end of the stream.
-func (it *Iter) Next() (a Access, ok bool) {
-	for len(it.b) == 0 {
-		if it.ci >= len(it.chunks) {
-			if !it.done {
-				it.done = true
-				it.c.scans.Add(1)
-			}
-			return Access{}, false
-		}
-		it.b = it.chunks[it.ci]
-		it.ci++
-	}
-	u, n := binary.Uvarint(it.b)
-	if n <= 0 {
-		panic("trace: corrupt compact stream")
-	}
-	it.b = it.b[n:]
-	k := Kind(u & 3)
-	addr := int32(int64(it.last[k]) + unzigzag(u>>2))
-	it.last[k] = addr
-	return Access{Kind: k, Addr: addr}, true
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }

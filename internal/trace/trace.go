@@ -54,12 +54,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Access is one decoded memory reference.
-type Access struct {
-	Kind Kind
-	Addr int32 // word address
-}
-
 // Trace is a recorded reference stream in compact storage.
 type Trace struct {
 	Compact

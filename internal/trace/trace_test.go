@@ -59,10 +59,14 @@ func TestRecorderCapturesReferences(t *testing.T) {
 
 func TestCompactRoundTrip(t *testing.T) {
 	// The compact encoding must reproduce an arbitrary access sequence
-	// exactly, across chunk boundaries, through both Scan and Iter.
+	// exactly, across chunk boundaries.
+	type access struct {
+		Kind Kind
+		Addr int32
+	}
 	rng := rand.New(rand.NewSource(3))
 	var c Compact
-	var want []Access
+	var want []access
 	addr := int32(0)
 	for i := 0; i < 200000; i++ {
 		k := Kind(rng.Intn(3))
@@ -72,7 +76,7 @@ func TestCompactRoundTrip(t *testing.T) {
 		default:
 			addr += int32(rng.Intn(64)) - 16
 		}
-		want = append(want, Access{Kind: k, Addr: addr})
+		want = append(want, access{Kind: k, Addr: addr})
 		c.Append(k, addr)
 	}
 	if c.Len() != int64(len(want)) {
@@ -88,27 +92,14 @@ func TestCompactRoundTrip(t *testing.T) {
 	if i != len(want) {
 		t.Fatalf("Scan yielded %d accesses, want %d", i, len(want))
 	}
-	it := c.Iter()
-	for j := range want {
-		a, ok := it.Next()
-		if !ok {
-			t.Fatalf("Iter ended at %d of %d", j, len(want))
-		}
-		if a != want[j] {
-			t.Fatalf("Iter access %d: got %+v, want %+v", j, a, want[j])
-		}
-	}
-	if _, ok := it.Next(); ok {
-		t.Error("Iter yielded beyond the stream")
-	}
 }
 
 func TestCompactIsCompact(t *testing.T) {
 	// A real application trace must encode well below the 8 bytes per
-	// access of the old []Access representation.
+	// access of a plain (kind, address) slice.
 	tr := record(t, walker)
 	bytesPer := float64(tr.Bytes()) / float64(tr.Len())
-	t.Logf("compact: %d accesses in %d bytes (%.2f bytes/access, %.1fx vs []Access)",
+	t.Logf("compact: %d accesses in %d bytes (%.2f bytes/access, %.1fx vs a plain slice)",
 		tr.Len(), tr.Bytes(), bytesPer, 8/bytesPer)
 	if bytesPer > 4 {
 		t.Errorf("compact encoding too large: %.2f bytes/access, want <= 4", bytesPer)
