@@ -11,6 +11,7 @@
 //	lppart -app=digs -listing   # also dump the compiled µP program
 //	lppart -app=digs -frontier  # branch-and-bound Pareto frontier
 //	lppart -app=digs -exact     # certified exact optimum per geometry
+//	lppart -app=digs -store=DIR # replay the measurement a previous run stored
 package main
 
 import (
@@ -46,7 +47,7 @@ func main() {
 		exact       = flag.Bool("exact", false, "solve each cache geometry to the certified exact optimum and print the greedy-vs-exact gap")
 		maxHW       = flag.Int("maxhw", 0, "frontier/exact mode: max clusters moved to hardware per configuration (0 = default)")
 		jflag       = flag.Int("j", 0, "frontier/exact mode: concurrent geometry searches (0 = one per CPU; output is identical at any -j)")
-		storeDir    = flag.String("store", "", "frontier/exact mode: persistent measurement memo directory (warm runs skip the measurement phase; output is byte-identical)")
+		storeDir    = flag.String("store", "", "persistent measurement memo directory, for every mode (warm runs skip the initial design's measurement; output is byte-identical)")
 	)
 	flag.Parse()
 
@@ -81,6 +82,14 @@ func main() {
 	cfg.Part.GEQBudget = *geqBudget
 	cfg.Part.MaxCores = *cores
 	cfg.Part.Verify = *verify
+	var st *memostore.Store
+	if *storeDir != "" {
+		var serr error
+		if st, serr = memostore.Open(*storeDir, memostore.Options{}); serr != nil {
+			fatal(serr)
+		}
+		defer st.Close()
+	}
 
 	if *frontier || *exact {
 		ir, berr := cdfg.Build(src)
@@ -88,12 +97,7 @@ func main() {
 			fatal(berr)
 		}
 		dcfg := dse.Config{Sys: cfg, MaxHW: *maxHW, Workers: *jflag}
-		if *storeDir != "" {
-			st, serr := memostore.Open(*storeDir, memostore.Options{})
-			if serr != nil {
-				fatal(serr)
-			}
-			defer st.Close()
+		if st != nil {
 			dcfg.Store = st
 		}
 		if *exact {
@@ -127,6 +131,9 @@ func main() {
 		return
 	}
 
+	if st != nil {
+		cfg.Store = st
+	}
 	ev, err := system.Evaluate(src, cfg)
 	if err != nil {
 		fatal(err)

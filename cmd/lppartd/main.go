@@ -7,10 +7,11 @@
 // fast with 429), identical in-flight requests coalesce onto one
 // computation, and finished bodies are cached in an LRU keyed by the
 // canonical request hash — cached and computed responses are
-// byte-identical. The async POST /v1/explore and POST /v1/exact jobs
-// keep each program's F-independent measurement (profile, initial ISS
-// run, cache sweep) in the same LRU and -store, so only the first job
-// on a program measures it.
+// byte-identical. Partition misses and the async POST /v1/explore and
+// POST /v1/exact jobs keep each program's F-independent measurement
+// (profile, initial ISS run; for jobs also the cache sweep) in the same
+// LRU and -store, so only the first request or job on a program
+// measures it.
 //
 // Usage:
 //
@@ -48,10 +49,10 @@ func main() {
 		addr     = flag.String("addr", ":8095", "listen address")
 		workers  = flag.Int("workers", 4, "concurrent evaluation workers")
 		queue    = flag.Int("queue", 64, "admission queue depth (beyond this, requests are shed with 429)")
-		entries  = flag.Int("cache", 1024, "result cache entries (response bodies and job measurement records)")
+		entries  = flag.Int("cache", 1024, "result cache entries (response bodies and the measurement records of partition misses and jobs)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight evaluations")
-		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies and job measurements byte-identically)")
+		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies and the measurements of partition misses and jobs byte-identically)")
 		roStore  = flag.Bool("store-readonly", false, "open -store read-only (fleet nodes sharing a writer's directory)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 		peersCSV = flag.String("peers", "", "comma-separated fleet peer base URLs, including this node's (e.g. http://n1:8095,http://n2:8095)")

@@ -13,6 +13,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -40,6 +41,20 @@ type Config struct {
 
 // SizeBytes returns the cache capacity in bytes.
 func (c Config) SizeBytes() int { return c.Sets * c.Assoc * c.LineWords * 4 }
+
+// AppendKey appends the geometry's canonical encoding to b: Sets, Assoc,
+// LineWords and WriteBack (0 or 1), each a little-endian 64-bit word.
+// Measurement keys and records use it.
+func (c Config) AppendKey(b []byte) []byte {
+	wb := uint64(0)
+	if c.WriteBack {
+		wb = 1
+	}
+	for _, v := range [4]uint64{uint64(c.Sets), uint64(c.Assoc), uint64(c.LineWords), wb} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	return b
+}
 
 // TagBits returns the tag-field width of this geometry: a 32-bit byte
 // address minus the set-index and line-offset bits, floored at one. The

@@ -39,7 +39,6 @@ import (
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 	"lppart/internal/explore"
-	"lppart/internal/memostore"
 	"lppart/internal/partition"
 	"lppart/internal/system"
 	"lppart/internal/tech"
@@ -73,26 +72,17 @@ type Config struct {
 	// The frontier is byte-identical either way; only the search
 	// counters move.
 	ExactBound bool
-	// Store, when non-nil, persists the measurement phase (profile,
-	// baseline, geometry sweep) content-addressed by the program
-	// fingerprint: a warm run skips the interpreter, the ISS and the
-	// sweep entirely and produces a byte-identical frontier. Verify mode
-	// bypasses the store — an audit must exercise the full live flow.
-	// Never assign it a nil *memostore.Store: the typed nil is a
-	// non-nil Store.
-	Store Store
+	// Store, when non-nil, persists the measurement phase (the
+	// initial-design record system.EvaluateIRCtx shares, plus the
+	// geometry sweep) content-addressed by the program's
+	// system.Fingerprint: a warm run skips the ISS and the sweep entirely
+	// and produces a byte-identical frontier. Verify mode bypasses the
+	// store — an audit must exercise the full live flow. Never assign it
+	// a nil *memostore.Store: the typed nil is a non-nil Store.
+	Store system.Store
 	// OnProgress, when set, is called after each geometry finishes with
 	// (completed, total) counts. It may be called concurrently.
 	OnProgress func(done, total int)
-}
-
-// Store holds the measurement phase's content-addressed records.
-// *memostore.Store implements it. Get's bytes are only read, so an
-// implementation may hand out a slice it keeps; errors read as a miss
-// (Get) or are ignored (Put), since the store only saves work.
-type Store interface {
-	Get(memostore.Key) ([]byte, bool, error)
-	Put(memostore.Key, []byte) error
 }
 
 // DefaultGeometries returns the explored cache grid: the reference
@@ -216,10 +206,12 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 		}
 	}
 
-	lib := cfg.Sys.Part.Lib
-	if lib == nil {
-		lib = tech.Default()
+	// One library for the key, the records and the baselines.
+	sys := cfg.Sys
+	if sys.Part.Lib == nil {
+		sys.Part.Lib = tech.Default()
 	}
+	lib := sys.Part.Lib
 	anchorI, anchorD := cfg.Sys.ICache, cfg.Sys.DCache
 	if anchorI.Sets == 0 {
 		anchorI = cache.DefaultICache()
@@ -238,16 +230,14 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 	// byte-identical to a cold run's).
 	useStore := cfg.Store != nil && !cfg.Sys.Part.Verify
 	var fp [32]byte
-	if useStore {
-		fp = fingerprint(ir, &cfg, anchorI, anchorD, lib)
-	}
 	var m *measurement
 	if useStore {
-		m = loadMeasurement(cfg.Store, fp, pairs, lib)
+		fp = system.Fingerprint(ir, sys)
+		m = loadMeasurement(cfg.Store, fp, pairs, sys)
 	}
 	if m == nil {
 		var err error
-		if m, err = measure(ctx, ir, cfg.Sys, pairs); err != nil {
+		if m, err = measure(ctx, ir, sys, pairs); err != nil {
 			return nil, err
 		}
 		if useStore {
@@ -255,13 +245,14 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 		}
 	}
 	anchor, reps := m.reps[0], m.reps[1:]
-	base := m.base
+	base := m.Base
+	emup, initCycles := m.Initial.EMuP, m.Initial.TotalCycles()
 
 	// One evaluator — one pair cache — for every geometry and subtree:
 	// geometries differ only in their baseline, so after the first
 	// geometry decomposes a (cluster, resource set) pair, every other
 	// geometry re-runs just the cheap baseline-dependent price tail.
-	pe, err := partition.NewEvaluator(ir, m.prof, cfg.Sys.Part)
+	pe, err := partition.NewEvaluator(ir, m.Profile, cfg.Sys.Part)
 	if err != nil {
 		return nil, err
 	}
@@ -272,10 +263,10 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 	bases := make([]*partition.Baseline, len(geoms))
 	for gi, g := range geoms {
 		gbase := &partition.Baseline{
-			MuPEnergy:          m.emup,
+			MuPEnergy:          emup,
 			RestEnergy:         reps[gi].Total(),
-			TotalEnergy:        m.emup + reps[gi].Total(),
-			TotalCycles:        m.initCycles - anchor.Stalls + reps[gi].Stalls,
+			TotalEnergy:        emup + reps[gi].Total(),
+			TotalCycles:        initCycles - anchor.Stalls + reps[gi].Stalls,
 			Regions:            base.Regions,
 			Micro:              base.Micro,
 			ICacheAccessEnergy: g[0].AccessEnergy(lib.Cache),

@@ -5,47 +5,37 @@
 // stack-distance geometry profiler teed in — is a pure function of
 // (IR, memory map, anchor caches, instruction budget, technology
 // library, geometry grid). With a Store attached, Prepare persists
-// that half as two content-addressed records keyed by the program
-// fingerprint, so a warm run (same binary or a restarted one, a fleet
-// node sharing the directory read-only, or a later lppartd job on the
-// same program at another F) skips straight to the search. The records
-// hold raw IEEE-754 bit patterns and exact integers, so a warm frontier
-// is byte-identical to a cold one; any missing, version-skewed or
-// undecodable record silently falls back to the cold path and rewrites
-// the records.
+// that half as two content-addressed records keyed by the program's
+// system.Fingerprint: the initial-design measurement
+// (system.Measurement, the record the greedy flow replays too) and the
+// geometry sweep's reports. A warm run (same binary or a restarted
+// one, a fleet node sharing the directory read-only, or a later lppartd
+// job or partition on the same program at another F) skips straight to
+// the search. The records hold raw IEEE-754 bit patterns and exact
+// integers, so a warm frontier is byte-identical to a cold one; any
+// missing, version-skewed or undecodable record silently falls back to
+// the cold path and rewrites the records.
 package dse
 
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
-	"fmt"
-	"io"
-	"math"
-	"sort"
 
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
-	"lppart/internal/interp"
-	"lppart/internal/iss"
 	"lppart/internal/memostore"
-	"lppart/internal/partition"
 	"lppart/internal/system"
-	"lppart/internal/tech"
 	"lppart/internal/trace"
 	"lppart/internal/units"
 )
 
 // measurement is everything the per-geometry searches consume from the
-// measurement phase: the anchor baseline, the evaluator's profile (only
-// BlockFreq is read on the evaluation path), and the swept geometry
-// reports (reps[0] is the anchor pair).
+// measurement phase: the initial-design record shared with the greedy
+// flow (anchor baseline, block profile) and the swept geometry reports
+// (reps[0] is the anchor pair).
 type measurement struct {
-	emup       units.Energy // initial design's µP energy
-	initCycles int64        // initial design's total cycles
-	base       *partition.Baseline
-	prof       *interp.Profile
-	reps       []trace.Report
+	*system.Measurement
+	reps []trace.Report
 }
 
 // measure runs the measurement phase cold: one ISS execution of the
@@ -56,255 +46,61 @@ func measure(ctx context.Context, ir *cdfg.Program, sys system.Config, pairs [][
 	if err != nil {
 		return nil, err
 	}
-	return &measurement{
-		emup:       ev.Initial.EMuP,
-		initCycles: ev.Initial.TotalCycles(),
-		base:       base,
-		prof:       ev.Profile,
-		reps:       reps,
-	}, nil
+	return &measurement{Measurement: system.NewMeasurement(ev, base), reps: reps}, nil
 }
 
-const (
-	measureRecVersion = 1
-	sweepRecVersion   = 1
-)
+const sweepRecVersion = 1
 
-// fingerprint content-addresses the measurement phase: the canonical IR
-// dump plus every configuration input the phase depends on. The
-// partitioning knobs (F, budgets, resource sets) are deliberately NOT
-// part of it — the grid evaluation and search always run live. The dump
-// streams into the hash rather than being built as one string.
-func fingerprint(ir *cdfg.Program, cfg *Config, anchorI, anchorD cache.Config, lib *tech.Library) [32]byte {
-	h := sha256.New()
-	_ = ir.WriteDump(h) //lint:err a hash.Hash never returns an error
-	fmt.Fprintf(h, "\x00i%+v\x00d%+v\x00m%d\x00s%d\x00x%d\x00",
-		anchorI, anchorD, cfg.Sys.MemWords, cfg.Sys.StackWords, cfg.Sys.MaxInstrs)
-	fmt.Fprintf(h, "lib%+v", *lib)
-	var fp [32]byte
-	h.Sum(fp[:0])
-	return fp
-}
-
-func measureKey(fp [32]byte) memostore.Key {
-	h := sha256.New()
-	io.WriteString(h, "lppart/dse/measure/v1\x00")
-	h.Write(fp[:])
-	var k memostore.Key
-	h.Sum(k[:0])
-	return k
-}
-
+// sweepKey keys the sweep record on the measurement's fingerprint and
+// the exact geometry grid.
 func sweepKey(fp [32]byte, pairs [][2]cache.Config) memostore.Key {
-	h := sha256.New()
-	io.WriteString(h, "lppart/dse/sweep/v1\x00")
-	h.Write(fp[:])
+	e := memostore.Enc{B: make([]byte, 0, 32+len(pairs)*64)}
+	e.Str("lppart/dse/sweep/v2")
+	e.Raw(fp[:])
 	for _, pr := range pairs {
-		fmt.Fprintf(h, "%+v|%+v\x00", pr[0], pr[1])
+		e.B = pr[1].AppendKey(pr[0].AppendKey(e.B))
 	}
-	var k memostore.Key
-	h.Sum(k[:0])
-	return k
+	return sha256.Sum256(e.B)
 }
 
-// enc appends fixed-width little-endian fields; all floats are stored as
-// raw bit patterns so decoding reproduces them bit-for-bit.
-type enc struct{ b []byte }
-
-func (e *enc) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *enc) str(s string) {
-	e.u64(uint64(len(s)))
-	e.b = append(e.b, s...)
-}
-
-type dec struct {
-	b   []byte
-	off int
-	bad bool
-}
-
-func (d *dec) u64() uint64 {
-	if d.bad || d.off+8 > len(d.b) {
-		d.bad = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *dec) str() string {
-	n := d.u64()
-	if d.bad || n > uint64(len(d.b)-d.off) {
-		d.bad = true
-		return ""
-	}
-	s := string(d.b[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-// encodeMeasurement serializes the measurement record (everything except
-// the sweep reports, which key separately on the geometry grid). Maps
-// are emitted in sorted-key order so the record bytes are canonical.
-func encodeMeasurement(m *measurement) []byte {
-	e := &enc{b: make([]byte, 0, 1024)}
-	e.u64(measureRecVersion)
-	e.f64(float64(m.emup))
-	e.i64(m.initCycles)
-	b := m.base
-	e.f64(float64(b.TotalEnergy))
-	e.f64(float64(b.MuPEnergy))
-	e.f64(float64(b.RestEnergy))
-	e.i64(b.TotalCycles)
-	e.f64(float64(b.ICacheAccessEnergy))
-
-	ids := make([]int, 0, len(b.Regions))
-	for id := range b.Regions { //lint:ordered key collection, sorted below
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	e.u64(uint64(len(ids)))
-	for _, id := range ids {
-		rs := b.Regions[id]
-		e.i64(int64(id))
-		e.i64(rs.Instrs)
-		e.i64(rs.Cycles)
-		e.f64(float64(rs.Energy))
-		for _, a := range rs.Active {
-			e.i64(a)
-		}
-	}
-
-	fns := make([]string, 0, len(m.prof.BlockFreq))
-	for fn := range m.prof.BlockFreq { //lint:ordered key collection, sorted below
-		fns = append(fns, fn)
-	}
-	sort.Strings(fns)
-	e.u64(uint64(len(fns)))
-	for _, fn := range fns {
-		e.str(fn)
-		freq := m.prof.BlockFreq[fn]
-		e.u64(uint64(len(freq)))
-		for _, c := range freq {
-			e.i64(c)
-		}
-	}
-	return e.b
-}
-
-// decodeMeasurement reconstructs the record; Micro is rebound to the
-// live library (the fingerprint pins its contents). Returns nil when the
-// bytes do not decode — the caller falls back to the cold path.
-func decodeMeasurement(buf []byte, lib *tech.Library) *measurement {
-	d := &dec{b: buf}
-	if d.u64() != measureRecVersion {
-		return nil
-	}
-	m := &measurement{
-		emup:       units.Energy(d.f64()),
-		initCycles: d.i64(),
-		base:       &partition.Baseline{Micro: &lib.Micro},
-		prof:       &interp.Profile{BlockFreq: map[string][]int64{}},
-	}
-	b := m.base
-	b.TotalEnergy = units.Energy(d.f64())
-	b.MuPEnergy = units.Energy(d.f64())
-	b.RestEnergy = units.Energy(d.f64())
-	b.TotalCycles = d.i64()
-	b.ICacheAccessEnergy = units.Energy(d.f64())
-
-	nr := d.u64()
-	if d.bad || nr > uint64(len(buf)) {
-		return nil
-	}
-	b.Regions = make(map[int]*iss.RegionStat, nr)
-	for i := uint64(0); i < nr && !d.bad; i++ {
-		id := int(d.i64())
-		rs := &iss.RegionStat{Instrs: d.i64(), Cycles: d.i64(), Energy: units.Energy(d.f64())}
-		for k := range rs.Active {
-			rs.Active[k] = d.i64()
-		}
-		b.Regions[id] = rs
-	}
-
-	nf := d.u64()
-	if d.bad || nf > uint64(len(buf)) {
-		return nil
-	}
-	for i := uint64(0); i < nf && !d.bad; i++ {
-		fn := d.str()
-		nb := d.u64()
-		if d.bad || nb > uint64(len(buf)) {
-			return nil
-		}
-		freq := make([]int64, nb)
-		for j := range freq {
-			freq[j] = d.i64()
-		}
-		m.prof.BlockFreq[fn] = freq
-	}
-	if d.bad || m.base.TotalCycles < 1 {
-		return nil
-	}
-	return m
-}
-
-func encodeCacheConfig(e *enc, c cache.Config) {
-	e.i64(int64(c.Sets))
-	e.i64(int64(c.Assoc))
-	e.i64(int64(c.LineWords))
-	wb := int64(0)
-	if c.WriteBack {
-		wb = 1
-	}
-	e.i64(wb)
-}
-
-func decodeCacheConfig(d *dec) cache.Config {
+func decodeCacheConfig(d *memostore.Dec) cache.Config {
 	return cache.Config{
-		Sets: int(d.i64()), Assoc: int(d.i64()), LineWords: int(d.i64()),
-		WriteBack: d.i64() != 0,
+		Sets: int(d.I64()), Assoc: int(d.I64()), LineWords: int(d.I64()),
+		WriteBack: d.I64() != 0,
 	}
 }
 
 // encodeReports serializes the swept geometry reports in input order.
 func encodeReports(reps []trace.Report) []byte {
-	e := &enc{b: make([]byte, 0, 64+len(reps)*160)}
-	e.u64(sweepRecVersion)
-	e.u64(uint64(len(reps)))
+	e := &memostore.Enc{B: make([]byte, 0, 64+len(reps)*160)}
+	e.U64(sweepRecVersion)
+	e.U64(uint64(len(reps)))
 	for _, r := range reps {
-		encodeCacheConfig(e, r.ICfg)
-		encodeCacheConfig(e, r.DCfg)
+		e.B = r.DCfg.AppendKey(r.ICfg.AppendKey(e.B))
 		for _, st := range []cache.Stats{r.I, r.D} {
-			e.i64(st.Accesses)
-			e.i64(st.Hits)
-			e.i64(st.Misses)
-			e.i64(st.WriteBacks)
+			e.I64(st.Accesses)
+			e.I64(st.Hits)
+			e.I64(st.Misses)
+			e.I64(st.WriteBacks)
 		}
-		e.f64(float64(r.EICache))
-		e.f64(float64(r.EDCache))
-		e.f64(float64(r.EMem))
-		e.f64(float64(r.EBus))
-		e.i64(r.Stalls)
+		e.F64(float64(r.EICache))
+		e.F64(float64(r.EDCache))
+		e.F64(float64(r.EMem))
+		e.F64(float64(r.EBus))
+		e.I64(r.Stalls)
 	}
-	return e.b
+	return e.B
 }
 
 // decodeReports rejects a record whose geometry list does not match the
 // requested pairs exactly — a stale grid must recompute, never mis-map.
 func decodeReports(buf []byte, pairs [][2]cache.Config) []trace.Report {
-	d := &dec{b: buf}
-	if d.u64() != sweepRecVersion {
+	d := &memostore.Dec{B: buf}
+	if d.U64() != sweepRecVersion {
 		return nil
 	}
-	n := d.u64()
-	if d.bad || n != uint64(len(pairs)) {
+	n := d.U64()
+	if d.Bad || n != uint64(len(pairs)) {
 		return nil
 	}
 	reps := make([]trace.Report, n)
@@ -313,17 +109,17 @@ func decodeReports(buf []byte, pairs [][2]cache.Config) []trace.Report {
 		r.ICfg = decodeCacheConfig(d)
 		r.DCfg = decodeCacheConfig(d)
 		for _, st := range []*cache.Stats{&r.I, &r.D} {
-			st.Accesses = d.i64()
-			st.Hits = d.i64()
-			st.Misses = d.i64()
-			st.WriteBacks = d.i64()
+			st.Accesses = d.I64()
+			st.Hits = d.I64()
+			st.Misses = d.I64()
+			st.WriteBacks = d.I64()
 		}
-		r.EICache = units.Energy(d.f64())
-		r.EDCache = units.Energy(d.f64())
-		r.EMem = units.Energy(d.f64())
-		r.EBus = units.Energy(d.f64())
-		r.Stalls = d.i64()
-		if d.bad {
+		r.EICache = units.Energy(d.F64())
+		r.EDCache = units.Energy(d.F64())
+		r.EMem = units.Energy(d.F64())
+		r.EBus = units.Energy(d.F64())
+		r.Stalls = d.I64()
+		if d.Bad {
 			return nil
 		}
 		want := pairs[i]
@@ -338,30 +134,26 @@ func decodeReports(buf []byte, pairs [][2]cache.Config) []trace.Report {
 // loadMeasurement returns the persisted measurement phase, or nil when
 // either record is absent or undecodable (including store read errors —
 // a sick store degrades to the cold path, it never fails the run).
-func loadMeasurement(st Store, fp [32]byte, pairs [][2]cache.Config, lib *tech.Library) *measurement {
-	mb, ok, err := st.Get(measureKey(fp))
-	if err != nil || !ok {
+func loadMeasurement(st system.Store, fp [32]byte, pairs [][2]cache.Config, sys system.Config) *measurement {
+	ms := system.LoadMeasurement(st, system.MeasureKey(fp), sys)
+	if ms == nil {
 		return nil
 	}
 	sb, ok, err := st.Get(sweepKey(fp, pairs))
 	if err != nil || !ok {
 		return nil
 	}
-	m := decodeMeasurement(mb, lib)
-	if m == nil {
+	reps := decodeReports(sb, pairs)
+	if reps == nil {
 		return nil
 	}
-	m.reps = decodeReports(sb, pairs)
-	if m.reps == nil {
-		return nil
-	}
-	return m
+	return &measurement{Measurement: ms, reps: reps}
 }
 
 // storeMeasurement persists the freshly measured phase. Write errors are
 // swallowed: persistence is an accelerator, not a correctness dependency
 // (and the store may legitimately be read-only on fleet nodes).
-func storeMeasurement(st Store, fp [32]byte, pairs [][2]cache.Config, m *measurement) {
-	_ = st.Put(measureKey(fp), encodeMeasurement(m))       //lint:err persistence is best-effort (see doc comment)
-	_ = st.Put(sweepKey(fp, pairs), encodeReports(m.reps)) //lint:err persistence is best-effort (see doc comment)
+func storeMeasurement(st system.Store, fp [32]byte, pairs [][2]cache.Config, m *measurement) {
+	_ = st.Put(system.MeasureKey(fp), system.EncodeMeasurement(m.Measurement)) //lint:err persistence is best-effort (see doc comment)
+	_ = st.Put(sweepKey(fp, pairs), encodeReports(m.reps))                     //lint:err persistence is best-effort (see doc comment)
 }

@@ -14,8 +14,9 @@ import (
 // measurementRecordDigest is the SHA-256 of the six applications'
 // measurement and sweep records on a default Prepare's grid. A
 // memostore written by any earlier build holds these bytes, so they must
-// not move while the records keep their version.
-const measurementRecordDigest = "29615101560f6aa6a5f77aee477ee555f4304614e150a134ffe140ad075d76e2"
+// not move while the records keep their version. (Measurement record
+// version 2 added the initial design's breakdown and globals digest.)
+const measurementRecordDigest = "56f04e7bd23fea5fe7952f96fbe2d16ca7970c17632ca0d6584765fcba32ce5e"
 
 // TestMeasurementRecordDigest pins the persisted measurement records
 // byte for byte, profile included: a -store directory written before a
@@ -32,7 +33,7 @@ func TestMeasurementRecordDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(encodeMeasurement(m))
+		h.Write(system.EncodeMeasurement(m.Measurement))
 		h.Write(encodeReports(m.reps))
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)); got != measurementRecordDigest {

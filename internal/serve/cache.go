@@ -9,8 +9,9 @@ import (
 
 // lruCache is a bounded most-recently-used cache of finished bytes keyed
 // by content address: 200 response bodies under their storeKey and
-// dse measurement records under dse's own keys. The key derivations are
-// domain-separated hashes, so the two kinds never collide.
+// measurement records under system.MeasureKey and dse's sweep key. The
+// key derivations are domain-separated hashes, so the kinds never
+// collide.
 type lruCache struct {
 	mu    sync.Mutex
 	max   int
@@ -100,9 +101,10 @@ func (s *Server) tierPut(key memostore.Key, val []byte) error {
 	return s.cfg.Store.Put(key, val)
 }
 
-// measureTier is the dse.Store a job's measurement phase reads and
-// writes: the server's tiers, counted on their own hit/miss series so
-// lppartd_cache_ops_total keeps counting requests only.
+// measureTier is the system.Store that partition misses and jobs read
+// and write their measurement records through: the server's tiers,
+// counted on their own hit/miss series so lppartd_cache_ops_total keeps
+// counting requests only.
 type measureTier struct{ s *Server }
 
 func (m measureTier) Get(key memostore.Key) ([]byte, bool, error) {

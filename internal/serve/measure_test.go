@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
 
 	"lppart/internal/apps"
 	"lppart/internal/memostore"
+	"lppart/internal/system"
 )
 
 // measureOps reads the measurement tier's hit and miss counters.
@@ -212,6 +216,218 @@ func BenchmarkJobTraffic(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			runAppJobs(b, ts.URL, kinds, 0.6+0.001*float64(i))
+		}
+		b.StopTimer()
+		h, m := measureOps(s)
+		share(b, h-h0, m-m0)
+	})
+}
+
+// TestPartitionMeasurementReplay is the measurement tier's contract for
+// /v1/partition on every application: once a request at F=0.7 with a
+// cluster budget of 3 has measured a program, a miss at F=1.3 with a
+// budget of 5 replays the measurement with exactly one record lookup
+// and returns exactly the bytes the same request returns on a fresh
+// server; a verify request reads no record at all.
+func TestPartitionMeasurementReplay(t *testing.T) {
+	warm, wts := newTestServer(t, Config{Workers: 2})
+	for _, a := range apps.All() {
+		if st, b, _ := post(t, wts.URL+"/v1/partition", fmt.Sprintf(`{"app":%q,"f":0.7,"max_clusters":3}`, a.Name)); st != http.StatusOK {
+			t.Fatalf("%s warm-up: status %d: %s", a.Name, st, b)
+		}
+		req := fmt.Sprintf(`{"app":%q,"f":1.3,"max_clusters":5}`, a.Name)
+		want := freshPartition(t, req)
+
+		h0, m0 := measureOps(warm)
+		st, got, c := post(t, wts.URL+"/v1/partition", req)
+		if st != http.StatusOK || c != "miss" {
+			t.Fatalf("%s: status %d X-Cache %q: %s", a.Name, st, c, got)
+		}
+		if h, m := measureOps(warm); h != h0+1 || m != m0 {
+			t.Errorf("%s: measurement hits +%d misses +%d, want +1 +0", a.Name, h-h0, m-m0)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: replayed body differs from a fresh server's:\n%s\nvs\n%s", a.Name, got, want)
+		}
+
+		h0, m0 = measureOps(warm)
+		vreq := fmt.Sprintf(`{"app":%q,"f":1.3,"verify":true}`, a.Name)
+		if st, b, _ := post(t, wts.URL+"/v1/partition", vreq); st != http.StatusOK {
+			t.Fatalf("%s verify: status %d: %s", a.Name, st, b)
+		}
+		if h, m := measureOps(warm); h != h0 || m != m0 {
+			t.Errorf("%s verify: measurement hits +%d misses +%d, want no lookups", a.Name, h-h0, m-m0)
+		}
+	}
+}
+
+// freshPartition returns the body a fresh server answers req with.
+func freshPartition(t *testing.T, req string) []byte {
+	t.Helper()
+	_, fts := newTestServer(t, Config{Workers: 2})
+	defer fts.Close()
+	st, b, _ := post(t, fts.URL+"/v1/partition", req)
+	if st != http.StatusOK {
+		t.Fatalf("fresh server %s: status %d: %s", req, st, b)
+	}
+	return b
+}
+
+// TestPartitionThenJobShareMeasurement: a partition miss and a job on
+// the same program key one measurement record, so an explore job after
+// the partition hits it (and misses only the sweep record, which the
+// partition path does not write), and returns a fresh server's bytes.
+func TestPartitionThenJobShareMeasurement(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	if st, b, _ := post(t, ts.URL+"/v1/partition", `{"app":"engine","f":0.7}`); st != http.StatusOK {
+		t.Fatalf("partition: status %d: %s", st, b)
+	}
+	h0, m0 := measureOps(s)
+	req := `{"app":"engine","f":1.3}`
+	got := runJobBody(t, ts.URL, "explore", req)
+	if h, m := measureOps(s); h != h0+1 || m != m0+1 {
+		t.Errorf("explore after partition: measurement hits +%d misses +%d, want +1 +1", h-h0, m-m0)
+	}
+	_, fts := newTestServer(t, Config{Workers: 2})
+	if want := runJobBody(t, fts.URL, "explore", req); !bytes.Equal(got, want) {
+		t.Errorf("explore body differs from a fresh server's:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestPartitionDigestMismatchFallsBackCold: a measurement record whose
+// globals digest is flipped fails the replay's cross-check; the miss
+// recomputes cold, returns a fresh server's bytes and rewrites the
+// record.
+func TestPartitionDigestMismatchFallsBackCold(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	if st, b, _ := post(t, ts.URL+"/v1/partition", `{"app":"MPG","f":0.7}`); st != http.StatusOK {
+		t.Fatalf("warm-up: status %d: %s", st, b)
+	}
+	a, err := apps.ByName("MPG")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := a.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := system.Config{MaxInstrs: s.cfg.MaxInstrs}
+	key := system.MeasureKey(system.Fingerprint(ir, cfg))
+	good, ok := s.cache.get(key)
+	if !ok {
+		t.Fatal("the partition miss cached no measurement record")
+	}
+	m := system.DecodeMeasurement(good, cfg)
+	m.Globals[31] ^= 0x80
+	s.cache.add(key, system.EncodeMeasurement(m))
+
+	req := `{"app":"MPG","f":1.3}`
+	h0, m0 := measureOps(s)
+	st, got, _ := post(t, ts.URL+"/v1/partition", req)
+	if st != http.StatusOK {
+		t.Fatalf("status %d: %s", st, got)
+	}
+	if h, m := measureOps(s); h != h0+1 || m != m0 {
+		t.Errorf("measurement hits +%d misses +%d, want +1 +0", h-h0, m-m0)
+	}
+	if want := freshPartition(t, req); !bytes.Equal(got, want) {
+		t.Errorf("body after a digest mismatch differs from a fresh server's:\n%s\nvs\n%s", got, want)
+	}
+	if rec, _ := s.cache.get(key); !bytes.Equal(rec, good) {
+		t.Error("the cold fallback did not rewrite the measurement record")
+	}
+}
+
+// TestPartitionMeasurementConcurrent posts partitions of three programs
+// at three F values at once through a tier small enough to evict, so
+// misses race to measure, store, replay and evict the same records, and
+// checks every body against the same request on a fresh server. Run it
+// under -race.
+func TestPartitionMeasurementConcurrent(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 4, CacheEntries: 3})
+	var reqs []string
+	for _, app := range []string{"engine", "digs", "ckey"} {
+		for _, f := range []float64{0.7, 1, 1.3} {
+			reqs = append(reqs, fmt.Sprintf(`{"app":%q,"f":%v}`, app, f))
+		}
+	}
+	bodies := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req string) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/partition", "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, %v: %s", req, resp.StatusCode, err, b)
+			}
+			bodies[i] = b
+		}(i, req)
+	}
+	wg.Wait()
+	for i, req := range reqs {
+		if want := freshPartition(t, req); !bytes.Equal(bodies[i], want) {
+			t.Errorf("%s: concurrent body differs from a fresh server's:\n%s\nvs\n%s", req, bodies[i], want)
+		}
+	}
+}
+
+// postApps posts every application's partition request at F f and
+// fails on any non-200 answer.
+func postApps(tb testing.TB, base string, f float64) {
+	tb.Helper()
+	for _, a := range apps.All() {
+		req := fmt.Sprintf(`{"app":%q,"f":%v}`, a.Name, f)
+		if st, b, _ := post(tb, base+"/v1/partition", req); st != http.StatusOK {
+			tb.Fatalf("POST /v1/partition %s: status %d: %s", req, st, b)
+		}
+	}
+}
+
+// BenchmarkPartitionTraffic times the six applications' /v1/partition
+// misses under the two kinds of traffic the measurement tier sees, and
+// reports measure_hit_%, the share of measurement-record lookups that
+// hit.
+//
+//   - distinct: every request's program is new to its server (each op
+//     posts the six applications to a fresh server), so every lookup
+//     misses and each miss pays a record encode and an LRU insert on
+//     top of its cold measurement.
+//   - repeated: one server, warmed by one round, answers each op's six
+//     requests at a new F, so every miss replays its program's
+//     measurement.
+func BenchmarkPartitionTraffic(b *testing.B) {
+	share := func(b *testing.B, hits, misses int64) {
+		if hits+misses > 0 {
+			b.ReportMetric(100*float64(hits)/float64(hits+misses), "measure_hit_%")
+		}
+	}
+	b.Run("distinct", func(b *testing.B) {
+		b.ReportAllocs()
+		var hits, misses int64
+		for i := 0; i < b.N; i++ {
+			s, ts := newTestServer(b, Config{})
+			postApps(b, ts.URL, 1)
+			ts.Close()
+			h, m := measureOps(s)
+			hits, misses = hits+h, misses+m
+		}
+		share(b, hits, misses)
+	})
+	b.Run("repeated", func(b *testing.B) {
+		b.ReportAllocs()
+		s, ts := newTestServer(b, Config{})
+		postApps(b, ts.URL, 0.5)
+		h0, m0 := measureOps(s)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			postApps(b, ts.URL, 0.6+0.001*float64(i))
 		}
 		b.StopTimer()
 		h, m := measureOps(s)

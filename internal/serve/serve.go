@@ -78,13 +78,14 @@ type Config struct {
 	// standalone: no request routing and no peer ledgers.
 	Peers []string
 	// Store, when non-nil, persistently backs the result cache:
-	// successful (200) bodies and the explore/exact jobs' measurement
-	// records are written through to the content-addressed store and
-	// replayed verbatim on a hit, so a restarted daemon — or a fleet
-	// node sharing the directory read-only — answers previously-computed
-	// requests byte-identically without recomputing them, and measures
-	// no program twice. Non-200 outcomes are never persisted, mirroring
-	// the in-memory cache's rule.
+	// successful (200) bodies and the measurement records of partition
+	// misses and explore/exact jobs are written through to the
+	// content-addressed store and replayed verbatim on a hit, so a
+	// restarted daemon — or a fleet node sharing the directory
+	// read-only — answers previously-computed requests byte-identically
+	// without recomputing them, and measures no program twice. Non-200
+	// outcomes are never persisted, mirroring the in-memory cache's
+	// rule.
 	Store *memostore.Store
 }
 
@@ -141,7 +142,8 @@ type Server struct {
 	cacheHit  *metrics.Counter
 	cacheMiss *metrics.Counter
 	cacheEvic *metrics.Counter
-	// Job measurement-record lookups in the same tiers (measureTier).
+	// Measurement-record lookups (partition misses and jobs) in the
+	// same tiers (measureTier).
 	measureHit  *metrics.Counter
 	measureMiss *metrics.Counter
 }
@@ -175,8 +177,8 @@ func New(cfg Config) *Server {
 	s.cacheHit = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "hit"))
 	s.cacheMiss = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "miss"))
 	s.cacheEvic = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "evict"))
-	s.measureHit = s.reg.Counter("lppartd_measure_ops_total", "job measurement record lookups", metrics.Labels("op", "hit"))
-	s.measureMiss = s.reg.Counter("lppartd_measure_ops_total", "job measurement record lookups", metrics.Labels("op", "miss"))
+	s.measureHit = s.reg.Counter("lppartd_measure_ops_total", "measurement record lookups", metrics.Labels("op", "hit"))
+	s.measureMiss = s.reg.Counter("lppartd_measure_ops_total", "measurement record lookups", metrics.Labels("op", "miss"))
 	s.reg.GaugeFunc("lppartd_queue_depth", "requests waiting for a worker", "",
 		func() float64 { return float64(s.adm.queueLen()) })
 	s.reg.GaugeFunc("lppartd_workers", "worker pool size", "",
@@ -407,6 +409,10 @@ func (s *Server) partitionCompute(req *PartitionRequest, prog *behav.Program,
 		cfg.Part.MaxCores = req.MaxCores
 		cfg.Part.ResourceSets = sets
 		cfg.Part.Verify = req.Verify
+		// The initial-design measurement does not depend on F or the
+		// other knobs: a miss on a program the server has measured
+		// (for any request or job) replays it from the tiers.
+		cfg.Store = measureTier{s}
 		ev, err := system.EvaluateCtx(ctx, prog, cfg)
 		if err != nil {
 			if ctx.Err() != nil {

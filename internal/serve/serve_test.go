@@ -340,8 +340,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`lppartd_cache_ops_total{op="hit"} 1`,
 		`lppartd_cache_ops_total{op="miss"} 1`,
 		`lppartd_measure_ops_total{op="hit"} 0`,
-		`lppartd_measure_ops_total{op="miss"} 0`,
-		`lppartd_cache_entries 1`,
+		`lppartd_measure_ops_total{op="miss"} 1`,
+		`lppartd_cache_entries 2`,
 		`lppartd_workers 3`,
 		`lppartd_queue_depth 0`,
 		"lppartd_request_seconds_bucket",

@@ -89,6 +89,10 @@ func TestStoreReadOnlyFleetNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ro.Close() })
+	// The writer persisted the body and its program's measurement.
+	if ro.Len() != 2 {
+		t.Fatalf("read-only store opened with %d entries, want 2", ro.Len())
+	}
 	_, ts2 := newTestServer(t, Config{Workers: 2, Store: ro})
 	code2, b2, c2 := post(t, ts2.URL+"/v1/partition", seen)
 	if code2 != 200 || c2 != "hit" || !bytes.Equal(b1, b2) {
@@ -98,7 +102,7 @@ func TestStoreReadOnlyFleetNode(t *testing.T) {
 	if code3 != 200 || c3 != "miss" {
 		t.Errorf("read-only compute: status %d X-Cache %q: %s", code3, c3, b3)
 	}
-	if ro.Len() != 1 {
+	if ro.Len() != 2 {
 		t.Errorf("read-only store grew to %d entries", ro.Len())
 	}
 }

@@ -90,7 +90,7 @@ func profileSources(t *testing.T) map[string]string {
 // exampleSource extracts an example's behavioral program: the string
 // constant named source, if the example declares one (the others run
 // built-in applications).
-func exampleSource(t *testing.T, path string) (string, bool) {
+func exampleSource(t testing.TB, path string) (string, bool) {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
 	if err != nil {

@@ -11,6 +11,7 @@ package system
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"lppart/internal/asic"
@@ -47,6 +48,14 @@ type Config struct {
 	// initial design's (differential co-simulation check). Default true;
 	// set SkipVerify to disable.
 	SkipVerify bool
+	// Store, when non-nil, persists the initial-design measurement under
+	// MeasureKey (see Measurement). An evaluation that finds the record
+	// skips the initial compile and ISS run and goes straight to the
+	// Fig. 1 loop and the co-simulation; its result is byte-identical to
+	// a cold run's, Initial.ISS aside. Part.Verify bypasses the store: an
+	// audit must exercise the full live flow. Never assign it a nil
+	// *memostore.Store: the typed nil is a non-nil Store.
+	Store Store
 }
 
 func (c *Config) defaults() {
@@ -75,7 +84,8 @@ type Design struct {
 	EICache, EDCache, EMem, EBus, EMuP, EASIC units.Energy
 	// Execution time split.
 	MuPCycles, ASICCycles int64
-	// Detail.
+	// Detail. ISS is nil for an initial design replayed from a
+	// Config.Store record.
 	ISS    *iss.Result
 	IStats cache.Stats
 	DStats cache.Stats
@@ -352,17 +362,7 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 	// ISS memory back for the next run.
 	ev.initialGlobals = globalWords(ir, fullLay, initial.ISS.Mem)
 	initial.ISS.Release()
-
-	base := &partition.Baseline{
-		TotalEnergy:        initial.Total(),
-		MuPEnergy:          initial.EMuP,
-		RestEnergy:         initial.EICache + initial.EDCache + initial.EMem + initial.EBus,
-		TotalCycles:        initial.TotalCycles(),
-		Regions:            initial.ISS.Regions,
-		Micro:              micro,
-		ICacheAccessEnergy: cfg.ICache.AccessEnergy(lib.Cache),
-	}
-	return ev, base, nil
+	return ev, baseline(initial, initial.ISS.Regions, &cfg), nil
 }
 
 // blockProfile shapes the ISS's block entry counts, which are in program
@@ -428,43 +428,87 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 // partitioning → partitioned design) and threaded into the partitioner's
 // cluster × resource-set fan-out, so a cancelled evaluation stops at the
 // next boundary instead of running the flow to completion.
+//
+// With cfg.Store set (and Part.Verify off), a stored measurement of the
+// program replaces the initial design's compile and ISS run. The
+// replay's cross-check compares the partitioned design's globals with
+// the record's digest; on a mismatch, or on any failure of the replay,
+// the evaluation starts over cold, so every result and every error is
+// the cold run's.
 func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, error) {
 	cfg.defaults()
+	useStore := cfg.Store != nil && !cfg.Part.Verify
+	var key [32]byte
+	if useStore {
+		key = MeasureKey(Fingerprint(ir, cfg))
+		if m := LoadMeasurement(cfg.Store, key, cfg); m != nil {
+			ev := &Evaluation{App: ir.Name, IR: ir, Initial: m.Initial, Profile: m.Profile}
+			if err := partitionCtx(ctx, ev, m.Base, &cfg, func(lay *codegen.Layout, mem []int32) error {
+				if globalsDigest(globalWords(ir, lay, mem)) != m.Globals {
+					return errDigest
+				}
+				return nil
+			}); err == nil {
+				return ev, nil
+			}
+		}
+	}
+
 	ev, base, err := MeasureInitialCtx(ctx, ir, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if useStore {
+		_ = cfg.Store.Put(key, EncodeMeasurement(NewMeasurement(ev, base))) //lint:err persistence is best-effort (see Config.Store)
+	}
+	err = partitionCtx(ctx, ev, base, &cfg, func(lay *codegen.Layout, mem []int32) error {
+		return verify(ir, ev.initialGlobals, lay, mem)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ev, nil
+}
 
-	// Partitioning (Fig. 1).
+// errDigest rejects a replay whose partitioned globals do not hash to
+// the stored digest.
+var errDigest = errors.New("system: partitioned globals differ from the stored measurement's digest")
+
+// partitionCtx continues a measured evaluation through the Fig. 1 loop
+// and, when a partition is chosen, co-simulates the partitioned design
+// and hands its final memory to check (unless cfg.SkipVerify).
+func partitionCtx(ctx context.Context, ev *Evaluation, base *partition.Baseline, cfg *Config,
+	check func(lay *codegen.Layout, mem []int32) error) error {
+	ir := ev.IR
 	dec, err := partition.PartitionCtx(ctx, ir, ev.Profile, base, cfg.Part)
 	if err != nil {
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
-		return nil, fmt.Errorf("system: partition: %w", err)
+		return fmt.Errorf("system: partition: %w", err)
 	}
 	ev.Decision = dec
 	if dec.Chosen == nil {
-		return ev, nil
+		return nil
 	}
 
 	// Partitioned design, co-simulated and cross-checked.
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	pd, partLay, err := runPartitioned(ir, dec, &cfg)
+	pd, partLay, err := runPartitioned(ir, dec, cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ev.Partitioned = pd
 	// The partitioned memory is needed only for the cross-check.
 	defer pd.ISS.Release()
 	if !cfg.SkipVerify {
-		if err := verify(ir, ev.initialGlobals, partLay, pd.ISS.Mem); err != nil {
-			return nil, fmt.Errorf("system: partitioned design diverged: %w", err)
+		if err := check(partLay, pd.ISS.Mem); err != nil {
+			return fmt.Errorf("system: partitioned design diverged: %w", err)
 		}
 	}
-	return ev, nil
+	return nil
 }
 
 // runPartitioned recompiles the program with the decision's cluster(s)

@@ -369,7 +369,7 @@ type Library struct {
 	// executors caches the per-class capable-resource lists served by
 	// Executors. Default() fills it after the resource table is final;
 	// keeping it a plain value field (not a sync.Once) keeps the struct
-	// copyable and its %+v rendering — which the DSE measurement memo
+	// copyable and its AppendKey encoding — which the measurement memo
 	// fingerprints — independent of call order.
 	executors [NumOpClasses][]ResourceKind
 }
