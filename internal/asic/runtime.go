@@ -75,8 +75,11 @@ type Core struct {
 	// Dense runtime tables derived from Binding and the region shape.
 	placements []Placement // by op ID
 	placedOK   []bool
-	blockLen   []int64 // by block ID
-	inRegion   []bool  // by block ID
+	// activeE[id] is the energy per active cycle of the datapath
+	// resource op id runs on (opEnergy's factor).
+	activeE  []float64
+	blockLen []int64 // by block ID
+	inRegion []bool  // by block ID
 
 	// MaxBlocksPerInvocation guards against runaway clusters.
 	MaxBlocks int64
@@ -193,6 +196,7 @@ func (c *Core) buildTables(touched dataflow.BitSet) {
 	c.prevB = make([]int32, maxOp+1)
 	c.placements = make([]Placement, maxOp+1)
 	c.placedOK = make([]bool, maxOp+1)
+	c.activeE = make([]float64, maxOp+1)
 	c.blockLen = make([]int64, maxBlock+1)
 	c.inRegion = make([]bool, maxBlock+1)
 	for _, bid := range c.Region.Blocks {
@@ -205,8 +209,12 @@ func (c *Core) buildTables(touched dataflow.BitSet) {
 		c.blockLen[bs.Block.ID] = int64(bs.Len)
 		for i := range bs.Ops {
 			p := &bs.Ops[i]
-			c.placements[p.Op.ID] = c.Binding.PlacementAt(k, p)
+			pl := c.Binding.PlacementAt(k, p)
+			c.placements[p.Op.ID] = pl
 			c.placedOK[p.Op.ID] = true
+			if !pl.Mem {
+				c.activeE[p.Op.ID] = float64(c.lib.Resource(pl.Kind).EnergyPerActiveCycle())
+			}
 			k++
 		}
 	}
@@ -361,8 +369,7 @@ func (c *Core) opEnergy(op *cdfg.Op, a, b int32) units.Energy {
 	tglB := float64(bits.OnesCount32(uint32(c.prevB[op.ID]^b))) / 32
 	c.prevA[op.ID], c.prevB[op.ID] = a, b
 	act := 0.25 + 0.75*(tglA+tglB)/2
-	r := c.lib.Resource(pl.Kind)
-	return units.Energy(float64(pl.Dur) * act * float64(r.EnergyPerActiveCycle()))
+	return units.Energy(float64(pl.Dur) * act * c.activeE[op.ID])
 }
 
 // execute runs the region's blocks until control leaves for the exit

@@ -145,7 +145,9 @@ type Cache struct {
 	Cfg     Config
 	Stats   Stats
 	eAccess units.Energy
-	sets    [][]line
+	// lines holds the sets one after another: way w of set s is
+	// lines[s*Assoc+w].
+	lines   []line
 	backend *mem.Memory
 	bus     *bus.Bus
 	tick    int64
@@ -158,11 +160,8 @@ func New(name string, cfg Config, ct tech.CacheTech, backend *mem.Memory, b *bus
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{Name: name, Cfg: cfg, backend: backend, bus: b}
-	c.sets = make([][]line, cfg.Sets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
+	c := &Cache{Name: name, Cfg: cfg, backend: backend, bus: b,
+		lines: make([]line, cfg.Sets*cfg.Assoc)}
 	// Analytical access energy from the geometry (see package comment).
 	c.eAccess = cfg.AccessEnergy(ct)
 	return c, nil
@@ -188,7 +187,7 @@ func (c *Cache) Access(addr int32, write bool) (stall int) {
 	lineAddr := addr / int32(c.Cfg.LineWords)
 	setIdx := int(lineAddr) & (c.Cfg.Sets - 1)
 	tag := lineAddr / int32(c.Cfg.Sets)
-	set := c.sets[setIdx]
+	set := c.lines[setIdx*c.Cfg.Assoc : (setIdx+1)*c.Cfg.Assoc]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			c.Stats.Hits++
@@ -241,19 +240,17 @@ func (c *Cache) Access(addr int32, write bool) (stall int) {
 // Flush writes back all dirty lines (end-of-run accounting) and returns
 // the stall cycles of the write-backs.
 func (c *Cache) Flush() (stall int) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				c.Stats.WriteBacks++
-				if c.backend != nil {
-					stall += c.backend.Write(c.Cfg.LineWords)
-				}
-				if c.bus != nil {
-					c.bus.Write(c.Cfg.LineWords)
-				}
-				l.dirty = false
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.valid && l.dirty {
+			c.Stats.WriteBacks++
+			if c.backend != nil {
+				stall += c.backend.Write(c.Cfg.LineWords)
 			}
+			if c.bus != nil {
+				c.bus.Write(c.Cfg.LineWords)
+			}
+			l.dirty = false
 		}
 	}
 	return stall
@@ -261,11 +258,7 @@ func (c *Cache) Flush() (stall int) {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{}
-		}
-	}
+	clear(c.lines)
 	c.Stats = Stats{}
 	c.tick = 0
 }

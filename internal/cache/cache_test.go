@@ -348,18 +348,18 @@ func TestVictimFillsFirstInvalidWay(t *testing.T) {
 	for i, addr := range []int32{10, 20, 30, 40} {
 		c.Access(addr, false)
 		for w := 0; w <= i; w++ {
-			if !c.sets[0][w].valid {
+			if !c.lines[w].valid {
 				t.Fatalf("after %d fills, way %d is still invalid", i+1, w)
 			}
 		}
 		for w := i + 1; w < 4; w++ {
-			if c.sets[0][w].valid {
+			if c.lines[w].valid {
 				t.Fatalf("after %d fills, way %d is valid early (fill out of order)", i+1, w)
 			}
 		}
 	}
-	if c.sets[0][0].tag != 10 {
-		t.Errorf("way 0 holds tag %d, want the first fill (10)", c.sets[0][0].tag)
+	if c.lines[0].tag != 10 {
+		t.Errorf("way 0 holds tag %d, want the first fill (10)", c.lines[0].tag)
 	}
 	// No valid line may have been evicted while ways were free: every
 	// fill must still hit.
@@ -373,5 +373,26 @@ func TestVictimFillsFirstInvalidWay(t *testing.T) {
 	c.Access(10, false)
 	if c.Stats.Misses != 6 {
 		t.Error("LRU way (tag 10) must have been the eviction victim")
+	}
+}
+
+// TestNewFlatLinesZeroAlloc pins the flat line array: building a cache
+// allocates the core and one array of Sets*Assoc lines, whatever the
+// number of sets, for the default instruction and data geometries.
+func TestNewFlatLinesZeroAlloc(t *testing.T) {
+	ct := tech.Default().Cache
+	for _, base := range []Config{DefaultICache(), DefaultDCache()} {
+		for _, scale := range []int{1, 4, 64} {
+			cfg := base
+			cfg.Sets *= scale
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := New("c", cfg, ct, nil, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 2 {
+				t.Errorf("New(%+v) makes %v allocations, want 2 (the core and its lines)", cfg, allocs)
+			}
+		}
 	}
 }

@@ -17,15 +17,12 @@ import (
 // grows with the stream's length.
 func TestPrepareColdTraceZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under -race")
+		t.Skip("the scheduler's and binder's sync.Pool scratch drops at random under -race")
 	}
 	const slack = 256 << 10
-	// One P keeps the ISS memory pool's Get on the P of the last Put
-	// (see iss.TestISSMemoryReuseZeroAlloc).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ctx := context.Background()
 	allocs := func(f func()) uint64 {
-		f() // warm the pool
+		f() // warm the ISS memory and the scratch pools
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		f()

@@ -38,6 +38,7 @@ package iss
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"lppart/internal/behav"
 	"lppart/internal/isa"
@@ -150,38 +151,73 @@ type Result struct {
 	// never calls Release owns it outright.
 	Mem []int32
 
-	// buf is the pooled buffer backing Mem.
+	// buf is the recycled buffer backing Mem.
 	buf *[]int32
 }
 
-// memPool recycles data memories between runs: the default memory map is
-// 4 MiB, while the applications touch only their globals and a little
-// stack.
-var memPool sync.Pool // of *[]int32
+// Released data memories are recycled between runs: the default memory
+// map is 4 MiB, while the applications touch only their globals and a
+// little stack. spareMem holds the last released buffer outside memPool,
+// so a serial caller always finds its memory again: sync.Pool keeps a Put
+// in the putting P's private slot, where a Get on another P cannot reach
+// it, and every GC empties the pool. The buffer a release displaces from
+// the spare goes to the pool, for concurrent runs; the recycling thus
+// holds at most one buffer beyond what the pool holds.
+var (
+	spareMem atomic.Pointer[[]int32]
+	memPool  sync.Pool // of *[]int32
+)
 
-// Release returns the data memory to the pool for the next Run and sets
-// Mem to nil. It is safe on a nil Result and idempotent.
+// Release hands the data memory back for the next Run and sets Mem to
+// nil. It is safe on a nil Result and idempotent.
 func (r *Result) Release() {
 	if r == nil {
 		return
 	}
 	if r.buf != nil {
-		memPool.Put(r.buf)
+		putMem(r.buf)
 	}
 	r.buf, r.Mem = nil, nil
 }
 
-// newMem takes a data memory of n words from the pool, or allocates one.
-// Programs rely on zero-initialized globals, so a reused buffer is
-// cleared.
+// putMem makes a released buffer the spare and pools the one it displaces.
+func putMem(bp *[]int32) {
+	if old := spareMem.Swap(bp); old != nil {
+		memPool.Put(old)
+	}
+}
+
+// newMem takes a released data memory of n words, the spare first, then
+// a pooled one, or allocates one. Programs rely on zero-initialized
+// globals, so a reused buffer is cleared.
 func newMem(n int) *[]int32 {
-	if bp, ok := memPool.Get().(*[]int32); ok && cap(*bp) >= n {
-		*bp = (*bp)[:n]
-		clear(*bp)
+	if bp := reuse(spareMem.Swap(nil), n); bp != nil {
+		return bp
+	}
+	pooled, _ := memPool.Get().(*[]int32)
+	if bp := reuse(pooled, n); bp != nil {
 		return bp
 	}
 	mem := make([]int32, n)
 	return &mem
+}
+
+// reuse clears a released buffer to n words. It returns nil for a nil
+// buffer and for one too small for n, which it keeps for a smaller
+// program: as the spare if that is empty, else in the pool.
+func reuse(bp *[]int32, n int) *[]int32 {
+	if bp == nil {
+		return nil
+	}
+	if cap(*bp) < n {
+		if !spareMem.CompareAndSwap(nil, bp) {
+			memPool.Put(bp)
+		}
+		return nil
+	}
+	*bp = (*bp)[:n]
+	clear(*bp)
+	return bp
 }
 
 // Utilization returns the whole-run U_µP.
@@ -242,12 +278,12 @@ var issToBinOp = [isa.NumOpcodes]behav.BinOp{
 }
 
 // Run simulates the program to completion (HALT). The result's data
-// memory comes from a pool; see Result.Release.
+// memory is recycled; see Result.Release.
 func Run(p *isa.Program, opts Options) (*Result, error) {
 	bp := newMem(p.MemWords)
 	res, err := run(p, opts, *bp)
 	if err != nil {
-		memPool.Put(bp)
+		putMem(bp)
 		return nil, err
 	}
 	res.buf = bp

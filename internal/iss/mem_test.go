@@ -1,6 +1,7 @@
 package iss
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -17,13 +18,14 @@ func writeGlobals() *isa.Program {
 	)
 }
 
+// reader loads word 101, which it never writes: every program must see
+// the zero it starts from there, even in a buffer a writer dirtied.
+var reader = asm(
+	isa.Instr{Op: isa.LD, Rd: isa.RV, Rs1: isa.Zero, Imm: 101},
+	isa.Instr{Op: isa.HALT},
+)
+
 func TestReleasedMemoryIsZeroedOnReuse(t *testing.T) {
-	// The reader never writes word 101, so it must see the zero every
-	// program starts from, even in a buffer the writer dirtied.
-	reader := asm(
-		isa.Instr{Op: isa.LD, Rd: isa.RV, Rs1: isa.Zero, Imm: 101},
-		isa.Instr{Op: isa.HALT},
-	)
 	reused := false
 	for i := 0; i < 20; i++ {
 		w, err := Run(writeGlobals(), Options{})
@@ -45,6 +47,56 @@ func TestReleasedMemoryIsZeroedOnReuse(t *testing.T) {
 	if !reused {
 		t.Error("no run reused a released buffer")
 	}
+
+	// Writers and readers on eight goroutines share the spare and the
+	// pool: no reader may see a word another goroutine's writer left.
+	const workers, rounds = 8, 50
+	errs := make(chan error, workers)
+	for g := 0; g < workers; g++ {
+		go func() {
+			for i := 0; i < rounds; i++ {
+				w, err := Run(writeGlobals(), Options{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				w.Release()
+				r, err := Run(reader, Options{})
+				if err != nil {
+					errs <- err
+					return
+				}
+				rv, m100 := r.RV, r.Mem[100]
+				r.Release()
+				if rv != 0 || m100 != 0 {
+					errs <- fmt.Errorf("round %d: reused memory reads %#x, %#x, want 0, 0", i, rv, m100)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < workers; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestTooSmallMemoryIsHandedBack checks that newMem keeps a released
+// buffer too small for the run at hand for a later, smaller program.
+func TestTooSmallMemoryIsHandedBack(t *testing.T) {
+	spareMem.Swap(nil) // start from an empty spare
+	small := make([]int32, 64)
+	putMem(&small)
+	big := newMem(128)
+	if len(*big) != 128 {
+		t.Fatalf("newMem(128) returned %d words", len(*big))
+	}
+	if got := newMem(64); got != &small {
+		t.Error("a released 64-word buffer was dropped when a 128-word run could not use it")
+	}
+	putMem(big)
 }
 
 func TestReleaseNilSafeAndIdempotent(t *testing.T) {
@@ -68,24 +120,10 @@ func TestReleaseNilSafeAndIdempotent(t *testing.T) {
 	}
 }
 
-func TestISSMemoryReuseZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under -race")
-	}
-	p := writeGlobals()
-	p.MemWords = 1 << 20 // the system's default memory map, 4 MiB
-	run := func() {
-		res, err := Run(p, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.Release()
-	}
-	// sync.Pool caches per P, and a goroutine that moves to another P
-	// misses the buffer it just put back. One P keeps every Get where
-	// the last Put was, as testing.AllocsPerRun does.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run() // warm the pool
+// warmAlloc reports the bytes allocated per call of run after a warm-up
+// call.
+func warmAlloc(run func()) float64 {
+	run()
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -93,9 +131,58 @@ func TestISSMemoryReuseZeroAlloc(t *testing.T) {
 		run()
 	}
 	runtime.ReadMemStats(&after)
-	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	return float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
+// bigProgram is writeGlobals on the system's default memory map, 4 MiB.
+func bigProgram() *isa.Program {
+	p := writeGlobals()
+	p.MemWords = 1 << 20
+	return p
+}
+
+func TestISSMemoryReuseZeroAlloc(t *testing.T) {
+	p := bigProgram()
+	perRun := warmAlloc(func() {
+		res, err := Run(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	})
 	t.Logf("%.0f B allocated per warm run", perRun)
 	if perRun >= 1<<20 {
 		t.Errorf("warm Run allocates %.0f B per run, want well under 1 MiB (memory is 4 MiB)", perRun)
+	}
+}
+
+// TestISSMemorySurvivesGCZeroAlloc checks that a released memory outlives
+// garbage collections, which empty a sync.Pool, and serves a run on
+// another goroutine, which may sit on another P.
+func TestISSMemorySurvivesGCZeroAlloc(t *testing.T) {
+	p := bigProgram()
+	res, err := Run(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	runtime.GC()
+	runtime.GC()
+	done := make(chan error)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	go func() {
+		res, err := Run(p, Options{})
+		res.Release()
+		done <- err
+	}()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d B allocated by the run after two GCs", got)
+	if got >= 1<<20 {
+		t.Errorf("Run after two GCs allocates %d B, want well under 1 MiB (memory is 4 MiB)", got)
 	}
 }

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,15 +26,15 @@ func buildApp(t *testing.T, name string) *cdfg.Program {
 
 // TestEvaluateIRISSMemoryZeroAlloc pins the ISS memory reuse: a warm
 // evaluation of MPG runs the ISS twice (initial and partitioned design),
-// each on a 4 MiB memory, and must allocate neither.
+// each on a 4 MiB memory, and must allocate neither, on whichever P it
+// runs. The ceiling is the 317 KB a warm evaluation allocates plus 10%;
+// it was 2 MB, and one P, while a goroutine that changed P could miss
+// the pooled memory.
 func TestEvaluateIRISSMemoryZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under -race")
+		t.Skip("the scheduler's sync.Pool scratch drops at random under -race")
 	}
 	ir := buildApp(t, "MPG")
-	// One P keeps the pool's Get on the P of the last Put (see
-	// iss.TestISSMemoryReuseZeroAlloc).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	eval := func() {
 		ev, err := EvaluateIRCtx(context.Background(), ir, Config{})
 		if err != nil {
@@ -43,15 +44,10 @@ func TestEvaluateIRISSMemoryZeroAlloc(t *testing.T) {
 			t.Fatal("MPG has no partitioned design")
 		}
 	}
-	eval() // warm the pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	eval()
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	got := warmAlloc(eval)
 	t.Logf("warm EvaluateIRCtx(MPG) allocates %d B", got)
-	if got >= 2e6 {
-		t.Errorf("warm EvaluateIRCtx(MPG) allocates %d B, want under 2 MB", got)
+	if got >= 350_000 {
+		t.Errorf("warm EvaluateIRCtx(MPG) allocates %d B, want under 350000 B", got)
 	}
 }
 
@@ -59,29 +55,38 @@ func TestEvaluateIRISSMemoryZeroAlloc(t *testing.T) {
 // measurement: the block profile comes from the initial design's ISS run,
 // so a warm MeasureInitialCtx(MPG) allocates no interpreter state. It
 // allocated 213.7 KB while an interpreter profiling run (69.2 KB of it)
-// preceded the ISS; the ceiling sits 53.7 KB below that, so a second
-// simulation cannot come back unnoticed.
+// preceded the ISS, and 146.8 KB before codegen sized its code array
+// once and the caches flattened their lines; the ceiling is today's
+// 88.2 KB plus 10%, so none of these can come back unnoticed.
 func TestMeasureInitialProfileZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under -race")
-	}
 	ir := buildApp(t, "MPG")
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func() {
 		if _, _, err := MeasureInitialCtx(context.Background(), ir, Config{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	measure() // warm the pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	measure()
-	runtime.ReadMemStats(&after)
-	got := after.TotalAlloc - before.TotalAlloc
+	got := warmAlloc(measure)
 	t.Logf("warm MeasureInitialCtx(MPG) allocates %d B", got)
-	if got >= 160_000 {
-		t.Errorf("warm MeasureInitialCtx(MPG) allocates %d B, want under 160000 B", got)
+	if got >= 97_000 {
+		t.Errorf("warm MeasureInitialCtx(MPG) allocates %d B, want under 97000 B", got)
 	}
+}
+
+// warmAlloc returns the fewest bytes f allocates in three calls after a
+// warm-up call. The Fig. 1 search schedules on worker goroutines whose
+// scratch sits in per-P sync.Pools, so one call can miss it; a
+// regression shows in all three.
+func warmAlloc(f func()) uint64 {
+	f()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 // TestCrossCheckDetectsCorruptedGlobal makes sure Evaluate releases both

@@ -562,7 +562,12 @@ func runPartitioned(ir *cdfg.Program, dec *partition.Decision, cfg *Config) (*De
 // globalWords copies every global's words out of a final memory, in
 // ir.Globals order.
 func globalWords(ir *cdfg.Program, lay *codegen.Layout, mem []int32) []int32 {
-	var out []int32
+	n := int32(0)
+	for gi := range ir.Globals {
+		_, words, _ := lay.VarAddr(ir, "", true, gi)
+		n += words
+	}
+	out := make([]int32, 0, n)
 	for gi := range ir.Globals {
 		addr, words, _ := lay.VarAddr(ir, "", true, gi)
 		out = append(out, mem[addr:addr+words]...)
