@@ -4,35 +4,26 @@
 //	                        (initial vs. partitioned whole-system runs) and
 //	                        report savings/time-change/hardware as metrics.
 //	BenchmarkFig6           regenerates the Figure 6 series (all six apps).
+//	BenchmarkFig6Parallel   the same series on the parallel engine.
 //	BenchmarkAblation*      regenerate the DESIGN.md ablation studies A1-A6.
-//	BenchmarkPipeline*      micro-benchmarks of the substrates (compiler,
-//	                        ISS, cache, scheduler, binder) for performance
-//	                        tracking of the framework itself.
+//	BenchmarkExtension*     run the E1 (multi-core) and E2
+//	                        (control-dominated) extensions.
 //
 // Run with: go test -bench=. -benchmem
+//
+// The framework's own performance (each stage of the flow, the search
+// tiers and the daemon) is measured by perfbench; see perfbench/README.md.
 package lppart
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
 	"lppart/internal/apps"
 	"lppart/internal/behav"
-	"lppart/internal/bus"
 	"lppart/internal/cache"
-	"lppart/internal/cdfg"
-	"lppart/internal/codegen"
-	"lppart/internal/dse"
-	"lppart/internal/interp"
-	"lppart/internal/iss"
-	"lppart/internal/mem"
-	"lppart/internal/memostore"
-	"lppart/internal/partition"
-	"lppart/internal/sched"
 	"lppart/internal/system"
 	"lppart/internal/tech"
-	"lppart/internal/trace"
 )
 
 // evaluateApp runs the full Table 1 flow for one application.
@@ -241,80 +232,13 @@ func BenchmarkExtensionControlDominated(b *testing.B) {
 
 // --- parallel evaluation engine ---------------------------------------
 
-// partitionInputs builds the IR, profile and measured baseline the
-// partitioning inner loop needs, outside the timed section — the same
-// setup the system package performs before calling partition.Partition.
-func partitionInputs(b *testing.B, name string) (*cdfg.Program, *interp.Profile, *partition.Baseline) {
-	b.Helper()
-	a, err := apps.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := a.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ir, err := cdfg.Build(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	profRes, err := interp.Run(ir, interp.Options{CollectProfile: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	mp, _, err := codegen.Compile(ir, codegen.Options{MemWords: 1 << 20, StackWords: 1 << 14})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := tech.Default()
-	res, err := iss.Run(mp, iss.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := &partition.Baseline{
-		TotalEnergy:        res.Energy * 2, // headroom stands in for cache/mem energy
-		MuPEnergy:          res.Energy,
-		RestEnergy:         res.Energy,
-		TotalCycles:        res.TotalCycles(),
-		Regions:            res.Regions,
-		Micro:              &lib.Micro,
-		ICacheAccessEnergy: cache.DefaultICache().AccessEnergy(lib.Cache),
-	}
-	return ir, profRes.Prof, base
-}
-
-// BenchmarkPartitionParallel times the Fig. 1 inner loop alone: the
-// cluster × resource-set grid fans out on Config.Workers workers (the
-// default tracks GOMAXPROCS, so `-cpu 1,2,4` sweeps the pool width) and
-// the MaxCores=3 rounds exercise the cross-round schedule/binding memo.
-// cache_hit_% is the memo hit rate.
-func BenchmarkPartitionParallel(b *testing.B) {
-	ir, prof, base := partitionInputs(b, "MPG")
-	var dec *partition.Decision
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		dec, err = partition.Partition(ir, prof, base, partition.Config{MaxCores: 3})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(dec.Memo.HitRate()*100, "cache_hit_%")
-	b.ReportMetric(float64(len(dec.Choices)), "cores")
-}
-
 // BenchmarkFig6Parallel regenerates the whole Figure 6 / Table 1 series
 // with the parallel engine: the six applications fan out onto the
 // exploration pool (one worker per GOMAXPROCS CPU, so `-cpu 1,2,4`
 // sweeps the width) while each evaluation's inner partitioning grid uses
 // the same width. The reported rows are byte-identical to the serial
 // BenchmarkFig6 path (see TestParallelEvaluationDeterministic).
-// cache_hit_% aggregates the schedule/binding memo over all six runs,
-// reported only when the evaluations run more than one greedy round: the
-// memo hits only across MaxCores rounds, so at the paper's single round
-// its 0% says nothing.
 func BenchmarkFig6Parallel(b *testing.B) {
-	cfg := system.Config{}
 	list := apps.All()
 	srcs := make([]*behav.Program, len(list))
 	for i, a := range list {
@@ -328,17 +252,14 @@ func BenchmarkFig6Parallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		evals, err = system.EvaluateAll(srcs, cfg, 0)
+		evals, err = system.EvaluateAll(srcs, system.Config{}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	minSav, maxSav := 0.0, -100.0
-	var memo partition.MemoStats
 	for _, ev := range evals {
-		memo.Binds += ev.Decision.Memo.Binds
-		memo.Hits += ev.Decision.Memo.Hits
 		s := ev.Savings()
 		if s < minSav {
 			minSav = s
@@ -349,324 +270,4 @@ func BenchmarkFig6Parallel(b *testing.B) {
 	}
 	b.ReportMetric(-maxSav, "min_savings_%")
 	b.ReportMetric(-minSav, "max_savings_%")
-	if cfg.Part.MaxCores > 1 {
-		b.ReportMetric(memo.HitRate()*100, "cache_hit_%")
-	}
-}
-
-// BenchmarkFrontierDelta times the branch-and-bound Pareto exploration
-// of MPG — the acceptance benchmark for the delta-evaluation work.
-// "cold" runs the whole flow: measurement (interpreter, ISS, sweep)
-// followed by the delta-evaluated subset search per geometry. "warm"
-// replays the measurement phase from a pre-populated content-addressed
-// memostore, leaving only the search in the timed section. Both emit
-// byte-identical frontiers (TestStoreWarmFrontierByteIdentical); the
-// cold/warm gap is the measurement share of the wall time.
-func BenchmarkFrontierDelta(b *testing.B) {
-	a, err := apps.ByName("MPG")
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := a.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ir, err := cdfg.Build(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	report := func(b *testing.B, f *dse.Frontier) {
-		b.ReportMetric(float64(len(f.Points)), "points")
-		b.ReportMetric(float64(f.Stats.Configs), "configs")
-		b.ReportMetric(float64(f.Stats.Pruned), "pruned")
-	}
-
-	b.Run("cold", func(b *testing.B) {
-		var f *dse.Frontier
-		for i := 0; i < b.N; i++ {
-			f, err = dse.Explore(context.Background(), ir, dse.Config{Workers: 0})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, f)
-	})
-
-	b.Run("warm", func(b *testing.B) {
-		st, err := memostore.Open(b.TempDir(), memostore.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		cfg := dse.Config{Workers: 0, Store: st}
-		if _, err := dse.Explore(context.Background(), ir, cfg); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		var f *dse.Frontier
-		for i := 0; i < b.N; i++ {
-			f, err = dse.Explore(context.Background(), ir, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, f)
-	})
-}
-
-// BenchmarkFrontierHinted times the Pareto search with the exact bound
-// (dse.Config.ExactBound: exact suffix/branch floors plus dominance
-// cuts) against the default suffix-sum bound, measurement excluded from
-// the timed section. Both runs produce byte-identical frontiers
-// (dse's TestExactBound); the configs/pruned metrics record the
-// exact bound's pruning delta on MPG.
-func BenchmarkFrontierHinted(b *testing.B) {
-	a, err := apps.ByName("MPG")
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := a.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	ir, err := cdfg.Build(src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prep, err := dse.Prepare(context.Background(), ir, dse.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	report := func(b *testing.B, f *dse.Frontier) {
-		b.ReportMetric(float64(len(f.Points)), "points")
-		b.ReportMetric(float64(f.Stats.Configs), "configs")
-		b.ReportMetric(float64(f.Stats.Pruned), "pruned")
-	}
-
-	b.Run("default", func(b *testing.B) {
-		var f *dse.Frontier
-		for i := 0; i < b.N; i++ {
-			f, err = dse.ExplorePrep(context.Background(), prep, dse.Config{})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, f)
-	})
-
-	b.Run("hinted", func(b *testing.B) {
-		var f *dse.Frontier
-		for i := 0; i < b.N; i++ {
-			f, err = dse.ExplorePrep(context.Background(), prep, dse.Config{ExactBound: true})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, f)
-	})
-}
-
-// --- single-pass cache profiler ---------------------------------------
-
-// recordAppTrace records one application's full reference stream once,
-// outside the timed section.
-func recordAppTrace(b *testing.B, name string) *trace.Trace {
-	b.Helper()
-	a, err := apps.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	src, err := a.Parse()
-	if err != nil {
-		b.Fatal(err)
-	}
-	mp, _, err := codegen.Compile(cdfg.MustBuild(src), codegen.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rec := &trace.Recorder{}
-	if _, err := iss.Run(mp, iss.Options{Mem: rec}); err != nil {
-		b.Fatal(err)
-	}
-	return &rec.Trace
-}
-
-// sweepBenchGrid is the 28-point geometry grid (7 set counts x 4 ways,
-// one line size) both sweep benchmarks evaluate.
-func sweepBenchGrid() [][2]cache.Config {
-	var pairs [][2]cache.Config
-	for _, sets := range []int{16, 32, 64, 128, 256, 512, 1024} {
-		for _, assoc := range []int{1, 2, 4, 8} {
-			pairs = append(pairs, [2]cache.Config{
-				cache.DefaultICache(),
-				{Sets: sets, Assoc: assoc, LineWords: 4, WriteBack: true},
-			})
-		}
-	}
-	return pairs
-}
-
-// BenchmarkSweepStack times the single-pass stack-distance sweep: one
-// trace pass (the grid shares its line size) serves all 28 geometries.
-// trace_visits counts how often a trace access is decoded per sweep —
-// the axis on which the stack profiler beats naive replay.
-func BenchmarkSweepStack(b *testing.B) {
-	tr := recordAppTrace(b, "digs")
-	pairs := sweepBenchGrid()
-	lib := tech.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.SweepParallel(pairs, lib, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	passes := trace.Passes(pairs)
-	b.ReportMetric(float64(passes), "passes")
-	b.ReportMetric(float64(int64(passes)*tr.Len()), "trace_visits")
-	b.ReportMetric(float64(tr.Bytes()), "trace_bytes")
-	b.ReportMetric(float64(len(pairs)), "geometries")
-}
-
-// BenchmarkSweepReplay is the naive baseline: one full replay per
-// geometry pair (28 trace passes for the same grid).
-func BenchmarkSweepReplay(b *testing.B) {
-	tr := recordAppTrace(b, "digs")
-	pairs := sweepBenchGrid()
-	lib := tech.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tr.SweepReplay(pairs, lib, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(pairs)), "passes")
-	b.ReportMetric(float64(int64(len(pairs))*tr.Len()), "trace_visits")
-	b.ReportMetric(float64(tr.Bytes()), "trace_bytes")
-	b.ReportMetric(float64(len(pairs)), "geometries")
-}
-
-// --- substrate micro-benchmarks ---------------------------------------
-
-const benchKernel = `
-var a[256]; var out[256]; var total;
-func main() {
-	var i; var v;
-	for i = 0; i < 256; i = i + 1 { a[i] = (i * 37) & 255; }
-	for i = 0; i < 256; i = i + 1 {
-		v = a[i];
-		out[i] = (v * v + (v << 3) - (v >> 1)) & 65535;
-	}
-	for i = 0; i < 256; i = i + 1 { total = total + out[i]; }
-}
-`
-
-func BenchmarkPipelineParse(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := behav.Parse("bench", benchKernel); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelineBuildIR(b *testing.B) {
-	prog := behav.MustParse("bench", benchKernel)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cdfg.Build(prog); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelineCompile(b *testing.B) {
-	ir := cdfg.MustBuild(behav.MustParse("bench", benchKernel))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := codegen.Compile(ir, codegen.Options{MemWords: 1 << 16, StackWords: 1 << 12}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelineInterp(b *testing.B) {
-	ir := cdfg.MustBuild(behav.MustParse("bench", benchKernel))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := interp.Run(ir, interp.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPipelineISS(b *testing.B) {
-	ir := cdfg.MustBuild(behav.MustParse("bench", benchKernel))
-	mp, _, err := codegen.Compile(ir, codegen.Options{MemWords: 1 << 16, StackWords: 1 << 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res *iss.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = iss.Run(mp, iss.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.Instrs)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
-}
-
-func BenchmarkPipelineISSWithCaches(b *testing.B) {
-	ir := cdfg.MustBuild(behav.MustParse("bench", benchKernel))
-	mp, _, err := codegen.Compile(ir, codegen.Options{MemWords: 1 << 16, StackWords: 1 << 12})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lib := tech.Default()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := mem.New(lib)
-		bs := bus.New(lib)
-		ic, _ := cache.New("i", cache.DefaultICache(), lib.Cache, m, bs)
-		dc, _ := cache.New("d", cache.DefaultDCache(), lib.Cache, m, bs)
-		if _, err := iss.Run(mp, iss.Options{Mem: &benchMemSys{ic, dc}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type benchMemSys struct{ ic, dc *cache.Cache }
-
-func (m *benchMemSys) FetchInstr(a uint32) int { return m.ic.Access(int32(a/4), false) }
-func (m *benchMemSys) ReadData(a int32) int    { return m.dc.Access(a, false) }
-func (m *benchMemSys) WriteData(a int32) int   { return m.dc.Access(a, true) }
-
-func BenchmarkPipelineCacheSim(b *testing.B) {
-	lib := tech.Default()
-	c, err := cache.New("bench", cache.DefaultDCache(), lib.Cache, nil, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(int32(i*7)&0xffff, i&3 == 0)
-	}
-}
-
-func BenchmarkPipelineSchedule(b *testing.B) {
-	ir := cdfg.MustBuild(behav.MustParse("bench", benchKernel))
-	var loop *cdfg.Region
-	for _, r := range ir.Regions() {
-		if r.Kind == cdfg.RegionLoop {
-			loop = r
-		}
-	}
-	lib := tech.Default()
-	sets := tech.DefaultResourceSets()
-	cfg := sched.Config{Lib: lib, RS: &sets[2]}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.ScheduleRegion(cfg, loop); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

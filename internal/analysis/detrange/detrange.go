@@ -33,7 +33,6 @@ var gated = map[string]bool{
 	"asic":      true,
 	"stackdist": true,
 	"serve":     true,
-	"client":    true,
 	"metrics":   true,
 	"dse":       true,
 	"jobs":      true,
@@ -45,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detrange",
 	Doc: "flag nondeterministic map iteration in result-producing packages " +
 		"(partition, sched, system, report, explore, asic, stackdist, " +
-		"serve, client, metrics, dse, jobs, milp); " +
+		"serve, metrics, dse, jobs, milp); " +
 		"iterate sorted keys or acknowledge order-insensitive loops with //lint:ordered",
 	Run: run,
 }

@@ -290,7 +290,14 @@ func TestSweepEndpoint(t *testing.T) {
 		t.Errorf("sweep response missing trace counts or summaries: %+v", sr)
 	}
 
-	st, b, _ := post(t, ts.URL+"/v1/sweep", `{"app":"engine","sets":[48]}`)
+	// A one-point grid with the default line size answers one geometry.
+	st, b, _ := post(t, ts.URL+"/v1/sweep", `{"app":"engine","sets":[64],"assoc":[1]}`)
+	var one SweepResponse
+	if st != 200 || json.Unmarshal(b, &one) != nil || len(one.Geometries) != 1 {
+		t.Errorf("one-geometry sweep: status %d, want 200 with 1 geometry (%s)", st, b)
+	}
+
+	st, b, _ = post(t, ts.URL+"/v1/sweep", `{"app":"engine","sets":[48]}`)
 	if st != 400 {
 		t.Errorf("non-power-of-two sets: status %d, want 400 (%s)", st, b)
 	}

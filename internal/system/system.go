@@ -170,15 +170,9 @@ func (t *teeMemSys) WriteData(addr int32) int {
 }
 
 // runDesign executes one compiled program against fresh cache/memory/bus
-// cores and collects the per-core accounting.
+// cores and collects the per-core accounting. A non-nil obs is teed into
+// the memory system.
 func runDesign(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler,
-	micro *tech.MicroprocessorSpec) (*Design, *bus.Bus, *mem.Memory, error) {
-	return runDesignRec(name, mp, cfg, handler, micro, nil)
-}
-
-// runDesignRec is runDesign with an optional observer teed into the
-// memory system.
-func runDesignRec(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler,
 	micro *tech.MicroprocessorSpec, obs iss.MemSystem) (*Design, *bus.Bus, *mem.Memory, error) {
 	lib := cfg.Part.Lib
 	b := bus.New(lib)
@@ -284,11 +278,6 @@ func EvaluateCtx(ctx context.Context, src *behav.Program, cfg Config) (*Evaluati
 	return EvaluateIRCtx(ctx, ir, cfg)
 }
 
-// EvaluateIR is Evaluate starting from already-built IR.
-func EvaluateIR(ir *cdfg.Program, cfg Config) (*Evaluation, error) {
-	return EvaluateIRCtx(context.Background(), ir, cfg) //lint:ctx non-Ctx convenience wrapper
-}
-
 // MeasureInitialCtx runs the measurement front half of the Fig. 5 flow —
 // one ISS run of the initial (all-software) design, which also counts
 // the block profile — and returns the partially-filled Evaluation (IR,
@@ -352,7 +341,7 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 	if err != nil {
 		return nil, nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: compile: %w", err))
 	}
-	initial, _, _, err := runDesignRec("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
+	initial, _, _, err := runDesign("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
 	if err != nil {
 		return nil, nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: initial design: %w", err))
 	}
@@ -423,11 +412,12 @@ func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.T
 	return &rec.Trace, nil
 }
 
-// EvaluateIRCtx is EvaluateIR with cancellation: ctx is checked at every
-// stage boundary of the Fig. 5 flow (profile → initial design →
-// partitioning → partitioned design) and threaded into the partitioner's
-// cluster × resource-set fan-out, so a cancelled evaluation stops at the
-// next boundary instead of running the flow to completion.
+// EvaluateIRCtx is EvaluateCtx starting from already-built IR: ctx is
+// checked at every stage boundary of the Fig. 5 flow (profile → initial
+// design → partitioning → partitioned design) and threaded into the
+// partitioner's cluster × resource-set fan-out, so a cancelled
+// evaluation stops at the next boundary instead of running the flow to
+// completion.
 //
 // With cfg.Store set (and Part.Verify off), a stored measurement of the
 // program replaces the initial design's compile and ISS run. The
@@ -541,7 +531,7 @@ func runPartitioned(ir *cdfg.Program, dec *partition.Decision, cfg *Config) (*De
 		cores[int32(i)] = core
 		totalGEQ += ch.Eval.GEQ
 	}
-	pd, pb, pm, err := runDesign("partitioned", &isaProgram{prog: part, lay: partLay}, cfg, cores, &lib.Micro)
+	pd, pb, pm, err := runDesign("partitioned", &isaProgram{prog: part, lay: partLay}, cfg, cores, &lib.Micro, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("system: partitioned design: %w", err)
 	}
