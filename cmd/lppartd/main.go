@@ -1,27 +1,27 @@
 // Command lppartd serves the partitioning flow over HTTP: POST
 // /v1/partition runs the paper's Fig. 1 loop (decision trail + Table 1
-// row), POST /v1/sweep runs a cache-geometry sweep, GET /v1/apps lists
-// the built-in applications, and /metrics exposes Prometheus-text
-// counters, latency histograms and worker-pool gauges. Evaluations run
-// on a bounded worker pool behind a bounded queue (overload is shed
-// fast with 429), identical in-flight requests coalesce onto one
-// computation, and finished bodies are cached in an LRU keyed by the
-// canonical request hash — cached and computed responses are
-// byte-identical. Partition misses and the async POST /v1/explore and
-// POST /v1/exact jobs keep each program's F-independent measurement
-// (profile, initial ISS run; for jobs also the cache sweep) in the same
-// LRU and -store, so only the first request or job on a program
-// measures it.
+// row), POST /v1/batch runs many partitions in one call, POST /v1/sweep
+// runs a cache-geometry sweep, GET /v1/apps lists the built-in
+// applications, GET /v1/jobs lists the node's async jobs, and /metrics
+// exposes Prometheus-text counters, latency histograms and worker-pool
+// gauges. Evaluations run on a bounded worker pool behind a bounded
+// queue (overload is shed fast with 429), identical in-flight requests
+// coalesce onto one computation, and finished bodies are cached in an
+// LRU keyed by the canonical request hash — cached and computed
+// responses are byte-identical. Partition misses and the async POST
+// /v1/explore and POST /v1/exact jobs keep each program's F-independent
+// measurement (profile, initial ISS run; for jobs also the cache sweep)
+// in the same LRU and -store, so only the first request or job on a
+// program measures it.
 //
 // Usage:
 //
 //	lppartd                         # serve on :8095 with 4 workers
 //	lppartd -addr=:9000 -workers=8 -queue=128 -cache=4096 -timeout=60s
 //	lppartd -store=/var/lib/lppartd # persist results and measurements across restarts
+//	lppartd -store=/var/lib/lppartd -store-readonly
+//	                                # replay another process's store as it was at start
 //	lppartd -pprof=localhost:6060   # opt-in profiling listener
-//	lppartd -peers=http://n1:8095,http://n2:8095 -self=http://n1:8095
-//	                                # one node of a fleet: partitions route
-//	                                # to each key's owner, /v1/jobs lists all
 //
 // On SIGINT/SIGTERM the daemon drains: /readyz flips to 503, new
 // evaluations are shed, in-flight work completes (up to -drain), then
@@ -36,7 +36,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only via -pprof
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -53,10 +52,8 @@ func main() {
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight evaluations")
 		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies and the measurements of partition misses and jobs byte-identically)")
-		roStore  = flag.Bool("store-readonly", false, "open -store read-only (fleet nodes sharing a writer's directory)")
+		roStore  = flag.Bool("store-readonly", false, "open -store read-only: replay the records present at start, persist nothing (several processes share one writer's directory; restart to pick up newer records)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
-		peersCSV = flag.String("peers", "", "comma-separated fleet peer base URLs, including this node's (e.g. http://n1:8095,http://n2:8095)")
-		selfURL  = flag.String("self", "", "this node's base URL exactly as it appears in -peers")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -69,14 +66,7 @@ func main() {
 		QueueDepth:   *queue,
 		CacheEntries: *entries,
 		Timeout:      *timeout,
-		Self:         *selfURL,
 	}
-	peers, err := parsePeers(*peersCSV, *selfURL)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lppartd: %v\n", err)
-		os.Exit(2)
-	}
-	scfg.Peers = peers
 	if *storeDir != "" {
 		st, err := memostore.Open(*storeDir, memostore.Options{ReadOnly: *roStore})
 		if err != nil {
@@ -135,31 +125,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintln(os.Stderr, "lppartd: drained cleanly")
-}
-
-// parsePeers splits the -peers list, trimming whitespace and dropping
-// empty entries, and checks that self names this node exactly as the
-// list does. A self missing from the list would make the ring treat
-// this node as a foreign peer: its own keys would be forwarded back to
-// itself over HTTP and its jobs listed twice in GET /v1/jobs. An empty
-// list means standalone and ignores self.
-func parsePeers(csv, self string) ([]string, error) {
-	var peers []string
-	for _, p := range strings.Split(csv, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) == 0 {
-		return nil, nil
-	}
-	if self == "" {
-		return nil, fmt.Errorf("-peers requires -self (this node's URL in the peer list)")
-	}
-	for _, p := range peers {
-		if p == self {
-			return peers, nil
-		}
-	}
-	return nil, fmt.Errorf("-self %q is not in -peers %q (URLs must match exactly, trailing slash included)", self, strings.Join(peers, ","))
 }

@@ -9,7 +9,7 @@
 // system.Fingerprint: the initial-design measurement
 // (system.Measurement, the record the greedy flow replays too) and the
 // geometry sweep's reports. A warm run (same binary or a restarted
-// one, a fleet node sharing the directory read-only, or a later lppartd
+// one, another process opening the directory read-only, or a later lppartd
 // job or partition on the same program at another F) skips straight to
 // the search. The records hold raw IEEE-754 bit patterns and exact
 // integers, so a warm frontier is byte-identical to a cold one; any
@@ -152,7 +152,7 @@ func loadMeasurement(st system.Store, fp [32]byte, pairs [][2]cache.Config, sys 
 
 // storeMeasurement persists the freshly measured phase. Write errors are
 // swallowed: persistence is an accelerator, not a correctness dependency
-// (and the store may legitimately be read-only on fleet nodes).
+// (and the store may legitimately be opened read-only).
 func storeMeasurement(st system.Store, fp [32]byte, pairs [][2]cache.Config, m *measurement) {
 	_ = st.Put(system.MeasureKey(fp), system.EncodeMeasurement(m.Measurement)) //lint:err persistence is best-effort (see doc comment)
 	_ = st.Put(sweepKey(fp, pairs), encodeReports(m.reps))                     //lint:err persistence is best-effort (see doc comment)

@@ -2,8 +2,10 @@
 // on-disk append-log mapping canonical SHA-256 keys to byte values,
 // built from the standard library only. It backs the design-space
 // explorer's measurement/sweep memo and the lppartd result cache, so a
-// restarted process (or a fleet node sharing the directory read-only)
-// answers previously-computed requests without recomputing them.
+// restarted process (or another process opening the directory
+// read-only) answers previously-computed requests without recomputing
+// them. A read-only store indexes the records present when it opens and
+// never sees later appends; reopen it to pick them up.
 //
 // On-disk format: a directory of chunk files named chunk-NNNNNN.log,
 // each a sequence of records

@@ -246,7 +246,8 @@ func TestReadOnly(t *testing.T) {
 		t.Fatalf("read-only Put err = %v, want ErrReadOnly", err)
 	}
 	// A read-only view of a directory that does not exist yet is an
-	// empty store, not an error (fleet nodes may race the writer).
+	// empty store, not an error (a reader may start before its writer
+	// has created the directory).
 	empty, err := Open(filepath.Join(dir, "missing"), Options{ReadOnly: true})
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +255,33 @@ func TestReadOnly(t *testing.T) {
 	defer empty.Close()
 	if empty.Len() != 0 {
 		t.Fatal("phantom records in missing dir")
+	}
+
+	// A reader is a snapshot: Open indexes the records present then,
+	// and a record the still-open writer appends afterwards stays
+	// invisible until the reader reopens.
+	w, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	snap, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer snap.Close()
+	n := snap.Len()
+	if err := w.Put(keyOf("late"), []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := snap.Get(keyOf("late")); ok || err != nil {
+		t.Fatalf("reader saw a record written after it opened: %q ok=%v err=%v", v, ok, err)
+	}
+	if snap.Len() != n {
+		t.Fatalf("reader Len %d after a later write, want %d", snap.Len(), n)
+	}
+	if v, ok, _ := snap.Get(keyOf("k")); !ok || string(v) != "v" {
+		t.Fatalf("reader lost its snapshot: Get(k) = %q ok=%v", v, ok)
 	}
 }
 

@@ -90,9 +90,9 @@ func (s *Server) tierGet(key memostore.Key) ([]byte, bool) {
 }
 
 // tierPut adds val to the LRU and writes it through to the persistent
-// store. Callers swallow the store's error (ErrReadOnly on fleet nodes,
-// ErrClosed after shutdown): persistence accelerates, it must never
-// fail a request or a job.
+// store. Callers swallow the store's error (ErrReadOnly on a store
+// opened read-only, ErrClosed after shutdown): persistence accelerates,
+// it must never fail a request or a job.
 func (s *Server) tierPut(key memostore.Key, val []byte) error {
 	s.cacheEvic.Add(int64(s.cache.add(key, val)))
 	if s.cfg.Store == nil {

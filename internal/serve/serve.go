@@ -21,9 +21,9 @@
 // /v1/exact (certified exact optimum per geometry via the milp
 // oracle, certificates replayed server-side before the job finishes),
 // GET /v1/apps (the built-in Table 1 applications), plus /healthz,
-// /readyz and a Prometheus-text /metrics. Nodes given a peer list also
-// route partitions to each key's owner, batch them (POST /v1/batch) and
-// list the fleet's jobs (GET /v1/jobs); see fleet.go.
+// /readyz and a Prometheus-text /metrics. POST /v1/batch runs many
+// partitions in one call and GET /v1/jobs lists the node's jobs; see
+// batch.go.
 package serve
 
 import (
@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"lppart/internal/apps"
@@ -69,19 +68,11 @@ type Config struct {
 	// unfinished job, new POST /v1/explore and POST /v1/exact requests
 	// are shed with 429 (default 64).
 	MaxJobs int
-	// Self is this node's own base URL as it appears in Peers
-	// ("http://127.0.0.1:8095"). Requests that the consistent-hash ring
-	// assigns to Self are computed locally instead of proxied back to
-	// this node's own listener.
-	Self string
-	// Peers are the fleet's node base URLs, including Self. Empty means
-	// standalone: no request routing and no peer ledgers.
-	Peers []string
 	// Store, when non-nil, persistently backs the result cache:
 	// successful (200) bodies and the measurement records of partition
 	// misses and explore/exact jobs are written through to the
 	// content-addressed store and replayed verbatim on a hit, so a
-	// restarted daemon — or a fleet node sharing the directory
+	// restarted daemon — or another node opening the directory
 	// read-only — answers previously-computed requests byte-identically
 	// without recomputing them, and measures no program twice. Non-200
 	// outcomes are never persisted, mirroring the in-memory cache's
@@ -127,13 +118,6 @@ type Server struct {
 	jobs    *jobs.Store
 	reg     *metrics.Registry
 
-	// Fleet state: the consistent-hash ring over cfg.Peers (nil when
-	// standalone) and the passively-tracked peer health.
-	ring *ring
-
-	peerMu   sync.Mutex
-	peerDown map[string]bool
-
 	// baseCtx parents every computation; abort cancels it.
 	baseCtx context.Context
 	abort   context.CancelFunc
@@ -160,19 +144,15 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	ctx, cancel := context.WithCancel(context.Background()) //lint:ctx server-lifetime root, cancelled by Shutdown/Abort
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		adm:      newAdmission(cfg.Workers, cfg.QueueDepth),
-		cache:    newLRUCache(cfg.CacheEntries),
-		flights:  newFlightGroup(),
-		jobs:     jobs.NewStore(cfg.MaxJobs),
-		reg:      metrics.NewRegistry(),
-		baseCtx:  ctx,
-		abort:    cancel,
-		peerDown: make(map[string]bool),
-	}
-	if len(cfg.Peers) > 0 {
-		s.ring = newRing(cfg.Peers)
+		cfg:     cfg,
+		mux:     http.NewServeMux(),
+		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
+		cache:   newLRUCache(cfg.CacheEntries),
+		flights: newFlightGroup(),
+		jobs:    jobs.NewStore(cfg.MaxJobs),
+		reg:     metrics.NewRegistry(),
+		baseCtx: ctx,
+		abort:   cancel,
 	}
 	s.cacheHit = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "hit"))
 	s.cacheMiss = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "miss"))
@@ -195,12 +175,6 @@ func New(cfg Config) *Server {
 			metrics.Labels("state", st.String()),
 			func() float64 { return float64(s.jobs.Count(st)) })
 	}
-	// The peer gauge is registered up front (all-zero) even when
-	// standalone, so the exposition's shape does not depend on flags.
-	s.reg.GaugeFunc("lppartd_peers", "fleet peers by health state",
-		metrics.Labels("state", "up"), func() float64 { return float64(s.countPeers(false)) })
-	s.reg.GaugeFunc("lppartd_peers", "fleet peers by health state",
-		metrics.Labels("state", "down"), func() float64 { return float64(s.countPeers(true)) })
 
 	s.handle("POST /v1/partition", "partition", s.handlePartition)
 	s.handle("POST /v1/sweep", "sweep", s.handleSweep)
@@ -387,12 +361,6 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) *flight
 	prog, sets, key, aerr := req.canonicalize(s.cfg.MaxSourceBytes)
 	if aerr != nil {
 		return errResult(aerr)
-	}
-	// In a fleet, the canonical key's ring owner computes (and caches)
-	// the result; everyone else proxies, so the LRU + memostore tiers
-	// shard cleanly instead of duplicating entries on every node.
-	if res, ok := s.forwardPartition(r, &req, key); ok {
-		return res
 	}
 	return s.resultFor(r, key, s.partitionCompute(&req, prog, sets, key))
 }
