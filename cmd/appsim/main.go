@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -57,11 +58,13 @@ func main() {
 		fatal(err)
 	}
 
-	// Use the system evaluator but stop after the initial design by
-	// making every cluster unaffordable.
-	cfg := system.Config{}
-	cfg.Part.GEQBudget = 1
-	ev, err := system.Evaluate(src, cfg)
+	ir, err := cdfg.Build(src)
+	if err != nil {
+		fatal(err)
+	}
+	// The measurement front half of the flow: the initial design's one
+	// ISS run, without the partitioning search that would follow it.
+	ev, _, err := system.MeasureInitialCtx(context.Background(), ir, system.Config{})
 	if err != nil {
 		fatal(err)
 	}
@@ -88,10 +91,6 @@ func main() {
 			}
 			fmt.Printf("  %-8v %12d (%5.1f%%)\n", c, d.ISS.PerClass[c],
 				100*float64(d.ISS.PerClass[c])/float64(d.ISS.Instrs))
-		}
-		ir, berr := cdfg.Build(src)
-		if berr != nil {
-			fatal(berr)
 		}
 		ref, rerr := interp.Run(ir, interp.Options{})
 		if rerr != nil {

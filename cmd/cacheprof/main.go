@@ -1,10 +1,11 @@
 // Command cacheprof is the trace-driven cache profiler of the paper's
 // design flow (Fig. 5's "Trace Tool" + "Cache Profiler", after WARTS):
-// it records the memory reference stream of one application run, then
-// evaluates a sweep of cache geometries against it so the designer can
-// size the cache cores for the chosen partition without re-simulating.
-// The sweep runs the single-pass stack-distance profiler: ONE pass over
-// the trace per distinct line size covers the whole sets x ways grid.
+// it profiles the memory reference stream of one application run online,
+// during the run's one ISS execution, and evaluates a sweep of cache
+// geometries against it so the designer can size the cache cores for the
+// chosen partition without re-simulating. The single-pass stack-distance
+// profiler covers the whole sets x ways grid at one line size, and the
+// stream is counted but never stored.
 //
 // Usage:
 //
@@ -25,7 +26,6 @@ import (
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 	"lppart/internal/system"
-	"lppart/internal/tech"
 	"lppart/internal/trace"
 )
 
@@ -36,7 +36,6 @@ func main() {
 		sets    = flag.String("sets", "16,32,64,128,256,512,1024", "set counts to sweep (powers of two)")
 		assoc   = flag.String("assoc", "1,2", "associativities to sweep")
 		line    = flag.Int("line", 4, "line size in words (power of two)")
-		jobs    = flag.Int("j", 0, "concurrent profiler passes (0 = one per CPU, 1 = serial)")
 	)
 	flag.Parse()
 
@@ -55,25 +54,9 @@ func main() {
 	// Validate the whole grid up front: a typo'd flag should name the
 	// offending geometry, not surface as an error from deep inside the
 	// sweep.
-	var pairs [][2]cache.Config
-	for _, s := range setList {
-		for _, a := range assocList {
-			swept := cache.Config{Sets: s, Assoc: a, LineWords: *line}
-			icfg, dcfg := cache.DefaultICache(), cache.DefaultDCache()
-			if *isweep {
-				icfg = swept
-			} else {
-				swept.WriteBack = true
-				dcfg = swept
-			}
-			if err := swept.Validate(); err != nil {
-				fatal(fmt.Errorf("geometry sets=%d assoc=%d line=%d: %w", s, a, *line, err))
-			}
-			pairs = append(pairs, [2]cache.Config{icfg, dcfg})
-		}
-	}
-	if len(pairs) == 0 {
-		fatal(fmt.Errorf("empty geometry grid (-sets=%q -assoc=%q)", *sets, *assoc))
+	pairs, err := trace.Grid(setList, assocList, *line, *isweep)
+	if err != nil {
+		fatal(err)
 	}
 
 	a, err := apps.ByName(*appName)
@@ -88,21 +71,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	tr, err := system.RecordTraceCtx(context.Background(), ir, system.Config{})
+	// The profiler rides along the initial design's measurement run.
+	_, _, reps, st, err := system.MeasureAndSweepCtx(context.Background(), ir, system.Config{}, pairs)
 	if err != nil {
 		fatal(err)
 	}
-	f, r, w := tr.Counts()
 	fmt.Printf("application %s: trace with %d fetches, %d reads, %d writes (%d bytes compact)\n\n",
-		a.Name, f, r, w, tr.Bytes())
-
-	lib := tech.Default()
-	// One stack pass per distinct line size covers the whole grid; the
-	// passes fan out across the worker pool.
-	reps, err := tr.SweepParallel(pairs, lib, *jobs)
-	if err != nil {
-		fatal(err)
-	}
+		a.Name, st.Fetches, st.Reads, st.Writes, st.Bytes)
 	for _, rep := range reps {
 		fmt.Println(" ", rep)
 	}
@@ -110,7 +85,7 @@ func main() {
 	fmt.Printf("\nsingle-pass profiler: %d stack pass(es) served %d geometries — a naive\n",
 		passes, len(pairs))
 	fmt.Printf("replay sweep costs %d passes (%d trace-access visits saved).\n",
-		len(pairs), int64(len(pairs)-passes)*tr.Len())
+		len(pairs), int64(len(pairs)-passes)*st.Len())
 	fmt.Println("\nPick the knee: beyond it the array energy of a bigger cache")
 	fmt.Println("outgrows the memory energy it saves (paper §1 footnote 2).")
 }

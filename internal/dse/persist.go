@@ -42,7 +42,7 @@ type measurement struct {
 // initial design, with the block profile counted and every pair profiled
 // online.
 func measure(ctx context.Context, ir *cdfg.Program, sys system.Config, pairs [][2]cache.Config) (*measurement, error) {
-	ev, base, reps, err := system.MeasureAndSweepCtx(ctx, ir, sys, pairs)
+	ev, base, reps, _, err := system.MeasureAndSweepCtx(ctx, ir, sys, pairs)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 
 // FuzzChunkReplay corrupts a chunk of valid records — overwriting,
 // truncating or appending fuzzer bytes at a fuzzer-chosen offset — and
-// replays it. Open, Get, Compact and a reopen must never panic or fail,
+// replays it. Open, Get and a reopen must never panic or fail,
 // and every value a Get returns must be one that was Put for its key:
 // the CRC rules out serving a torn or overwritten record.
 func FuzzChunkReplay(f *testing.F) {
@@ -81,10 +81,6 @@ func FuzzChunkReplay(f *testing.F) {
 			t.Fatal(err)
 		}
 		check(s, "open")
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		check(s, "compact")
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}

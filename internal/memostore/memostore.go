@@ -19,11 +19,10 @@
 // Appends go to the highest-numbered chunk and rotate to a fresh chunk
 // past Options.ChunkBytes. Writers re-put a key by appending a newer
 // record; scan order (chunk number, then offset) makes the last record
-// win, so compaction is optional. A torn tail — a record cut short by a
-// crash — is detected on open, counted in Skipped, and never scanned
-// past; the opener starts a fresh chunk, so a corrupted tail can only
-// lose the records after the tear, never the store. Compact rewrites the
-// live records through a temp file and an atomic rename.
+// win; the superseded records stay on disk. A torn tail — a record cut
+// short by a crash — is detected on open, counted in Skipped, and never
+// scanned past; the opener starts a fresh chunk, so a corrupted tail can
+// only lose the records after the tear, never the store.
 package memostore
 
 import (
@@ -57,7 +56,7 @@ type Options struct {
 // ErrReadOnly is returned by Put on a read-only store.
 var ErrReadOnly = errors.New("memostore: store is read-only")
 
-// ErrClosed is returned by Get, Put and Compact once Close has run;
+// ErrClosed is returned by Get and Put once Close has run;
 // a closed store touches no files.
 var ErrClosed = errors.New("memostore: store is closed")
 
@@ -324,113 +323,8 @@ func (s *Store) Skipped() int64 {
 	return s.skipped
 }
 
-// Compact rewrites the live records (newest per key, in deterministic
-// key order) into a single fresh chunk via a temp file and an atomic
-// rename, then removes the superseded chunks. Crash-safe: a crash
-// before the rename leaves the old chunks untouched; a crash after it
-// leaves duplicates that the next open resolves by scan order.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	if s.readOnly {
-		return ErrReadOnly
-	}
-	keys := make([]Key, 0, len(s.index))
-	for k := range s.index {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		for x := range a {
-			if a[x] != b[x] {
-				return a[x] < b[x]
-			}
-		}
-		return false
-	})
-	var next int
-	if n := len(s.names); n > 0 {
-		fmt.Sscanf(s.names[n-1], "chunk-%06d.log", &next) //lint:err a non-matching name leaves next at its zero default
-		next++
-	}
-	tmp := filepath.Join(s.dir, "compact.tmp")
-	w, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("memostore: compact: %w", err)
-	}
-	for _, k := range keys {
-		l := s.index[k]
-		val := make([]byte, l.vlen)
-		if _, err := s.chunks[l.chunk].ReadAt(val, l.off); err != nil {
-			w.Close()      //lint:err best-effort cleanup, the compact error propagates
-			os.Remove(tmp) //lint:err best-effort cleanup, the compact error propagates
-			return fmt.Errorf("memostore: compact read: %w", err)
-		}
-		var hdr [4 + 32 + binary.MaxVarintLen64]byte
-		n := copy(hdr[:], magic[:])
-		n += copy(hdr[n:], k[:])
-		n += binary.PutUvarint(hdr[n:], uint64(len(val)))
-		c := crc32.NewIEEE()
-		c.Write(k[:])
-		c.Write(val)
-		var crcb [4]byte
-		binary.LittleEndian.PutUint32(crcb[:], c.Sum32())
-		if _, err := w.Write(hdr[:n]); err == nil {
-			if _, err = w.Write(val); err == nil {
-				_, err = w.Write(crcb[:])
-			}
-		}
-		if err != nil {
-			w.Close()      //lint:err best-effort cleanup, the compact error propagates
-			os.Remove(tmp) //lint:err best-effort cleanup, the compact error propagates
-			return fmt.Errorf("memostore: compact write: %w", err)
-		}
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()      //lint:err best-effort cleanup, the sync error propagates
-		os.Remove(tmp) //lint:err best-effort cleanup, the sync error propagates
-		return fmt.Errorf("memostore: compact sync: %w", err)
-	}
-	if err := w.Close(); err != nil {
-		os.Remove(tmp) //lint:err best-effort cleanup, the close error propagates
-		return fmt.Errorf("memostore: compact close: %w", err)
-	}
-	dst := filepath.Join(s.dir, chunkName(next))
-	if err := os.Rename(tmp, dst); err != nil {
-		os.Remove(tmp) //lint:err best-effort cleanup, the rename error propagates
-		return fmt.Errorf("memostore: compact rename: %w", err)
-	}
-	// Swap state over to the compacted chunk and delete the old ones.
-	old := s.names[:len(s.names):len(s.names)]
-	for _, f := range s.chunks {
-		f.Close() //lint:err best-effort close of a superseded chunk
-	}
-	if s.active != nil {
-		s.active.Close() //lint:err best-effort close of a superseded chunk
-		s.active = nil
-	}
-	s.chunks, s.names = nil, nil
-	s.index = make(map[Key]loc, len(keys))
-	r, err := os.Open(dst)
-	if err != nil {
-		return fmt.Errorf("memostore: compact reopen: %w", err)
-	}
-	s.chunks = append(s.chunks, r)
-	s.names = append(s.names, chunkName(next))
-	if _, err := s.scanChunk(0, r); err != nil {
-		return err
-	}
-	for _, name := range old {
-		os.Remove(filepath.Join(s.dir, name)) //lint:err best-effort removal of superseded chunks
-	}
-	return s.openActive(false)
-}
-
-// Close releases all file handles; Get, Put and Compact return
-// ErrClosed afterwards.
+// Close releases all file handles; Get and Put return ErrClosed
+// afterwards.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -285,48 +285,7 @@ func TestReadOnly(t *testing.T) {
 	}
 }
 
-func TestCompact(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{ChunkBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for i := 0; i < 20; i++ {
-		// Every key written twice: compaction must drop the stale half.
-		s.Put(keyOf(fmt.Sprint(i%10)), []byte(fmt.Sprintf("v%d", i)))
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 10 {
-		t.Fatalf("Len after compact = %d, want 10", s.Len())
-	}
-	for i := 0; i < 10; i++ {
-		v, ok, _ := s.Get(keyOf(fmt.Sprint(i)))
-		if !ok || string(v) != fmt.Sprintf("v%d", i+10) {
-			t.Fatalf("key %d after compact = %q ok=%v", i, v, ok)
-		}
-	}
-	// Store stays writable after compaction and survives reopen.
-	if err := s.Put(keyOf("post"), []byte("compact")); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	s2, err := Open(dir, Options{ChunkBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 11 {
-		t.Fatalf("Len after compact+reopen = %d, want 11", s2.Len())
-	}
-	if v, ok, _ := s2.Get(keyOf("post")); !ok || string(v) != "compact" {
-		t.Fatalf("post-compact append lost: %q ok=%v", v, ok)
-	}
-}
-
-// TestUseAfterClose: Get, Put and Compact on a closed store return
+// TestUseAfterClose: Get and Put on a closed store return
 // ErrClosed and create, rewrite or remove no file — in particular a Put
 // whose append chunk is full must not rotate to a fresh chunk.
 func TestUseAfterClose(t *testing.T) {
@@ -363,9 +322,6 @@ func TestUseAfterClose(t *testing.T) {
 	}
 	if err := s.Put(keyOf("k2"), []byte("v")); err != ErrClosed {
 		t.Errorf("Put after Close: err=%v, want ErrClosed", err)
-	}
-	if err := s.Compact(); err != ErrClosed {
-		t.Errorf("Compact after Close: err=%v, want ErrClosed", err)
 	}
 	if after := listing(); after != before {
 		t.Errorf("closed store touched files:\nbefore %s\nafter  %s", before, after)

@@ -73,9 +73,9 @@ type JobsResponse struct {
 	Jobs []JobSummary `json:"jobs"`
 }
 
-// handleJobs lists this node's jobs.
+// handleJobs lists this node's jobs; an empty ledger is an empty list.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) *flightResult {
-	var resp JobsResponse
+	resp := JobsResponse{Jobs: []JobSummary{}}
 	for _, snap := range s.jobs.All() {
 		resp.Jobs = append(resp.Jobs, JobSummary{
 			JobID: snap.ID, Key: snap.Key, State: snap.State.String(),

@@ -52,7 +52,7 @@ func TestBatchEndpoint(t *testing.T) {
 func TestJobsLedger(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	st, b := get(t, ts.URL+"/v1/jobs")
-	if st != 200 || string(b) != "{\"jobs\":null}\n" {
+	if st != 200 || string(b) != "{\"jobs\":[]}\n" {
 		t.Fatalf("empty ledger: status %d, body %q", st, b)
 	}
 

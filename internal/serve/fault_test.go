@@ -30,7 +30,8 @@ func TestPartitionFault422(t *testing.T) {
 }
 
 // TestSweepRejectsFaultingProgram: /v1/sweep rejects the programs
-// /v1/partition rejects, with the same body.
+// /v1/partition rejects, with the same body — also a program within the
+// IR step limit whose compiled form exceeds the ISS instruction limit.
 func TestSweepRejectsFaultingProgram(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	for _, tc := range faultingPrograms {
@@ -39,5 +40,20 @@ func TestSweepRejectsFaultingProgram(t *testing.T) {
 		if st != 422 || string(b) != tc.body {
 			t.Errorf("%s: status %d body %.200q, want 422 %q", tc.name, st, b, tc.body)
 		}
+	}
+
+	// 581 IR steps and 778 instructions.
+	const dotProduct = "var a[64]; var s;\nfunc main() { var i; for i = 0; i < 64; i = i + 1 { s = s + a[i] * a[63 - i]; } }"
+	const want = `{"error":"system: initial design: iss: pc=8: instruction limit 581 exceeded"}` + "\n"
+	_, ts = newTestServer(t, Config{Workers: 1, MaxInstrs: 581})
+	body, _ := json.Marshal(PartitionRequest{Source: dotProduct})
+	pst, pb, _ := post(t, ts.URL+"/v1/partition", string(body))
+	body, _ = json.Marshal(SweepRequest{Source: dotProduct})
+	st, b, _ := post(t, ts.URL+"/v1/sweep", string(body))
+	if pst != 422 || string(pb) != want {
+		t.Errorf("instruction limit: partition status %d body %q, want 422 %q", pst, pb, want)
+	}
+	if st != pst || string(b) != string(pb) {
+		t.Errorf("instruction limit: sweep status %d body %q, want partition's %d %q", st, b, pst, pb)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"lppart/internal/behav"
 	"lppart/internal/cache"
 	"lppart/internal/tech"
+	"lppart/internal/trace"
 )
 
 // ResourceSetSpec selects or defines one hardware budget (Fig. 1 line 7).
@@ -285,28 +286,9 @@ func (req *SweepRequest) canonicalize(maxSourceBytes int) (*behav.Program, [][2]
 	if n := len(c.Sets) * len(c.Assoc); n > maxGeometries {
 		return nil, nil, "", badRequest(fmt.Sprintf("sets×assoc: %d geometries exceed the limit of %d", n, maxGeometries))
 	}
-	var pairs [][2]cache.Config
-	for _, s := range c.Sets {
-		if s <= 0 || s&(s-1) != 0 {
-			return nil, nil, "", badRequest(fmt.Sprintf("sets: %d is not a positive power of two", s))
-		}
-		for _, a := range c.Assoc {
-			if a <= 0 || a > cache.MaxAssoc {
-				return nil, nil, "", badRequest(fmt.Sprintf("assoc: %d out of range [1, %d]", a, cache.MaxAssoc))
-			}
-			swept := cache.Config{Sets: s, Assoc: a, LineWords: c.LineWords}
-			icfg, dcfg := cache.DefaultICache(), cache.DefaultDCache()
-			if c.ISweep {
-				icfg = swept
-			} else {
-				swept.WriteBack = true
-				dcfg = swept
-			}
-			if err := swept.Validate(); err != nil {
-				return nil, nil, "", badRequest(fmt.Sprintf("geometry sets=%d assoc=%d line=%d: %v", s, a, c.LineWords, err))
-			}
-			pairs = append(pairs, [2]cache.Config{icfg, dcfg})
-		}
+	pairs, err := trace.Grid(c.Sets, c.Assoc, c.LineWords, c.ISweep)
+	if err != nil {
+		return nil, nil, "", badRequest(err.Error())
 	}
 	return prog, pairs, hashCanon(c), nil
 }

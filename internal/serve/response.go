@@ -172,15 +172,14 @@ type SweepResponse struct {
 	CacheSignature string         `json:"request_key"`
 }
 
-func buildSweepResponse(name string, isweep bool, tr *trace.Trace, pairs [][2]cache.Config, reps []trace.Report, key string) *SweepResponse {
-	f, r, w := tr.Counts()
+func buildSweepResponse(name string, isweep bool, st trace.Stream, pairs [][2]cache.Config, reps []trace.Report, key string) *SweepResponse {
 	resp := &SweepResponse{
 		App:            name,
 		ISweep:         isweep,
-		Fetches:        f,
-		Reads:          r,
-		Writes:         w,
-		TraceBytes:     tr.Bytes(),
+		Fetches:        st.Fetches,
+		Reads:          st.Reads,
+		Writes:         st.Writes,
+		TraceBytes:     st.Bytes,
 		ProfilerPasses: trace.Passes(pairs),
 		CacheSignature: key,
 	}

@@ -407,24 +407,21 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *flightResu
 	})
 }
 
-// computeSweep records the application's reference trace and runs the
-// single-pass stack-distance sweep over the geometry grid, serially (one
-// profiler pass per distinct line size): request-level parallelism
-// belongs to the worker pool, not to the inside of one slot.
+// computeSweep measures the application's initial design with the
+// single-pass stack-distance profiler teed into its one ISS run, which
+// prices the whole geometry grid and counts the reference stream without
+// storing it. A program the measurement rejects gets /v1/partition's
+// error text.
 func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *SweepRequest,
 	pairs [][2]cache.Config, key string) *flightResult {
 	ir, err := cdfg.Build(prog)
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
-	tr, err := system.RecordTraceCtx(ctx, ir, system.Config{MaxInstrs: s.cfg.MaxInstrs})
+	_, _, reps, st, err := system.MeasureAndSweepCtx(ctx, ir, system.Config{MaxInstrs: s.cfg.MaxInstrs}, pairs)
 	if ctx.Err() != nil {
 		return errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "sweep deadline exceeded"})
 	}
-	if err != nil {
-		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
-	}
-	reps, err := tr.Sweep(pairs, tech.Default())
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
@@ -433,7 +430,7 @@ func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *Swe
 		name = ir.Name
 	}
 	return &flightResult{status: http.StatusOK,
-		body: jsonBody(buildSweepResponse(name, req.ISweep, tr, pairs, reps, key))}
+		body: jsonBody(buildSweepResponse(name, req.ISweep, st, pairs, reps, key))}
 }
 
 func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) *flightResult {

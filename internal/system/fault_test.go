@@ -3,10 +3,10 @@ package system
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"lppart/internal/behav"
+	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 )
 
@@ -110,22 +110,37 @@ func TestStepLimitExact(t *testing.T) {
 	}
 }
 
-// TestRecordTraceFaults: recording a trace rejects every program the
-// interpreter rejects, with the measurement's error text, so /v1/sweep
-// and cacheprof refuse what /v1/partition refuses.
-func TestRecordTraceFaults(t *testing.T) {
+// TestMeasureAndSweepFaults: the online geometry sweep rejects every
+// program Evaluate rejects, with Evaluate's error text, so /v1/sweep and
+// cacheprof refuse what /v1/partition refuses in the same words.
+func TestMeasureAndSweepFaults(t *testing.T) {
+	pairs := [][2]cache.Config{{cache.DefaultICache(), cache.DefaultDCache()}}
 	for _, tc := range faultCases {
-		if !strings.HasPrefix(tc.want, "system: profiling: ") {
-			continue
-		}
 		t.Run(tc.name, func(t *testing.T) {
 			ir, err := cdfg.Build(behav.MustParse("fault", tc.src))
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = RecordTraceCtx(context.Background(), ir, tc.cfg)
+			_, _, _, _, err = MeasureAndSweepCtx(context.Background(), ir, tc.cfg, pairs)
 			if err == nil || err.Error() != tc.want {
-				t.Errorf("RecordTraceCtx error %v, want %q", err, tc.want)
+				t.Errorf("MeasureAndSweepCtx error %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRecordTraceFaults: recording a trace rejects every program
+// Evaluate rejects, with Evaluate's error text.
+func TestRecordTraceFaults(t *testing.T) {
+	for _, tc := range faultCases {
+		t.Run(tc.name, func(t *testing.T) {
+			ir, err := cdfg.Build(behav.MustParse("fault", tc.src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err = MeasureAndRecordCtx(context.Background(), ir, tc.cfg)
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("MeasureAndRecordCtx error %v, want %q", err, tc.want)
 			}
 		})
 	}

@@ -13,7 +13,8 @@ import (
 // TestMeasureAndSweepMatchesReplay is the online profiler's differential:
 // on all six applications, the reports MeasureAndSweepCtx profiles during
 // the ISS run must equal a replay of the recorded trace field for field,
-// and its Evaluation and Baseline must equal a plain MeasureInitialCtx's.
+// its Stream the recorded trace's counts and size, and its Evaluation and
+// Baseline a plain MeasureInitialCtx's.
 func TestMeasureAndSweepMatchesReplay(t *testing.T) {
 	i, d := cache.DefaultICache(), cache.DefaultDCache()
 	ih, dh := i, d
@@ -48,7 +49,7 @@ func TestMeasureAndSweepMatchesReplay(t *testing.T) {
 		}
 		for _, g := range grids {
 			name, pairs := g.name, g.pairs
-			ev, base, got, err := MeasureAndSweepCtx(ctx, ir, Config{}, pairs)
+			ev, base, got, st, err := MeasureAndSweepCtx(ctx, ir, Config{}, pairs)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", a.Name, name, err)
 			}
@@ -63,6 +64,9 @@ func TestMeasureAndSweepMatchesReplay(t *testing.T) {
 				if got[j] != want[j] {
 					t.Errorf("%s/%s pair %d:\n  online %+v\n  replay %+v", a.Name, name, j, got[j], want[j])
 				}
+			}
+			if st != tr.Stream() {
+				t.Errorf("%s/%s: online stream %+v, recorded %+v", a.Name, name, st, tr.Stream())
 			}
 			if !reflect.DeepEqual(ev, refEv) {
 				t.Errorf("%s/%s: Evaluation differs from MeasureInitialCtx's", a.Name, name)

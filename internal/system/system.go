@@ -292,10 +292,9 @@ func MeasureInitialCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Eval
 
 // MeasureAndRecordCtx is MeasureInitialCtx with a trace recorder teed into
 // the initial design's memory system: one compile and one ISS execution
-// yield both the measured baseline and the full memory-reference trace,
-// replacing the separate MeasureInitialCtx + RecordTraceCtx passes. The
-// recorded trace is byte-identical to RecordTraceCtx's — the access
-// sequence does not depend on the observer.
+// yield both the measured baseline and the full memory-reference trace
+// (instruction fetches, data reads and writes), the stream the replay
+// oracle plays back.
 func MeasureAndRecordCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, *partition.Baseline, *trace.Trace, error) {
 	rec := &trace.Recorder{}
 	ev, base, err := measureCtx(ctx, ir, cfg, rec)
@@ -304,25 +303,27 @@ func MeasureAndRecordCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Ev
 
 // MeasureAndSweepCtx is MeasureInitialCtx with an online cache profiler
 // teed into the initial design's memory system: one compile and one ISS
-// execution yield both the measured baseline and the reports of every
-// geometry pair, in input order. Nothing is recorded; the reports are
-// byte-identical to MeasureAndRecordCtx followed by a sweep of the
-// recorded trace.
-func MeasureAndSweepCtx(ctx context.Context, ir *cdfg.Program, cfg Config, pairs [][2]cache.Config) (*Evaluation, *partition.Baseline, []trace.Report, error) {
+// execution yield the measured baseline, the reports of every geometry
+// pair in input order, and the reference stream's counts and compact-
+// encoded size. Nothing is recorded; the reports are byte-identical to
+// MeasureAndRecordCtx followed by a sweep of the recorded trace, and
+// the Stream to the recorded trace's. A faulting program fails with the
+// measurement's error text.
+func MeasureAndSweepCtx(ctx context.Context, ir *cdfg.Program, cfg Config, pairs [][2]cache.Config) (*Evaluation, *partition.Baseline, []trace.Report, trace.Stream, error) {
 	cfg.defaults()
 	prof, err := trace.NewProfiler(pairs)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("system: geometry sweep: %w", err)
+		return nil, nil, nil, trace.Stream{}, fmt.Errorf("system: geometry sweep: %w", err)
 	}
 	ev, base, err := measureCtx(ctx, ir, cfg, prof)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, trace.Stream{}, err
 	}
 	reps, err := prof.Reports(cfg.Part.Lib)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("system: geometry sweep: %w", err)
+		return nil, nil, nil, trace.Stream{}, fmt.Errorf("system: geometry sweep: %w", err)
 	}
-	return ev, base, reps, nil
+	return ev, base, reps, prof.Stream(), nil
 }
 
 func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSystem) (*Evaluation, *partition.Baseline, error) {
@@ -382,34 +383,6 @@ func interpError(ctx context.Context, ir *cdfg.Program, cfg *Config, err error) 
 		return fmt.Errorf("system: profiling: %w", ierr)
 	}
 	return err
-}
-
-// RecordTraceCtx compiles the program and replays it on the ISS with a
-// trace recorder attached, returning the complete memory-reference trace
-// (instruction fetches, data reads and writes). The trace feeds the
-// single-pass stack-distance cache sweeps: the access sequence is a pure
-// function of the program, independent of any cache geometry, so one
-// recording prices every geometry. The run traps what the measurement
-// traps, so a program the interpreter rejects fails here with the same
-// positioned error.
-func RecordTraceCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*trace.Trace, error) {
-	cfg.defaults()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	mp, _, err := codegen.Compile(ir, codegen.Options{
-		MemWords: cfg.MemWords, StackWords: cfg.StackWords})
-	if err != nil {
-		return nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: compile: %w", err))
-	}
-	rec := &trace.Recorder{}
-	res, err := iss.Run(mp, iss.Options{Micro: &cfg.Part.Lib.Micro, Mem: rec,
-		MaxInstrs: cfg.MaxInstrs})
-	if err != nil {
-		return nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: trace recording: %w", err))
-	}
-	res.Release()
-	return &rec.Trace, nil
 }
 
 // EvaluateIRCtx is EvaluateCtx starting from already-built IR: ctx is

@@ -331,10 +331,10 @@ func TestCacheGeometryAblation(t *testing.T) {
 	if _, err := iss.Run(mp, iss.Options{Mem: rec}); err != nil {
 		t.Fatal(err)
 	}
-	reps, err := rec.Trace.Sweep([][2]cache.Config{
+	reps, err := rec.Trace.SweepParallel([][2]cache.Config{
 		{cache.DefaultICache(), smallCfg},
 		{cache.DefaultICache(), bigCfg},
-	}, tech.Default())
+	}, tech.Default(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

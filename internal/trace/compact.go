@@ -2,6 +2,7 @@ package trace
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync/atomic"
 )
 
@@ -23,43 +24,64 @@ const chunkBytes = 1 << 16
 type Compact struct {
 	chunks [][]byte
 	cur    []byte
-	n      int64
-	counts [3]int64
-	last   [3]int32
+	enc    encoder
 	scans  atomic.Int64
+}
+
+// Stream summarizes a reference stream: its accesses of each kind and
+// its size in the compact encoding.
+type Stream struct {
+	Fetches, Reads, Writes int64
+	Bytes                  int64
+}
+
+// Len returns the number of accesses.
+func (s Stream) Len() int64 { return s.Fetches + s.Reads + s.Writes }
+
+// encoder decides the compact format for both the Compact store and the
+// online Profiler: it turns each access into its uvarint word and counts
+// the stream, so a profiled run reports the size its recording would
+// have had.
+type encoder struct {
+	last   [3]int32
+	counts [3]int64
+	bytes  int64
+}
+
+// encode returns the uvarint word of one access and counts it.
+func (e *encoder) encode(k Kind, addr int32) uint64 {
+	delta := int64(addr) - int64(e.last[k])
+	e.last[k] = addr
+	e.counts[k]++
+	u := zigzag(delta)<<2 | uint64(k&3)
+	e.bytes += int64(bits.Len64(u|1)+6) / 7
+	return u
+}
+
+// stream returns the counts and encoded size of the stream so far.
+func (e *encoder) stream() Stream {
+	return Stream{Fetches: e.counts[Fetch], Reads: e.counts[Read], Writes: e.counts[Write], Bytes: e.bytes}
 }
 
 // Append records one access.
 func (c *Compact) Append(k Kind, addr int32) {
-	delta := int64(addr) - int64(c.last[k])
-	c.last[k] = addr
 	if cap(c.cur)-len(c.cur) < binary.MaxVarintLen64 {
 		if c.cur != nil {
 			c.chunks = append(c.chunks, c.cur)
 		}
 		c.cur = make([]byte, 0, chunkBytes)
 	}
-	c.cur = binary.AppendUvarint(c.cur, zigzag(delta)<<2|uint64(k&3))
-	c.n++
-	c.counts[k]++
+	c.cur = binary.AppendUvarint(c.cur, c.enc.encode(k, addr))
 }
 
 // Len returns the number of recorded accesses.
-func (c *Compact) Len() int64 { return c.n }
+func (c *Compact) Len() int64 { return c.enc.stream().Len() }
 
 // Bytes returns the encoded size of the stream in bytes.
-func (c *Compact) Bytes() int64 {
-	total := int64(len(c.cur))
-	for _, ch := range c.chunks {
-		total += int64(len(ch))
-	}
-	return total
-}
+func (c *Compact) Bytes() int64 { return c.enc.bytes }
 
-// Counts returns the number of fetches, reads and writes in the stream.
-func (c *Compact) Counts() (fetches, reads, writes int64) {
-	return c.counts[Fetch], c.counts[Read], c.counts[Write]
-}
+// Stream returns the recorded stream's counts and encoded size.
+func (c *Compact) Stream() Stream { return c.enc.stream() }
 
 // Scans returns how many times the stream has been decoded end to end
 // (Scan calls and exhausted iterators) — the "trace passes" the profiler

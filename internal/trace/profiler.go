@@ -19,10 +19,12 @@ import (
 // or straight from an ISS run: Profiler implements iss.MemSystem,
 // reporting no stall cycles, so it can observe the run alongside the
 // memory system that does the timing without the stream ever being
-// stored.
+// stored. An observed run is also counted (Stream), as its recording
+// would have been.
 type Profiler struct {
 	pairs  [][2]cache.Config
 	groups []profGroup
+	enc    encoder
 }
 
 // profGroup is one line-size group with its i- and d-stream profilers.
@@ -82,23 +84,35 @@ func (p *Profiler) access(k Kind, addr int32) {
 	}
 }
 
+// observe counts and profiles one reference of an observed run.
+//
+//lint:hotpath called once per memory reference of the profiled run
+func (p *Profiler) observe(k Kind, addr int32) {
+	p.enc.encode(k, addr)
+	p.access(k, addr)
+}
+
 // FetchInstr profiles an instruction fetch.
 func (p *Profiler) FetchInstr(byteAddr uint32) int {
-	p.access(Fetch, int32(byteAddr/4))
+	p.observe(Fetch, int32(byteAddr/4))
 	return 0
 }
 
 // ReadData profiles a data load.
 func (p *Profiler) ReadData(addr int32) int {
-	p.access(Read, addr)
+	p.observe(Read, addr)
 	return 0
 }
 
 // WriteData profiles a data store.
 func (p *Profiler) WriteData(addr int32) int {
-	p.access(Write, addr)
+	p.observe(Write, addr)
 	return 0
 }
+
+// Stream returns the counts and compact-encoded size of the run the
+// profiler has observed so far.
+func (p *Profiler) Stream() Stream { return p.enc.stream() }
 
 // Reports prices every pair from the stream profiled so far and returns
 // the reports in input order, byte-identical to Replay's over the same

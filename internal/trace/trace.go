@@ -10,15 +10,14 @@
 //
 // The cache profiler (Profiler) runs the single-pass stack-distance
 // profilers of internal/stackdist: one pass per distinct line size
-// covers every (Sets, Assoc) combination. It takes its stream in one of
-// two ways. Online, it observes the ISS run directly as an
-// iss.MemSystem, in the spirit of an on-chip profiler, and nothing is
-// stored; the exploration's measurement phase works this way. Recorded,
-// a Recorder stores the stream delta+varint-encoded in chunks (Compact)
-// and Trace.Sweep scans it once per line-size group; callers that need
-// the trace itself (its size, or replays against it) work this way.
-// Replay is retained as the one-geometry-per-pass differential-testing
-// oracle for both.
+// covers every (Sets, Assoc) combination. Every production sweep runs it
+// online: it observes the measurement's ISS run directly as an
+// iss.MemSystem, in the spirit of an on-chip profiler, and counts the
+// stream (Stream) without storing it. The recorded half — a Recorder
+// storing the stream delta+varint-encoded in chunks (Compact), which
+// SweepParallel scans once per line-size group and Replay plays once
+// per geometry — is the differential-testing oracle, and the stage
+// attribution of the benchmark harness.
 package trace
 
 import (
@@ -169,10 +168,36 @@ func groupPairs(pairs [][2]cache.Config) []sweepGroup {
 // combination, versus one pass per pair for a naive replay sweep.
 func Passes(pairs [][2]cache.Config) int { return len(groupPairs(pairs)) }
 
-// Sweep evaluates the trace against every geometry pair serially and
-// returns the reports in input order.
-func (t *Trace) Sweep(pairs [][2]cache.Config, lib *tech.Library) ([]Report, error) {
-	return t.SweepParallel(pairs, lib, 1)
+// Grid builds the geometry pairs of a one-cache sweep: every (sets,
+// assoc) combination, sets-major, at lineWords words per line. The swept
+// cache is the i-cache when isweep is set and the write-back d-cache
+// otherwise; the other cache keeps its default geometry. The first
+// invalid value is the error.
+func Grid(sets, assoc []int, lineWords int, isweep bool) ([][2]cache.Config, error) {
+	var pairs [][2]cache.Config
+	for _, s := range sets {
+		if s <= 0 || s&(s-1) != 0 {
+			return nil, fmt.Errorf("sets: %d is not a positive power of two", s)
+		}
+		for _, a := range assoc {
+			if a <= 0 || a > cache.MaxAssoc {
+				return nil, fmt.Errorf("assoc: %d out of range [1, %d]", a, cache.MaxAssoc)
+			}
+			swept := cache.Config{Sets: s, Assoc: a, LineWords: lineWords}
+			icfg, dcfg := cache.DefaultICache(), cache.DefaultDCache()
+			if isweep {
+				icfg = swept
+			} else {
+				swept.WriteBack = true
+				dcfg = swept
+			}
+			if err := swept.Validate(); err != nil {
+				return nil, fmt.Errorf("geometry sets=%d assoc=%d line=%d: %w", s, a, lineWords, err)
+			}
+			pairs = append(pairs, [2]cache.Config{icfg, dcfg})
+		}
+	}
+	return pairs, nil
 }
 
 // SweepParallel evaluates the trace against every geometry pair using the

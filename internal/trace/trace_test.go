@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"lppart/internal/apps"
@@ -40,7 +42,8 @@ func main() {
 
 func TestRecorderCapturesReferences(t *testing.T) {
 	tr := record(t, walker)
-	fetches, reads, writes := tr.Counts()
+	st := tr.Stream()
+	fetches, reads, writes := st.Fetches, st.Reads, st.Writes
 	if fetches == 0 || reads == 0 || writes == 0 {
 		t.Fatalf("trace incomplete: f=%d r=%d w=%d", fetches, reads, writes)
 	}
@@ -81,6 +84,13 @@ func TestCompactRoundTrip(t *testing.T) {
 	}
 	if c.Len() != int64(len(want)) {
 		t.Fatalf("Len = %d, want %d", c.Len(), len(want))
+	}
+	stored := int64(len(c.cur))
+	for _, ch := range c.chunks {
+		stored += int64(len(ch))
+	}
+	if c.Bytes() != stored {
+		t.Fatalf("Bytes = %d, want the %d bytes stored", c.Bytes(), stored)
 	}
 	i := 0
 	c.Scan(func(k Kind, a int32) {
@@ -162,7 +172,7 @@ func TestSweepMonotoneCapacity(t *testing.T) {
 		{cache.DefaultICache(), {Sets: 64, Assoc: 1, LineWords: 4, WriteBack: true}},
 		{cache.DefaultICache(), {Sets: 256, Assoc: 1, LineWords: 4, WriteBack: true}},
 	}
-	reps, err := tr.Sweep(pairs, lib)
+	reps, err := tr.SweepParallel(pairs, lib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			{Sets: sets, Assoc: 2, LineWords: 4, WriteBack: true},
 		})
 	}
-	serial, err := tr.Sweep(pairs, lib)
+	serial, err := tr.SweepParallel(pairs, lib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,21 +360,22 @@ func TestReplayRejectsBadGeometry(t *testing.T) {
 		t.Error("bad geometry must be rejected")
 	}
 	// The stack sweep must reject the same geometries Replay does.
-	if _, err := tr.Sweep([][2]cache.Config{
+	if _, err := tr.SweepParallel([][2]cache.Config{
 		{{Sets: 3, Assoc: 1, LineWords: 4}, cache.DefaultDCache()},
-	}, lib); err == nil {
+	}, lib, 1); err == nil {
 		t.Error("sweep must reject bad geometry")
 	}
-	if _, err := tr.Sweep([][2]cache.Config{
+	if _, err := tr.SweepParallel([][2]cache.Config{
 		{cache.DefaultICache(), {Sets: 64, Assoc: cache.MaxAssoc + 1, LineWords: 4}},
-	}, lib); err == nil {
+	}, lib, 1); err == nil {
 		t.Error("sweep must reject out-of-bounds associativity")
 	}
 }
 
 // TestProfilerOnlineMatchesSweep: a Profiler observing the ISS run
 // directly must price every pair exactly as a sweep of the recorded
-// trace, one line-size group or several.
+// trace, one line-size group or several, and count the stream as the
+// recording stored it.
 func TestProfilerOnlineMatchesSweep(t *testing.T) {
 	prog := behav.MustParse("t", walker)
 	ir := cdfg.MustBuild(prog)
@@ -389,7 +400,7 @@ func TestProfilerOnlineMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := rec.Trace.Sweep(pairs, lib)
+	want, err := rec.Trace.SweepParallel(pairs, lib, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +409,52 @@ func TestProfilerOnlineMatchesSweep(t *testing.T) {
 			t.Errorf("pair %d: online %+v != recorded %+v", i, got[i], want[i])
 		}
 	}
+	if got, want := prof.Stream(), rec.Trace.Stream(); got != want {
+		t.Errorf("online stream %+v != recorded %+v", got, want)
+	}
 	if _, err := NewProfiler([][2]cache.Config{{{Sets: 3, Assoc: 1, LineWords: 4}, cache.DefaultDCache()}}); err == nil {
 		t.Error("NewProfiler must reject a bad geometry")
+	}
+}
+
+// TestGrid pins the one-cache sweep grid both /v1/sweep and cacheprof
+// build: sets-major order, the swept cache write-back only on the d
+// side, the other cache at its default, and the first invalid value's
+// error text, which /v1/sweep returns in its 400 body.
+func TestGrid(t *testing.T) {
+	pairs, err := Grid([]int{16, 64}, []int{1, 2}, 8, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][2]cache.Config
+	for _, s := range []int{16, 64} {
+		for _, a := range []int{1, 2} {
+			want = append(want, [2]cache.Config{cache.DefaultICache(),
+				{Sets: s, Assoc: a, LineWords: 8, WriteBack: true}})
+		}
+	}
+	if !reflect.DeepEqual(pairs, want) {
+		t.Errorf("d-sweep grid %v, want %v", pairs, want)
+	}
+	pairs, err = Grid([]int{32}, []int{4}, 16, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := [2]cache.Config{{Sets: 32, Assoc: 4, LineWords: 16}, cache.DefaultDCache()}; len(pairs) != 1 || pairs[0] != w {
+		t.Errorf("i-sweep grid %v, want [%v]", pairs, w)
+	}
+	for _, tc := range []struct {
+		sets, assoc []int
+		line        int
+		want        string
+	}{
+		{[]int{16, 48}, []int{1}, 4, "sets: 48 is not a positive power of two"},
+		{[]int{16}, []int{1, 0}, 4, "assoc: 0 out of range [1, 65536]"},
+		{[]int{16}, []int{1}, 3, "geometry sets=16 assoc=1 line=3: "},
+	} {
+		_, err := Grid(tc.sets, tc.assoc, tc.line, false)
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("Grid(%v, %v, %d) error %v, want %q", tc.sets, tc.assoc, tc.line, err, tc.want)
+		}
 	}
 }
