@@ -17,7 +17,7 @@ import (
 
 // buildScheduled parses src, profiles it, and schedules the first loop
 // region on the rs-std resource set.
-func buildScheduled(t *testing.T, src string) (*cdfg.Program, *cdfg.Region, *sched.RegionSchedule, *interp.Profile) {
+func buildScheduled(t *testing.T, src string) (*cdfg.Program, *cdfg.Region, *sched.RegionSchedule, *cdfg.Profile) {
 	t.Helper()
 	prog := behav.MustParse("t", src)
 	ir := cdfg.MustBuild(prog)

@@ -23,11 +23,13 @@
 //     the region's own blocks are dropped from the instruction stream
 //     (which is why the partitioned designs in Table 1 also show reduced
 //     I-cache energy).
-//   - The output lets the ISS stand in for the interpreter: every IR
-//     block's first instruction is tagged and its op count recorded (the
-//     ISS counts block entries and IR steps from them), and every
-//     array's extent is recorded and named by its LD/ST instructions, so
-//     the ISS can trap an out-of-range index as the interpreter does.
+//   - The output lets the ISS stand in for the interpreter. Every IR
+//     block's first instruction is tagged and its IR ops are recorded in
+//     segments that end at its calls, from which the ISS counts block
+//     entries and IR steps. Every array's extent is recorded and named by
+//     its LD/ST instructions, so the ISS can trap an out-of-range index
+//     as the interpreter does. OpAt and SegmentOp map a fault the ISS
+//     reports back to the IR op it stands for.
 package codegen
 
 import (
@@ -178,20 +180,21 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 		cg.code[pc.at].Target = at
 	}
 	return &isa.Program{
-		Name:     p.Name,
-		Code:     cg.code,
-		Entry:    0,
-		Funcs:    cg.funcs,
-		MemWords: opts.MemWords,
-		BlockOps: cg.blockOps,
-		Arrays:   cg.arrays,
+		Name:      p.Name,
+		Code:      cg.code,
+		Entry:     0,
+		Funcs:     cg.funcs,
+		MemWords:  opts.MemWords,
+		DataWords: int(next),
+		BlockOps:  cg.blockOps,
+		Arrays:    cg.arrays,
 	}, lay, nil
 }
 
 // layoutTables picks every function's pinned locals, sizes the code
 // array once (see codeCap) and the block op count and array extent tables
-// exactly, and fills in every block's op count and the global arrays'
-// extents.
+// exactly, and fills in every block's entry charge (segmentOps) and the
+// global arrays' extents.
 func (c *compiler) layoutTables() {
 	p := c.prog
 	nBlocks, nArrays, maxLocals := 0, 0, 0
@@ -217,7 +220,7 @@ func (c *compiler) layoutTables() {
 	c.blockOps = make([]int32, 0, nBlocks)
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
-			c.blockOps = append(c.blockOps, int32(len(b.Ops)))
+			c.blockOps = append(c.blockOps, segmentOps(b.Ops))
 		}
 	}
 	c.arrays = make([]isa.Extent, 0, nArrays)
@@ -900,15 +903,15 @@ var opToISA = map[cdfg.Opcode]isa.Opcode{
 func (fx *fnCtx) compileBlock(b *cdfg.Block) error {
 	rs := newRegState(fx, fx.regionOf[b.ID])
 	for i := range b.Ops {
-		op := &b.Ops[i]
-		if err := fx.compileOp(rs, op); err != nil {
+		if err := fx.compileOp(rs, &b.Ops[i], b.Ops[i+1:]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (fx *fnCtx) compileOp(rs *regState, op *cdfg.Op) error {
+// compileOp compiles op; after holds the ops that follow it in its block.
+func (fx *fnCtx) compileOp(rs *regState, op *cdfg.Op, after []cdfg.Op) error {
 	c := fx.c
 	dstKey := func() slotKey { return slotKey{op.Dst.Global, op.Dst.ID} }
 	switch {
@@ -1051,7 +1054,7 @@ func (fx *fnCtx) compileOp(rs *regState, op *cdfg.Op) error {
 				rs.emit(isa.Instr{Op: isa.LD, Rd: isa.A0 + i, Rs1: base, Imm: off})
 			}
 		}
-		at := c.emit(isa.Instr{Op: isa.CALL, Region: rs.region, Comment: "call " + op.Callee})
+		at := c.emit(isa.Instr{Op: isa.CALL, Imm: segmentOps(after), Region: rs.region, Comment: "call " + op.Callee})
 		c.calls = append(c.calls, pendingCall{at: at, callee: op.Callee})
 		if op.Dst.Valid() {
 			rd := rs.writeReg(dstKey())

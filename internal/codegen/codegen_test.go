@@ -420,8 +420,10 @@ func main() {
 
 // TestBlockAndArrayTables checks what the ISS profiles and bounds-checks
 // with: exactly sized tables, one distinct first instruction per
-// compiled block, none for blocks an ASIC replaces, and every array
-// access tagged with its array's extent.
+// compiled block, none for blocks an ASIC replaces, every array access
+// tagged with its array's extent, and each block's IR ops split at its
+// calls: BlockOps holds the ops up to the first Call, and each CALL's
+// Imm the ops after it up to the next Call or the block's end.
 func TestBlockAndArrayTables(t *testing.T) {
 	src := `
 var g[8]; var s;
@@ -448,15 +450,32 @@ func main() { var i; var loc[4]; for i = 0; i < 8; i = i + 1 { g[i] = i; loc[i &
 		return len(seen)
 	}
 	nBlocks := 0
-	var ops []int32
+	var ops, after []int32
 	for _, f := range ir.Funcs {
 		nBlocks += len(f.Blocks)
 		for _, b := range f.Blocks {
-			ops = append(ops, int32(len(b.Ops)))
+			seg := []int32{0}
+			for _, op := range b.Ops {
+				seg[len(seg)-1]++
+				if op.Code == cdfg.Call {
+					seg = append(seg, 0)
+				}
+			}
+			ops = append(ops, seg[0])
+			after = append(after, seg[1:]...)
 		}
 	}
 	if fmt.Sprint(mp.BlockOps) != fmt.Sprint(ops) || cap(mp.BlockOps) != nBlocks {
 		t.Errorf("BlockOps %v (cap %d), want %v", mp.BlockOps, cap(mp.BlockOps), ops)
+	}
+	var imms []int32
+	for _, ins := range mp.Code[1:] { // past the startup stub's call
+		if ins.Op == isa.CALL {
+			imms = append(imms, ins.Imm)
+		}
+	}
+	if fmt.Sprint(imms) != fmt.Sprint(after) || mp.Code[0].Imm != 0 {
+		t.Errorf("CALL op counts %v (startup %d), want %v and 0", imms, mp.Code[0].Imm, after)
 	}
 	if got := starts(mp); got != nBlocks {
 		t.Errorf("%d blocks have a first instruction, want all %d", got, nBlocks)

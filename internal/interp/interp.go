@@ -5,10 +5,12 @@
 // Fig. 5 flow must equal the ones it collects with
 // Options.CollectProfile (differential testing).
 //
-// It is also the fault oracle. It traps division by zero, out-of-range
-// array indices and runaway programs at the IR operation that causes
-// them and names its source position. When the compiled program fails,
-// internal/system runs it here to report that positioned error.
+// It is also the tests' fault oracle. It traps division by zero,
+// out-of-range array indices and runaway programs at the IR operation
+// that causes them and names its source position. The ISS traps the
+// same faults in the compiled program and internal/system names them in
+// the same words (its differential fault test checks this); no
+// production binary links this package.
 package interp
 
 import (
@@ -28,51 +30,13 @@ type Options struct {
 	CollectProfile bool
 }
 
-// Profile is the result of a profiling run.
-type Profile struct {
-	// BlockFreq[funcName][blockID] is the execution count of the block.
-	BlockFreq map[string][]int64
-}
-
-// RegionEntries returns how many times the region was entered: the
-// execution count of its entry block. For loops this is the number of
-// times the loop construct was *reached* times its header iterations; use
-// the enclosing block's frequency for invocation counts.
-func (pr *Profile) RegionEntries(r *cdfg.Region) int64 {
-	freq := pr.BlockFreq[r.Func.Name]
-	if freq == nil || r.Entry >= len(freq) {
-		return 0
-	}
-	return freq[r.Entry]
-}
-
-// BlockCount returns the execution count of one block.
-func (pr *Profile) BlockCount(f *cdfg.Function, blockID int) int64 {
-	freq := pr.BlockFreq[f.Name]
-	if freq == nil || blockID >= len(freq) {
-		return 0
-	}
-	return freq[blockID]
-}
-
 // Result is the outcome of a run.
 type Result struct {
 	Ret     int32 // main's return value (0 if none)
 	Steps   int64 // executed IR operations
 	Globals map[string][]int32
-	Prof    *Profile // nil unless Options.CollectProfile
+	Prof    *cdfg.Profile // nil unless Options.CollectProfile
 }
-
-// RuntimeError is a trapped execution fault (division by zero, index out
-// of range, limits exceeded) with the source position of the faulting
-// operation.
-type RuntimeError struct {
-	Pos behav.Pos
-	Msg string
-}
-
-// Error implements the error interface.
-func (e *RuntimeError) Error() string { return fmt.Sprintf("runtime: %v: %s", e.Pos, e.Msg) }
 
 type machine struct {
 	prog    *cdfg.Program
@@ -122,7 +86,7 @@ func Run(p *cdfg.Program, opts Options) (*Result, error) {
 	res := &Result{Ret: ret, Steps: m.steps,
 		Globals: make(map[string][]int32, len(p.Globals))}
 	if opts.CollectProfile {
-		res.Prof = &Profile{BlockFreq: make(map[string][]int64, len(p.Funcs))}
+		res.Prof = &cdfg.Profile{BlockFreq: make(map[string][]int64, len(p.Funcs))}
 		for i, f := range p.Funcs {
 			res.Prof.BlockFreq[f.Name] = m.freq[i]
 		}
@@ -146,7 +110,7 @@ func (m *machine) call(fn *cdfg.Function, args []int32) (int32, error) {
 	m.depth++
 	defer func() { m.depth-- }()
 	if m.depth > m.opts.MaxDepth {
-		return 0, &RuntimeError{Msg: fmt.Sprintf("call depth exceeds %d", m.opts.MaxDepth)}
+		return 0, &cdfg.RuntimeError{Msg: fmt.Sprintf("call depth exceeds %d", m.opts.MaxDepth)}
 	}
 	fr := &frame{fn: fn, locals: make([][]int32, len(fn.Locals))}
 	if m.freq != nil {
@@ -172,7 +136,7 @@ func (m *machine) call(fn *cdfg.Function, args []int32) (int32, error) {
 			op := &b.Ops[i]
 			m.steps++
 			if m.steps > m.opts.MaxSteps {
-				return 0, &RuntimeError{Pos: op.Pos, Msg: fmt.Sprintf("step limit %d exceeded", m.opts.MaxSteps)}
+				return 0, &cdfg.RuntimeError{Pos: op.Pos, Msg: fmt.Sprintf("step limit %d exceeded", m.opts.MaxSteps)}
 			}
 			next, ret, done, err := m.exec(fr, op)
 			if err != nil {
@@ -225,7 +189,7 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 		b := m.operand(fr, op.B)
 		v, evalErr := behav.EvalBinOp(cdfg.BehavBinOp(op.Code), a, b)
 		if evalErr != nil {
-			return 0, 0, false, &RuntimeError{Pos: op.Pos, Msg: evalErr.Error()}
+			return 0, 0, false, &cdfg.RuntimeError{Pos: op.Pos, Msg: evalErr.Error()}
 		}
 		*m.slot(fr, op.Dst) = v
 	case op.Code == cdfg.Neg:
@@ -242,7 +206,7 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 		idx := m.operand(fr, op.A)
 		arr := m.array(fr, op.Arr)
 		if idx < 0 || int(idx) >= len(arr) {
-			return 0, 0, false, &RuntimeError{Pos: op.Pos,
+			return 0, 0, false, &cdfg.RuntimeError{Pos: op.Pos,
 				Msg: fmt.Sprintf("index %d out of range [0,%d) of %s", idx, len(arr), m.prog.ArrName(fr.fn, op.Arr))}
 		}
 		*m.slot(fr, op.Dst) = arr[idx]
@@ -251,14 +215,14 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 		val := m.operand(fr, op.B)
 		arr := m.array(fr, op.Arr)
 		if idx < 0 || int(idx) >= len(arr) {
-			return 0, 0, false, &RuntimeError{Pos: op.Pos,
+			return 0, 0, false, &cdfg.RuntimeError{Pos: op.Pos,
 				Msg: fmt.Sprintf("index %d out of range [0,%d) of %s", idx, len(arr), m.prog.ArrName(fr.fn, op.Arr))}
 		}
 		arr[idx] = val
 	case op.Code == cdfg.Call:
 		callee := m.prog.Func(op.Callee)
 		if callee == nil {
-			return 0, 0, false, &RuntimeError{Pos: op.Pos, Msg: fmt.Sprintf("unknown function %q", op.Callee)}
+			return 0, 0, false, &cdfg.RuntimeError{Pos: op.Pos, Msg: fmt.Sprintf("unknown function %q", op.Callee)}
 		}
 		args := make([]int32, len(op.Args))
 		for i, a := range op.Args {
@@ -285,7 +249,7 @@ func (m *machine) exec(fr *frame, op *cdfg.Op) (next int, ret int32, done bool, 
 			next = op.Else
 		}
 	default:
-		return 0, 0, false, &RuntimeError{Pos: op.Pos, Msg: fmt.Sprintf("unimplemented opcode %v", op.Code)}
+		return 0, 0, false, &cdfg.RuntimeError{Pos: op.Pos, Msg: fmt.Sprintf("unimplemented opcode %v", op.Code)}
 	}
 	return next, 0, false, nil
 }

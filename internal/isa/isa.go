@@ -125,7 +125,7 @@ type Instr struct {
 	Rd     int   // destination register
 	Rs1    int   // first source register / address base / branch condition
 	Rs2    int   // second source register / store data
-	Imm    int32 // immediate: operand, address offset, or ASIC core id
+	Imm    int32 // immediate: operand, address offset, ASIC core id; CALL: see Program.BlockOps
 	UseImm bool  // binary ALU ops: use Imm instead of Rs2
 	// Target is the instruction index for B/BEQZ/BNEZ/CALL. For an
 	// array LD/ST it is 1 + the index in Program.Arrays of the array the
@@ -186,11 +186,17 @@ type Program struct {
 	// MemWords is the data memory size the program assumes (word
 	// addresses 0..MemWords-1; the stack starts at the top).
 	MemWords int
+	// DataWords is the end of the static data: the stack pointer may not
+	// go below it, or the stack would overwrite globals and static frames.
+	DataWords int
 
-	// BlockOps[i] is the number of IR operations in block i, in program
-	// block order: the blocks of the first IR function by block ID, then
-	// the second function's, and so on. Instr.Block marks where each
-	// block starts; blocks replaced by an ASIC rendezvous have no start.
+	// BlockOps[i] is the number of IR operations block i charges against
+	// the step limit at its entry, in program block order: the blocks of
+	// the first IR function by block ID, then the second function's, and
+	// so on. A block charges its ops up to and including its first Call;
+	// each CALL charges the next segment through its Imm when it returns.
+	// Instr.Block marks where each block starts; blocks replaced by an
+	// ASIC rendezvous have no start.
 	BlockOps []int32
 	// Arrays lists the word extent of every array variable; array
 	// LD/ST instructions refer to it through Instr.Target.

@@ -23,10 +23,15 @@
 // (isa.Program.BlockOps), and its run also counts how often each IR basic
 // block is entered: the "#ex_times" the paper obtains through profiling
 // (Fig. 4), with no second simulation. Such a run enforces the
-// interpreter's IR step limit over the entered blocks' ops. Every run
-// traps the faults the interpreter traps: division by zero, an array
-// index outside its array's extent, and call depth past the interpreter's
-// limit.
+// interpreter's IR step limit, charging each block's ops in segments
+// that end at its calls. Every run traps the faults the interpreter
+// traps: division by zero, an array index outside its array's extent,
+// and call depth past the interpreter's limit. No run lets the stack
+// grow into the static data (isa.Program.DataWords), so memory holds the
+// interpreter's state and these faults strike at the ops where the
+// interpreter traps. A SimError's Kind says which, and its PC (with
+// codegen.OpAt or codegen.SegmentOp) locates the IR op, so the caller
+// can name the fault as the interpreter does.
 //
 // When the program was compiled with excluded clusters, the ASIC
 // instruction transfers control to an ASICHandler: the µP core is shut
@@ -37,6 +42,7 @@ package iss
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -79,7 +85,14 @@ type Options struct {
 	// MaxInstrs aborts runaway programs (default 500M). A program with
 	// block marks also stops at the interpreter's step limit: MaxInstrs
 	// IR operations, or 200M when MaxInstrs is 0. Each block entry adds
-	// the block's IR op count (isa.Program.BlockOps) to the steps.
+	// the IR ops up to the block's first call (isa.Program.BlockOps) to
+	// the steps, and each return the ops up to the next call (the CALL's
+	// Imm). On such a program the instruction limit does not stop the
+	// run: it runs on, without the memory system, until it halts or
+	// faults on the machine, which reports the instruction limit, or
+	// until an IR-level fault or the step limit stops it, the error the
+	// interpreter would report. Such a run returns only after a call, so
+	// the step limit bounds its length.
 	MaxInstrs int64
 }
 
@@ -228,10 +241,38 @@ func (r *Result) Utilization(m *tech.MicroprocessorSpec) float64 {
 // TotalCycles returns µP plus ASIC cycles — the Table 1 "total" column.
 func (r *Result) TotalCycles() int64 { return r.Cycles + r.ASICCycles }
 
+// Fault classifies a SimError by the IR-level fault it stands for.
+type Fault uint8
+
+// Fault kinds.
+const (
+	// Machine is a fault with no IR equivalent: a data address or pc
+	// outside memory, a stack pointer below the static data's end, a
+	// profiled run's return that does not follow a call, the instruction
+	// limit, an ASIC core failure.
+	Machine Fault = iota
+	// Index is an array index outside its extent; PC is the LD or ST.
+	Index
+	// Div is a division or remainder by zero; PC is the DIV or REM.
+	Div
+	// Depth is a call past the interpreter's depth limit; PC is the CALL.
+	Depth
+	// Step is the IR step limit, which trips at op Op of the segment that
+	// starts at PC (see codegen.SegmentOp).
+	Step
+)
+
 // SimError is a simulation fault.
 type SimError struct {
-	PC  int
-	Msg string
+	PC   int
+	Msg  string
+	Kind Fault
+	// Op is a Step fault's op index in its segment.
+	Op int
+	// Trip is the Step fault pending in the segment where an Index or Div
+	// fault struck: the step limit tripped at the segment's charge, and
+	// the interpreter reports whichever of the two ops comes first.
+	Trip *SimError
 }
 
 // Error implements the error interface.
@@ -296,10 +337,6 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 	if micro == nil {
 		micro = &tech.Default().Micro
 	}
-	maxInstrs := opts.MaxInstrs
-	if maxInstrs == 0 {
-		maxInstrs = 500_000_000
-	}
 	var regs [isa.NumRegs]int32
 	regs[isa.SP] = int32(p.MemWords)
 	depth := 0
@@ -323,6 +360,13 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 
 	profile := len(p.BlockOps) > 0
 	var steps, maxSteps int64
+	// trip is the step limit's trip in the current segment. A charge past
+	// maxSteps sets it; the segment's end (the next block entry, CALL or
+	// return) reports it, unless an op of the segment faults first.
+	var trip *SimError
+	// limit is the instruction limit's error once it tripped on a run
+	// with block marks; HALT and any machine fault then report it.
+	var limit *SimError
 	if profile {
 		res.BlockEntries = make([]int64, len(p.BlockOps))
 		maxSteps = opts.MaxInstrs
@@ -330,34 +374,52 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			maxSteps = 200_000_000
 		}
 	}
+	if opts.MaxInstrs == 0 {
+		opts.MaxInstrs = 500_000_000
+	}
 
 	pc := p.Entry
 	prevClass := tech.IClassNop
 	for {
 		if pc < 0 || pc >= len(p.Code) {
-			return nil, &SimError{PC: pc, Msg: "pc out of range"}
+			return failed(&SimError{PC: pc, Msg: "pc out of range"}, limit)
 		}
 		ins := &p.Code[pc]
-		if res.Instrs >= maxInstrs {
-			return nil, &SimError{PC: pc, Msg: fmt.Sprintf("instruction limit %d exceeded", maxInstrs)}
+		if res.Instrs >= opts.MaxInstrs {
+			e := &SimError{PC: pc, Msg: fmt.Sprintf("instruction limit %d exceeded", opts.MaxInstrs)}
+			if !profile {
+				return nil, e
+			}
+			// Run on to the end without the memory system; opts is this
+			// run's own copy.
+			limit, opts.MaxInstrs, opts.Mem = e, math.MaxInt64, nil
 		}
 		if profile && ins.Block != 0 {
 			b := ins.Block - 1
 			res.BlockEntries[b]++
-			steps += int64(p.BlockOps[b])
-			if steps > maxSteps {
-				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("step limit %d exceeded", maxSteps)}
+			n := int64(p.BlockOps[b])
+			if steps += n; steps > maxSteps {
+				if trip != nil {
+					return nil, trip
+				}
+				trip = stepTrip(pc, steps-n, maxSteps)
 			}
 		}
 
 		if ins.Op == isa.HALT {
+			if trip != nil {
+				return nil, trip
+			}
+			if limit != nil {
+				return nil, limit
+			}
 			res.RV = regs[isa.RV]
 			finish()
 			return res, nil
 		}
 		if ins.Op == isa.ASIC {
 			if opts.ASIC == nil {
-				return nil, &SimError{PC: pc, Msg: "ASIC instruction without handler"}
+				return failed(&SimError{PC: pc, Msg: "ASIC instruction without handler"}, limit)
 			}
 			// The rendezvous itself costs one µP cycle (trigger write);
 			// then the µP shuts down for the ASIC's duration.
@@ -365,7 +427,7 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			res.Cycles++
 			cyc, err := opts.ASIC.RunASIC(ins.Imm, mem)
 			if err != nil {
-				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("ASIC core %d: %v", ins.Imm, err)}
+				return failed(&SimError{PC: pc, Msg: fmt.Sprintf("ASIC core %d: %v", ins.Imm, err)}, limit)
 			}
 			res.ASICCycles += cyc
 			pc++
@@ -397,11 +459,12 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			addr := regs[ins.Rs1] + ins.Imm
 			if ins.Target != 0 {
 				if err := checkIndex(p, pc, addr, regs[isa.SP]); err != nil {
+					err.Trip = trip
 					return nil, err
 				}
 			}
 			if addr < 0 || int(addr) >= len(mem) {
-				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("load address %d out of range", addr)}
+				return failed(&SimError{PC: pc, Msg: fmt.Sprintf("load address %d out of range", addr)}, limit)
 			}
 			if opts.Mem != nil {
 				cycles += int64(opts.Mem.ReadData(addr))
@@ -411,11 +474,12 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			addr := regs[ins.Rs1] + ins.Imm
 			if ins.Target != 0 {
 				if err := checkIndex(p, pc, addr, regs[isa.SP]); err != nil {
+					err.Trip = trip
 					return nil, err
 				}
 			}
 			if addr < 0 || int(addr) >= len(mem) {
-				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("store address %d out of range", addr)}
+				return failed(&SimError{PC: pc, Msg: fmt.Sprintf("store address %d out of range", addr)}, limit)
 			}
 			if opts.Mem != nil {
 				cycles += int64(opts.Mem.WriteData(addr))
@@ -432,18 +496,38 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 				next = ins.Target
 			}
 		case isa.CALL:
+			// A Call op ends its segment: a pending trip is at or before it.
+			if trip != nil {
+				return nil, trip
+			}
 			depth++
 			if depth > maxDepth {
-				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("call depth exceeds %d", maxDepth)}
+				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("call depth exceeds %d", maxDepth), Kind: Depth}
 			}
 			regs[isa.RA] = int32(pc + 1)
 			next = ins.Target
 		case isa.JR:
 			depth--
 			next = int(regs[ins.Rs1])
+			if profile {
+				// The caller's block resumes with the segment after its
+				// call. A compiled program only returns there, so every
+				// cycle of its control flow passes a block mark or a
+				// call's segment, and the step limit bounds every run.
+				if next <= 0 || next > len(p.Code) || p.Code[next-1].Op != isa.CALL {
+					return failed(&SimError{PC: pc, Msg: fmt.Sprintf("return to pc %d, not after a call", next)}, limit)
+				}
+				n := int64(p.Code[next-1].Imm)
+				if steps += n; steps > maxSteps {
+					if trip != nil {
+						return nil, trip
+					}
+					trip = stepTrip(next, steps-n, maxSteps)
+				}
+			}
 		default:
 			if !ins.Op.IsBinaryALU() {
-				return nil, &SimError{PC: pc, Msg: fmt.Sprintf("unimplemented opcode %v", ins.Op)}
+				return failed(&SimError{PC: pc, Msg: fmt.Sprintf("unimplemented opcode %v", ins.Op)}, limit)
 			}
 			b := regs[ins.Rs2]
 			if ins.UseImm {
@@ -451,7 +535,10 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			}
 			v, err := behav.EvalBinOp(issToBinOp[ins.Op], regs[ins.Rs1], b)
 			if err != nil {
-				return nil, &SimError{PC: pc, Msg: err.Error()}
+				return nil, &SimError{PC: pc, Msg: err.Error(), Kind: Div, Trip: trip}
+			}
+			if ins.Rd == isa.SP && int(v) < p.DataWords {
+				return failed(&SimError{PC: pc, Msg: fmt.Sprintf("stack pointer %d below the static data's end %d", v, p.DataWords)}, limit)
 			}
 			regs[ins.Rd] = v
 		}
@@ -473,6 +560,22 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 	}
 }
 
+// stepTrip is the step limit's trip in the segment that starts at seg,
+// where the count before the segment's charge was before.
+func stepTrip(seg int, before, maxSteps int64) *SimError {
+	return &SimError{PC: seg, Msg: fmt.Sprintf("step limit %d exceeded", maxSteps), Kind: Step,
+		Op: int(maxSteps - before)}
+}
+
+// failed reports a machine fault, or the instruction limit's error if
+// that tripped first.
+func failed(e, limit *SimError) (*Result, error) {
+	if limit != nil {
+		return nil, limit
+	}
+	return nil, e
+}
+
 // checkIndex bounds the array access at pc: addr must lie in the extent
 // its Target names. The index is computed in wrapping int32 arithmetic,
 // like the address, so it equals the source-level index.
@@ -483,7 +586,7 @@ func checkIndex(p *isa.Program, pc int, addr, sp int32) *SimError {
 		base += sp
 	}
 	if idx := addr - base; uint32(idx) >= uint32(e.Len) {
-		return &SimError{PC: pc, Msg: fmt.Sprintf("index %d out of range [0,%d)", idx, e.Len)}
+		return &SimError{PC: pc, Msg: fmt.Sprintf("index %d out of range [0,%d)", idx, e.Len), Kind: Index}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package iss
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -388,5 +389,96 @@ func TestBlockProfile(t *testing.T) {
 		t.Errorf("run without block ops: %v", err)
 	} else if res.BlockEntries != nil {
 		t.Errorf("run without block ops counted block entries %v", res.BlockEntries)
+	}
+}
+
+// fetchCounter counts instruction fetches.
+type fetchCounter struct{ n int }
+
+func (f *fetchCounter) FetchInstr(uint32) int { f.n++; return 0 }
+func (f *fetchCounter) ReadData(int32) int    { return 0 }
+func (f *fetchCounter) WriteData(int32) int   { return 0 }
+
+// TestRunsOnPastInstructionLimit: a program with block marks runs on
+// past the instruction limit, without the memory system, until it halts
+// (reporting the limit) or faults (reporting the fault).
+func TestRunsOnPastInstructionLimit(t *testing.T) {
+	p := asm(
+		isa.Instr{Op: isa.LI, Rd: 8, Imm: 5, Block: 1},
+		isa.Instr{Op: isa.SUB, Rd: 8, Rs1: 8, Imm: 1, UseImm: true, Block: 2},
+		isa.Instr{Op: isa.BNEZ, Rs1: 8, Target: 1},
+		isa.Instr{Op: isa.HALT},
+	)
+	p.BlockOps = []int32{1, 1}
+	mem := &fetchCounter{}
+	_, err := Run(p, Options{MaxInstrs: 8, Mem: mem})
+	var se *SimError
+	if !errors.As(err, &se) || se.Kind != Machine || se.Msg != "instruction limit 8 exceeded" || se.PC != 2 {
+		t.Errorf("error %#v, want the instruction limit at pc 2", err)
+	}
+	if mem.n != 8 {
+		t.Errorf("%d fetches reached the memory system, want the 8 within the limit", mem.n)
+	}
+
+	p.Code = append(p.Code[:3], isa.Instr{Op: isa.DIV, Rd: 9, Rs1: 8, Rs2: isa.Zero}, isa.Instr{Op: isa.HALT})
+	if _, err := Run(p, Options{MaxInstrs: 8}); !errors.As(err, &se) || se.Kind != Div || se.PC != 3 {
+		t.Errorf("error %v, want the division by zero at pc 3", err)
+	}
+}
+
+// TestStepChargeSplitAtCalls: a block charges its ops up to its first
+// call at entry and the rest when the call returns, so a step limit
+// that the callee stays within trips in the caller's later segment,
+// located by that segment's start (the instruction after the CALL).
+func TestStepChargeSplitAtCalls(t *testing.T) {
+	p := asm(
+		isa.Instr{Op: isa.LI, Rd: 8, Imm: 1, Block: 1},
+		isa.Instr{Op: isa.CALL, Target: 4, Imm: 2},
+		isa.Instr{Op: isa.LI, Rd: 9, Imm: 2},
+		isa.Instr{Op: isa.HALT},
+		isa.Instr{Op: isa.JR, Rs1: isa.RA, Block: 2},
+	)
+	p.BlockOps = []int32{2, 1}
+	if _, err := Run(p, Options{MaxInstrs: 5}); err != nil {
+		t.Fatalf("5 steps within a limit of 5: %v", err)
+	}
+	_, err := Run(p, Options{MaxInstrs: 4})
+	var se *SimError
+	if !errors.As(err, &se) || se.Kind != Step || se.PC != 2 || se.Op != 1 {
+		t.Errorf("error %#v, want the step limit at op 1 of the segment at pc 2", err)
+	}
+}
+
+// TestReturnNotAfterCall: on a profiled run, a return to an instruction
+// that does not follow a CALL is a machine fault. A return that jumps to
+// itself would otherwise charge no step, and once the instruction limit
+// tripped, nothing would stop the run; it reports that limit instead.
+func TestReturnNotAfterCall(t *testing.T) {
+	p := asm(
+		isa.Instr{Op: isa.CALL, Target: 2, Imm: 1, Block: 1},
+		isa.Instr{Op: isa.HALT},
+		isa.Instr{Op: isa.LI, Rd: isa.RA, Imm: 3, Block: 2},
+		isa.Instr{Op: isa.JR, Rs1: isa.RA},
+	)
+	p.BlockOps = []int32{1, 1}
+	if _, err := Run(p, Options{}); err == nil || err.Error() != "iss: pc=3: return to pc 3, not after a call" {
+		t.Errorf("error %v, want the return at pc 3", err)
+	}
+	if _, err := Run(p, Options{MaxInstrs: 2}); err == nil || err.Error() != "iss: pc=3: instruction limit 2 exceeded" {
+		t.Errorf("error %v, want the instruction limit", err)
+	}
+}
+
+// TestStackFloor: a stack pointer below the static data's end is a
+// machine fault at the instruction that moves it there.
+func TestStackFloor(t *testing.T) {
+	p := asm(
+		isa.Instr{Op: isa.SUB, Rd: isa.SP, Rs1: isa.SP, Imm: 1<<16 - 10, UseImm: true},
+		isa.Instr{Op: isa.SUB, Rd: isa.SP, Rs1: isa.SP, Imm: 1, UseImm: true},
+		isa.Instr{Op: isa.HALT},
+	)
+	p.DataWords = 10
+	if _, err := Run(p, Options{}); err == nil || err.Error() != "iss: pc=1: stack pointer 9 below the static data's end 10" {
+		t.Errorf("error %v, want the stack pointer at pc 1", err)
 	}
 }

@@ -244,8 +244,8 @@ func BuildInstance(pe *partition.Evaluator, base *partition.Baseline,
 		E0:             float64(base.TotalEnergy),
 		T0:             base.TotalCycles,
 		F:              pcfg.F,
-		HardwareWeight: pcfg.HardwareWeight,
-		TimeWeight:     pcfg.TimeWeight,
+		HardwareWeight: partition.HardwareWeight,
+		TimeWeight:     partition.TimeWeight,
 		GEQBudget:      pcfg.GEQBudget,
 		MaxHW:          maxHW,
 		Clusters:       make([]Cluster, len(g.Pool)),

@@ -107,8 +107,8 @@ func auditEval(c *Candidate, ev *SetEval, base *Baseline, cfg Config) error {
 		slowdown = 0
 	}
 	want := cfg.F*eAfter/float64(base.TotalEnergy) +
-		cfg.HardwareWeight*float64(ev.GEQ)/float64(cfg.GEQBudget) +
-		cfg.TimeWeight*slowdown
+		HardwareWeight*float64(ev.GEQ)/float64(cfg.GEQBudget) +
+		TimeWeight*slowdown
 	if !closeRel(ev.OF, want) {
 		return fail("objective value %.12g does not reproduce from its terms (want %.12g)", ev.OF, want)
 	}

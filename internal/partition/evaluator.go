@@ -7,7 +7,6 @@ import (
 
 	"lppart/internal/cdfg"
 	"lppart/internal/dataflow"
-	"lppart/internal/interp"
 )
 
 // pairKey identifies one (cluster, resource set) pair in the evaluator's
@@ -42,7 +41,7 @@ type pairEntry struct {
 // inputs.
 type Evaluator struct {
 	p    *cdfg.Program
-	prof *interp.Profile
+	prof *cdfg.Profile
 	cfg  Config
 	// regions is p.Regions(); static[i] is regions[i]'s
 	// baseline-independent candidate half.
@@ -69,7 +68,7 @@ type staticCandidate struct {
 // It computes every region's baseline-independent candidate half here,
 // once, so Candidates — called per cache geometry by the design-space
 // searches — only prices the baseline-dependent rest.
-func NewEvaluator(p *cdfg.Program, prof *interp.Profile, cfg Config) (*Evaluator, error) {
+func NewEvaluator(p *cdfg.Program, prof *cdfg.Profile, cfg Config) (*Evaluator, error) {
 	cfg.defaults()
 	if prof == nil {
 		return nil, fmt.Errorf("partition: profile is required")

@@ -8,7 +8,6 @@ import (
 	"lppart/internal/asic"
 	"lppart/internal/cdfg"
 	"lppart/internal/explore"
-	"lppart/internal/interp"
 	"lppart/internal/iss"
 	"lppart/internal/sched"
 	"lppart/internal/tech"
@@ -40,14 +39,6 @@ type Config struct {
 	// GEQBudget rejects clusters whose core exceeds this many cells
 	// (the paper's "less than 16k cells" working bound). 0 means 16000.
 	GEQBudget int
-	// HardwareWeight and TimeWeight are the non-energy terms of the
-	// objective function (the "+ ..." of Fig. 1 line 13): hardware cost
-	// normalized to GEQBudget, and any execution-time *increase* as a
-	// fraction of the initial time. Negative means default (0.25, 1.0).
-	HardwareWeight float64
-	TimeWeight     float64
-	// MemPorts is the ASIC local-buffer port count for scheduling.
-	MemPorts int
 	// WeightedU switches Eq. 4 to size-weighted utilization (ablation
 	// A4; the paper argues and we verify it does not change partitions).
 	WeightedU bool
@@ -65,6 +56,15 @@ type Config struct {
 	// a failure is a bug, not a property of the design space.
 	Verify bool
 }
+
+// HardwareWeight and TimeWeight weigh the non-energy terms of the
+// objective function (the "+ ..." of Fig. 1 line 13): hardware cost
+// normalized to GEQBudget, and any execution-time *increase* as a
+// fraction of the initial time.
+const (
+	HardwareWeight = 0.05
+	TimeWeight     = 1.0
+)
 
 func (c *Config) defaults() {
 	if c.Lib == nil {
@@ -84,14 +84,6 @@ func (c *Config) defaults() {
 	}
 	if c.GEQBudget == 0 {
 		c.GEQBudget = 16000
-	}
-	if c.HardwareWeight <= 0 {
-		c.HardwareWeight = 0.05
-	}
-	if c.TimeWeight < 0 {
-		c.TimeWeight = 1.0
-	} else if c.TimeWeight == 0 {
-		c.TimeWeight = 1.0
 	}
 	if c.Workers <= 0 {
 		c.Workers = explore.DefaultWorkers()
@@ -227,7 +219,7 @@ type Decision struct {
 // clusters (the region tree), estimate bus traffic (Fig. 3), pre-select,
 // schedule + bind (Fig. 4 via internal/asic) per resource set, evaluate
 // the objective function and pick the best implementation.
-func Partition(p *cdfg.Program, prof *interp.Profile, base *Baseline, cfg Config) (*Decision, error) {
+func Partition(p *cdfg.Program, prof *cdfg.Profile, base *Baseline, cfg Config) (*Decision, error) {
 	return PartitionCtx(context.Background(), p, prof, base, cfg) //lint:ctx non-Ctx convenience wrapper
 }
 
@@ -235,7 +227,7 @@ func Partition(p *cdfg.Program, prof *interp.Profile, base *Baseline, cfg Config
 // cluster × resource-set grid fan-out, so a cancelled or deadline-expired
 // caller (e.g. a served request whose HTTP deadline passed) stops the
 // worker pool from picking up further grid points and returns ctx.Err().
-func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *interp.Profile, base *Baseline, cfg Config) (*Decision, error) {
+func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *cdfg.Profile, base *Baseline, cfg Config) (*Decision, error) {
 	if prof == nil || base == nil {
 		return nil, fmt.Errorf("partition: profile and baseline are required")
 	}
@@ -349,7 +341,7 @@ func overlapsChosen(r *cdfg.Region, inHW map[int]bool, p *cdfg.Program) bool {
 }
 
 // ineligible explains why a region cannot be moved to an ASIC core.
-func ineligible(p *cdfg.Program, prof *interp.Profile, r *cdfg.Region) string {
+func ineligible(p *cdfg.Program, prof *cdfg.Profile, r *cdfg.Region) string {
 	if r.HasCalls() {
 		return "contains calls into software"
 	}
@@ -375,7 +367,7 @@ func ineligible(p *cdfg.Program, prof *interp.Profile, r *cdfg.Region) string {
 // invocationsOf estimates how many times the cluster is invoked (entered
 // from outside): the execution count of its unique exit block, which runs
 // once per completed invocation.
-func invocationsOf(prof *interp.Profile, r *cdfg.Region) int64 {
+func invocationsOf(prof *cdfg.Profile, r *cdfg.Region) int64 {
 	inside := make(map[int]bool, len(r.Blocks))
 	for _, bid := range r.Blocks {
 		inside[bid] = true
@@ -411,10 +403,10 @@ type bindResult struct {
 // Fig. 4's instance binding.
 //
 //lint:alloc cold-fill boundary, runs only on a pair-cache miss — the warm EvalInto path (TestEvalIntoZeroAlloc) never enters
-func scheduleBind(prof *interp.Profile, cfg Config, c *Candidate, rs *tech.ResourceSet) *bindResult {
+func scheduleBind(prof *cdfg.Profile, cfg Config, c *Candidate, rs *tech.ResourceSet) *bindResult {
 	br := &bindResult{}
 	// Line 8: list schedule.
-	rsched, err := sched.ScheduleRegion(sched.Config{Lib: cfg.Lib, RS: rs, MemPorts: cfg.MemPorts}, c.Region)
+	rsched, err := sched.ScheduleRegion(sched.Config{Lib: cfg.Lib, RS: rs}, c.Region)
 	if err != nil {
 		br.err = err
 		br.reason = "unschedulable: " + err.Error()
@@ -585,8 +577,8 @@ func (t *pairTerms) price(base *Baseline, cfg Config, rs *tech.ResourceSet, out 
 		slowdown = 0
 	}
 	out.OF = cfg.F*eAfter/float64(base.TotalEnergy) +
-		cfg.HardwareWeight*float64(out.GEQ)/float64(cfg.GEQBudget) +
-		cfg.TimeWeight*slowdown
+		HardwareWeight*float64(out.GEQ)/float64(cfg.GEQBudget) +
+		TimeWeight*slowdown
 	out.Eligible = true
 }
 

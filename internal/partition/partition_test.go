@@ -14,7 +14,7 @@ import (
 )
 
 // setup builds IR, profile and a measured baseline for src.
-func setup(t *testing.T, src string) (*cdfg.Program, *interp.Profile, *Baseline) {
+func setup(t *testing.T, src string) (*cdfg.Program, *cdfg.Profile, *Baseline) {
 	t.Helper()
 	prog := behav.MustParse("t", src)
 	ir := cdfg.MustBuild(prog)
@@ -400,8 +400,5 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.MaxClusters != 5 || c.F != 1.0 || c.GEQBudget != 16000 {
 		t.Errorf("unexpected defaults: %+v", c)
-	}
-	if c.HardwareWeight <= 0 || c.TimeWeight <= 0 {
-		t.Error("objective weights must default positive")
 	}
 }

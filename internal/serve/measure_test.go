@@ -294,6 +294,35 @@ func TestPartitionThenJobShareMeasurement(t *testing.T) {
 	}
 }
 
+// TestSweepThenPartitionShareMeasurement: /v1/sweep puts its
+// initial-design measurement into the tiers, so a /v1/partition miss on
+// the same program replays it instead of measuring again, and both
+// bodies are a fresh server's bytes.
+func TestSweepThenPartitionShareMeasurement(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	const sweepReq, partReq = `{"app":"digs"}`, `{"app":"digs","f":1.3}`
+	st, sweep, _ := post(t, ts.URL+"/v1/sweep", sweepReq)
+	if st != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", st, sweep)
+	}
+	h0, m0 := measureOps(s)
+	st, got, c := post(t, ts.URL+"/v1/partition", partReq)
+	if st != http.StatusOK || c != "miss" {
+		t.Fatalf("partition: status %d X-Cache %q: %s", st, c, got)
+	}
+	if h, m := measureOps(s); h != h0+1 || m != m0 {
+		t.Errorf("partition after sweep: measurement hits +%d misses +%d, want +1 +0", h-h0, m-m0)
+	}
+	if want := freshPartition(t, partReq); !bytes.Equal(got, want) {
+		t.Errorf("partition body differs from a fresh server's:\n%s\nvs\n%s", got, want)
+	}
+	_, fts := newTestServer(t, Config{Workers: 2})
+	defer fts.Close()
+	if _, want, _ := post(t, fts.URL+"/v1/sweep", sweepReq); !bytes.Equal(sweep, want) {
+		t.Errorf("sweep body differs from a fresh server's:\n%s\nvs\n%s", sweep, want)
+	}
+}
+
 // TestPartitionDigestMismatchFallsBackCold: a measurement record whose
 // globals digest is flipped fails the replay's cross-check; the miss
 // recomputes cold, returns a fresh server's bytes and rewrites the

@@ -60,8 +60,9 @@ type Config struct {
 	// MaxSourceBytes caps served behavioral sources (default
 	// behav.DefaultMaxSourceBytes).
 	MaxSourceBytes int
-	// MaxInstrs bounds the ISS/interpreter runs of served evaluations,
-	// so an adversarial source cannot pin a worker for the full default
+	// MaxInstrs bounds the ISS runs of served evaluations, in
+	// instructions and in IR steps (see system.Config.MaxInstrs), so an
+	// adversarial source cannot pin a worker for the full default
 	// simulation budget (default 50M).
 	MaxInstrs int64
 	// MaxJobs bounds the async job table; once every slot holds an
@@ -410,21 +411,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *flightResu
 // computeSweep measures the application's initial design with the
 // single-pass stack-distance profiler teed into its one ISS run, which
 // prices the whole geometry grid and counts the reference stream without
-// storing it. A program the measurement rejects gets /v1/partition's
-// error text.
+// storing it. The measurement record goes into the tiers under the key a
+// partition miss on the program looks up. A program the measurement
+// rejects gets /v1/partition's error text.
 func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *SweepRequest,
 	pairs [][2]cache.Config, key string) *flightResult {
 	ir, err := cdfg.Build(prog)
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
-	_, _, reps, st, err := system.MeasureAndSweepCtx(ctx, ir, system.Config{MaxInstrs: s.cfg.MaxInstrs}, pairs)
+	cfg := system.Config{MaxInstrs: s.cfg.MaxInstrs}
+	ev, base, reps, st, err := system.MeasureAndSweepCtx(ctx, ir, cfg, pairs)
 	if ctx.Err() != nil {
 		return errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "sweep deadline exceeded"})
 	}
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
+	rec := system.EncodeMeasurement(system.NewMeasurement(ev, base))
+	_ = s.tierPut(system.MeasureKey(system.Fingerprint(ir, cfg)), rec) //lint:err persistence must never fail a served request
 	name := req.App
 	if name == "" {
 		name = ir.Name

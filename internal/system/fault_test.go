@@ -3,11 +3,15 @@ package system
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"lppart/internal/behav"
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
+	"lppart/internal/codegen"
+	"lppart/internal/isa"
 )
 
 // dotProduct runs 581 IR steps and 778 instructions.
@@ -146,20 +150,130 @@ func TestRecordTraceFaults(t *testing.T) {
 	}
 }
 
-// TestInterpErrorAfterDeadline: once the request's context is done, a
-// failed run answers with the context's error instead of spending a
-// second simulation on the interpreter's error text.
-func TestInterpErrorAfterDeadline(t *testing.T) {
+// cancelOnFetch cancels a context at the first instruction fetch it
+// observes: the measurement's run then fails after its ctx is done.
+type cancelOnFetch struct{ cancel context.CancelFunc }
+
+func (c cancelOnFetch) FetchInstr(uint32) int { c.cancel(); return 0 }
+func (cancelOnFetch) ReadData(int32) int      { return 0 }
+func (cancelOnFetch) WriteData(int32) int     { return 0 }
+
+// TestMeasureErrorAfterDeadline: once the request's context is done, a
+// failed measurement answers with the context's error instead of the
+// fault's text; with a live context it names the fault.
+func TestMeasureErrorAfterDeadline(t *testing.T) {
 	ir, err := cdfg.Build(behav.MustParse("fault", faultCases[0].src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := interpError(ctx, ir, &Config{}, errors.New("iss fault")); !errors.Is(err, context.Canceled) {
+	defer cancel()
+	if _, _, err := measureCtx(ctx, ir, Config{}, cancelOnFetch{cancel}); !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v, want %v", err, context.Canceled)
 	}
-	if err := interpError(context.Background(), ir, &Config{}, errors.New("iss fault")); err == nil || err.Error() != faultCases[0].want {
+	if _, _, err := measureCtx(context.Background(), ir, Config{}, nil); err == nil || err.Error() != faultCases[0].want {
 		t.Errorf("error %v, want %q", err, faultCases[0].want)
+	}
+}
+
+// runaway loops forever: only the IR step limit stops it.
+const runaway = `var s; func main() { var i; for i = 0; i >= 0; i = i + 0 { s = s + 1; } }`
+
+// BenchmarkRunawayMeasure times the rejection of a runaway program at
+// lppartd's default budget of 50M, through the full evaluation entry.
+func BenchmarkRunawayMeasure(b *testing.B) {
+	ir, err := cdfg.Build(behav.MustParse("runaway", runaway))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const want = "system: profiling: runtime: 1:54: step limit 50000000 exceeded"
+	for i := 0; i < b.N; i++ {
+		if _, err := EvaluateIRCtx(context.Background(), ir, Config{MaxInstrs: 50_000_000}); err == nil || err.Error() != want {
+			b.Fatalf("error %v, want %q", err, want)
+		}
+	}
+}
+
+// machineFaultCases are programs the interpreter would trap (on a
+// division by zero, an index and the call depth) that fail first in the
+// compiler or in the ISS, on a fault the interpreter has no equivalent
+// for: the measurement reports that failure's own text.
+var machineFaultCases = []struct {
+	name, src, want string
+}{
+	{name: "seven arguments", src: `
+func f(a, b, c, d, e, g, h) { return a / h; }
+func main() { return f(1, 2, 3, 4, 5, 6, 0); }
+`, want: "system: compile: codegen: call to f has 7 args, max 6"},
+	{name: "data beyond memory", src: `
+var big[2000000];
+func main() { return big[2000000]; }
+`, want: "system: compile: codegen: data (2000010 words) plus stack (16384) exceed memory (1048576)"},
+	{name: "stack beyond memory", src: `
+func f(n) { var b[1100]; if n <= 0 { return 0; } return f(n - 1); }
+func main() { return f(2000); }
+`, want: "system: initial design: iss: pc=2: stack pointer -69 below the static data's end 10"},
+}
+
+// TestMachineFaultTexts pins the texts of machineFaultCases.
+func TestMachineFaultTexts(t *testing.T) {
+	for _, tc := range machineFaultCases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Evaluate(behav.MustParse("fault", tc.src), Config{})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("error %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// stackIntoData recurses d calls deep into f and, in the deepest frame,
+// fills the local array b with v. main's return jumps through its static
+// return-address slot and it then divides by the global one.
+const stackIntoData = `
+var one;
+func f(n, v) { var b[64]; var i; if n <= 0 { for i = 0; i < 64; i = i + 1 { b[i] = v; } return 0; } return f(n - 1, v); }
+func main() { one = 1; return f(%d, %d) + 100 / one; }
+`
+
+// TestStackIntoData: a recursion sized so that its deepest frame lies on
+// the static data, where b covers main's return-address slot and the
+// global one. Filling b with the pc of main's return would make that
+// return loop on itself, and filling it with 0 would divide by zero
+// where the interpreter does not; the interpreter has no memory map and
+// halts. The run must stop at the frame's allocation instead: with the
+// stack's fault, or with the instruction limit's if that tripped first.
+func TestStackIntoData(t *testing.T) {
+	for _, d := range []int{3, 7, 20} {
+		// Compile once with placeholder constants to read f's frame size
+		// and the pc of main's return; the constants do not move code.
+		ir, err := cdfg.Build(behav.MustParse("stack", fmt.Sprintf(stackIntoData, d, 12345)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, _, err := codegen.Compile(ir, codegen.Options{StackWords: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := int(mp.Code[mp.Funcs["f"]].Imm)
+		jr := mp.Funcs["main"]
+		for mp.Code[jr].Op != isa.JR {
+			jr++
+		}
+		// The deepest of the d+1 frames starts at word 0.
+		mem := (d + 1) * frame
+		for _, v := range []int{jr, 0} {
+			for _, limit := range []int64{0, int64(8*d + 10)} {
+				src := fmt.Sprintf(stackIntoData, d, v)
+				_, err := Evaluate(behav.MustParse("stack", src), Config{MemWords: mem, StackWords: 16, MaxInstrs: limit})
+				want := fmt.Sprintf("system: initial design: iss: pc=%d: stack pointer 0 below the static data's end %d", mp.Funcs["f"], mp.DataWords)
+				if limit > 0 {
+					want = fmt.Sprintf(": instruction limit %d exceeded", limit)
+				}
+				if err == nil || !strings.HasSuffix(err.Error(), want) {
+					t.Errorf("depth %d, v=%d, limit %d: error %v, want %q", d, v, limit, err, want)
+				}
+			}
+		}
 	}
 }

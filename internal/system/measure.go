@@ -8,7 +8,6 @@ import (
 
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
-	"lppart/internal/interp"
 	"lppart/internal/iss"
 	"lppart/internal/memostore"
 	"lppart/internal/partition"
@@ -85,7 +84,7 @@ type Measurement struct {
 	// Initial is the all-software design; its ISS is nil.
 	Initial *Design
 	Base    *partition.Baseline
-	Profile *interp.Profile
+	Profile *cdfg.Profile
 	Globals [32]byte
 }
 
@@ -195,7 +194,7 @@ func DecodeMeasurement(buf []byte, cfg Config) *Measurement {
 		st.Misses = dec.I64()
 		st.WriteBacks = dec.I64()
 	}
-	m := &Measurement{Initial: d, Profile: &interp.Profile{BlockFreq: map[string][]int64{}}}
+	m := &Measurement{Initial: d, Profile: &cdfg.Profile{BlockFreq: map[string][]int64{}}}
 	dec.Raw(m.Globals[:])
 
 	nr := dec.Len()

@@ -282,7 +282,6 @@ func TestFingerprintCoversLibrary(t *testing.T) {
 	c := cfg
 	c.Part.F, c.Part.MaxClusters, c.Part.MaxCores = 1.7, 3, 2
 	c.Part.ResourceSets = tech.DefaultResourceSets()[:1]
-	c.SkipVerify = true
 	if Fingerprint(ir, c) != base {
 		t.Error("partitioning knobs change the key")
 	}

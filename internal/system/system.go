@@ -21,7 +21,6 @@ import (
 	"lppart/internal/cdfg"
 	"lppart/internal/codegen"
 	"lppart/internal/explore"
-	"lppart/internal/interp"
 	"lppart/internal/isa"
 	"lppart/internal/iss"
 	"lppart/internal/mem"
@@ -40,14 +39,14 @@ type Config struct {
 	// MemWords/StackWords size the µP's memory map.
 	MemWords, StackWords int
 	// MaxInstrs bounds the ISS runs (500M instructions when 0). It also
-	// sets the IR step limit, 200M when 0: the initial design's ISS run
-	// enforces it over the IR ops of the blocks it enters, and the
-	// interpreter applies it when it re-runs a failed program.
+	// sets the IR step limit, 200M when 0, which the ISS enforces over
+	// the IR ops it runs. A program past the instruction limit runs on
+	// to its end: it fails with the interpreter's text if it faults or
+	// passes the step limit, and with the instruction limit's otherwise.
+	// The step limit bounds that run: the ISS stops a stack that would
+	// grow into the static data, and a return that does not follow a
+	// call, as machine faults.
 	MaxInstrs int64
-	// Verify cross-checks the partitioned design's memory against the
-	// initial design's (differential co-simulation check). Default true;
-	// set SkipVerify to disable.
-	SkipVerify bool
 	// Store, when non-nil, persists the initial-design measurement under
 	// MeasureKey (see Measurement). An evaluation that finds the record
 	// skips the initial compile and ISS run and goes straight to the
@@ -110,8 +109,8 @@ type Evaluation struct {
 	Partitioned *Design // nil when no partition was chosen
 	Decision    *partition.Decision
 	// Profile holds the block frequencies the initial design's ISS run
-	// counted, in the interpreter's shape.
-	Profile *interp.Profile
+	// counted.
+	Profile *cdfg.Profile
 
 	// initialGlobals holds the initial design's final global words in
 	// ir.Globals order, kept for the differential memory verify against
@@ -340,11 +339,17 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 	full, fullLay, err := codegen.Compile(ir, codegen.Options{
 		MemWords: cfg.MemWords, StackWords: cfg.StackWords})
 	if err != nil {
-		return nil, nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: compile: %w", err))
+		return nil, nil, failure(ctx, fmt.Errorf("system: compile: %w", err))
 	}
 	initial, _, _, err := runDesign("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
 	if err != nil {
-		return nil, nil, interpError(ctx, ir, &cfg, fmt.Errorf("system: initial design: %w", err))
+		var se *iss.SimError
+		if errors.As(err, &se) {
+			if re := runtimeError(ir, full, se); re != nil {
+				return nil, nil, failure(ctx, fmt.Errorf("system: profiling: %w", re))
+			}
+		}
+		return nil, nil, failure(ctx, fmt.Errorf("system: initial design: %w", err))
 	}
 	ev := &Evaluation{App: ir.Name, IR: ir, Initial: initial,
 		Profile: blockProfile(ir, initial.ISS.BlockEntries)}
@@ -356,9 +361,9 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 }
 
 // blockProfile shapes the ISS's block entry counts, which are in program
-// block order, into the interpreter's per-function BlockFreq. The
-// per-function slices share the counts' storage.
-func blockProfile(ir *cdfg.Program, entries []int64) *interp.Profile {
+// block order, into a per-function BlockFreq. The per-function slices
+// share the counts' storage.
+func blockProfile(ir *cdfg.Program, entries []int64) *cdfg.Profile {
 	freq := make(map[string][]int64, len(ir.Funcs))
 	off := 0
 	for _, f := range ir.Funcs {
@@ -366,23 +371,47 @@ func blockProfile(ir *cdfg.Program, entries []int64) *interp.Profile {
 		freq[f.Name] = entries[off : off+n : off+n]
 		off += n
 	}
-	return &interp.Profile{BlockFreq: freq}
+	return &cdfg.Profile{BlockFreq: freq}
 }
 
-// interpError picks the error a failed compile or simulation reports.
-// The interpreter runs the program again under the same limits; if it
-// traps too, its positioned fault is the error, as "system: profiling:
-// ...". Otherwise the program is sound at the IR level and err stands.
-// A request whose ctx is already done gets ctx's error instead of the
-// extra interpreter run.
-func interpError(ctx context.Context, ir *cdfg.Program, cfg *Config, err error) error {
+// failure is the error a failed measurement reports: err, or ctx's
+// error once the request's ctx is done.
+func failure(ctx context.Context, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
 	}
-	if _, ierr := interp.Run(ir, interp.Options{MaxSteps: cfg.MaxInstrs}); ierr != nil {
-		return fmt.Errorf("system: profiling: %w", ierr)
-	}
 	return err
+}
+
+// runtimeError names a fault of the initial design's ISS run the way the
+// interpreter names it: the IR op it stands for, at that op's source
+// position. It returns nil for a machine fault, which has no IR
+// equivalent. The ISS stops the stack before it reaches the static data,
+// so its memory holds the interpreter's values up to the fault, and an
+// index, division or depth fault strikes where the interpreter traps. An index or division fault that struck after the step
+// limit tripped in its segment reports whichever op comes first; the
+// step check precedes an op's execution, so a tie is the step limit.
+func runtimeError(ir *cdfg.Program, p *isa.Program, e *iss.SimError) *cdfg.RuntimeError {
+	switch e.Kind {
+	case iss.Depth:
+		return &cdfg.RuntimeError{Msg: e.Msg}
+	case iss.Step:
+		_, b, i := codegen.SegmentOp(ir, p, e.PC, e.Op)
+		return &cdfg.RuntimeError{Pos: b.Ops[i].Pos, Msg: e.Msg}
+	case iss.Index, iss.Div:
+		f, b, i := codegen.OpAt(ir, p, e.PC)
+		if e.Trip != nil {
+			if _, _, trip := codegen.SegmentOp(ir, p, e.Trip.PC, e.Trip.Op); trip <= i {
+				return runtimeError(ir, p, e.Trip)
+			}
+		}
+		msg := e.Msg
+		if e.Kind == iss.Index {
+			msg += " of " + ir.ArrName(f, b.Ops[i].Arr)
+		}
+		return &cdfg.RuntimeError{Pos: b.Ops[i].Pos, Msg: msg}
+	}
+	return nil
 }
 
 // EvaluateIRCtx is EvaluateCtx starting from already-built IR: ctx is
@@ -439,7 +468,8 @@ var errDigest = errors.New("system: partitioned globals differ from the stored m
 
 // partitionCtx continues a measured evaluation through the Fig. 1 loop
 // and, when a partition is chosen, co-simulates the partitioned design
-// and hands its final memory to check (unless cfg.SkipVerify).
+// and hands its final memory to check, the differential co-simulation
+// cross-check against the initial design.
 func partitionCtx(ctx context.Context, ev *Evaluation, base *partition.Baseline, cfg *Config,
 	check func(lay *codegen.Layout, mem []int32) error) error {
 	ir := ev.IR
@@ -466,10 +496,8 @@ func partitionCtx(ctx context.Context, ev *Evaluation, base *partition.Baseline,
 	ev.Partitioned = pd
 	// The partitioned memory is needed only for the cross-check.
 	defer pd.ISS.Release()
-	if !cfg.SkipVerify {
-		if err := check(partLay, pd.ISS.Mem); err != nil {
-			return fmt.Errorf("system: partitioned design diverged: %w", err)
-		}
+	if err := check(partLay, pd.ISS.Mem); err != nil {
+		return fmt.Errorf("system: partitioned design diverged: %w", err)
 	}
 	return nil
 }
