@@ -235,9 +235,9 @@ func BenchmarkExtensionControlDominated(b *testing.B) {
 // BenchmarkFig6Parallel regenerates the whole Figure 6 / Table 1 series
 // with the parallel engine: the six applications fan out onto the
 // exploration pool (one worker per GOMAXPROCS CPU, so `-cpu 1,2,4`
-// sweeps the width) while each evaluation's inner partitioning grid uses
-// the same width. The reported rows are byte-identical to the serial
-// BenchmarkFig6 path (see TestParallelEvaluationDeterministic).
+// sweeps the width) and each evaluation runs serially inside its worker.
+// The reported rows are byte-identical to the serial BenchmarkFig6 path
+// (see TestEvaluateAllMatchesSerial).
 func BenchmarkFig6Parallel(b *testing.B) {
 	list := apps.All()
 	srcs := make([]*behav.Program, len(list))

@@ -14,6 +14,8 @@
 //	report -gap               # greedy-vs-exact optimality gaps (milp oracle)
 //	report -ablation=F        # ablation A1: objective factor sweep
 //	report -ablation=preselect|rs|weighted|gated|cache
+//	report -ablation=cores    # extension E1: multi-core partitioning
+//	report -ablation=future   # extension E2: control-dominated application
 package main
 
 import (
@@ -39,7 +41,7 @@ func main() {
 		appName  = flag.String("app", "", "restrict to one application")
 		frontier = flag.Bool("frontier", false, "render the design-space Pareto frontier per application")
 		gap      = flag.Bool("gap", false, "render the greedy-vs-exact optimality-gap table and assert the published frontier verdicts")
-		ablation = flag.String("ablation", "", "run an ablation: F, preselect, rs, weighted, gated, cache")
+		ablation = flag.String("ablation", "", "run an ablation: F, preselect, rs, weighted, gated, cache, cores (E1), future (E2)")
 		jobs     = flag.Int("j", 0, "concurrent application evaluations (0 = one per CPU, 1 = serial)")
 		verify   = flag.Bool("verify", false, "run the pipeline-stage IR verifiers and the decision audit alongside every evaluation")
 	)

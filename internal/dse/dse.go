@@ -19,12 +19,12 @@
 // cannot contribute to the frontier and are cut.
 //
 // Determinism is by construction, like everywhere else in this repo:
-// geometries fan out on an explore.MapCtx pool and each geometry's
-// search is serial, so the frontier is byte-identical at any worker
-// count. All geometries share one partition.Evaluator, whose pair cache
-// makes every (cluster, resource set) pair pay the expensive Fig. 1
-// lines 8-10 once across the whole exploration (twice only when two
-// geometries race to bind it first); the cache geometries themselves are
+// every geometry's grid is priced serially, then the geometries' searches
+// fan out on an explore.MapCtx pool and each search is serial, so the
+// frontier is byte-identical at any worker count. All geometries share
+// one partition.Evaluator, whose pair cache makes every (cluster,
+// resource set) pair pay the expensive Fig. 1 lines 8-10 once across the
+// whole exploration; the cache geometries themselves are
 // profiled online during the one ISS run of the initial design by the
 // single-pass stack-distance profiler (trace.Profiler), not by
 // re-simulating the program per geometry.
@@ -139,8 +139,9 @@ type Point struct {
 // Stats counts the search's work. Configs, Pruned and PairEvals are
 // deterministic at any worker count (each geometry's search is serial),
 // and so are MemoAdds and MemoSize: both are the number of distinct pairs
-// the evaluator cached. Its bind/hit split is not — concurrent geometries
-// race to bind a pair first — so it stays out of Stats.
+// the evaluator cached. The evaluator's bind/hit split is deterministic
+// too (the grids are priced serially), but it stays out of Stats so the
+// explore and exact response bodies keep their bytes.
 type Stats struct {
 	Geometries int   `json:"geometries"`
 	Configs    int64 `json:"configs"`    // configurations evaluated (search-tree nodes)
@@ -165,6 +166,7 @@ type Frontier struct {
 // set) pairs against any of those baselines. A Prep feeds both the
 // Pareto search (ExplorePrep) and the exact solver (internal/milp), so
 // the two provably price the same design space from the same floats.
+// Like its Evaluator, a Prep is not safe for concurrent use.
 type Prep struct {
 	IR *cdfg.Program
 	// Delta is the shared Evaluator: after the first geometry binds and
@@ -303,10 +305,24 @@ func ExplorePrep(ctx context.Context, p *Prep, cfg Config) (*Frontier, error) {
 	}
 	pcfg := p.Delta.Config()
 
+	// Price every geometry's grid serially, in geometry order: the
+	// evaluator's pair cache has one writer, and the fan-out below only
+	// reads the finished grids.
+	grids := make([]*Grid, len(p.Geoms))
+	for gi := range p.Geoms {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if grids[gi], err = NewGrid(p.Delta, p.Bases[gi]); err != nil {
+			return nil, err
+		}
+	}
+
 	total := len(p.Geoms)
 	var done atomic.Int64
 	results, err := explore.MapCtx(ctx, cfg.Workers, p.Geoms, func(gi int, g [2]cache.Config) (*geoResult, error) {
-		res, err := searchGeometry(ctx, p.Delta, p.Bases[gi], g, &cfg)
+		res, err := searchGeometry(ctx, grids[gi], pcfg, p.Bases[gi], g, &cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -366,15 +382,11 @@ type geoResult struct {
 }
 
 // searchGeometry runs the serial branch-and-bound over (cluster subset ×
-// per-cluster resource set) for one cache geometry's priced grid.
-func searchGeometry(ctx context.Context, pe *partition.Evaluator, gbase *partition.Baseline,
+// per-cluster resource set) for one cache geometry's priced grid. It only
+// reads the grid, so geometries search concurrently.
+func searchGeometry(ctx context.Context, grid *Grid, pcfg partition.Config, gbase *partition.Baseline,
 	g [2]cache.Config, cfg *Config) (*geoResult, error) {
-	grid, err := NewGrid(pe, gbase)
-	if err != nil {
-		return nil, err
-	}
 	pool, evals, viable := grid.Pool, grid.Evals, grid.Viable
-	pcfg := pe.Config()
 	res := &geoResult{pairEvals: int64(len(pool) * len(pcfg.ResourceSets))}
 	t0 := gbase.TotalCycles
 	fl := newFloors(grid, gbase, cfg.ExactBound && !cfg.DisableBound && len(pool) <= 24)

@@ -113,8 +113,9 @@ func TestStoreBypassedInVerifyMode(t *testing.T) {
 }
 
 // TestStoreWarmParallelFreshIR: a warm store skips the measurement
-// phase, so the workers are the first to walk a fresh IR's regions and
-// race to fill their op caches. Run under -race.
+// phase, so ExplorePrep's grid pricing is the first to walk a fresh IR's
+// regions, and the parallel geometry searches then read those grids. A
+// warm parallel run must match the cold one. Run under -race.
 func TestStoreWarmParallelFreshIR(t *testing.T) {
 	st, err := memostore.Open(t.TempDir(), memostore.Options{})
 	if err != nil {

@@ -1,8 +1,8 @@
 // Package explore is the deterministic fan-out engine behind the
-// design-space exploration surfaces: the partitioning inner loop's
-// cluster × resource-set grid, the whole-application sweeps of cmd/report
-// (Table 1, Figure 6, ablations), the trace-replay geometry sweep of
-// cmd/cacheprof and the designer-interaction loops of
+// design-space exploration surfaces: the whole-application sweeps of
+// cmd/report (Table 1, Figure 6, ablations), the per-geometry searches
+// of internal/dse and internal/milp, the recorded-trace geometry sweeps
+// of internal/trace and the designer-interaction loops of
 // examples/designspace.
 //
 // The engine makes one promise the callers all rely on: the result of a

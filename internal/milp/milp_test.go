@@ -156,6 +156,26 @@ func TestSolveDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestGeometryFanOutBindsOnce: the Pareto search and the exact solver
+// fan their geometries out, but both price every grid before the
+// fan-out, so the shared pair cache binds each pair exactly once.
+func TestGeometryFanOutBindsOnce(t *testing.T) {
+	p := prepApp(t, "MPG", dse.Config{})
+	if _, err := dse.ExplorePrep(context.Background(), p, dse.Config{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Solve(context.Background(), p, Config{Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	s := p.Delta.MemoStats()
+	if s.Pairs == 0 || s.Binds != s.Pairs {
+		t.Errorf("MemoStats = %+v, want Binds == Pairs > 0", s)
+	}
+	if s.Hits == 0 {
+		t.Errorf("MemoStats = %+v, want hits from the later geometries and the solve", s)
+	}
+}
+
 // TestExactNeverWorseThanGreedy: on every app and every geometry the
 // proven optimum is <= the one-round greedy objective (the exact space
 // contains every single pick and the empty configuration).

@@ -388,14 +388,24 @@ func Solve(ctx context.Context, p *dse.Prep, cfg Config) (*Result, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = explore.DefaultWorkers()
 	}
-	total := len(p.Geoms)
-	var done atomic.Int64
-	optima, err := explore.MapCtx(ctx, cfg.Workers, p.Geoms, func(gi int, g [2]cache.Config) (*Optimum, error) {
+	// Build every instance serially, in geometry order: the evaluator's
+	// pair cache has one writer, and the fan-out below only solves the
+	// finished instances.
+	insts := make([]*Instance, len(p.Geoms))
+	for gi, g := range p.Geoms {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		in, err := BuildInstance(p.Delta, p.Bases[gi], g, cfg.MaxHW)
 		if err != nil {
 			return nil, err
 		}
 		in.App = p.IR.Name
+		insts[gi] = in
+	}
+	total := len(insts)
+	var done atomic.Int64
+	optima, err := explore.MapCtx(ctx, cfg.Workers, insts, func(_ int, in *Instance) (*Optimum, error) {
 		o, err := SolveInstance(ctx, in, cfg)
 		if err != nil {
 			return nil, err

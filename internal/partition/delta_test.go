@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -41,9 +40,9 @@ func evalFields(t *testing.T, tag string, full, delta *SetEval) {
 	}
 }
 
-// TestConcurrentPairEvalSharesBinding: concurrent first evaluations of
-// one pair may all miss the cache and bind, but the first stored binding
-// wins — the cache holds one pair, and every evaluation shares its
+// TestConcurrentPairEvalSharesBinding: repeated evaluations of one pair
+// (serial: an Evaluator has one writer) bind it once and hit the cache
+// after — the cache holds one pair, and every evaluation shares its
 // *asic.Binding and prices the same bits.
 func TestConcurrentPairEvalSharesBinding(t *testing.T) {
 	ir, prof, base := setup(t, hotLoopSrc)
@@ -72,29 +71,18 @@ func TestConcurrentPairEvalSharesBinding(t *testing.T) {
 	}
 	const n = 8
 	evs := make([]*SetEval, n)
-	var wg sync.WaitGroup
 	for i := range evs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ev, err := e.Eval(base, pool[0], si, false, false)
-			if err != nil {
-				t.Error(err)
-			}
-			evs[i] = ev
-		}(i)
+		if evs[i], err = e.Eval(base, pool[0], si, false, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if s := e.MemoStats(); s.Pairs != 1 || s.Binds+s.Hits != n {
-		t.Errorf("MemoStats = %+v, want 1 pair and %d evaluations", s, n)
+	if s := e.MemoStats(); s.Pairs != 1 || s.Binds != 1 || s.Hits != n-1 {
+		t.Errorf("MemoStats = %+v, want 1 pair, 1 bind and %d hits", s, n-1)
 	}
 	for i, ev := range evs[1:] {
-		evalFields(t, fmt.Sprintf("goroutine %d", i+1), evs[0], ev)
+		evalFields(t, fmt.Sprintf("evaluation %d", i+1), evs[0], ev)
 		if math.Float64bits(ev.OF) != math.Float64bits(evs[0].OF) {
-			t.Errorf("goroutine %d: OF bits %x, want %x", i+1, math.Float64bits(ev.OF), math.Float64bits(evs[0].OF))
+			t.Errorf("evaluation %d: OF bits %x, want %x", i+1, math.Float64bits(ev.OF), math.Float64bits(evs[0].OF))
 		}
 	}
 }

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"lppart/internal/cdfg"
 	"lppart/internal/dataflow"
@@ -36,9 +35,10 @@ type pairEntry struct {
 // internal/milp's exact instance share its pair cache across their
 // subtrees and cache geometries through the same type.
 //
-// The evaluator is safe for concurrent use: one mutex guards the pair
-// cache, and scheduleBind, termsOf and price are pure functions of their
-// inputs.
+// An Evaluator is not safe for concurrent use: its pair cache has one
+// writer. Callers that fan out over its results (internal/dse's
+// geometries, internal/milp's instances) price every pair serially first
+// and hand the workers only the finished, immutable evaluations.
 type Evaluator struct {
 	p    *cdfg.Program
 	prof *cdfg.Profile
@@ -48,7 +48,6 @@ type Evaluator struct {
 	regions []*cdfg.Region
 	static  []staticCandidate
 
-	mu    sync.Mutex
 	pairs map[pairKey]*pairEntry
 	stats MemoStats // Binds and Hits; Pairs is len(pairs)
 }
@@ -187,33 +186,25 @@ func (e *Evaluator) Candidates(base *Baseline) (all, pool []*Candidate) {
 // the original expression tree without reassociating any float
 // operation. The warm path performs no heap allocation.
 //
-// When concurrent misses on one pair race, the first stored binding
-// wins, so every evaluation of a pair shares one *asic.Binding. The
-// returned error is a Config.Verify violation (an internal invariant
-// failure), never a property of the design point — infeasible points
-// come back as ineligible SetEvals.
+// Every evaluation of a pair shares its one *asic.Binding. The returned
+// error is a Config.Verify violation (an internal invariant failure),
+// never a property of the design point — infeasible points come back as
+// ineligible SetEvals.
 //
 //lint:hotpath guarded by TestEvalIntoZeroAlloc
 func (e *Evaluator) EvalInto(base *Baseline, c *Candidate, si int, prevHW, nextHW bool, out *SetEval) error {
 	rs := &e.cfg.ResourceSets[si]
 	key := pairKey{region: c.Region.ID, set: si}
-	e.mu.Lock()
 	ent := e.pairs[key]
 	if ent == nil {
 		e.stats.Binds++
-		e.mu.Unlock()
-		br := scheduleBind(e.prof, e.cfg, c, rs)
-		e.mu.Lock()
-		if ent = e.pairs[key]; ent == nil {
-			ent = &pairEntry{br: br} //lint:alloc pair-cache miss; the warm path reuses the cached entry
-			e.pairs[key] = ent
-		}
+		ent = &pairEntry{br: scheduleBind(e.prof, e.cfg, c, rs)} //lint:alloc pair-cache miss; the warm path reuses the cached entry
+		e.pairs[key] = ent
 	} else {
 		e.stats.Hits++
 	}
 	br := ent.br
 	if br.verifyErr != nil {
-		e.mu.Unlock()
 		return br.verifyErr
 	}
 	syn := 0
@@ -230,7 +221,6 @@ func (e *Evaluator) EvalInto(base *Baseline, c *Candidate, si int, prevHW, nextH
 		t = termsOf(base, e.cfg, c, rs, br, prevHW, nextHW)
 		ent.terms[syn] = t
 	}
-	e.mu.Unlock()
 	t.price(base, e.cfg, rs, out)
 	return nil
 }
@@ -246,8 +236,6 @@ func (e *Evaluator) Eval(base *Baseline, c *Candidate, si int, prevHW, nextHW bo
 
 // MemoStats reports the pair cache's effectiveness.
 func (e *Evaluator) MemoStats() MemoStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	s := e.stats
 	s.Pairs = len(e.pairs)
 	return s

@@ -12,9 +12,7 @@ func (e *Evaluator) EvalFull(base *Baseline, c *Candidate, si int, prevHW, nextH
 	if _, err := e.Eval(base, c, si, prevHW, nextHW); err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
 	br := e.pairs[pairKey{region: c.Region.ID, set: si}].br
-	e.mu.Unlock()
 	return evaluate(base, e.cfg, c, &e.cfg.ResourceSets[si], br, prevHW, nextHW), nil
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"lppart/internal/asic"
 	"lppart/internal/cdfg"
-	"lppart/internal/explore"
 	"lppart/internal/iss"
 	"lppart/internal/sched"
 	"lppart/internal/tech"
@@ -42,12 +41,6 @@ type Config struct {
 	// WeightedU switches Eq. 4 to size-weighted utilization (ablation
 	// A4; the paper argues and we verify it does not change partitions).
 	WeightedU bool
-	// Workers bounds the number of concurrent (cluster, resource set)
-	// evaluations of the Fig. 1 inner loop. 0 selects
-	// runtime.GOMAXPROCS(0); 1 forces a serial run. The Decision is
-	// byte-identical at any worker count: grid results are merged in
-	// deterministic (cluster rank, set index) order.
-	Workers int
 	// Verify runs the pipeline-stage verifiers alongside the process:
 	// cdfg.Verify and dataflow.VerifyGenUse on the input program,
 	// sched.VerifyIR and asic.VerifyBinding on every freshly computed
@@ -84,9 +77,6 @@ func (c *Config) defaults() {
 	}
 	if c.GEQBudget == 0 {
 		c.GEQBudget = 16000
-	}
-	if c.Workers <= 0 {
-		c.Workers = explore.DefaultWorkers()
 	}
 }
 
@@ -181,10 +171,8 @@ type Choice struct {
 // Binds counts evaluations that scheduled and bound a (cluster, resource
 // set) pair from scratch, Hits counts evaluations that reused a cached
 // Fig. 4 result and recomputed only the objective-function arithmetic,
-// and Pairs counts the distinct pairs cached. The cache never evicts, so
-// Binds equals Pairs unless concurrent evaluations of one pair raced (the
-// first stored binding wins); that happens across dse geometries, never
-// within one greedy round.
+// and Pairs counts the distinct pairs cached. The cache never evicts and
+// has one writer, so Binds equals Pairs.
 type MemoStats struct {
 	Binds int
 	Hits  int
@@ -223,10 +211,10 @@ func Partition(p *cdfg.Program, prof *cdfg.Profile, base *Baseline, cfg Config) 
 	return PartitionCtx(context.Background(), p, prof, base, cfg) //lint:ctx non-Ctx convenience wrapper
 }
 
-// PartitionCtx is Partition with cancellation: ctx is threaded into the
-// cluster × resource-set grid fan-out, so a cancelled or deadline-expired
-// caller (e.g. a served request whose HTTP deadline passed) stops the
-// worker pool from picking up further grid points and returns ctx.Err().
+// PartitionCtx is Partition with cancellation: ctx is checked before
+// every (cluster, resource set) evaluation of the grid, so a cancelled or
+// deadline-expired caller (e.g. a served request whose HTTP deadline
+// passed) stops the search within one pair and gets ctx.Err().
 func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *cdfg.Profile, base *Baseline, cfg Config) (*Decision, error) {
 	if prof == nil || base == nil {
 		return nil, fmt.Errorf("partition: profile and baseline are required")
@@ -250,24 +238,15 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *cdfg.Profile, base
 	// shifted by the accepted cluster and the synergy discounts enabled
 	// for its siblings.
 	//
-	// The grid fans out on a bounded worker pool (Config.Workers) and the
-	// evaluator caches schedules/bindings and their term decompositions
-	// across rounds: Fig. 1 lines 8-10 depend only on (cluster, resource
-	// set), so rounds >= 2 re-run only the baseline-dependent price tail.
-	// Each round visits a (region, set) pair at most once, so the cache
-	// binds every pair exactly once no matter how the pool schedules the
-	// grid.
+	// The grid is walked in pool order (pre-selection rank), then
+	// resource-set index, and the evaluator caches schedules/bindings and
+	// their term decompositions across rounds: Fig. 1 lines 8-10 depend
+	// only on (cluster, resource set), so rounds >= 2 re-run only the
+	// baseline-dependent price tail.
 	round := *base
 	inHW := make(map[int]bool) // region IDs already in hardware
-	type gridTask struct {
-		c              *Candidate
-		si             int
-		prevHW, nextHW bool
-	}
 	for core := 0; core < cfg.MaxCores; core++ {
-		// Collect this round's grid in deterministic order: pool order
-		// (pre-selection rank), then resource-set index.
-		var tasks []gridTask
+		var best *Choice
 		for _, c := range pool {
 			if overlapsChosen(c.Region, inHW, p) {
 				continue
@@ -276,29 +255,19 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *cdfg.Profile, base
 			prevHW := prev != nil && inHW[prev.ID]
 			nextHW := next != nil && inHW[next.ID]
 			for si := range cfg.ResourceSets {
-				tasks = append(tasks, gridTask{c, si, prevHW, nextHW})
-			}
-		}
-		results, err := explore.MapCtx(ctx, cfg.Workers, tasks, func(_ int, t gridTask) (*SetEval, error) {
-			return e.Eval(&round, t.c, t.si, t.prevHW, t.nextHW)
-		})
-		if err != nil {
-			return nil, err // ctx cancellation or a Config.Verify violation
-		}
-		// Merge in grid order: the first-round decision trail and the
-		// minimum-OF selection — the exact order the serial loop used, so
-		// the Decision is identical at any worker count.
-		var best *Choice
-		for i, ev := range results {
-			t := tasks[i]
-			if core == 0 {
-				t.c.Evals = append(t.c.Evals, ev) // the trail shows the first round
-			}
-			if !ev.Eligible {
-				continue
-			}
-			if best == nil || ev.OF < best.Eval.OF {
-				best = &Choice{Region: t.c.Region, RS: ev.RS, Binding: ev.Binding, Eval: ev}
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+				ev, err := e.Eval(&round, c, si, prevHW, nextHW)
+				if err != nil {
+					return nil, err // a Config.Verify violation
+				}
+				if core == 0 {
+					c.Evals = append(c.Evals, ev) // the trail shows the first round
+				}
+				if ev.Eligible && (best == nil || ev.OF < best.Eval.OF) {
+					best = &Choice{Region: c.Region, RS: ev.RS, Binding: ev.Binding, Eval: ev}
+				}
 			}
 		}
 		if best == nil || best.Eval.OF >= dec.BaselineOF {

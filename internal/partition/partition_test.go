@@ -374,24 +374,6 @@ func TestMemoUnusedSingleCore(t *testing.T) {
 	}
 }
 
-func TestPartitionWorkersDeterministic(t *testing.T) {
-	ir, prof, base := setup(t, hotLoopSrc)
-	trail := func(workers int) string {
-		dec, err := Partition(ir, prof, base, Config{Workers: workers, MaxCores: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dec.Trail()
-	}
-	serial := trail(1)
-	for _, w := range []int{2, 8, 32} {
-		if got := trail(w); got != serial {
-			t.Errorf("Workers=%d decision trail diverges from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
-				w, serial, w, got)
-		}
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.defaults()

@@ -47,7 +47,9 @@ import (
 
 // Config sizes one server.
 type Config struct {
-	// Workers bounds concurrent evaluations (default 4).
+	// Workers bounds concurrent evaluations (default 4). Each admitted
+	// evaluation runs on one goroutine: request-level parallelism is
+	// this pool's, not the inside of one slot's.
 	Workers int
 	// QueueDepth bounds how many admitted requests may wait for a
 	// worker before new arrivals are shed with 429 (default 64).
