@@ -12,7 +12,9 @@
 // /v1/explore and POST /v1/exact jobs keep each program's F-independent
 // measurement (profile, initial ISS run; for jobs also the cache sweep)
 // in the same LRU and -store, so only the first request or job on a
-// program measures it.
+// program measures it. A cold sweep writes the measurement record too,
+// for later partition misses and jobs, but never reads it: a sweep
+// always runs its one ISS pass, which profiles every geometry.
 //
 // Usage:
 //
@@ -48,10 +50,10 @@ func main() {
 		addr     = flag.String("addr", ":8095", "listen address")
 		workers  = flag.Int("workers", 4, "concurrent evaluation workers")
 		queue    = flag.Int("queue", 64, "admission queue depth (beyond this, requests are shed with 429)")
-		entries  = flag.Int("cache", 1024, "result cache entries (response bodies and the measurement records of partition misses and jobs)")
+		entries  = flag.Int("cache", 1024, "result cache entries (response bodies and the measurement records of partition misses, jobs and cold sweeps)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request evaluation deadline")
 		drain    = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight evaluations")
-		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies and the measurements of partition misses and jobs byte-identically)")
+		storeDir = flag.String("store", "", "persistent result store directory (a restarted daemon replays previously-computed 200 bodies and the measurements of partition misses, jobs and cold sweeps byte-identically)")
 		roStore  = flag.Bool("store-readonly", false, "open -store read-only: replay the records present at start, persist nothing (several processes share one writer's directory; restart to pick up newer records)")
 		pprofOn  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); off when empty")
 	)

@@ -31,10 +31,10 @@ import (
 // co-simulation stays exact, but only the live sets are *charged* as
 // transfers — matching Fig. 3's accounting.
 //
-// All per-invocation state lives in dense tables sized at NewCore
-// (scalars and arrays by interned dataflow slot, temporaries by local ID,
-// placements and switching state by op ID, block metadata by block ID):
-// a steady-state RunASIC performs no heap allocation and no map lookups.
+// All per-invocation state lives in dense tables sized at NewCore:
+// scalars (temporaries included) and arrays by interned dataflow slot, one
+// opState row per op ID, and block latencies by block ID. A steady-state
+// RunASIC performs no heap allocation and no map lookups.
 type Core struct {
 	ID      int
 	Region  *cdfg.Region
@@ -48,9 +48,10 @@ type Core struct {
 	// µP clock period, for converting ASIC cycles to system cycles.
 	microClock units.Time
 
-	ix                               *dataflow.Index
-	liveIn, liveOut, genAll, touched []varSpan
-	exitBlock                        int
+	ix                *dataflow.Index
+	genAll, touched   []varSpan
+	inWords, outWords int // live-in and live-out transfer words per invocation
+	exitBlock         int
 
 	// Accounting.
 	Invocations int64
@@ -60,29 +61,36 @@ type Core struct {
 	WordsIn     int64
 	WordsOut    int64
 
-	// Switching-activity state per op ID (dense; persists across
-	// invocations like the datapath's registers do).
-	prevA, prevB []int32
+	// ops is the per-op table, by op ID: each op's placement and its
+	// switching-activity state.
+	ops []opState
 
 	// Dense per-invocation architectural state, reset by RunASIC.
 	scalars []int32   // by interned slot; non-touched slots read as zero
-	temps   []int32   // by local ID (datapath registers)
 	arrays  [][]int32 // by interned slot; nil for non-array slots
 	// deadArrays lists array slots the region references that are not in
 	// the touched set: they start each invocation zero-initialized.
 	deadArrays []int
 
-	// Dense runtime tables derived from Binding and the region shape.
-	placements []Placement // by op ID
-	placedOK   []bool
-	// activeE[id] is the energy per active cycle of the datapath
-	// resource op id runs on (opEnergy's factor).
-	activeE  []float64
-	blockLen []int64 // by block ID
-	inRegion []bool  // by block ID
+	// blockLen is the scheduled latency by block ID: at least 1 for a
+	// region block, 0 for any other.
+	blockLen []int64
 
 	// MaxBlocksPerInvocation guards against runaway clusters.
 	MaxBlocks int64
+}
+
+// opState is one op's row of the core's runtime table.
+type opState struct {
+	placed bool    // scheduled on the datapath or a buffer port (consts and branches are not)
+	mem    bool    // runs on a buffer port
+	dur    float64 // placement duration in control steps
+	// activeE is the energy per active cycle of the datapath resource
+	// the op runs on.
+	activeE float64
+	// prevA and prevB are the operand values the op last saw; they
+	// persist across invocations like the datapath's registers do.
+	prevA, prevB int32
 }
 
 type varSpan struct {
@@ -125,11 +133,20 @@ func NewCore(id int, p *cdfg.Program, r *cdfg.Region, b *Binding, lay *codegen.L
 		})
 		return spans, err
 	}
+	// Only the live sets are charged as transfers: their word counts.
+	wordsOf := func(s dataflow.BitSet) (int, error) {
+		spans, err := spansOf(s)
+		n := 0
+		for _, sp := range spans {
+			n += int(sp.words)
+		}
+		return n, err
+	}
 	var err error
-	if c.liveIn, err = spansOf(use); err != nil {
+	if c.inWords, err = wordsOf(use); err != nil {
 		return nil, err
 	}
-	if c.liveOut, err = spansOf(liveOut); err != nil {
+	if c.outWords, err = wordsOf(liveOut); err != nil {
 		return nil, err
 	}
 	if c.genAll, err = spansOf(gen); err != nil {
@@ -141,11 +158,9 @@ func NewCore(id int, p *cdfg.Program, r *cdfg.Region, b *Binding, lay *codegen.L
 	if c.touched, err = spansOf(gen); err != nil {
 		return nil, err
 	}
-	exit, err := findExit(r)
-	if err != nil {
+	if c.exitBlock, err = r.Exit(); err != nil {
 		return nil, err
 	}
-	c.exitBlock = exit
 	c.buildTables(gen)
 	return c, nil
 }
@@ -154,7 +169,6 @@ func NewCore(id int, p *cdfg.Program, r *cdfg.Region, b *Binding, lay *codegen.L
 func (c *Core) buildTables(touched dataflow.BitSet) {
 	f := c.Region.Func
 	c.scalars = make([]int32, c.ix.Len())
-	c.temps = make([]int32, len(f.Locals))
 	c.arrays = make([][]int32, c.ix.Len())
 	for _, sp := range c.touched {
 		if sp.array {
@@ -192,16 +206,8 @@ func (c *Core) buildTables(touched dataflow.BitSet) {
 			}
 		}
 	}
-	c.prevA = make([]int32, maxOp+1)
-	c.prevB = make([]int32, maxOp+1)
-	c.placements = make([]Placement, maxOp+1)
-	c.placedOK = make([]bool, maxOp+1)
-	c.activeE = make([]float64, maxOp+1)
+	c.ops = make([]opState, maxOp+1)
 	c.blockLen = make([]int64, maxBlock+1)
-	c.inRegion = make([]bool, maxBlock+1)
-	for _, bid := range c.Region.Blocks {
-		c.inRegion[bid] = true
-	}
 	// The schedule has one block per region block, so every block and op
 	// ID below is in range.
 	k := 0
@@ -210,10 +216,10 @@ func (c *Core) buildTables(touched dataflow.BitSet) {
 		for i := range bs.Ops {
 			p := &bs.Ops[i]
 			pl := c.Binding.PlacementAt(k, p)
-			c.placements[p.Op.ID] = pl
-			c.placedOK[p.Op.ID] = true
+			o := &c.ops[p.Op.ID]
+			o.placed, o.mem, o.dur = true, pl.Mem, float64(pl.Dur)
 			if !pl.Mem {
-				c.activeE[p.Op.ID] = float64(c.lib.Resource(pl.Kind).EnergyPerActiveCycle())
+				o.activeE = float64(c.lib.Resource(pl.Kind).EnergyPerActiveCycle())
 			}
 			k++
 		}
@@ -236,29 +242,6 @@ func (c *Core) spanOf(slot int) (varSpan, error) {
 	return varSpan{slot: slot, addr: addr, words: words, array: v.IsArray()}, nil
 }
 
-// findExit locates the unique block outside the region reached from it.
-func findExit(r *cdfg.Region) (int, error) {
-	inside := make(map[int]bool, len(r.Blocks))
-	for _, bid := range r.Blocks {
-		inside[bid] = true
-	}
-	exit := -1
-	for _, bid := range r.Blocks {
-		for _, s := range r.Func.Block(bid).Succs() {
-			if !inside[s] {
-				if exit != -1 && exit != s {
-					return 0, fmt.Errorf("asic: region %s has multiple exits", r.Label)
-				}
-				exit = s
-			}
-		}
-	}
-	if exit == -1 {
-		return 0, fmt.Errorf("asic: region %s has no exit", r.Label)
-	}
-	return exit, nil
-}
-
 // RunASIC implements iss.ASICHandler: one cluster invocation on the shared
 // memory. It returns the µP-clock cycles the system waits.
 //
@@ -273,9 +256,6 @@ func (c *Core) RunASIC(id int32, shared []int32) (int64, error) {
 	// read as zero, temporaries start cold.
 	for i := range c.scalars {
 		c.scalars[i] = 0
-	}
-	for i := range c.temps {
-		c.temps[i] = 0
 	}
 	for _, slot := range c.deadArrays {
 		buf := c.arrays[slot]
@@ -293,13 +273,9 @@ func (c *Core) RunASIC(id int32, shared []int32) (int64, error) {
 		}
 	}
 	var transferStall int64
-	inWords := 0
-	for _, sp := range c.liveIn {
-		inWords += int(sp.words)
-	}
-	c.WordsIn += int64(inWords)
-	c.bus.Read(inWords)
-	transferStall += int64(c.mem.Read(inWords))
+	c.WordsIn += int64(c.inWords)
+	c.bus.Read(c.inWords)
+	transferStall += int64(c.mem.Read(c.inWords))
 
 	// Execute the cluster on the datapath.
 	cycles, energy, err := c.execute()
@@ -318,13 +294,9 @@ func (c *Core) RunASIC(id int32, shared []int32) (int64, error) {
 			shared[sp.addr] = c.scalars[sp.slot]
 		}
 	}
-	outWords := 0
-	for _, sp := range c.liveOut {
-		outWords += int(sp.words)
-	}
-	c.WordsOut += int64(outWords)
-	c.bus.Write(outWords)
-	transferStall += int64(c.mem.Write(outWords))
+	c.WordsOut += int64(c.outWords)
+	c.bus.Write(c.outWords)
+	transferStall += int64(c.mem.Write(c.outWords))
 
 	// Convert core cycles to system (µP) cycles.
 	mups := int64(float64(cycles)*float64(c.Binding.Clock)/float64(c.microClock)) + 1
@@ -341,35 +313,28 @@ func (c *Core) readOperand(o cdfg.Operand) int32 {
 }
 
 func (c *Core) readSlot(r cdfg.VarRef) int32 {
-	if !r.Global && c.ix.IsTemp(c.ix.NumGlobals()+r.ID) {
-		return c.temps[r.ID]
-	}
 	return c.scalars[c.ix.IndexOf(dataflow.Key{Global: r.Global, ID: r.ID})]
 }
 
 func (c *Core) writeSlot(r cdfg.VarRef, v int32) {
-	if !r.Global && c.ix.IsTemp(c.ix.NumGlobals()+r.ID) {
-		c.temps[r.ID] = v
-		return
-	}
 	c.scalars[c.ix.IndexOf(dataflow.Key{Global: r.Global, ID: r.ID})] = v
 }
 
 // opEnergy charges one datapath operation with activity-scaled switching
 // energy: E = E_active_cycle(kind) × dur × (0.25 + 0.75 × toggle rate).
 func (c *Core) opEnergy(op *cdfg.Op, a, b int32) units.Energy {
-	if !c.placedOK[op.ID] {
+	o := &c.ops[op.ID]
+	if !o.placed {
 		return 0 // consts, branches: wiring and FSM, charged per cycle
 	}
-	pl := &c.placements[op.ID]
-	if pl.Mem {
+	if o.mem {
 		return c.lib.EBufferAccess
 	}
-	tglA := float64(bits.OnesCount32(uint32(c.prevA[op.ID]^a))) / 32
-	tglB := float64(bits.OnesCount32(uint32(c.prevB[op.ID]^b))) / 32
-	c.prevA[op.ID], c.prevB[op.ID] = a, b
+	tglA := float64(bits.OnesCount32(uint32(o.prevA^a))) / 32
+	tglB := float64(bits.OnesCount32(uint32(o.prevB^b))) / 32
+	o.prevA, o.prevB = a, b
 	act := 0.25 + 0.75*(tglA+tglB)/2
-	return units.Energy(float64(pl.Dur) * act * c.activeE[op.ID])
+	return units.Energy(o.dur * act * o.activeE)
 }
 
 // execute runs the region's blocks until control leaves for the exit
@@ -391,7 +356,7 @@ func (c *Core) execute() (cycles int64, energy units.Energy, err error) {
 	blockID := c.Region.Entry
 	var blocksRun int64
 	for {
-		if blockID >= len(c.inRegion) || !c.inRegion[blockID] {
+		if blockID >= len(c.blockLen) || c.blockLen[blockID] == 0 {
 			if blockID != c.exitBlock {
 				return 0, 0, fmt.Errorf("asic: control left region %s via unexpected block b%d", //lint:alloc error path, aborts the run
 					c.Region.Label, blockID)

@@ -75,6 +75,51 @@ func (r *Region) Contains(id int) bool {
 	return false
 }
 
+// Exit returns the unique block outside the region that a region block
+// branches to: where control goes when the cluster finishes. The DSL has
+// no break or continue, so a region without returns has exactly one exit;
+// a function body has none.
+func (r *Region) Exit() (int, error) {
+	inside := make([]bool, len(r.Func.Blocks))
+	for _, bid := range r.Blocks {
+		inside[bid] = true
+	}
+	exit := -1
+	for _, bid := range r.Blocks {
+		for _, s := range r.Func.Block(bid).Succs() {
+			if inside[s] || s == exit {
+				continue
+			}
+			if exit != -1 {
+				return 0, fmt.Errorf("cdfg: region %s has multiple exits (b%d, b%d)", r.Label, exit, s)
+			}
+			exit = s
+		}
+	}
+	if exit == -1 {
+		return 0, fmt.Errorf("cdfg: region %s has no exit", r.Label)
+	}
+	return exit, nil
+}
+
+// Overlaps reports whether two regions share blocks, so that they cannot
+// both move to hardware. The region tree is laminar (a child's blocks lie
+// inside its parent's, siblings share none; Verify checks both), so two
+// regions overlap exactly when one is the other or its ancestor.
+func (r *Region) Overlaps(o *Region) bool {
+	return r.encloses(o) || o.encloses(r)
+}
+
+// encloses reports whether r is o or one of its ancestors.
+func (r *Region) encloses(o *Region) bool {
+	for ; o != nil; o = o.Parent {
+		if o == r {
+			return true
+		}
+	}
+	return false
+}
+
 // Ops returns pointers to every operation in the region, in block order.
 // The slab is built once per region and cached; callers must not modify
 // the returned slice. Ops is safe for concurrent use.

@@ -40,15 +40,23 @@ import (
 	"lppart/internal/isa"
 )
 
+// The default memory map, shared with the system model so that a program
+// compiled on its own sees the map it was evaluated under.
+const (
+	DefaultMemWords   = 1 << 20
+	DefaultStackWords = 1 << 14
+)
+
 // Options configures compilation.
 type Options struct {
 	// Exclude maps cdfg region IDs to ASIC core ids. Each excluded
 	// region is replaced by one ASIC instruction.
 	Exclude map[int]int
-	// MemWords sets the data memory size in 32-bit words (default 1Mi).
+	// MemWords sets the data memory size in 32-bit words
+	// (DefaultMemWords when 0).
 	MemWords int
-	// StackWords reserves stack space at the top of memory (default
-	// 64Ki); only recursive functions consume it.
+	// StackWords reserves stack space at the top of memory
+	// (DefaultStackWords when 0); only recursive functions consume it.
 	StackWords int
 }
 
@@ -101,10 +109,10 @@ func (l *Layout) VarAddr(p *cdfg.Program, fn string, global bool, id int) (addr,
 // system model (ASIC data exchange) and by differential tests.
 func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 	if opts.MemWords == 0 {
-		opts.MemWords = 1 << 20
+		opts.MemWords = DefaultMemWords
 	}
 	if opts.StackWords == 0 {
-		opts.StackWords = 1 << 16
+		opts.StackWords = DefaultStackWords
 	}
 	lay := &Layout{
 		StaticBase: make(map[string][]int32),
@@ -540,7 +548,10 @@ func (c *compiler) compileFunc(fi int, f *cdfg.Function) error {
 			if fx.recursive {
 				return fmt.Errorf("codegen: cannot exclude region %s of recursive function %s", r.Label, f.Name)
 			}
-			exit, err := regionExit(f, r)
+			if r.HasReturns() {
+				return fmt.Errorf("codegen: region %s contains a return", r.Label)
+			}
+			exit, err := r.Exit()
 			if err != nil {
 				return err
 			}
@@ -660,34 +671,6 @@ func innermostRegions(f *cdfg.Function) []int {
 		}
 	})
 	return out
-}
-
-// regionExit finds the unique block outside the region that control
-// reaches from inside it.
-func regionExit(f *cdfg.Function, r *cdfg.Region) (int, error) {
-	inside := make(map[int]bool, len(r.Blocks))
-	for _, bid := range r.Blocks {
-		inside[bid] = true
-	}
-	exit := -1
-	for _, bid := range r.Blocks {
-		for _, s := range f.Block(bid).Succs() {
-			if inside[s] {
-				continue
-			}
-			if exit != -1 && exit != s {
-				return 0, fmt.Errorf("codegen: region %s has multiple exits (b%d, b%d)", r.Label, exit, s)
-			}
-			exit = s
-		}
-		if t := f.Block(bid).Terminator(); t != nil && t.Code == cdfg.Ret {
-			return 0, fmt.Errorf("codegen: region %s contains a return", r.Label)
-		}
-	}
-	if exit == -1 {
-		return 0, fmt.Errorf("codegen: region %s has no exit", r.Label)
-	}
-	return exit, nil
 }
 
 // --- per-block register allocation -----------------------------------

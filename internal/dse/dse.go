@@ -464,7 +464,7 @@ func searchGeometry(ctx context.Context, grid *Grid, pcfg partition.Config, gbas
 	}
 	overlapsPath := func(r *cdfg.Region) bool {
 		for _, el := range path {
-			if partition.RegionsOverlap(pool[el.j].Region, r) {
+			if pool[el.j].Region.Overlaps(r) {
 				return true
 			}
 		}

@@ -20,7 +20,8 @@ type Grid struct {
 	// and matches what the greedy loop could ever select.
 	Viable [][]int
 	// Conflicts[j] is the bitmask of pool indices whose regions overlap
-	// Pool[j]'s; picking both is infeasible. Nil for pools above 64
+	// Pool[j]'s (cdfg.Region.Overlaps: one region is the other or its
+	// ancestor); picking both is infeasible. Nil for pools above 64
 	// clusters, which the masks cannot index.
 	Conflicts []uint64
 }
@@ -55,7 +56,7 @@ func NewGrid(pe *partition.Evaluator, base *partition.Baseline) (*Grid, error) {
 		g.Conflicts = make([]uint64, len(pool))
 		for a := range pool {
 			for b := a + 1; b < len(pool); b++ {
-				if partition.RegionsOverlap(pool[a].Region, pool[b].Region) {
+				if pool[a].Region.Overlaps(pool[b].Region) {
 					g.Conflicts[a] |= 1 << uint(b)
 					g.Conflicts[b] |= 1 << uint(a)
 				}

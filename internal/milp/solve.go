@@ -24,10 +24,6 @@ type Config struct {
 	// Certificate records the bound trail — every expanded and pruned
 	// node — so Check can replay the proof with no trust in the solver.
 	Certificate bool
-	// NodeLimit aborts branch-and-bound after this many priced
-	// configurations (0: unlimited). A limited solve returns the best
-	// incumbent with Stats.Proven=false and no certificate.
-	NodeLimit int64
 	// OnProgress, when set, is called after each geometry finishes with
 	// (completed, total) counts. It may be called concurrently.
 	OnProgress func(done, total int)
@@ -48,12 +44,11 @@ type SolveStats struct {
 	Nodes    int64 `json:"nodes"`    // configurations priced (search-tree nodes)
 	Expanded int64 `json:"expanded"` // nodes whose children were generated
 	Pruned   int64 `json:"pruned"`   // subtrees cut by the relaxation bound
-	// Proven reports a completed proof: OF is the global minimum. False
-	// only when NodeLimit or cancellation stopped the search early.
+	// Proven reports a completed proof: OF is the global minimum. Every
+	// returned solve runs to completion (a cancelled one returns an
+	// error instead), so it is always true.
 	Proven bool `json:"proven"`
-	// Bound is the certified global lower bound: equal to OF when
-	// Proven, else the smallest open-node bound at abort (OF − Bound is
-	// the residual optimality gap).
+	// Bound is the certified global lower bound, always equal to OF.
 	Bound float64 `json:"bound"`
 }
 
@@ -230,9 +225,8 @@ func (ws *workspace) down(i, n int) {
 }
 
 // SolveInstance runs the serial best-first branch-and-bound to the
-// provable minimum of one instance (or to Config.NodeLimit). Only
-// cfg.Certificate and cfg.NodeLimit are read here; fan-out and MaxHW
-// belong to the instance/driver.
+// provable minimum of one instance. Only cfg.Certificate is read here;
+// fan-out and MaxHW belong to the instance/driver.
 //
 //lint:hotpath the best-first expansion loop; allocates per solve, not per node
 func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, error) {
@@ -274,7 +268,6 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 	root := node{parent: -1}
 	consider(&root)
 
-	limited := false
 	for len(ws.open) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -296,13 +289,6 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 					ws.record(pn, pn.bound, true)
 				}
 			}
-			break
-		}
-		if cfg.NodeLimit > 0 && st.Nodes >= cfg.NodeLimit {
-			// Aborted: report the residual gap, drop the (incomplete)
-			// certificate.
-			limited = true
-			st.Bound = nd.bound
 			break
 		}
 		st.Expanded++
@@ -334,10 +320,7 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			}
 		}
 	}
-	st.Proven = !limited
-	if st.Proven {
-		st.Bound = bestOF
-	}
+	st.Proven, st.Bound = true, bestOF
 
 	f := in.replay(ws.best)
 	e, c, g := in.point(f)
@@ -362,7 +345,7 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			}
 		}
 	}
-	if rec && st.Proven {
+	if rec {
 		opt.Cert = ws.certificate(in.App, maxPicks, bestOF, st.Nodes)
 	}
 	return opt, nil

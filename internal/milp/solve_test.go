@@ -112,32 +112,6 @@ func TestCheckRejectsForgery(t *testing.T) {
 	}
 }
 
-// TestNodeLimit: an aborted solve must say so — Proven false, a bound
-// below or at the incumbent, and no certificate.
-func TestNodeLimit(t *testing.T) {
-	in := trapInstance()
-	opt, err := SolveInstance(context.Background(), in, Config{Certificate: true, NodeLimit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.Stats.Proven {
-		t.Fatal("limited solve claims a proof")
-	}
-	if opt.Cert != nil {
-		t.Fatal("limited solve emitted a certificate")
-	}
-	if opt.Stats.Bound > opt.OF {
-		t.Fatalf("reported bound %v above incumbent %v", opt.Stats.Bound, opt.OF)
-	}
-	full, err := SolveInstance(context.Background(), in, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.OF < opt.Stats.Bound {
-		t.Fatalf("true optimum %v below the reported bound %v", full.OF, opt.Stats.Bound)
-	}
-}
-
 // TestBoundAdmissibleOnTrap: the relaxation at the root must not exceed
 // the true optimum.
 func TestBoundAdmissibleOnTrap(t *testing.T) {

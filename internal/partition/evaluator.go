@@ -240,22 +240,3 @@ func (e *Evaluator) MemoStats() MemoStats {
 	s.Pairs = len(e.pairs)
 	return s
 }
-
-// RegionsOverlap reports whether two clusters share basic blocks: nested
-// or identical regions cannot both move to hardware, so any design-space
-// search must exclude overlapping pairs from one configuration.
-func RegionsOverlap(a, b *cdfg.Region) bool {
-	if a.Func != b.Func {
-		return false
-	}
-	// Regions hold a handful of blocks, and the branch-and-bound DFS calls
-	// this per candidate: a direct scan beats building a throwaway set.
-	for _, bid := range b.Blocks {
-		for _, aid := range a.Blocks {
-			if aid == bid {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -244,11 +244,11 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *cdfg.Profile, base
 	// only on (cluster, resource set), so rounds >= 2 re-run only the
 	// baseline-dependent price tail.
 	round := *base
-	inHW := make(map[int]bool) // region IDs already in hardware
+	inHW := make(map[int]bool) // region IDs already in hardware, for the synergy flags
 	for core := 0; core < cfg.MaxCores; core++ {
 		var best *Choice
 		for _, c := range pool {
-			if overlapsChosen(c.Region, inHW, p) {
+			if overlapsChosen(c.Region, dec.Choices) {
 				continue
 			}
 			prev, next := siblings(c.Region)
@@ -295,14 +295,11 @@ func PartitionCtx(ctx context.Context, p *cdfg.Program, prof *cdfg.Profile, base
 	return dec, nil
 }
 
-// overlapsChosen reports whether r shares blocks with any already-chosen
-// region (nested or identical clusters cannot both move to hardware).
-func overlapsChosen(r *cdfg.Region, inHW map[int]bool, p *cdfg.Program) bool {
-	if len(inHW) == 0 {
-		return false
-	}
-	for _, other := range p.Regions() {
-		if inHW[other.ID] && RegionsOverlap(other, r) {
+// overlapsChosen reports whether r overlaps a cluster already chosen
+// (nested or identical clusters cannot both move to hardware).
+func overlapsChosen(r *cdfg.Region, chosen []*Choice) bool {
+	for _, ch := range chosen {
+		if ch.Region.Overlaps(r) {
 			return true
 		}
 	}
@@ -337,16 +334,8 @@ func ineligible(p *cdfg.Program, prof *cdfg.Profile, r *cdfg.Region) string {
 // from outside): the execution count of its unique exit block, which runs
 // once per completed invocation.
 func invocationsOf(prof *cdfg.Profile, r *cdfg.Region) int64 {
-	inside := make(map[int]bool, len(r.Blocks))
-	for _, bid := range r.Blocks {
-		inside[bid] = true
-	}
-	for _, bid := range r.Blocks {
-		for _, s := range r.Func.Block(bid).Succs() {
-			if !inside[s] {
-				return prof.BlockCount(r.Func, s)
-			}
-		}
+	if exit, err := r.Exit(); err == nil {
+		return prof.BlockCount(r.Func, exit)
 	}
 	return prof.RegionEntries(r)
 }

@@ -73,7 +73,8 @@ type Config struct {
 	MaxJobs int
 	// Store, when non-nil, persistently backs the result cache:
 	// successful (200) bodies and the measurement records of partition
-	// misses and explore/exact jobs are written through to the
+	// misses, explore/exact jobs and cold sweeps (which write the record
+	// but never read it) are written through to the
 	// content-addressed store and replayed verbatim on a hit, so a
 	// restarted daemon — or another node opening the directory
 	// read-only — answers previously-computed requests byte-identically

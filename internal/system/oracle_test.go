@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"lppart/internal/apps"
 	"lppart/internal/behav"
 	"lppart/internal/cdfg"
 	"lppart/internal/codegen"
@@ -222,5 +223,146 @@ func TestFaultOracle(t *testing.T) {
 		if seen[k] < 5 {
 			t.Errorf("only %d cases of %s", seen[k], k)
 		}
+	}
+}
+
+// nestProgram generates a program of randomly nested loops, whiles and
+// if/else chains in several functions, some with returns deep inside: a
+// region tree far deeper and more varied than faultProgram's.
+func nestProgram(rng *rand.Rand) string {
+	var stmts func(depth int) string
+	stmts = func(depth int) string {
+		var b strings.Builder
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			k := rng.Intn(8)
+			if depth >= 4 {
+				k = 0
+			}
+			switch k {
+			case 0, 1:
+				fmt.Fprintf(&b, "t = t + g[%d] * i; ", rng.Intn(8))
+			case 2:
+				fmt.Fprintf(&b, "for i = 0; i < %d; i = i + 1 { %s} ", 1+rng.Intn(4), stmts(depth+1))
+			case 3:
+				fmt.Fprintf(&b, "while j < %d { j = j + 1; %s} ", 1+rng.Intn(4), stmts(depth+1))
+			case 4:
+				fmt.Fprintf(&b, "if t > %d { %s} ", rng.Intn(9), stmts(depth+1))
+			case 5:
+				fmt.Fprintf(&b, "if t < %d { %s} else { %s} ", rng.Intn(9), stmts(depth+1), stmts(depth+1))
+			case 6:
+				fmt.Fprintf(&b, "if t == %d { %s} else if j > %d { %s} ", rng.Intn(9), stmts(depth+1), rng.Intn(5), stmts(depth+1))
+			case 7:
+				if rng.Intn(3) == 0 {
+					b.WriteString("return t; ")
+				} else {
+					b.WriteString("s = s + t; ")
+				}
+			}
+		}
+		return b.String()
+	}
+	var b strings.Builder
+	b.WriteString("var g[8]; var s;\n")
+	nf := 1 + rng.Intn(3)
+	for f := 0; f < nf; f++ {
+		fmt.Fprintf(&b, "func f%d(t) { var i; var j; %sreturn t; }\n", f, stmts(0))
+	}
+	b.WriteString("func main() { var i; var j; var t; ")
+	for f := 0; f < nf; f++ {
+		fmt.Fprintf(&b, "t = t + f%d(%d); ", f, f)
+	}
+	fmt.Fprintf(&b, "%ss = t; }\n", stmts(0))
+	return b.String()
+}
+
+// TestRegionModelOracle checks the cluster model's two tree answers
+// against block scans over every region (pair) of the six applications
+// and of generated programs: Overlaps must equal "the two regions share a
+// block", and Exit must equal the first successor outside the region
+// wherever that is the only one (and fail wherever it is not).
+func TestRegionModelOracle(t *testing.T) {
+	var progs []*cdfg.Program
+	for _, a := range apps.All() {
+		ir, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, ir)
+	}
+	rng := rand.New(rand.NewSource(30))
+	var srcs []string
+	for i := 0; i < 150; i++ {
+		srcs = append(srcs, faultProgram(rng), nestProgram(rng))
+	}
+	for i, src := range srcs {
+		ir, err := cdfg.Build(behav.MustParse("regions", src))
+		if err != nil {
+			t.Fatalf("program %d: %v\n%s", i, err, src)
+		}
+		progs = append(progs, ir)
+	}
+
+	shareBlock := func(a, b *cdfg.Region) bool {
+		if a.Func != b.Func {
+			return false
+		}
+		for _, x := range a.Blocks {
+			if b.Contains(x) {
+				return true
+			}
+		}
+		return false
+	}
+	// scanExit is the successor search Exit replaced.
+	scanExit := func(r *cdfg.Region) (exit int, unique bool) {
+		exit = -1
+		for _, bid := range r.Blocks {
+			for _, s := range r.Func.Block(bid).Succs() {
+				if r.Contains(s) {
+					continue
+				}
+				if exit != -1 && exit != s {
+					return exit, false
+				}
+				exit = s
+			}
+		}
+		return exit, exit != -1
+	}
+
+	var pairs, overlapping, exits, returns, maxDepth int
+	for pi, ir := range progs {
+		regions := ir.Regions()
+		for _, a := range regions {
+			maxDepth = max(maxDepth, a.Depth())
+			want, unique := scanExit(a)
+			got, err := a.Exit()
+			switch {
+			case unique && (err != nil || got != want):
+				t.Fatalf("program %d %s: Exit() = %d, %v; the scan finds b%d", pi, a.Label, got, err, want)
+			case !unique && err == nil:
+				t.Fatalf("program %d %s: Exit() = b%d, but the scan finds no unique exit", pi, a.Label, got)
+			case unique:
+				exits++
+			}
+			if a.Kind != cdfg.RegionFunc && a.HasReturns() {
+				returns++
+			}
+			for _, b := range regions {
+				pairs++
+				if a.Overlaps(b) != shareBlock(a, b) {
+					t.Fatalf("program %d: %s.Overlaps(%s) = %v, block scan says %v",
+						pi, a.Label, b.Label, a.Overlaps(b), shareBlock(a, b))
+				}
+				if a.Overlaps(b) {
+					overlapping++
+				}
+			}
+		}
+	}
+	t.Logf("%d programs, %d region pairs (%d overlapping), %d unique exits, %d loops or ifs with returns, depth up to %d",
+		len(progs), pairs, overlapping, exits, returns, maxDepth)
+	if overlapping*4 > pairs*3 || returns == 0 || maxDepth < 4 {
+		t.Error("the corpus does not exercise the region model: too few disjoint pairs, returns or deep nests")
 	}
 }

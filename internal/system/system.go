@@ -36,7 +36,8 @@ type Config struct {
 	Part partition.Config
 	// ICache/DCache geometries; zero values select the defaults.
 	ICache, DCache cache.Config
-	// MemWords/StackWords size the µP's memory map.
+	// MemWords/StackWords size the µP's memory map; zero values select
+	// codegen's defaults.
 	MemWords, StackWords int
 	// MaxInstrs bounds the ISS runs (500M instructions when 0). It also
 	// sets the IR step limit, 200M when 0, which the ISS enforces over
@@ -65,10 +66,10 @@ func (c *Config) defaults() {
 		c.DCache = cache.DefaultDCache()
 	}
 	if c.MemWords == 0 {
-		c.MemWords = 1 << 20
+		c.MemWords = codegen.DefaultMemWords
 	}
 	if c.StackWords == 0 {
-		c.StackWords = 1 << 14
+		c.StackWords = codegen.DefaultStackWords
 	}
 	if c.Part.Lib == nil {
 		c.Part.Lib = tech.Default()

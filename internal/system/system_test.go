@@ -80,6 +80,29 @@ func main() {
 	}
 }
 
+// TestDefaultMemoryMapMatchesCodegen: a program evaluated under the
+// default Config must also compile under codegen's default Options (as
+// lppart -listing does), so both must default to one memory map. Static
+// data this large fits beside the system's stack but not beside a larger
+// one.
+func TestDefaultMemoryMapMatchesCodegen(t *testing.T) {
+	src := behav.MustParse("big", `
+var big[1000000]; var total;
+func main() {
+	var i;
+	for i = 0; i < 8; i = i + 1 { big[i] = i * 3; }
+	for i = 0; i < 8; i = i + 1 { total = total + big[i]; }
+}
+`)
+	ev, err := Evaluate(src, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := codegen.Compile(ev.IR, codegen.Options{}); err != nil {
+		t.Fatalf("evaluated program does not compile under codegen's defaults: %v", err)
+	}
+}
+
 func TestTable1AllAppsPartitioned(t *testing.T) {
 	evals := evaluateAll(t)
 	for name, ev := range evals {
