@@ -12,7 +12,8 @@
 // /v1/explore and POST /v1/exact jobs keep each program's F-independent
 // measurement (profile, initial ISS run; for jobs also the cache sweep)
 // in the same LRU and -store, so only the first request or job on a
-// program measures it. A cold sweep writes the measurement record too,
+// program measures it; requests and jobs that arrive while it measures
+// wait for its record. A cold sweep writes the measurement record too,
 // for later partition misses and jobs, but never reads it: a sweep
 // always runs its one ISS pass, which profiles every geometry.
 //

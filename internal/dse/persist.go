@@ -152,8 +152,10 @@ func loadMeasurement(st system.Store, fp [32]byte, pairs [][2]cache.Config, sys 
 
 // storeMeasurement persists the freshly measured phase. Write errors are
 // swallowed: persistence is an accelerator, not a correctness dependency
-// (and the store may legitimately be opened read-only).
+// (and the store may legitimately be opened read-only). The sweep record
+// goes first, so a reader that finds the measurement record, which
+// loadMeasurement reads first, finds the sweep record too.
 func storeMeasurement(st system.Store, fp [32]byte, pairs [][2]cache.Config, m *measurement) {
-	_ = st.Put(system.MeasureKey(fp), system.EncodeMeasurement(m.Measurement)) //lint:err persistence is best-effort (see doc comment)
 	_ = st.Put(sweepKey(fp, pairs), encodeReports(m.reps))                     //lint:err persistence is best-effort (see doc comment)
+	_ = st.Put(system.MeasureKey(fp), system.EncodeMeasurement(m.Measurement)) //lint:err persistence is best-effort (see doc comment)
 }

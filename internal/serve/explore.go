@@ -342,8 +342,11 @@ func (s *Server) runJob(ctx context.Context, cancel context.CancelFunc, k *jobKi
 	in.cfg.Sys.MaxInstrs = s.cfg.MaxInstrs
 	// F and the other partitioning knobs do not enter the measurement,
 	// so every job on the same program replays it from the server's
-	// tiers after the first (verify jobs still measure live).
-	in.cfg.Store = measureTier{s}
+	// tiers after the first, waiting for it while it runs (verify jobs
+	// still measure live).
+	tier := s.newMeasureTier(ctx)
+	defer tier.done()
+	in.cfg.Store = tier
 	body, err := k.run(ctx, in, func(done, total int) { s.jobs.Progress(id, done, total) })
 	switch {
 	case err == nil:

@@ -92,10 +92,7 @@ func runJobBody(t testing.TB, base, kind, req string) json.RawMessage {
 	if jb.State != "done" {
 		t.Fatalf("%s %s: job %s: %s", kind, req, jb.State, jb.Error)
 	}
-	if kind == "exact" {
-		return jb.Exact
-	}
-	return jb.Frontier
+	return jobResultField(kind, jb)
 }
 
 // exploreReq is a small two-geometry exploration, fast enough to run to

@@ -90,14 +90,16 @@ func NewStore(max int) *Store {
 }
 
 // Create returns the job for the canonical key, creating one of the
-// given kind when none exists. created reports whether the caller owns
-// the computation (and must eventually call Finish or Fail); on dedupe
-// the passed cancel is NOT retained and the existing job's snapshot is
-// returned. A full table of unfinished jobs returns ErrFull.
+// given kind when none exists or the existing one failed. created
+// reports whether the caller owns the computation (and must eventually
+// call Finish or Fail); on dedupe the passed cancel is NOT retained and
+// the existing job's snapshot is returned. A failed job stays readable
+// under its own ID but no longer answers for its key. A full table of
+// unfinished jobs returns ErrFull.
 func (s *Store) Create(kind, key string, cancel context.CancelFunc) (Snapshot, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if id, ok := s.byKey[key]; ok {
+	if id, ok := s.byKey[key]; ok && s.jobs[id].snap.State != Failed {
 		return s.jobs[id].snap, false, nil
 	}
 	if len(s.jobs) >= s.max && !s.evictFinishedLocked() {
@@ -130,14 +132,17 @@ func (s *Store) evictFinishedLocked() bool {
 }
 
 // removeLocked drops a job from the maps and state counts (not from
-// order; callers own that slice's compaction).
+// order; callers own that slice's compaction). The key stays mapped when
+// a later job for it has taken over.
 func (s *Store) removeLocked(id string) {
 	j, ok := s.jobs[id]
 	if !ok {
 		return
 	}
 	delete(s.jobs, id)
-	delete(s.byKey, j.snap.Key)
+	if s.byKey[j.snap.Key] == id {
+		delete(s.byKey, j.snap.Key)
+	}
 	s.count[j.snap.State]--
 }
 

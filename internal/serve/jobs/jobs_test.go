@@ -53,6 +53,33 @@ func TestDedupeByKey(t *testing.T) {
 	}
 }
 
+// TestFailedJobDoesNotDedupe: a failed job (shed, timed out, canceled)
+// no longer answers for its key, so the same request creates a new job;
+// the failed one stays readable under its own ID, and evicting it keeps
+// the new job mapped.
+func TestFailedJobDoesNotDedupe(t *testing.T) {
+	s := NewStore(2)
+	a, _, _ := s.Create("explore", "k", nil)
+	s.Fail(a.ID, "queue full")
+	b, created, err := s.Create("explore", "k", nil)
+	if err != nil || !created || b.ID == a.ID {
+		t.Fatalf("Create after a failure: created=%v err=%v id=%s (failed job %s)", created, err, b.ID, a.ID)
+	}
+	if got, ok := s.Get(a.ID); !ok || got.State != Failed || got.Error != "queue full" {
+		t.Fatalf("failed job after a new Create: ok=%v %+v", ok, got)
+	}
+	// A full table evicts the failed job, the oldest terminal one.
+	if _, created, err := s.Create("explore", "x", nil); err != nil || !created {
+		t.Fatalf("Create into a table holding a failed job: created=%v err=%v", created, err)
+	}
+	if _, ok := s.Get(a.ID); ok {
+		t.Fatal("failed job survived eviction")
+	}
+	if c, created, _ := s.Create("explore", "k", nil); created || c.ID != b.ID {
+		t.Fatalf("Create after evicting the failed job: created=%v id=%s, want dedupe onto %s", created, c.ID, b.ID)
+	}
+}
+
 func TestFullTableAndEviction(t *testing.T) {
 	s := NewStore(2)
 	a, _, _ := s.Create("explore", "a", nil)

@@ -2,12 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"lppart/internal/apps"
 	"lppart/internal/memostore"
@@ -141,30 +144,280 @@ func TestJobMeasurementConcurrent(t *testing.T) {
 }
 
 // runAppJobs posts every application's job of each kind at F f, then
-// polls them all to completion.
-func runAppJobs(tb testing.TB, base string, kinds []string, f float64) {
+// polls them all to completion and returns their result fields in
+// (application, kind) order.
+func runAppJobs(tb testing.TB, base string, kinds []string, f float64) []json.RawMessage {
 	tb.Helper()
 	type job struct{ kind, id string }
 	var posted []job
 	for _, a := range apps.All() {
 		req := fmt.Sprintf(`{"app":%q,"f":%v}`, a.Name, f)
 		for _, kind := range kinds {
-			st, b, _ := post(tb, base+"/v1/"+kind, req)
-			if st != http.StatusAccepted {
-				tb.Fatalf("POST /v1/%s %s: status %d: %s", kind, req, st, b)
-			}
-			posted = append(posted, job{kind, decodeJob(tb, b).JobID})
+			posted = append(posted, job{kind, postJob(tb, base, kind, req)})
 		}
 	}
+	var bodies []json.RawMessage
 	for _, j := range posted {
-		if jb := pollJobAt(tb, base+"/v1/"+j.kind+"/", j.id); jb.State != "done" {
+		jb := pollJobAt(tb, base+"/v1/"+j.kind+"/", j.id)
+		if jb.State != "done" {
 			tb.Fatalf("%s job %s: %s: %s", j.kind, j.id, jb.State, jb.Error)
+		}
+		bodies = append(bodies, jobResultField(j.kind, jb))
+	}
+	return bodies
+}
+
+// postJob posts one job, requires a 202 and returns the job's ID.
+func postJob(tb testing.TB, base, kind, req string) string {
+	tb.Helper()
+	st, b, _ := post(tb, base+"/v1/"+kind, req)
+	if st != http.StatusAccepted {
+		tb.Fatalf("POST /v1/%s %s: status %d: %s", kind, req, st, b)
+	}
+	return decodeJob(tb, b).JobID
+}
+
+// jobResultField returns a finished job's result field for its kind.
+func jobResultField(kind string, jb *JobBody) json.RawMessage {
+	if kind == "exact" {
+		return jb.Exact
+	}
+	return jb.Frontier
+}
+
+// TestColdJobsCoalesce is the one-cold-measurement-per-program contract:
+// explore and exact jobs for all six applications posted at once on a
+// fresh server measure each program once. Each program's first lookup
+// misses; its other job reads the measurement and sweep records, after
+// waiting for them if they are being measured. So the tier counts 6
+// misses and 12 hits, and every body is the same job's alone on a fresh
+// server. Run it under -race.
+func TestColdJobsCoalesce(t *testing.T) {
+	kinds := []string{"explore", "exact"}
+	s, ts := newTestServer(t, Config{})
+	got := runAppJobs(t, ts.URL, kinds, 1)
+	if h, m := measureOps(s); h != 12 || m != 6 {
+		t.Errorf("measurement hits %d misses %d, want 12, 6", h, m)
+	}
+	i := 0
+	for _, a := range apps.All() {
+		req := fmt.Sprintf(`{"app":%q,"f":1}`, a.Name)
+		for _, kind := range kinds {
+			_, fts := newTestServer(t, Config{})
+			if want := runJobBody(t, fts.URL, kind, req); !bytes.Equal(got[i], want) {
+				t.Errorf("%s %s: coalesced body differs from a fresh server's:\n%s\nvs\n%s", kind, a.Name, got[i], want)
+			}
+			fts.Close()
+			i++
 		}
 	}
 }
 
+// longSource is a program whose initial-design ISS run lasts long
+// enough that a second computation on it arrives while the first is
+// still measuring.
+const longSource = `var a[64]; var s;
+func main() { var r; var i; for i = 0; i < 64; i = i + 1 { a[i] = i; }
+  for r = 0; r < 10000; r = r + 1 { for i = 0; i < 64; i = i + 1 { s = s + a[i] * r; } } }`
+
+// longJob is a one-geometry job request on longSource.
+func longJob(t *testing.T) string {
+	b, err := json.Marshal(ExploreRequest{Source: longSource, MaxHW: 1, Geometries: []GeometrySpec{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestColdLeaderDeleted: a job waiting for another job's measurement of
+// its program outlives that job's DELETE. The cancelled leader writes no
+// record, so the follower measures itself (2 misses) and finishes with a
+// fresh server's bytes. Run it under -race.
+func TestColdLeaderDeleted(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	req := longJob(t)
+	leader := postJob(t, ts.URL, "explore", req)
+	waitFor(t, "the leader's miss", func() bool { return s.measureMiss.Value() >= 1 })
+	follower := postJob(t, ts.URL, "exact", req)
+	waitFor(t, "the follower's wait", func() bool { return s.measureWait.Value() >= 1 })
+	if st, b := del(t, ts.URL+"/v1/explore/"+leader); st != http.StatusOK {
+		t.Fatalf("DELETE leader: status %d: %s", st, b)
+	}
+	jb := pollJobAt(t, ts.URL+"/v1/exact/", follower)
+	if jb.State != "done" {
+		t.Fatalf("follower: %s: %s", jb.State, jb.Error)
+	}
+	if m := s.measureMiss.Value(); m != 2 {
+		t.Errorf("measurement misses %d, want 2 (the deleted leader's and the follower's)", m)
+	}
+	_, fts := newTestServer(t, Config{})
+	if want := runJobBody(t, fts.URL, "exact", req); !bytes.Equal(jb.Exact, want) {
+		t.Errorf("follower's body differs from a fresh server's:\n%s\nvs\n%s", jb.Exact, want)
+	}
+}
+
+// TestColdFollowerDeadline: a job whose deadline passes while it waits
+// for another computation's measurement fails with its kind's deadline
+// message instead of hanging. Posting the same request again after the
+// failure runs a new job, which measures.
+func TestColdFollowerDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Timeout: 2 * time.Second})
+	a, err := apps.ByName("engine")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := a.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stand in for a leader whose measurement outlasts every deadline.
+	leader := s.newMeasureTier(context.Background())
+	key := system.MeasureKey(system.Fingerprint(ir, system.Config{MaxInstrs: s.cfg.MaxInstrs}))
+	if _, ok, _ := leader.Get(key); ok {
+		t.Fatal("a fresh server hit the measurement record")
+	}
+	const req = `{"app":"engine","max_hw":1,"geometries":[{}]}`
+	ids := map[*jobKind]string{}
+	for _, k := range jobKinds {
+		ids[k] = postJob(t, ts.URL, k.name, req)
+	}
+	for _, k := range jobKinds {
+		jb := pollJobAt(t, ts.URL+"/v1/"+k.name+"/", ids[k])
+		if jb.State != "failed" || jb.Error != k.deadlineMsg {
+			t.Errorf("%s follower: %s %q, want failed %q", k.name, jb.State, jb.Error, k.deadlineMsg)
+		}
+	}
+	if w := s.measureWait.Value(); w != 2 {
+		t.Errorf("measurement waits %d, want 2", w)
+	}
+	leader.done()
+	for _, k := range jobKinds {
+		id := postJob(t, ts.URL, k.name, req)
+		if id == ids[k] {
+			t.Fatalf("%s: the repeated request deduplicated onto the failed job %s", k.name, id)
+		}
+		if jb := pollJobAt(t, ts.URL+"/v1/"+k.name+"/", id); jb.State != "done" {
+			t.Errorf("%s after the lease ended: %s: %s", k.name, jb.State, jb.Error)
+		}
+	}
+}
+
+// TestMeasureTierHitZeroAlloc: a lookup that hits neither waits on a
+// lease another computation holds on its key nor allocates.
+func TestMeasureTierHitZeroAlloc(t *testing.T) {
+	s := New(Config{})
+	key := memostore.Key{1}
+	holder := s.newMeasureTier(context.Background())
+	defer holder.done()
+	if _, ok, _ := holder.Get(key); ok {
+		t.Fatal("a fresh server hit the record")
+	}
+	s.tierPut(key, []byte("record"))
+	reader := s.newMeasureTier(context.Background())
+	defer reader.done()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok, _ := reader.Get(key); !ok {
+			t.Fatal("the record put under a held lease missed")
+		}
+	})
+	if w := s.measureWait.Value(); w != 0 {
+		t.Errorf("hits waited %d times, want 0", w)
+	}
+	if allocs != 0 && !raceEnabled {
+		t.Errorf("a tier hit allocates %.0f times, want 0", allocs)
+	}
+}
+
+// postConcurrently posts every body to url at once and returns the
+// response bodies in order, failing on any non-200 answer.
+func postConcurrently(t *testing.T, url string, reqs []string) [][]byte {
+	bodies := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req string) {
+			defer wg.Done()
+			resp, err := http.Post(url, "application/json", strings.NewReader(req))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d, %v: %s", req, resp.StatusCode, err, b)
+			}
+			bodies[i] = b
+		}(i, req)
+	}
+	wg.Wait()
+	return bodies
+}
+
+// TestColdPartitionsCoalesce: two /v1/partition misses at different F on
+// one program, arriving together, measure it once, and both bodies are
+// a fresh server's.
+func TestColdPartitionsCoalesce(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	reqs := []string{`{"app":"MPG","f":0.7}`, `{"app":"MPG","f":1.3}`}
+	bodies := postConcurrently(t, ts.URL+"/v1/partition", reqs)
+	if h, m := measureOps(s); h != 1 || m != 1 {
+		t.Errorf("measurement hits %d misses %d, want 1, 1", h, m)
+	}
+	for i, req := range reqs {
+		if want := freshPartition(t, req); !bytes.Equal(bodies[i], want) {
+			t.Errorf("%s: body differs from a fresh server's:\n%s\nvs\n%s", req, bodies[i], want)
+		}
+	}
+}
+
+// TestColdJobsFollowPartition: jobs that arrive while a /v1/partition
+// miss measures their program wait for its measurement record, then miss
+// the sweep record, which the partition path does not write. The first
+// job to miss it measures; the other waits for that job's records. So
+// the tier counts the partition's miss and one sweep-key miss, and every
+// body is a fresh server's.
+func TestColdJobsFollowPartition(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	preq, err := json.Marshal(PartitionRequest{Source: longSource})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := make(chan []byte, 1)
+	go func() { part <- postConcurrently(t, ts.URL+"/v1/partition", []string{string(preq)})[0] }()
+	waitFor(t, "the partition's miss", func() bool { return s.measureMiss.Value() >= 1 })
+	req := longJob(t)
+	kinds := []string{"explore", "exact"}
+	var ids []string
+	for _, kind := range kinds {
+		ids = append(ids, postJob(t, ts.URL, kind, req))
+	}
+	var got []json.RawMessage
+	for i, kind := range kinds {
+		jb := pollJobAt(t, ts.URL+"/v1/"+kind+"/", ids[i])
+		if jb.State != "done" {
+			t.Fatalf("%s: %s: %s", kind, jb.State, jb.Error)
+		}
+		got = append(got, jobResultField(kind, jb))
+	}
+	pbody := <-part
+	if h, m := measureOps(s); h != 3 || m != 2 {
+		t.Errorf("measurement hits %d misses %d, want 3, 2", h, m)
+	}
+	if want := freshPartition(t, string(preq)); !bytes.Equal(pbody, want) {
+		t.Errorf("partition body differs from a fresh server's:\n%s\nvs\n%s", pbody, want)
+	}
+	for i, kind := range kinds {
+		_, fts := newTestServer(t, Config{})
+		if want := runJobBody(t, fts.URL, kind, req); !bytes.Equal(got[i], want) {
+			t.Errorf("%s body differs from a fresh server's:\n%s\nvs\n%s", kind, got[i], want)
+		}
+		fts.Close()
+	}
+}
+
 // BenchmarkJobTraffic times the six applications' explore and exact jobs
-// under the two kinds of traffic the measurement tier sees, and reports
+// under the kinds of traffic the measurement tier sees, and reports
 // measure_hit_%, the share of measurement-record lookups that hit.
 //
 //   - distinct: every job's program is new to its server (each op runs
@@ -172,6 +425,10 @@ func runAppJobs(tb testing.TB, base string, kinds []string, f float64) {
 //     pays the record encodes and LRU inserts on top of its cold
 //     measurement; distinct-store also appends the records to a fresh
 //     -store directory.
+//   - cold-pair: each op posts both kinds for every application at once
+//     to a fresh server, so two jobs arrive together on each new
+//     program; it reports measure_misses/op, 6 when each program is
+//     measured once.
 //   - repeated: one server, warmed by one round, runs each op's twelve
 //     jobs at a new F, so every job replays its program's measurement.
 func BenchmarkJobTraffic(b *testing.B) {
@@ -208,6 +465,18 @@ func BenchmarkJobTraffic(b *testing.B) {
 	}
 	b.Run("distinct", func(b *testing.B) { distinct(b, false) })
 	b.Run("distinct-store", func(b *testing.B) { distinct(b, true) })
+	b.Run("cold-pair", func(b *testing.B) {
+		b.ReportAllocs()
+		var misses int64
+		for i := 0; i < b.N; i++ {
+			s, ts := newTestServer(b, Config{})
+			runAppJobs(b, ts.URL, kinds, 1)
+			ts.Close()
+			_, m := measureOps(s)
+			misses += m
+		}
+		b.ReportMetric(float64(misses)/float64(b.N), "measure_misses/op")
+	})
 	b.Run("repeated", func(b *testing.B) {
 		b.ReportAllocs()
 		s, ts := newTestServer(b, Config{})

@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sync"
 	"time"
 
 	"lppart/internal/apps"
@@ -131,9 +132,16 @@ type Server struct {
 	cacheMiss *metrics.Counter
 	cacheEvic *metrics.Counter
 	// Measurement-record lookups (partition misses and jobs) in the
-	// same tiers (measureTier).
+	// same tiers (measureTier); measureWait counts the lookups that
+	// waited for another computation's lease.
 	measureHit  *metrics.Counter
 	measureMiss *metrics.Counter
+	measureWait *metrics.Counter
+
+	// leases maps each measurement-record key a computation is
+	// measuring to the channel its lease's end closes (measureTier).
+	leaseMu sync.Mutex
+	leases  map[memostore.Key]chan struct{}
 }
 
 // outcomeNames are instrumented up front for every route, so the
@@ -155,14 +163,17 @@ func New(cfg Config) *Server {
 		flights: newFlightGroup(),
 		jobs:    jobs.NewStore(cfg.MaxJobs),
 		reg:     metrics.NewRegistry(),
+		leases:  make(map[memostore.Key]chan struct{}),
 		baseCtx: ctx,
 		abort:   cancel,
 	}
 	s.cacheHit = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "hit"))
 	s.cacheMiss = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "miss"))
 	s.cacheEvic = s.reg.Counter("lppartd_cache_ops_total", "result cache operations", metrics.Labels("op", "evict"))
-	s.measureHit = s.reg.Counter("lppartd_measure_ops_total", "measurement record lookups", metrics.Labels("op", "hit"))
-	s.measureMiss = s.reg.Counter("lppartd_measure_ops_total", "measurement record lookups", metrics.Labels("op", "miss"))
+	const measureHelp = "measurement record lookups: a miss measures, a wait waited for another computation's measurement of the program"
+	s.measureHit = s.reg.Counter("lppartd_measure_ops_total", measureHelp, metrics.Labels("op", "hit"))
+	s.measureMiss = s.reg.Counter("lppartd_measure_ops_total", measureHelp, metrics.Labels("op", "miss"))
+	s.measureWait = s.reg.Counter("lppartd_measure_ops_total", measureHelp, metrics.Labels("op", "wait"))
 	s.reg.GaugeFunc("lppartd_queue_depth", "requests waiting for a worker", "",
 		func() float64 { return float64(s.adm.queueLen()) })
 	s.reg.GaugeFunc("lppartd_workers", "worker pool size", "",
@@ -382,9 +393,11 @@ func (s *Server) partitionCompute(req *PartitionRequest, prog *behav.Program,
 		cfg.Part.ResourceSets = sets
 		cfg.Part.Verify = req.Verify
 		// The initial-design measurement does not depend on F or the
-		// other knobs: a miss on a program the server has measured
-		// (for any request or job) replays it from the tiers.
-		cfg.Store = measureTier{s}
+		// other knobs: a miss on a program the server has measured, or
+		// is measuring, for any request or job replays it from the tiers.
+		tier := s.newMeasureTier(ctx)
+		defer tier.done()
+		cfg.Store = tier
 		ev, err := system.EvaluateCtx(ctx, prog, cfg)
 		if err != nil {
 			if ctx.Err() != nil {

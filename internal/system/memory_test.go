@@ -73,9 +73,9 @@ func TestMeasureInitialProfileZeroAlloc(t *testing.T) {
 }
 
 // warmAlloc returns the fewest bytes f allocates in three calls after a
-// warm-up call. The Fig. 1 search schedules on worker goroutines whose
-// scratch sits in per-P sync.Pools, so one call can miss it; a
-// regression shows in all three.
+// warm-up call. The Fig. 1 search's scheduler scratch sits in a
+// sync.Pool, which a GC empties, so one call can miss it; a regression
+// shows in all three.
 func warmAlloc(f func()) uint64 {
 	f()
 	least := uint64(math.MaxUint64)
