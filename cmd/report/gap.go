@@ -56,7 +56,7 @@ func runGap(list []apps.App, jobs int, verify bool) error {
 		}
 
 		// The Pareto search prunes with the exact floors: suffix and branch
-		// floors solved over the geometry's conflict masks, plus the
+		// floors solved over the pool's region overlaps, plus the
 		// option-dominance cuts.
 		dcfg.ExactBound = true
 		f, err := dse.ExplorePrep(context.Background(), prep, dcfg)

@@ -434,16 +434,9 @@ func searchGeometry(ctx context.Context, grid *Grid, pcfg partition.Config, gbas
 	// Depth is bounded by the pool (one pick per region), so one up-front
 	// allocation serves every push/pop of the DFS.
 	path := make([]pathEl, 0, len(pool))
-	// pathMask ORs the picked clusters' conflict masks for the exact
-	// floors (the default floors ignore it).
-	pathMask := func() (m uint64) {
-		if fl.exact {
-			for _, el := range path {
-				m |= fl.conf[el.j]
-			}
-		}
-		return m
-	}
+	// picked holds the path's pool indices, and the exact floors' own
+	// picks in its spare capacity.
+	picked := make([]int, 0, len(pool))
 	// bounded reports whether no extension drawing clusters from pool[i:]
 	// can reach a non-dominated point. The bound under-approximates every
 	// reachable objective (clamping only raises the real values), so a
@@ -458,17 +451,9 @@ func searchGeometry(ctx context.Context, grid *Grid, pcfg partition.Config, gbas
 		if branch {
 			floor = fl.branch
 		}
-		dE, dC, dG := floor(i, cfg.MaxHW-len(path), pathMask())
+		dE, dC, dG := floor(i, cfg.MaxHW-len(path), picked)
 		e, c, g := pr.LowerBound(dE, dC, dG)
 		return dominated(obj{e: e, c: c, g: g})
-	}
-	overlapsPath := func(r *cdfg.Region) bool {
-		for _, el := range path {
-			if pool[el.j].Region.Overlaps(r) {
-				return true
-			}
-		}
-		return false
 	}
 	record := func(o obj) {
 		if dominated(o) {
@@ -534,7 +519,7 @@ func searchGeometry(ctx context.Context, grid *Grid, pcfg partition.Config, gbas
 				res.pruned++
 				return nil
 			}
-			if overlapsPath(pool[j].Region) {
+			if grid.clashes(picked, j) {
 				continue
 			}
 			if len(viable[j]) > 0 && bounded(j, true) {
@@ -549,13 +534,14 @@ func searchGeometry(ctx context.Context, grid *Grid, pcfg partition.Config, gbas
 				ev := evals[j][si]
 				res.configs++
 				path = append(path, pathEl{j, si, ev})
+				picked = append(picked, j)
 				pr.Add(pool[j], ev)
 				record(point())
 				if err := walk(j + 1); err != nil {
 					return err
 				}
 				pr.Remove()
-				path = path[:len(path)-1]
+				path, picked = path[:len(path)-1], picked[:len(picked)-1]
 			}
 		}
 		return nil

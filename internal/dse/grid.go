@@ -19,11 +19,20 @@ type Grid struct {
 	// decision trail auditable — AuditDecision requires Chosen.OF < F —
 	// and matches what the greedy loop could ever select.
 	Viable [][]int
-	// Conflicts[j] is the bitmask of pool indices whose regions overlap
-	// Pool[j]'s (cdfg.Region.Overlaps: one region is the other or its
-	// ancestor); picking both is infeasible. Nil for pools above 64
-	// clusters, which the masks cannot index.
-	Conflicts []uint64
+	// Parent[j] is 1 + the pool index of Pool[j]'s nearest enclosing
+	// pool cluster, 0 at the top: the region tree restricted to the pool,
+	// whose ancestry is cdfg.Region.Overlaps (picking both is infeasible).
+	Parent []int
+}
+
+// clashes reports whether pool cluster j overlaps a picked one.
+func (g *Grid) clashes(picked []int, j int) bool {
+	for _, a := range picked {
+		if g.Pool[a].Region.Overlaps(g.Pool[j].Region) {
+			return true
+		}
+	}
+	return false
 }
 
 // NewGrid prices one geometry's (cluster, resource set) grid against
@@ -52,13 +61,12 @@ func NewGrid(pe *partition.Evaluator, base *partition.Baseline) (*Grid, error) {
 		}
 		c.Evals = g.Evals[j]
 	}
-	if len(pool) <= 64 {
-		g.Conflicts = make([]uint64, len(pool))
-		for a := range pool {
-			for b := a + 1; b < len(pool); b++ {
-				if pool[a].Region.Overlaps(pool[b].Region) {
-					g.Conflicts[a] |= 1 << uint(b)
-					g.Conflicts[b] |= 1 << uint(a)
+	g.Parent = make([]int, len(pool))
+	for j, c := range pool {
+		for r := c.Region.Parent; r != nil && g.Parent[j] == 0; r = r.Parent {
+			for a, o := range pool {
+				if o.Region == r {
+					g.Parent[j] = a + 1
 				}
 			}
 		}
@@ -68,8 +76,8 @@ func NewGrid(pe *partition.Evaluator, base *partition.Baseline) (*Grid, error) {
 
 // floors bounds what any extension of a search subtree can still
 // achieve. For a subtree that may move at most k more clusters from
-// pool[i:] to hardware, none overlapping the picked path (whose
-// conflict masks are OR-ed into mask), level returns
+// pool[i:] to hardware, none overlapping the picked pool clusters,
+// level returns
 //
 //	dE     — an upper bound on how much total energy it can still remove,
 //	dC     — an upper bound on how many cycles it can still remove,
@@ -91,14 +99,13 @@ type floors struct {
 	potE   []float64
 	potC   []int64
 	minGEQ []int
-	viable [][]int
 
 	sufE []float64
 	sufC []int64
 	sufG []int
 
 	exact bool
-	conf  []uint64
+	grid  *Grid
 	cut   map[[2]int]bool // (cluster, set index) dominated by a sibling
 }
 
@@ -124,7 +131,7 @@ func newFloors(g *Grid, base *partition.Baseline, exact bool) *floors {
 	n := len(g.Pool)
 	f := &floors{
 		potE: make([]float64, n), potC: make([]int64, n), minGEQ: make([]int, n),
-		viable: g.Viable, exact: exact, conf: g.Conflicts,
+		exact: exact, grid: g,
 	}
 	for j, c := range g.Pool {
 		scorePot := c.Score + float64(c.MuP.Instrs)*iAcc
@@ -171,20 +178,20 @@ func newFloors(g *Grid, base *partition.Baseline, exact bool) *floors {
 
 // level returns the floors of every extension drawing from pool[i:].
 // The exact floors maximize each potential sum over at most k pairwise
-// non-overlapping clusters clear of mask — every discount an
+// non-overlapping clusters clear of picked — every discount an
 // infeasibility of the real search space, so they stay admissible while
 // never exceeding the suffix sums.
-func (f *floors) level(i, k int, mask uint64) (float64, int64, int) {
+func (f *floors) level(i, k int, picked []int) (float64, int64, int) {
 	if !f.exact {
 		return f.sufE[i], f.sufC[i], f.sufG[i]
 	}
 	minG := 0
 	for j := i; j < len(f.potE); j++ {
-		if mask&(1<<uint(j)) == 0 && len(f.viable[j]) > 0 && (minG == 0 || f.minGEQ[j] < minG) {
+		if !f.grid.clashes(picked, j) && len(f.grid.Viable[j]) > 0 && (minG == 0 || f.minGEQ[j] < minG) {
 			minG = f.minGEQ[j]
 		}
 	}
-	return bestSum(f.potE, f.conf, i, k, mask), bestSum(f.potC, f.conf, i, k, mask), minG
+	return bestSum(f.grid, f.potE, i, k, picked), bestSum(f.grid, f.potC, i, k, picked), minG
 }
 
 // branch returns the exact floors of the extensions whose first pick is
@@ -193,26 +200,27 @@ func (f *floors) level(i, k int, mask uint64) (float64, int64, int) {
 // than the suffix-wide minimum, and dE/dC can no longer combine per-axis
 // optima of different first picks, so a dominated branch skips just
 // cluster j where the level bound cuts whole suffixes.
-func (f *floors) branch(j, k int, mask uint64) (float64, int64, int) {
-	mask |= f.conf[j]
-	return f.potE[j] + bestSum(f.potE, f.conf, j+1, k-1, mask),
-		f.potC[j] + bestSum(f.potC, f.conf, j+1, k-1, mask), f.minGEQ[j]
+func (f *floors) branch(j, k int, picked []int) (float64, int64, int) {
+	picked = append(picked, j)
+	return f.potE[j] + bestSum(f.grid, f.potE, j+1, k-1, picked),
+		f.potC[j] + bestSum(f.grid, f.potC, j+1, k-1, picked), f.minGEQ[j]
 }
 
 // bestSum maximizes the sum of at most k positive potentials from
-// pot[i:], pairwise non-overlapping and clear of mask. Deterministic
-// ascending-index DFS; cost O(n^k), noise next to the pair pricing at
-// the pool sizes (<= 24) and pick budgets the exact bound runs with.
-func bestSum[T float64 | int64](pot []T, conf []uint64, i, k int, mask uint64) T {
+// pot[i:], pairwise non-overlapping and clear of picked, whose spare
+// capacity holds the DFS's own picks. Deterministic ascending-index DFS;
+// cost O(n^k), noise next to the pair pricing at the pool sizes (<= 24)
+// and pick budgets the exact bound runs with.
+func bestSum[T float64 | int64](g *Grid, pot []T, i, k int, picked []int) T {
 	var best T
 	if k == 0 {
 		return best
 	}
 	for j := i; j < len(pot); j++ {
-		if mask&(1<<uint(j)) != 0 || pot[j] <= 0 {
+		if pot[j] <= 0 || g.clashes(picked, j) {
 			continue
 		}
-		if v := pot[j] + bestSum(pot, conf, j+1, k-1, mask|conf[j]); v > best {
+		if v := pot[j] + bestSum(g, pot, j+1, k-1, append(picked, j)); v > best {
 			best = v
 		}
 	}

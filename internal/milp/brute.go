@@ -18,7 +18,10 @@ import (
 //
 // Cost is O(options^maxPicks · clusters): the testing oracle for small
 // instances, not a production path.
-func BruteForce(in *Instance) *Optimum {
+func BruteForce(in *Instance) (*Optimum, error) {
+	if err := in.forest(); err != nil {
+		return nil, err
+	}
 	base := &partition.Baseline{
 		TotalEnergy:        units.Energy(in.E0),
 		MuPEnergy:          units.Energy(in.MuPE),
@@ -62,13 +65,13 @@ func BruteForce(in *Instance) *Optimum {
 	var nodes int64 = 1
 
 	picks := make([]pick, 0, maxPicks)
-	var walk func(i int, mask uint64)
-	walk = func(i int, mask uint64) {
+	var walk func(i int)
+	walk = func(i int) {
 		if len(picks) >= maxPicks {
 			return
 		}
 		for j := i; j < len(in.Clusters); j++ {
-			if mask&(1<<uint(j)) != 0 {
+			if in.clashes(picks, j) {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
@@ -82,13 +85,13 @@ func BruteForce(in *Instance) *Optimum {
 					bestE, bestC, bestG = e, c, g
 					bestPicks = append([]pick(nil), picks...)
 				}
-				walk(j+1, mask|in.Clusters[j].Conflicts)
+				walk(j + 1)
 				picks = picks[:len(picks)-1]
 				pr.Remove()
 			}
 		}
 	}
-	walk(0, 0)
+	walk(0)
 
 	opt := &Optimum{
 		App:    in.App,
@@ -108,5 +111,5 @@ func BruteForce(in *Instance) *Optimum {
 			Set: o.Set, SetIndex: o.SetIndex, GEQ: o.GEQ, OF: o.OF,
 		})
 	}
-	return opt
+	return opt, nil
 }

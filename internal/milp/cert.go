@@ -219,6 +219,9 @@ func Check(in *Instance, cert *Certificate) error {
 	if cert == nil {
 		return fmt.Errorf("milp: no certificate")
 	}
+	if err := in.forest(); err != nil {
+		return err
+	}
 	maxPicks := in.maxPicks()
 	if cert.MaxHW != maxPicks {
 		return fmt.Errorf("milp: certificate pick budget %d, instance has %d", cert.MaxHW, maxPicks)
@@ -249,8 +252,8 @@ func Check(in *Instance, cert *Certificate) error {
 	// walk recurses over one pick buffer: a child appends in place at
 	// its parent's length, which stays below the buffer's capacity of
 	// maxPicks because only nodes under the budget have children.
-	var walk func(picks [][2]int, mask uint64, f frame, next int) error
-	walk = func(picks [][2]int, mask uint64, f frame, next int) error {
+	var walk func(picks [][2]int, f frame, next int) error
+	walk = func(picks [][2]int, f frame, next int) error {
 		if of := in.objective(f); of < cert.OF {
 			return fmt.Errorf("milp: configuration %s beats the claimed optimum (%v < %v)",
 				appendKey(nil, picks, next), of, cert.OF)
@@ -275,18 +278,20 @@ func Check(in *Instance, cert *Certificate) error {
 		if of := in.objective(f); of != v {
 			return fmt.Errorf("milp: node %s records objective %v, recomputed %v", appendKey(nil, picks, next), v, of)
 		}
+	clusters:
 		for j := next; j < n; j++ {
-			if mask&(1<<uint(j)) != 0 {
-				continue
+			for _, p := range picks {
+				if in.overlaps(p[0], j) {
+					continue clusters
+				}
 			}
 			for oi := range in.Clusters[j].Options {
-				if err := walk(append(picks, [2]int{j, oi}),
-					mask|in.Clusters[j].Conflicts, in.add(f, j, oi), j+1); err != nil {
+				if err := walk(append(picks, [2]int{j, oi}), in.add(f, j, oi), j+1); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	return walk(make([][2]int, 0, maxPicks), 0, frame{}, 0)
+	return walk(make([][2]int, 0, maxPicks), frame{}, 0)
 }

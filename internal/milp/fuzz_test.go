@@ -9,16 +9,16 @@ import (
 
 // fuzzInstances are the instances FuzzCheck verifies certificates
 // against: the greedy trap and one random instance with at least six
-// clusters and an overlap.
+// clusters, some of them nested.
 func fuzzInstances() []*Instance {
 	rng := rand.New(rand.NewSource(1))
 	for {
 		in := randomInstance(rng)
-		overlaps := false
+		nested := false
 		for _, cl := range in.Clusters {
-			overlaps = overlaps || cl.Conflicts != 0
+			nested = nested || cl.Parent != 0
 		}
-		if len(in.Clusters) >= 6 && overlaps {
+		if len(in.Clusters) >= 6 && nested {
 			return []*Instance{trapInstance(), in}
 		}
 	}
@@ -34,7 +34,11 @@ func FuzzCheck(f *testing.F) {
 	instances := fuzzInstances()
 	minOF := make([]float64, len(instances))
 	for i, in := range instances {
-		minOF[i] = BruteForce(in).OF
+		ref, err := BruteForce(in)
+		if err != nil {
+			f.Fatal(err)
+		}
+		minOF[i] = ref.OF
 		opt := solveCert(f, in)
 		seeds := []Certificate{*opt.Cert}
 		for _, fg := range append(forgeries(opt.Cert), trailEdits(opt.Cert)...) {

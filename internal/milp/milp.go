@@ -9,7 +9,7 @@
 //
 //	minimize  F·E(x)/E_0 + w_hw·GEQ(x)/budget + w_t·max(0, slowdown(x))
 //	s.t.      Σ_s x_{j,s} <= 1             (one implementation per cluster)
-//	          x_{j,s} + x_{j',s'} <= 1     (overlapping regions exclude)
+//	          x_{j,s} + x_{j',s'} <= 1     (nested regions exclude)
 //	          Σ x_{j,s} <= MaxHW           (Eq. 3's core budget)
 //	          x_{j,s} = 0 unless the pick passes Fig. 1's acceptance
 //	                    test (eligible, GEQ within budget, OF < F)
@@ -57,12 +57,11 @@ type Cluster struct {
 	Region int    `json:"region"` // cdfg region ID
 	Label  string `json:"label"`
 	Instrs int64  `json:"instrs"` // µP instructions the move removes
-	// Conflicts is the bitmask (over instance cluster indices) of
-	// clusters whose regions overlap this one; picking both is
-	// infeasible. BuildInstance copies it from the dse grid, hand-built
-	// instances use SetOverlap.
-	Conflicts uint64   `json:"conflicts"`
-	Options   []Option `json:"options"`
+	// Parent is 1 + the index of the nearest enclosing cluster, 0 at the
+	// top level (the dse grid's pool forest). Two clusters conflict —
+	// picking both is infeasible — when one is the other's ancestor.
+	Parent  int      `json:"parent"`
+	Options []Option `json:"options"`
 }
 
 // Instance is one self-contained 0-1 partitioning problem: the scalar
@@ -104,10 +103,40 @@ func (in *Instance) maxPicks() int {
 	return n
 }
 
-// SetOverlap marks clusters a and b as mutually exclusive.
-func (in *Instance) SetOverlap(a, b int) {
-	in.Clusters[a].Conflicts |= 1 << uint(b)
-	in.Clusters[b].Conflicts |= 1 << uint(a)
+// forest checks that the Parent links are in range and acyclic.
+func (in *Instance) forest() error {
+	n := len(in.Clusters)
+	for j := range in.Clusters {
+		for b, steps := j, 0; b >= 0; b, steps = in.Clusters[b].Parent-1, steps+1 {
+			if p := in.Clusters[b].Parent; p < 0 || p > n || steps == n {
+				return fmt.Errorf("milp: the parent links from cluster %d leave 0..%d or cycle", j, n) //lint:alloc error path
+			}
+		}
+	}
+	return nil
+}
+
+// overlaps reports whether clusters a and b conflict: one is the other
+// or its ancestor along the Parent links, mirroring cdfg.Region.Overlaps.
+func (in *Instance) overlaps(a, b int) bool {
+	x, y := a, b
+	for x >= 0 && x != b {
+		x = in.Clusters[x].Parent - 1
+	}
+	for y >= 0 && y != a {
+		y = in.Clusters[y].Parent - 1
+	}
+	return x == b || y == a
+}
+
+// clashes reports whether cluster j overlaps one of the picks.
+func (in *Instance) clashes(picks []pick, j int) bool {
+	for _, p := range picks {
+		if in.overlaps(p.j, j) {
+			return true
+		}
+	}
+	return false
 }
 
 // frame is the additive accumulator of a configuration, identical field
@@ -185,19 +214,17 @@ func (in *Instance) feasible(picks []pick) error {
 	if len(picks) > in.maxPicks() {
 		return fmt.Errorf("milp: %d picks exceed budget %d", len(picks), in.maxPicks())
 	}
-	var mask uint64
 	last := -1
-	for _, p := range picks {
+	for i, p := range picks {
 		if p.j <= last || p.j >= len(in.Clusters) {
 			return fmt.Errorf("milp: pick order violation at cluster %d", p.j)
 		}
 		if p.oi < 0 || p.oi >= len(in.Clusters[p.j].Options) {
 			return fmt.Errorf("milp: cluster %d has no option %d", p.j, p.oi)
 		}
-		if mask&(1<<uint(p.j)) != 0 {
+		if in.clashes(picks[:i], p.j) {
 			return fmt.Errorf("milp: cluster %d conflicts with an earlier pick", p.j)
 		}
-		mask |= in.Clusters[p.j].Conflicts
 		last = p.j
 	}
 	return nil
@@ -232,9 +259,6 @@ func BuildInstance(pe *partition.Evaluator, base *partition.Baseline,
 	if err != nil {
 		return nil, err
 	}
-	if g.Conflicts == nil {
-		return nil, fmt.Errorf("milp: pool of %d clusters exceeds the 64-bit conflict mask", len(g.Pool))
-	}
 	pcfg := pe.Config()
 	in := &Instance{
 		Geom:           geom,
@@ -252,7 +276,7 @@ func BuildInstance(pe *partition.Evaluator, base *partition.Baseline,
 	}
 	for j, c := range g.Pool {
 		cl := &in.Clusters[j]
-		cl.Region, cl.Label, cl.Instrs, cl.Conflicts = c.Region.ID, c.Region.Label, c.MuP.Instrs, g.Conflicts[j]
+		cl.Region, cl.Label, cl.Instrs, cl.Parent = c.Region.ID, c.Region.Label, c.MuP.Instrs, g.Parent[j]
 		for _, si := range g.Viable[j] {
 			e := g.Evals[j][si]
 			cl.Options = append(cl.Options, Option{

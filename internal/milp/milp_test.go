@@ -60,7 +60,10 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatalf("SolveInstance(geom %d): %v", gi, err)
 				}
-				ref := BruteForce(in)
+				ref, err := BruteForce(in)
+				if err != nil {
+					t.Fatalf("BruteForce(geom %d): %v", gi, err)
+				}
 				if opt.OF != ref.OF {
 					t.Fatalf("geom %d: solver OF %v != brute force %v", gi, opt.OF, ref.OF)
 				}
@@ -203,28 +206,53 @@ func TestExactNeverWorseThanGreedy(t *testing.T) {
 // triple must be weakly dominated by (typically: present on) the merged
 // Pareto frontier — the two engines price the same space with the same
 // floats, so a frontier that misses an optimum would be a search bug.
+// The second input's pool holds 80 clusters, past what a 64-bit conflict
+// mask indexes: every optimum there is proven and its certificate checks.
 func TestExactOptimaDominatedByFrontier(t *testing.T) {
-	p := prepApp(t, "MPG", dse.Config{})
-	res, err := Solve(context.Background(), p, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := dse.ExplorePrep(context.Background(), p, dse.Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for gi, opt := range res.Optima {
-		covered := false
-		for i := range f.Points {
-			q := &f.Points[i]
-			if q.Energy <= opt.Energy && q.Cycles <= opt.Cycles && q.GEQ <= opt.GEQ {
-				covered = true
-				break
-			}
+	var wide dse.Config
+	wide.Sys.Part.MaxClusters = 80
+	for _, tc := range []struct {
+		ir       *cdfg.Program
+		cfg      dse.Config
+		clusters int
+	}{
+		{buildApp(t, "MPG"), dse.Config{}, 0},
+		{buildKernels(t), wide, 80},
+	} {
+		p, err := dse.Prepare(context.Background(), tc.ir, tc.cfg)
+		if err != nil {
+			t.Fatalf("Prepare(%s): %v", tc.ir.Name, err)
 		}
-		if !covered {
-			t.Fatalf("geom %d: exact optimum (%v,%d,%d) not dominated by any frontier point",
-				gi, opt.Energy, opt.Cycles, opt.GEQ)
+		res, err := Solve(context.Background(), p, Config{Workers: 1, Certificate: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.ir.Name, err)
+		}
+		f, err := dse.ExplorePrep(context.Background(), p, dse.Config{Workers: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.ir.Name, err)
+		}
+		for gi, opt := range res.Optima {
+			if tc.clusters > 0 && len(opt.Inst.Clusters) != tc.clusters {
+				t.Fatalf("%s geom %d: %d clusters, want %d", tc.ir.Name, gi, len(opt.Inst.Clusters), tc.clusters)
+			}
+			if !opt.Stats.Proven {
+				t.Fatalf("%s geom %d: optimum not proven", tc.ir.Name, gi)
+			}
+			if err := Check(opt.Inst, opt.Cert); err != nil {
+				t.Fatalf("%s geom %d: certificate: %v", tc.ir.Name, gi, err)
+			}
+			covered := false
+			for i := range f.Points {
+				q := &f.Points[i]
+				if q.Energy <= opt.Energy && q.Cycles <= opt.Cycles && q.GEQ <= opt.GEQ {
+					covered = true
+					break
+				}
+			}
+			if !covered {
+				t.Fatalf("%s geom %d: exact optimum (%v,%d,%d) not dominated by any frontier point",
+					tc.ir.Name, gi, opt.Energy, opt.Cycles, opt.GEQ)
+			}
 		}
 	}
 }

@@ -42,8 +42,8 @@ func checkOracle(in *Instance, cert *Certificate) error {
 
 	r := newRelaxation(in)
 	n := len(in.Clusters)
-	var walk func(picks [][2]int, mask uint64, f frame, next int) error
-	walk = func(picks [][2]int, mask uint64, f frame, next int) error {
+	var walk func(picks [][2]int, f frame, next int) error
+	walk = func(picks [][2]int, f frame, next int) error {
 		if of := in.objective(f); of < cert.OF {
 			return fmt.Errorf("milp: configuration %s beats the claimed optimum (%v < %v)",
 				appendKey(nil, picks, next), of, cert.OF)
@@ -69,19 +69,22 @@ func checkOracle(in *Instance, cert *Certificate) error {
 			return fmt.Errorf("milp: node %s records objective %v, recomputed %v", kb, v, of)
 		}
 		for j := next; j < n; j++ {
-			if mask&(1<<uint(j)) != 0 {
+			free := true
+			for _, p := range picks {
+				free = free && !in.overlaps(p[0], j)
+			}
+			if !free {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
-				if err := walk(append(picks, [2]int{j, oi}),
-					mask|in.Clusters[j].Conflicts, in.add(f, j, oi), j+1); err != nil {
+				if err := walk(append(picks, [2]int{j, oi}), in.add(f, j, oi), j+1); err != nil {
 					return err
 				}
 			}
 		}
 		return nil
 	}
-	return walk(make([][2]int, 0, maxPicks), 0, frame{}, 0)
+	return walk(make([][2]int, 0, maxPicks), frame{}, 0)
 }
 
 // sameVerdict fails t unless Check and the oracle both accept cert or

@@ -10,12 +10,16 @@ import (
 )
 
 // randomInstance draws a small instance from rng: up to 10 clusters of
-// 1–3 options, random overlaps and a pick budget of 1–4. Every value is
-// a small integer, so frame sums are exact whatever the pick order, and
-// distinct configurations often price to the same objective bits — the
-// ties the lexicographic tie-break decides.
+// 1–3 options, a random forest of nested clusters and a pick budget of
+// 1–4. Every value is a small integer, so frame sums are exact whatever
+// the pick order, and distinct configurations often price to the same
+// objective bits — the ties the lexicographic tie-break decides.
 func randomInstance(rng *rand.Rand) *Instance {
-	n := rng.Intn(11)
+	return drawInstance(rng, rng.Intn(11))
+}
+
+// drawInstance draws randomInstance's kind of instance with n clusters.
+func drawInstance(rng *rand.Rand, n int) *Instance {
 	in := &Instance{
 		App:  "random",
 		MuPE: 100, RestE: 60, E0: 160, T0: 1000,
@@ -43,11 +47,13 @@ func randomInstance(rng *rand.Rand) *Instance {
 			}
 		}
 	}
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b++ {
-			if rng.Intn(4) == 0 {
-				in.SetOverlap(a, b)
-			}
+	// The clusters join the forest in a random order, each at the top or
+	// under an earlier one, so a parent's index may lie above or below
+	// its child's: pool rank order is not tree order.
+	order := rng.Perm(n)
+	for k, j := range order {
+		if k > 0 && rng.Intn(3) != 0 {
+			in.Clusters[j].Parent = 1 + order[rng.Intn(k)]
 		}
 	}
 	for j := range in.Clusters {
@@ -62,27 +68,30 @@ func randomInstance(rng *rand.Rand) *Instance {
 // instance's minimum objective, by plain enumeration.
 func optimaTied(in *Instance) bool {
 	best, count := math.Inf(1), 0
-	var walk func(i, used int, mask uint64, f frame)
-	walk = func(i, used int, mask uint64, f frame) {
+	var picks []pick
+	var walk func(i int, f frame)
+	walk = func(i int, f frame) {
 		switch of := in.objective(f); {
 		case of < best:
 			best, count = of, 1
 		case of == best:
 			count++
 		}
-		if used == in.maxPicks() {
+		if len(picks) == in.maxPicks() {
 			return
 		}
 		for j := i; j < len(in.Clusters); j++ {
-			if mask&(1<<uint(j)) != 0 {
+			if in.clashes(picks, j) {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
-				walk(j+1, used+1, mask|in.Clusters[j].Conflicts, in.add(f, j, oi))
+				picks = append(picks, pick{j, oi})
+				walk(j+1, in.add(f, j, oi))
+				picks = picks[:len(picks)-1]
 			}
 		}
 	}
-	walk(0, 0, 0, frame{})
+	walk(0, frame{})
 	return count > 1
 }
 
@@ -102,7 +111,10 @@ func TestRandomInstancesMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
-		ref := BruteForce(in)
+		ref, err := BruteForce(in)
+		if err != nil {
+			t.Fatalf("instance %d: %v", i, err)
+		}
 		if math.Float64bits(opt.OF) != math.Float64bits(ref.OF) {
 			t.Fatalf("instance %d: solver OF %v != brute force %v", i, opt.OF, ref.OF)
 		}
@@ -166,4 +178,30 @@ func TestRandomInstancesMatchBruteForce(t *testing.T) {
 func without(nodes []CertNode, k int) []CertNode {
 	out := append([]CertNode(nil), nodes[:k]...)
 	return append(out, nodes[k+1:]...)
+}
+
+// TestRandomForestPast64Clusters solves one random instance of 65–120
+// nested clusters at a pick budget of 2–3, beyond what a 64-bit conflict
+// mask could index: its certificate checks, the optimum is feasible and
+// no worse than the one-round greedy pick. Brute force stays on the
+// small instances.
+func TestRandomForestPast64Clusters(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	in := drawInstance(rng, 65+rng.Intn(56))
+	in.MaxHW = 2 + rng.Intn(2)
+	opt := solveCert(t, in)
+	if err := Check(in, opt.Cert); err != nil {
+		t.Fatalf("%d clusters: certificate rejected: %v", len(in.Clusters), err)
+	}
+	picks := make([]pick, len(opt.Cert.Picks))
+	for i, p := range opt.Cert.Picks {
+		picks[i] = pick{p[0], p[1]}
+	}
+	if err := in.feasible(picks); err != nil {
+		t.Fatalf("%d clusters: optimum infeasible: %v", len(in.Clusters), err)
+	}
+	if gOF, _, _ := in.Greedy(); opt.OF > gOF {
+		t.Fatalf("%d clusters: exact OF %v worse than greedy %v", len(in.Clusters), opt.OF, gOF)
+	}
+	t.Logf("%d clusters, MaxHW %d: %d nodes, OF %v", len(in.Clusters), in.MaxHW, opt.Stats.Nodes, opt.OF)
 }

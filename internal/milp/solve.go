@@ -2,7 +2,6 @@ package milp
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -98,7 +97,6 @@ func lexLess(a, b []pick) bool {
 type node struct {
 	bound  float64
 	f      frame
-	mask   uint64 // union of picked clusters' conflict masks
 	next   int
 	parent int32 // slab index of the parent node; -1 at the root
 	depth  int32 // picks made so far
@@ -230,10 +228,10 @@ func (ws *workspace) down(i, n int) {
 //
 //lint:hotpath the best-first expansion loop; allocates per solve, not per node
 func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, error) {
-	n := len(in.Clusters)
-	if n > 64 {
-		return nil, fmt.Errorf("milp: %d clusters exceed the 64-bit conflict mask", n) //lint:alloc error path
+	if err := in.forest(); err != nil {
+		return nil, err
 	}
+	n := len(in.Clusters)
 	maxPicks := in.maxPicks()
 	r := newRelaxation(in)
 	st := SolveStats{}
@@ -295,15 +293,16 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 		if rec {
 			ws.record(&nd, in.objective(nd.f), false)
 		}
+		// A child's picksOf rewrites only the slot past nd's picks.
+		picked := ws.picksOf(&nd)
 		for j := nd.next; j < n; j++ {
-			if nd.mask&(1<<uint(j)) != 0 {
+			if in.clashes(picked, j) {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
 				st.Nodes++
 				child := node{
 					next:   j + 1,
-					mask:   nd.mask | in.Clusters[j].Conflicts,
 					f:      in.add(nd.f, j, oi),
 					parent: idx,
 					depth:  nd.depth + 1,

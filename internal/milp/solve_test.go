@@ -8,7 +8,7 @@ import (
 )
 
 // trapInstance is the hand-built case where greedy is provably
-// suboptimal: cluster A has the single best pick, but overlaps both B
+// suboptimal: cluster A has the single best pick, but encloses both B
 // and C, whose disjoint combination beats it.
 //
 //	A: saves 45 of 100 µP energy units → single-pick OF 105/150 = 0.70
@@ -24,12 +24,10 @@ func trapInstance() *Instance {
 		MaxHW: 2,
 		Clusters: []Cluster{
 			{Region: 1, Label: "A", Options: []Option{{Set: "s", Saved: 45, OF: 0.70, GEQ: 100}}},
-			{Region: 2, Label: "B", Options: []Option{{Set: "s", Saved: 30, OF: 0.80, GEQ: 100}}},
-			{Region: 3, Label: "C", Options: []Option{{Set: "s", Saved: 30, OF: 0.80, GEQ: 100}}},
+			{Region: 2, Label: "B", Parent: 1, Options: []Option{{Set: "s", Saved: 30, OF: 0.80, GEQ: 100}}},
+			{Region: 3, Label: "C", Parent: 1, Options: []Option{{Set: "s", Saved: 30, OF: 0.80, GEQ: 100}}},
 		},
 	}
-	in.SetOverlap(0, 1)
-	in.SetOverlap(0, 2)
 	return in
 }
 
@@ -55,7 +53,10 @@ func TestGreedySuboptimalInstance(t *testing.T) {
 	if opt.OF >= gOF {
 		t.Fatalf("solver OF %v not strictly better than greedy %v", opt.OF, gOF)
 	}
-	ref := BruteForce(in)
+	ref, err := BruteForce(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ref.OF != opt.OF || ref.GEQ != opt.GEQ {
 		t.Fatalf("brute force OF %v != solver %v", ref.OF, opt.OF)
 	}
@@ -118,7 +119,10 @@ func TestBoundAdmissibleOnTrap(t *testing.T) {
 	in := trapInstance()
 	r := newRelaxation(in)
 	b := r.bound(frame{}, 0, 0)
-	opt := BruteForce(in)
+	opt, err := BruteForce(in)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b > opt.OF {
 		t.Fatalf("root bound %v exceeds the optimum %v", b, opt.OF)
 	}

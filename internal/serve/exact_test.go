@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 )
@@ -89,6 +90,42 @@ func TestExactJobLifecycle(t *testing.T) {
 	}
 	if st4, _ := get(t, ts.URL+"/v1/exact/"+jb.JobID); st4 != http.StatusNotFound {
 		t.Errorf("GET after DELETE: status %d, want 404", st4)
+	}
+}
+
+// TestExactPast64Clusters: an exact job on a source program whose pool
+// holds 80 clusters, past what a 64-bit conflict mask indexes, reaches
+// done with a proven optimum per geometry and every certificate
+// re-checked.
+func TestExactPast64Clusters(t *testing.T) {
+	src, err := os.ReadFile("../milp/testdata/kernels40.behav")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := json.Marshal(ExploreRequest{Source: string(src), MaxClusters: 80})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Workers: 2})
+	st, b, _ := post(t, ts.URL+"/v1/exact", string(req))
+	if st != http.StatusAccepted {
+		t.Fatalf("POST /v1/exact: status %d: %s", st, b)
+	}
+	done := pollJobAt(t, ts.URL+"/v1/exact/", decodeJob(t, b).JobID)
+	if done.State != "done" {
+		t.Fatalf("job ended %s: %s", done.State, done.Error)
+	}
+	var eb ExactBody
+	if err := json.Unmarshal(done.Exact, &eb); err != nil {
+		t.Fatalf("exact body: %v", err)
+	}
+	if !eb.Certified || len(eb.Optima) != 4 {
+		t.Fatalf("exact: optima=%d certified=%v", len(eb.Optima), eb.Certified)
+	}
+	for i, o := range eb.Optima {
+		if !o.Stats.Proven || o.OF > o.GreedyOF {
+			t.Errorf("optimum %d: OF %v (greedy %v), stats %+v", i, o.OF, o.GreedyOF, o.Stats)
+		}
 	}
 }
 
