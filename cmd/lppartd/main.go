@@ -6,9 +6,9 @@
 // exposes Prometheus-text counters, latency histograms and worker-pool
 // gauges. Evaluations run on a bounded worker pool behind a bounded
 // queue (overload is shed fast with 429), identical in-flight requests
-// coalesce onto one computation, and finished bodies are cached in an
-// LRU keyed by the canonical request hash — cached and computed
-// responses are byte-identical. Partition misses and the async POST
+// coalesce on one lease and replay its computation's answer, and
+// finished bodies are cached in an LRU keyed by the canonical request
+// hash — cached and computed responses are byte-identical. Partition misses and the async POST
 // /v1/explore and POST /v1/exact jobs keep each program's F-independent
 // measurement (profile, initial ISS run; for jobs also the cache sweep)
 // in the same LRU and -store, so only the first request or job on a

@@ -45,6 +45,10 @@ import (
 	"lppart/internal/units"
 )
 
+// DefaultMaxHW is the pick budget of a Config or milp.Config whose MaxHW
+// is 0.
+const DefaultMaxHW = 2
+
 // Config parameterizes one exploration.
 type Config struct {
 	// Sys carries the measurement and partitioning knobs (the same
@@ -55,7 +59,7 @@ type Config struct {
 	// DefaultGeometries(). Data caches are forced to write-back.
 	Geometries [][2]cache.Config
 	// MaxHW bounds how many clusters one configuration may move to
-	// hardware (the N of Eq. 3). 0 means 2.
+	// hardware (the N of Eq. 3). 0 means DefaultMaxHW.
 	MaxHW int
 	// Workers bounds how many geometries ExplorePrep searches at once
 	// (<= 0: one per CPU); Prepare's measurement is one ISS run and
@@ -298,7 +302,7 @@ func Explore(ctx context.Context, ir *cdfg.Program, cfg Config) (*Frontier, erro
 // and worker count come from cfg.
 func ExplorePrep(ctx context.Context, p *Prep, cfg Config) (*Frontier, error) {
 	if cfg.MaxHW <= 0 {
-		cfg.MaxHW = 2
+		cfg.MaxHW = DefaultMaxHW
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = explore.DefaultWorkers()

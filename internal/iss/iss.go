@@ -41,6 +41,7 @@
 package iss
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -321,8 +322,14 @@ var issToBinOp = [isa.NumOpcodes]behav.BinOp{
 // Run simulates the program to completion (HALT). The result's data
 // memory is recycled; see Result.Release.
 func Run(p *isa.Program, opts Options) (*Result, error) {
+	return RunCtx(context.Background(), p, opts) //lint:ctx non-Ctx convenience wrapper
+}
+
+// RunCtx is Run with cancellation: the run looks at ctx every 65,536
+// instructions (ctxCheckInstrs) and returns ctx.Err() once it is done.
+func RunCtx(ctx context.Context, p *isa.Program, opts Options) (*Result, error) {
 	bp := newMem(p.MemWords)
-	res, err := run(p, opts, *bp)
+	res, err := run(ctx, p, opts, *bp)
 	if err != nil {
 		putMem(bp)
 		return nil, err
@@ -331,8 +338,13 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 	return res, nil
 }
 
+// ctxCheckInstrs is how many instructions a run executes between two
+// looks at its ctx: about 3 ms of simulation, far apart enough that the
+// check costs nothing per instruction.
+const ctxCheckInstrs = 1 << 16
+
 // run simulates the program on a zeroed data memory of p.MemWords words.
-func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
+func run(ctx context.Context, p *isa.Program, opts Options, mem []int32) (*Result, error) {
 	micro := opts.Micro
 	if micro == nil {
 		micro = &tech.Default().Micro
@@ -378,6 +390,10 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 		opts.MaxInstrs = 500_000_000
 	}
 
+	// checkpoint is the next instruction count at which the loop looks
+	// at ctx and the instruction limit: one compare per instruction
+	// serves both.
+	checkpoint := min(opts.MaxInstrs, ctxCheckInstrs)
 	pc := p.Entry
 	prevClass := tech.IClassNop
 	for {
@@ -385,14 +401,20 @@ func run(p *isa.Program, opts Options, mem []int32) (*Result, error) {
 			return failed(&SimError{PC: pc, Msg: "pc out of range"}, limit)
 		}
 		ins := &p.Code[pc]
-		if res.Instrs >= opts.MaxInstrs {
-			e := &SimError{PC: pc, Msg: fmt.Sprintf("instruction limit %d exceeded", opts.MaxInstrs)}
-			if !profile {
-				return nil, e
+		if res.Instrs >= checkpoint {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			// Run on to the end without the memory system; opts is this
-			// run's own copy.
-			limit, opts.MaxInstrs, opts.Mem = e, math.MaxInt64, nil
+			if res.Instrs >= opts.MaxInstrs {
+				e := &SimError{PC: pc, Msg: fmt.Sprintf("instruction limit %d exceeded", opts.MaxInstrs)}
+				if !profile {
+					return nil, e
+				}
+				// Run on to the end without the memory system; opts is
+				// this run's own copy.
+				limit, opts.MaxInstrs, opts.Mem = e, math.MaxInt64, nil
+			}
+			checkpoint = min(opts.MaxInstrs, res.Instrs+ctxCheckInstrs)
 		}
 		if profile && ins.Block != 0 {
 			b := ins.Block - 1

@@ -1,6 +1,7 @@
 package iss
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -480,5 +481,36 @@ func TestStackFloor(t *testing.T) {
 	p.DataWords = 10
 	if _, err := Run(p, Options{}); err == nil || err.Error() != "iss: pc=1: stack pointer 9 below the static data's end 10" {
 		t.Errorf("error %v, want the stack pointer at pc 1", err)
+	}
+}
+
+// cancelAfter cancels its ctx at the n-th instruction fetch and counts
+// every fetch.
+type cancelAfter struct {
+	n, fetches int
+	cancel     context.CancelFunc
+}
+
+func (c *cancelAfter) FetchInstr(uint32) int {
+	if c.fetches++; c.fetches == c.n {
+		c.cancel()
+	}
+	return 0
+}
+func (*cancelAfter) ReadData(int32) int  { return 0 }
+func (*cancelAfter) WriteData(int32) int { return 0 }
+
+// TestRunCtxCancel: a cancelled run stops at its next ctx checkpoint
+// with ctx's error, also on a program that never halts.
+func TestRunCtxCancel(t *testing.T) {
+	p := asm(isa.Instr{Op: isa.B, Target: 0})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mem := &cancelAfter{n: 100, cancel: cancel}
+	if _, err := RunCtx(ctx, p, Options{Mem: mem}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("error %v, want %v", err, context.Canceled)
+	}
+	if mem.fetches != ctxCheckInstrs {
+		t.Errorf("ran %d instructions, want %d (the first checkpoint)", mem.fetches, ctxCheckInstrs)
 	}
 }

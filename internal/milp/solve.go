@@ -14,7 +14,7 @@ import (
 // Config parameterizes one exact solve.
 type Config struct {
 	// MaxHW bounds how many clusters one configuration may move to
-	// hardware, mirroring dse.Config.MaxHW. 0 means 2.
+	// hardware, mirroring dse.Config.MaxHW. 0 means dse.DefaultMaxHW.
 	MaxHW int
 	// Workers bounds the geometry fan-out (<= 0: one per CPU). Results
 	// are byte-identical at any worker count: each geometry's solve is
@@ -365,7 +365,7 @@ type Result struct {
 // Pareto search does.
 func Solve(ctx context.Context, p *dse.Prep, cfg Config) (*Result, error) {
 	if cfg.MaxHW <= 0 {
-		cfg.MaxHW = 2
+		cfg.MaxHW = dse.DefaultMaxHW
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = explore.DefaultWorkers()

@@ -63,6 +63,15 @@ func (c *Config) defaults() {
 	if c.Lib == nil {
 		c.Lib = tech.Default()
 	}
+	c.Defaults()
+}
+
+// Defaults fills every zero knob of the Fig. 1 input tuple (resource
+// sets, N_max^c, core count, F, GEQ budget) with its documented
+// default; it leaves Lib alone. Callers that key on the defaulted
+// tuple, such as lppartd's request hashes, resolve it here, so the
+// defaults live in one place.
+func (c *Config) Defaults() {
 	if c.ResourceSets == nil {
 		c.ResourceSets = tech.DefaultResourceSets()
 	}

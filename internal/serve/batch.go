@@ -33,7 +33,7 @@ type BatchResponse struct {
 	Results []BatchItem `json:"results"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *result {
 	var req BatchRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
 		return errResult(aerr)
@@ -55,7 +55,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) *flightResu
 		res := s.resultFor(r, key, s.partitionCompute(item, prog, sets, key))
 		resp.Results = append(resp.Results, BatchItem{Status: res.status, Body: res.body})
 	}
-	return &flightResult{status: http.StatusOK, body: jsonBody(&resp)}
+	return &result{status: http.StatusOK, body: jsonBody(&resp)}
 }
 
 // JobSummary is one ledger row of GET /v1/jobs.
@@ -74,7 +74,7 @@ type JobsResponse struct {
 }
 
 // handleJobs lists this node's jobs; an empty ledger is an empty list.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) *result {
 	resp := JobsResponse{Jobs: []JobSummary{}}
 	for _, snap := range s.jobs.All() {
 		resp.Jobs = append(resp.Jobs, JobSummary{
@@ -82,5 +82,5 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) *flightResul
 			Done: snap.Done, Total: snap.Total, Error: snap.Error,
 		})
 	}
-	return &flightResult{status: http.StatusOK, body: jsonBody(&resp)}
+	return &result{status: http.StatusOK, body: jsonBody(&resp)}
 }

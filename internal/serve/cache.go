@@ -3,6 +3,7 @@ package serve
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 
 	"lppart/internal/memostore"
@@ -102,30 +103,80 @@ func (s *Server) tierPut(key memostore.Key, val []byte) error {
 	return s.cfg.Store.Put(key, val)
 }
 
+// lease is one entry of the server's in-flight table (Server.leases):
+// a key whose bytes one computation is producing, either a response
+// body under its storeKey or a measurement record. Its holder ends it
+// with endLease, which sets res before it closes done.
+type lease struct {
+	done chan struct{}
+	res  *result // a result lease's finished response; nil for a record lease
+}
+
+// errLeased is takeOrWait's answer to a caller that may not wait.
+var errLeased = errors.New("serve: key leased to another computation")
+
+// takeOrWait is the in-flight table's one step. If no computation holds
+// key's lease, the caller takes it and gets nil: it produces the key's
+// bytes and ends the lease with endLease. Otherwise the caller waits
+// until the holder ends the lease and gets the ended lease, or gets
+// ctx's error if ctx ends first. A non-nil mayWait is asked before each
+// wait; if it refuses, the caller gets errLeased at once.
+func (s *Server) takeOrWait(ctx context.Context, key memostore.Key, mayWait func() bool) (*lease, error) {
+	s.leaseMu.Lock()
+	l, held := s.leases[key]
+	if !held {
+		s.leases[key] = &lease{done: make(chan struct{})}
+	}
+	s.leaseMu.Unlock()
+	if !held {
+		return nil, nil
+	}
+	if mayWait != nil && !mayWait() {
+		return nil, errLeased
+	}
+	select {
+	case <-l.done:
+		return l, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// endLease ends the lease on key with res and wakes its waiters.
+func (s *Server) endLease(key memostore.Key, res *result) {
+	s.leaseMu.Lock()
+	l := s.leases[key]
+	delete(s.leases, key)
+	s.leaseMu.Unlock()
+	l.res = res
+	close(l.done)
+}
+
 // measureTier is the system.Store one computation — a partition miss,
 // a /v1/batch item or an explore or exact job — reads and writes its
 // measurement records through: the server's tiers, counted on their own
 // hit/miss/wait series so lppartd_cache_ops_total keeps counting
 // requests only.
 //
-// Lookups coalesce cold measurements: a lookup that misses leases its
-// key to the computation, so the computation measures, and a later
-// lookup of a leased key waits until the lease ends, then reads the
-// tiers again. A lease ends when its holder puts the key or returns
-// (done). A waiter that still misses — its leader failed or was
-// cancelled, or the record was evicted — takes the lease and measures
-// itself; a waiter whose own ctx ends first reads a miss, so it fails as
-// a computation whose deadline passed while measuring. A computation
-// holding a lease never waits, so leases cannot deadlock, and every
-// leader holds a worker slot, so every wait ends. A hit touches neither
-// the lease map nor the heap.
+// Lookups coalesce cold measurements on record leases: a lookup that
+// misses leases its key to the computation, so the computation
+// measures, and a later lookup of a leased key waits until the lease
+// ends, then reads the tiers again. A lease ends when its holder puts
+// the key or returns (done). A waiter that still misses — its leader
+// failed or was cancelled, or the record was evicted — takes the lease
+// and measures itself; a waiter whose own ctx ends first reads a miss,
+// so it fails as a computation whose deadline passed while measuring.
+// A holder of a record lease never waits, and every holder holds a
+// worker slot, so the waits run request → result holder → record
+// holder and always end. A hit touches neither the lease table nor the
+// heap.
 //
 // A measureTier belongs to one computation and is used from its
-// goroutine only; the lease map it shares is guarded by s.leaseMu.
+// goroutine only.
 type measureTier struct {
 	s    *Server
 	ctx  context.Context
-	held []memostore.Key // the keys this computation leases
+	held []memostore.Key // the record keys this computation leases
 }
 
 // newMeasureTier returns the tier of one computation running under ctx.
@@ -147,33 +198,31 @@ func (m *measureTier) Get(key memostore.Key) ([]byte, bool, error) {
 func (m *measureTier) await(key memostore.Key) ([]byte, bool, error) {
 	s := m.s
 	waited := false
+	mayWait := func() bool {
+		if len(m.held) > 0 {
+			return false // a holder of a record lease never waits
+		}
+		if !waited {
+			waited = true
+			s.measureWait.Inc()
+		}
+		return true
+	}
 	for {
-		s.leaseMu.Lock()
-		ch, leased := s.leases[key]
-		if !leased || len(m.held) > 0 {
-			if !leased {
-				s.leases[key] = make(chan struct{})
-				m.held = append(m.held, key)
-			}
-			s.leaseMu.Unlock()
-			// The last leader may have put the record between the first
-			// read and the lock.
+		l, err := s.takeOrWait(m.ctx, key, mayWait)
+		if err != nil {
+			s.measureMiss.Inc()
+			return nil, false, nil
+		}
+		if l == nil {
+			m.held = append(m.held, key)
+			// The last holder may have put the record between the first
+			// read and the take.
 			if b, ok := s.tierGet(key); ok {
 				m.release(key)
 				s.measureHit.Inc()
 				return b, true, nil
 			}
-			s.measureMiss.Inc()
-			return nil, false, nil
-		}
-		s.leaseMu.Unlock()
-		if !waited {
-			waited = true
-			s.measureWait.Inc()
-		}
-		select {
-		case <-ch:
-		case <-m.ctx.Done():
 			s.measureMiss.Inc()
 			return nil, false, nil
 		}
@@ -200,7 +249,7 @@ func (m *measureTier) release(key memostore.Key) {
 	for i, k := range m.held {
 		if k == key {
 			m.held = append(m.held[:i], m.held[i+1:]...)
-			m.s.endLeases(k)
+			m.s.endLease(k, nil)
 			return
 		}
 	}
@@ -209,18 +258,8 @@ func (m *measureTier) release(key memostore.Key) {
 // done ends every lease the computation still holds. Computations defer
 // it, so a fault, a cancel or a panic never strands a waiter.
 func (m *measureTier) done() {
-	if len(m.held) > 0 {
-		m.s.endLeases(m.held...)
-		m.held = nil
+	for _, k := range m.held {
+		m.s.endLease(k, nil)
 	}
-}
-
-// endLeases removes the leases on keys and wakes their waiters.
-func (s *Server) endLeases(keys ...memostore.Key) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	for _, k := range keys {
-		close(s.leases[k])
-		delete(s.leases, k)
-	}
+	m.held = nil
 }

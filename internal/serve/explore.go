@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -10,8 +11,8 @@ import (
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 	"lppart/internal/dse"
+	"lppart/internal/partition"
 	"lppart/internal/serve/jobs"
-	"lppart/internal/tech"
 )
 
 // GeometrySpec is one explored (i-cache, d-cache) pair in an
@@ -126,34 +127,18 @@ func (req *ExploreRequest) canonicalize(kind string, maxSourceBytes int) (*jobIn
 	if err != nil {
 		return nil, badRequest(err.Error())
 	}
+	pc := partition.Config{F: req.F, MaxClusters: req.MaxClusters, GEQBudget: req.GEQBudget, ResourceSets: sets}
+	pc.Defaults()
 	c := canonExplore{
 		Kind:        kind,
 		App:         req.App,
 		SourceSHA:   srcSHA,
-		F:           req.F,
-		MaxClusters: req.MaxClusters,
-		GEQBudget:   req.GEQBudget,
-		MaxHW:       req.MaxHW,
+		F:           pc.F,
+		MaxClusters: pc.MaxClusters,
+		GEQBudget:   pc.GEQBudget,
+		MaxHW:       cmp.Or(req.MaxHW, dse.DefaultMaxHW),
+		Sets:        canonSets(pc.ResourceSets),
 		Verify:      req.Verify,
-	}
-	if c.F == 0 {
-		c.F = 1.0
-	}
-	if c.MaxClusters == 0 {
-		c.MaxClusters = 5
-	}
-	if c.GEQBudget == 0 {
-		c.GEQBudget = 16000
-	}
-	if c.MaxHW == 0 {
-		c.MaxHW = 2
-	}
-	canonSets := sets
-	if canonSets == nil {
-		canonSets = tech.DefaultResourceSets()
-	}
-	for _, rs := range canonSets {
-		c.Sets = append(c.Sets, canonRS{Name: rs.Name, Max: rs.Max})
 	}
 	for _, g := range geoms {
 		c.Geometries = append(c.Geometries, [6]int{
@@ -255,7 +240,7 @@ type JobBody struct {
 
 // jobResult renders one snapshot as a job body; the snapshot's kind
 // picks the poll path and the result field.
-func jobResult(status int, snap jobs.Snapshot, existing bool) *flightResult {
+func jobResult(status int, snap jobs.Snapshot, existing bool) *result {
 	b := &JobBody{
 		JobID:    snap.ID,
 		State:    snap.State.String(),
@@ -270,13 +255,13 @@ func jobResult(status int, snap jobs.Snapshot, existing bool) *flightResult {
 	} else {
 		b.Frontier = snap.Result
 	}
-	return &flightResult{status: status, body: jsonBody(b)}
+	return &result{status: status, body: jsonBody(b)}
 }
 
 // submitJob is POST /v1/<kind>: it creates the job (or finds the
 // identical one) and starts its worker.
-func (s *Server) submitJob(k *jobKind) func(http.ResponseWriter, *http.Request) *flightResult {
-	return func(w http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) submitJob(k *jobKind) func(http.ResponseWriter, *http.Request) *result {
+	return func(w http.ResponseWriter, r *http.Request) *result {
 		var req ExploreRequest
 		if aerr := s.decodeBody(w, r, &req); aerr != nil {
 			return errResult(aerr)
@@ -305,8 +290,8 @@ func (s *Server) submitJob(k *jobKind) func(http.ResponseWriter, *http.Request) 
 // jobStatus is GET and DELETE /v1/<kind>/{id}. A job is reachable only
 // through its own kind's routes: any other ID is an unknown job, and a
 // DELETE on the wrong route leaves the job untouched.
-func (s *Server) jobStatus(k *jobKind) func(http.ResponseWriter, *http.Request) *flightResult {
-	return func(_ http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) jobStatus(k *jobKind) func(http.ResponseWriter, *http.Request) *result {
+	return func(_ http.ResponseWriter, r *http.Request) *result {
 		id := r.PathValue("id")
 		snap, ok := s.jobs.Get(id)
 		if ok && snap.Kind == k.name && r.Method == http.MethodDelete {

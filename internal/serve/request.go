@@ -10,6 +10,7 @@ import (
 	"lppart/internal/apps"
 	"lppart/internal/behav"
 	"lppart/internal/cache"
+	"lppart/internal/partition"
 	"lppart/internal/tech"
 	"lppart/internal/trace"
 )
@@ -136,6 +137,15 @@ type canonRS struct {
 	Max  [tech.NumResourceKinds]int `json:"max"`
 }
 
+// canonSets renders resolved resource sets in canonical form.
+func canonSets(sets []tech.ResourceSet) []canonRS {
+	out := make([]canonRS, len(sets))
+	for i, rs := range sets {
+		out[i] = canonRS{Name: rs.Name, Max: rs.Max}
+	}
+	return out
+}
+
 // canonPartition is the fully-defaulted partition request the cache key
 // is derived from: the complete Fig. 1 input tuple. Two requests that
 // resolve to the same tuple — e.g. one relying on defaults and one
@@ -223,34 +233,19 @@ func (req *PartitionRequest) canonicalize(maxSourceBytes int) (*behav.Program, [
 	if err != nil {
 		return nil, nil, "", badRequest(err.Error())
 	}
+	pc := partition.Config{F: req.F, MaxClusters: req.MaxClusters, GEQBudget: req.GEQBudget,
+		MaxCores: req.MaxCores, ResourceSets: sets}
+	pc.Defaults()
 	c := canonPartition{
 		Kind:        "partition/v1",
 		App:         req.App,
 		SourceSHA:   srcSHA,
-		F:           req.F,
-		MaxClusters: req.MaxClusters,
-		GEQBudget:   req.GEQBudget,
-		MaxCores:    req.MaxCores,
+		F:           pc.F,
+		MaxClusters: pc.MaxClusters,
+		GEQBudget:   pc.GEQBudget,
+		MaxCores:    pc.MaxCores,
+		Sets:        canonSets(pc.ResourceSets),
 		Verify:      req.Verify,
-	}
-	if c.F == 0 {
-		c.F = 1.0
-	}
-	if c.MaxClusters == 0 {
-		c.MaxClusters = 5
-	}
-	if c.GEQBudget == 0 {
-		c.GEQBudget = 16000
-	}
-	if c.MaxCores == 0 {
-		c.MaxCores = 1
-	}
-	canonSets := sets
-	if canonSets == nil {
-		canonSets = tech.DefaultResourceSets()
-	}
-	for _, rs := range canonSets {
-		c.Sets = append(c.Sets, canonRS{Name: rs.Name, Max: rs.Max})
 	}
 	return prog, sets, hashCanon(c), nil
 }

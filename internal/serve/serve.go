@@ -10,9 +10,10 @@
 // The stack, front to back:
 //
 //	handler → canonical request hash → LRU result cache
-//	        → singleflight (one computation per identical in-flight key)
+//	        → result lease (one computation per identical in-flight key)
 //	        → admission control (bounded worker pool + bounded queue,
 //	          429/503 shedding) → system.EvaluateCtx / trace sweep
+//	        → record leases (one measurement per program in flight)
 //
 // Endpoints: POST /v1/partition (full decision trail + Table 1 row,
 // optional server-side verification), POST /v1/sweep (cache-geometry
@@ -115,13 +116,12 @@ const bodySlackBytes = 64 << 10
 
 // Server is one lppartd instance.
 type Server struct {
-	cfg     Config
-	mux     *http.ServeMux
-	adm     *admission
-	cache   *lruCache
-	flights *flightGroup
-	jobs    *jobs.Store
-	reg     *metrics.Registry
+	cfg   Config
+	mux   *http.ServeMux
+	adm   *admission
+	cache *lruCache
+	jobs  *jobs.Store
+	reg   *metrics.Registry
 
 	// baseCtx parents every computation; abort cancels it.
 	baseCtx context.Context
@@ -138,10 +138,11 @@ type Server struct {
 	measureMiss *metrics.Counter
 	measureWait *metrics.Counter
 
-	// leases maps each measurement-record key a computation is
-	// measuring to the channel its lease's end closes (measureTier).
+	// leases is the in-flight table: each key whose bytes a computation
+	// is producing, a response body (resultFor) or a measurement record
+	// (measureTier), maps to its lease (takeOrWait).
 	leaseMu sync.Mutex
-	leases  map[memostore.Key]chan struct{}
+	leases  map[memostore.Key]*lease
 }
 
 // outcomeNames are instrumented up front for every route, so the
@@ -160,10 +161,9 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		adm:     newAdmission(cfg.Workers, cfg.QueueDepth),
 		cache:   newLRUCache(cfg.CacheEntries),
-		flights: newFlightGroup(),
 		jobs:    jobs.NewStore(cfg.MaxJobs),
 		reg:     metrics.NewRegistry(),
-		leases:  make(map[memostore.Key]chan struct{}),
+		leases:  make(map[memostore.Key]*lease),
 		baseCtx: ctx,
 		abort:   cancel,
 	}
@@ -242,7 +242,7 @@ func (s *Server) Abort() { s.abort() }
 // instead of writing it; handle writes it, counts its outcome and times
 // it, so the route's endpoint×outcome series exist from the first scrape
 // and this is the package's one clock read.
-func (s *Server) handle(pattern, endpoint string, h func(http.ResponseWriter, *http.Request) *flightResult) {
+func (s *Server) handle(pattern, endpoint string, h func(http.ResponseWriter, *http.Request) *result) {
 	latency := s.reg.Histogram("lppartd_request_seconds", "request latency by endpoint",
 		metrics.Labels("endpoint", endpoint), metrics.LatencyBuckets())
 	outcomes := make(map[string]*metrics.Counter, len(outcomeNames))
@@ -259,8 +259,16 @@ func (s *Server) handle(pattern, endpoint string, h func(http.ResponseWriter, *h
 	})
 }
 
+// result is a finished response, ready to write or to replay to every
+// request waiting on its lease: a success or an API error.
+type result struct {
+	status   int
+	body     []byte
+	cacheHit bool // served from the result cache, for the X-Cache header
+}
+
 // writeResult writes a prepared body verbatim.
-func writeResult(w http.ResponseWriter, res *flightResult) {
+func writeResult(w http.ResponseWriter, res *result) {
 	w.Header().Set("Content-Type", "application/json")
 	if res.cacheHit {
 		w.Header().Set("X-Cache", "hit")
@@ -293,13 +301,13 @@ func jsonBody(v any) []byte {
 	return append(b, '\n')
 }
 
-// errResult renders an apiError as a flight result.
-func errResult(e *apiError) *flightResult {
-	return &flightResult{status: e.Status, body: jsonBody(e)}
+// errResult renders an apiError as a result.
+func errResult(e *apiError) *result {
+	return &result{status: e.Status, body: jsonBody(e)}
 }
 
-// outcomeOf classifies a finished flight for the metrics.
-func outcomeOf(res *flightResult) string {
+// outcomeOf classifies a finished result for the metrics.
+func outcomeOf(res *result) string {
 	switch {
 	case res.cacheHit:
 		return "cache_hit"
@@ -319,40 +327,55 @@ func outcomeOf(res *flightResult) string {
 }
 
 // resultFor runs the cached → coalesced → computed ladder for one
-// canonical key. compute runs under the server's context; the caller's
-// wait is bounded by its own request context plus the configured
-// timeout. The batch endpoint runs many keys through the same ladder.
+// canonical key. The first miss takes the key's result lease and
+// computes inline under the server's context: bounded by the configured
+// timeout, cancelled by Abort, independent of its own and every other
+// client. Later misses wait on the lease, bounded by their own request
+// context plus the configured timeout, and replay the leader's result
+// verbatim, whatever its status. The batch endpoint runs many keys
+// through the same ladder.
 func (s *Server) resultFor(r *http.Request, key string,
-	compute func(ctx context.Context) *flightResult) *flightResult {
+	compute func(ctx context.Context) *result) *result {
 	// Only 200 bodies are ever cached, so a hit replays the stored bytes
 	// verbatim as a 200.
 	sk := storeKey(key)
 	if body, ok := s.tierGet(sk); ok {
 		s.cacheHit.Inc()
-		return &flightResult{status: http.StatusOK, body: body, cacheHit: true}
+		return &result{status: http.StatusOK, body: body, cacheHit: true}
 	}
 	s.cacheMiss.Inc()
 	waitCtx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	res, err := s.flights.do(waitCtx, key, func() *flightResult {
-		// The computation is server-owned: bounded by the configured
-		// timeout, cancelled by Abort, independent of the waiters.
-		ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
-		defer cancel()
-		if aerr := s.adm.acquire(ctx); aerr != nil {
-			return errResult(aerr)
+	for {
+		l, err := s.takeOrWait(waitCtx, sk, nil)
+		if err != nil {
+			return errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "request deadline exceeded"})
 		}
-		defer s.adm.release()
-		res := compute(ctx)
-		if res.status == http.StatusOK {
-			// Only successes warm the cache; sheds and failures must
-			// not mask a later, healthier attempt.
-			_ = s.tierPut(sk, res.body) //lint:err persistence must never fail a served request
+		if l == nil {
+			return s.lead(sk, compute)
 		}
-		return res
-	})
-	if err != nil {
-		res = errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "request deadline exceeded"})
+		if l.res != nil {
+			return l.res
+		}
+		// The leader ended its lease without a result (it panicked): lead.
+	}
+}
+
+// lead computes a result under the lease on sk the caller holds, taking
+// a worker slot only now, and ends the lease with the result.
+func (s *Server) lead(sk memostore.Key, compute func(ctx context.Context) *result) (res *result) {
+	defer func() { s.endLease(sk, res) }()
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.cfg.Timeout)
+	defer cancel()
+	if aerr := s.adm.acquire(ctx); aerr != nil {
+		return errResult(aerr)
+	}
+	defer s.adm.release()
+	res = compute(ctx)
+	if res.status == http.StatusOK {
+		// Only successes warm the cache; sheds and failures must not
+		// mask a later, healthier attempt.
+		_ = s.tierPut(sk, res.body) //lint:err persistence must never fail a served request
 	}
 	return res
 }
@@ -368,7 +391,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiE
 	return nil
 }
 
-func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) *result {
 	var req PartitionRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
 		return errResult(aerr)
@@ -380,11 +403,11 @@ func (s *Server) handlePartition(w http.ResponseWriter, r *http.Request) *flight
 	return s.resultFor(r, key, s.partitionCompute(&req, prog, sets, key))
 }
 
-// partitionCompute is the /v1/partition evaluation as a flight compute
+// partitionCompute is the /v1/partition evaluation as a compute
 // function, shared by the single and batch endpoints.
 func (s *Server) partitionCompute(req *PartitionRequest, prog *behav.Program,
-	sets []tech.ResourceSet, key string) func(ctx context.Context) *flightResult {
-	return func(ctx context.Context) *flightResult {
+	sets []tech.ResourceSet, key string) func(ctx context.Context) *result {
+	return func(ctx context.Context) *result {
 		cfg := system.Config{MaxInstrs: s.cfg.MaxInstrs}
 		cfg.Part.F = req.F
 		cfg.Part.MaxClusters = req.MaxClusters
@@ -405,12 +428,12 @@ func (s *Server) partitionCompute(req *PartitionRequest, prog *behav.Program,
 			}
 			return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 		}
-		return &flightResult{status: http.StatusOK,
+		return &result{status: http.StatusOK,
 			body: jsonBody(buildPartitionResponse(ev, req.Verify, key))}
 	}
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *result {
 	var req SweepRequest
 	if aerr := s.decodeBody(w, r, &req); aerr != nil {
 		return errResult(aerr)
@@ -419,7 +442,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *flightResu
 	if aerr != nil {
 		return errResult(aerr)
 	}
-	return s.resultFor(r, key, func(ctx context.Context) *flightResult {
+	return s.resultFor(r, key, func(ctx context.Context) *result {
 		return s.computeSweep(ctx, prog, &req, pairs, key)
 	})
 }
@@ -431,7 +454,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *flightResu
 // partition miss on the program looks up. A program the measurement
 // rejects gets /v1/partition's error text.
 func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *SweepRequest,
-	pairs [][2]cache.Config, key string) *flightResult {
+	pairs [][2]cache.Config, key string) *result {
 	ir, err := cdfg.Build(prog)
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
@@ -450,11 +473,11 @@ func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *Swe
 	if name == "" {
 		name = ir.Name
 	}
-	return &flightResult{status: http.StatusOK,
+	return &result{status: http.StatusOK,
 		body: jsonBody(buildSweepResponse(name, req.ISweep, st, pairs, reps, key))}
 }
 
-func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) *flightResult {
+func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) *result {
 	var resp AppsResponse
 	for _, a := range apps.All() {
 		resp.Apps = append(resp.Apps, AppBody{
@@ -465,5 +488,5 @@ func (s *Server) handleApps(w http.ResponseWriter, r *http.Request) *flightResul
 			SourceBytes:     len(a.Source),
 		})
 	}
-	return &flightResult{status: http.StatusOK, body: jsonBody(&resp)}
+	return &result{status: http.StatusOK, body: jsonBody(&resp)}
 }

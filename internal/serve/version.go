@@ -64,6 +64,6 @@ func healthLine() string {
 	return line
 }
 
-func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) *flightResult {
-	return &flightResult{status: http.StatusOK, body: jsonBody(Version())}
+func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) *result {
+	return &result{status: http.StatusOK, body: jsonBody(Version())}
 }

@@ -277,3 +277,50 @@ func TestStackIntoData(t *testing.T) {
 		}
 	}
 }
+
+// countingCancel cancels its ctx at the first instruction fetch and
+// counts every fetch.
+type countingCancel struct {
+	cancel  context.CancelFunc
+	fetches int64
+}
+
+func (c *countingCancel) FetchInstr(uint32) int { c.cancel(); c.fetches++; return 0 }
+func (*countingCancel) ReadData(int32) int      { return 0 }
+func (*countingCancel) WriteData(int32) int     { return 0 }
+
+// TestCancelStopsSimulation: cancellation reaches the ISS. A cancelled
+// measurement of a runaway program stops within one ctx checkpoint of
+// the cancel instead of running to the step limit, and a cancelled
+// co-simulation stops too; both return ctx's error.
+func TestCancelStopsSimulation(t *testing.T) {
+	ir, err := cdfg.Build(behav.MustParse("runaway", runaway))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	obs := &countingCancel{cancel: cancel}
+	if _, _, err := measureCtx(ctx, ir, Config{MaxInstrs: 50_000_000}, obs); err != context.Canceled {
+		t.Errorf("measurement: error %v, want %v", err, context.Canceled)
+	}
+	if obs.fetches > 1<<16 {
+		t.Errorf("measurement ran %d instructions after the cancel, want at most 65536", obs.fetches)
+	}
+
+	mpg := buildApp(t, "MPG")
+	cfg := Config{}
+	cfg.defaults()
+	ev, err := EvaluateIRCtx(context.Background(), mpg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Partitioned.ISS.Instrs <= 1<<16 {
+		t.Fatalf("MPG's co-simulation runs %d instructions, too few to reach a ctx checkpoint", ev.Partitioned.ISS.Instrs)
+	}
+	done, cancelDone := context.WithCancel(context.Background())
+	cancelDone()
+	if _, _, err := runPartitioned(done, mpg, ev.Decision, &cfg); !errors.Is(err, context.Canceled) {
+		t.Errorf("co-simulation: error %v, want %v", err, context.Canceled)
+	}
+}

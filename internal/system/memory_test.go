@@ -106,7 +106,7 @@ func TestCrossCheckDetectsCorruptedGlobal(t *testing.T) {
 	if ev.Initial.ISS.Instrs == 0 || ev.Partitioned.ISS.Instrs == 0 {
 		t.Error("ISS statistics lost with the memory")
 	}
-	pd, lay, err := runPartitioned(ir, ev.Decision, &cfg)
+	pd, lay, err := runPartitioned(context.Background(), ir, ev.Decision, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -171,8 +171,8 @@ func (t *teeMemSys) WriteData(addr int32) int {
 
 // runDesign executes one compiled program against fresh cache/memory/bus
 // cores and collects the per-core accounting. A non-nil obs is teed into
-// the memory system.
-func runDesign(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler,
+// the memory system. A done ctx stops the run with ctx.Err().
+func runDesign(ctx context.Context, name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler,
 	micro *tech.MicroprocessorSpec, obs iss.MemSystem) (*Design, *bus.Bus, *mem.Memory, error) {
 	lib := cfg.Part.Lib
 	b := bus.New(lib)
@@ -191,7 +191,7 @@ func runDesign(name string, mp *isaProgram, cfg *Config, handler iss.ASICHandler
 	if obs != nil {
 		sys = &teeMemSys{ms: sys.(*memSys), obs: obs}
 	}
-	res, err := iss.Run(mp.prog, iss.Options{
+	res, err := iss.RunCtx(ctx, mp.prog, iss.Options{
 		Micro:     micro,
 		Mem:       sys,
 		ASIC:      handler,
@@ -342,7 +342,7 @@ func measureCtx(ctx context.Context, ir *cdfg.Program, cfg Config, obs iss.MemSy
 	if err != nil {
 		return nil, nil, failure(ctx, fmt.Errorf("system: compile: %w", err))
 	}
-	initial, _, _, err := runDesign("initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
+	initial, _, _, err := runDesign(ctx, "initial", &isaProgram{prog: full, lay: fullLay}, &cfg, nil, micro, obs)
 	if err != nil {
 		var se *iss.SimError
 		if errors.As(err, &se) {
@@ -375,8 +375,8 @@ func blockProfile(ir *cdfg.Program, entries []int64) *cdfg.Profile {
 	return &cdfg.Profile{BlockFreq: freq}
 }
 
-// failure is the error a failed measurement reports: err, or ctx's
-// error once the request's ctx is done.
+// failure is the error a failed measurement or co-simulation reports:
+// err, or ctx's error once the request's ctx is done.
 func failure(ctx context.Context, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return cerr
@@ -490,9 +490,9 @@ func partitionCtx(ctx context.Context, ev *Evaluation, base *partition.Baseline,
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	pd, partLay, err := runPartitioned(ir, dec, cfg)
+	pd, partLay, err := runPartitioned(ctx, ir, dec, cfg)
 	if err != nil {
-		return err
+		return failure(ctx, err)
 	}
 	ev.Partitioned = pd
 	// The partitioned memory is needed only for the cross-check.
@@ -506,8 +506,9 @@ func partitionCtx(ctx context.Context, ev *Evaluation, base *partition.Baseline,
 // runPartitioned recompiles the program with the decision's cluster(s)
 // excluded, builds one ASIC core per cluster and co-simulates the design.
 // The returned design's ISS memory is still live; the layout locates its
-// globals.
-func runPartitioned(ir *cdfg.Program, dec *partition.Decision, cfg *Config) (*Design, *codegen.Layout, error) {
+// globals. A done ctx stops the co-simulation with an error wrapping
+// ctx.Err().
+func runPartitioned(ctx context.Context, ir *cdfg.Program, dec *partition.Decision, cfg *Config) (*Design, *codegen.Layout, error) {
 	lib := cfg.Part.Lib
 	exclude := make(map[int]int, len(dec.Choices))
 	for i, ch := range dec.Choices {
@@ -533,7 +534,7 @@ func runPartitioned(ir *cdfg.Program, dec *partition.Decision, cfg *Config) (*De
 		cores[int32(i)] = core
 		totalGEQ += ch.Eval.GEQ
 	}
-	pd, pb, pm, err := runDesign("partitioned", &isaProgram{prog: part, lay: partLay}, cfg, cores, &lib.Micro, nil)
+	pd, pb, pm, err := runDesign(ctx, "partitioned", &isaProgram{prog: part, lay: partLay}, cfg, cores, &lib.Micro, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("system: partitioned design: %w", err)
 	}
