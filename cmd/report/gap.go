@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"lppart/internal/apps"
 	"lppart/internal/dse"
@@ -128,7 +127,7 @@ func runGap(list []apps.App, jobs int, verify bool) error {
 			App:       a.Name,
 			GreedyOF:  gOF,
 			ExactOF:   anchor.OF,
-			Picks:     pickNames(anchor),
+			Picks:     anchor.Picks,
 			Certified: certified,
 			Points:    len(f.Points),
 			Configs:   f.Stats.Configs,
@@ -139,15 +138,4 @@ func runGap(list []apps.App, jobs int, verify bool) error {
 	fmt.Print(report.Gap(rows))
 	fmt.Println("\nassertions: exact<=greedy per geometry; optima covered by the frontier; Table 1 verdicts as published — all hold")
 	return nil
-}
-
-func pickNames(o *milp.Optimum) string {
-	if len(o.Picks) == 0 {
-		return "(all software)"
-	}
-	parts := make([]string, 0, len(o.Picks))
-	for _, p := range o.Picks {
-		parts = append(parts, p.Label+"@"+p.Set)
-	}
-	return strings.Join(parts, "+")
 }

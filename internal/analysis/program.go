@@ -434,8 +434,10 @@ func (b *builder) addEdges(node *FuncNode, call *ast.CallExpr) {
 }
 
 // link adds an edge to a resolved function object, dedup preserving
-// first-call order.
+// first-call order. A call to an instantiated generic function or method
+// links to its generic declaration.
 func (b *builder) link(node *FuncNode, fn *types.Func) {
+	fn = fn.Origin()
 	if target, ok := b.prog.byObj[fn]; ok {
 		for _, c := range node.Callees {
 			if c == target {

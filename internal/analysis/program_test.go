@@ -101,7 +101,8 @@ func TestProgramFactsAndClosure(t *testing.T) {
 // plus the annotated scheduler/splice inner loops must be hot roots, and
 // the closure must cross package boundaries (behav.EvalBinOp runs inside
 // the ASIC interpreter loop, stackdist.(*Profiler).Access inside the
-// online profiler).
+// online profiler) and reach generic methods (the scratch recycler's Get
+// serves the scheduler and the binder).
 func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads half the module through the source importer")
@@ -109,7 +110,7 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	prog := loadProgram(t,
 		"internal/cdfg", "internal/tech", "internal/behav",
 		"internal/sched", "internal/asic", "internal/partition", "internal/dse",
-		"internal/milp", "internal/stackdist", "internal/trace",
+		"internal/milp", "internal/stackdist", "internal/trace", "internal/scratch",
 	)
 	for _, name := range []string{
 		"sched.ScheduleBlock",
@@ -131,6 +132,9 @@ func TestHotClosureCoversAllocGuardedFunctions(t *testing.T) {
 	}
 	if n := nodeByName(t, prog, "stackdist.(*Profiler).Access"); !n.Facts.Hot {
 		t.Errorf("stackdist.(*Profiler).Access not in the online profiler's hot closure")
+	}
+	if n := nodeByName(t, prog, "scratch.(*Pool[T]).Get"); !n.Facts.Hot {
+		t.Errorf("scratch.(*Pool[T]).Get not in the hot closure: generic calls not linked")
 	}
 	if n := nodeByName(t, prog, "partition.scheduleBind"); !n.Facts.AllocExempt {
 		t.Errorf("partition.scheduleBind: AllocExempt = false, want cold-fill boundary")

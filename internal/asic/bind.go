@@ -19,10 +19,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"lppart/internal/cdfg"
 	"lppart/internal/sched"
+	"lppart/internal/scratch"
 	"lppart/internal/tech"
 	"lppart/internal/units"
 )
@@ -106,8 +106,8 @@ func (b *Binding) InstanceCount(k tech.ResourceKind) int {
 	return n
 }
 
-// bindScratch is Bind's per-call working state, pooled so a warm Bind
-// allocates only its results.
+// bindScratch is Bind's per-call working state, recycled through
+// bindScratches so a warm Bind allocates only its results.
 type bindScratch struct {
 	// ops and order hold the block being bound and its op positions in
 	// (Start, Op.ID) order; *bindScratch sorts order without allocating.
@@ -123,7 +123,7 @@ type bindScratch struct {
 	uses                  []cdfg.VarRef
 }
 
-var bindPool = sync.Pool{New: func() any { return new(bindScratch) }}
+var bindScratches = scratch.Pool[bindScratch]{New: func() *bindScratch { return new(bindScratch) }}
 
 func (s *bindScratch) Len() int      { return len(s.order) }
 func (s *bindScratch) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
@@ -161,8 +161,8 @@ func Bind(rsched *sched.RegionSchedule, lib *tech.Library, blockFreq func(blockI
 	}
 	b := &Binding{Schedule: rsched} //lint:alloc the returned binding
 	b.OpInst = make([]int32, nOps)  //lint:alloc result, owned by the returned binding
-	s := bindPool.Get().(*bindScratch)
-	defer bindPool.Put(s)
+	s := bindScratches.Get()
+	defer bindScratches.Put(s)
 	s.reset()
 
 	base, k := 0, 0

@@ -2,6 +2,7 @@ package asic
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -308,7 +309,9 @@ func TestBindMatchesReferenceOnRandomKernels(t *testing.T) {
 func TestBindZeroDurationOp(t *testing.T) {
 	_, loop, rsched, _ := buildScheduled(t, firSrc)
 	lib := tech.Default()
-	lib.Resource(tech.ALU).Cycles[tech.OpMove] = 0
+	alu := lib.Resource(tech.ALU)
+	alu.Cycles = maps.Clone(alu.Cycles) // every Default shares the op-cycle maps
+	alu.Cycles[tech.OpMove] = 0
 
 	// Take the first block with three datapath ops and rewrite them: op A
 	// on the ALU over steps [0,2), then moves B at step 0 and C at step 1,
@@ -370,12 +373,9 @@ func TestBindZeroDurationOp(t *testing.T) {
 	}
 }
 
-// TestBindZeroAllocScratch pins the pooled scratch: once warm, Bind
+// TestBindZeroAllocScratch pins the recycled scratch: once warm, Bind
 // allocates only the Binding, its Instances and its OpInst slice.
 func TestBindZeroAllocScratch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops buffers at random under -race")
-	}
 	a, err := apps.ByName("MPG")
 	if err != nil {
 		t.Fatal(err)

@@ -16,9 +16,6 @@ import (
 // distance profilers, the evaluator and the baselines — nothing that
 // grows with the stream's length.
 func TestPrepareColdTraceZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the scheduler's and binder's sync.Pool scratch drops at random under -race")
-	}
 	const slack = 256 << 10
 	ctx := context.Background()
 	allocs := func(f func()) uint64 {

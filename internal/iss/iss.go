@@ -38,17 +38,22 @@
 // down while the ASIC core runs (Eq. 3's "whenever one of the cores is
 // performing, all the other cores are shut down"), so ASIC cycles extend
 // execution time but add no µP energy.
+//
+// A run's data memory is the simulator's one large allocation (4 MiB on
+// the system's memory map). Result.Release hands it back, and the next
+// run on any goroutine takes it again, cleared, also after garbage
+// collections: a warm run allocates no memory.
 package iss
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
+	"slices"
 
 	"lppart/internal/behav"
 	"lppart/internal/isa"
+	"lppart/internal/scratch"
 	"lppart/internal/tech"
 	"lppart/internal/units"
 )
@@ -169,69 +174,22 @@ type Result struct {
 	buf *[]int32
 }
 
-// Released data memories are recycled between runs: the default memory
+// mems recycles released data memories between runs: the default memory
 // map is 4 MiB, while the applications touch only their globals and a
-// little stack. spareMem holds the last released buffer outside memPool,
-// so a serial caller always finds its memory again: sync.Pool keeps a Put
-// in the putting P's private slot, where a Get on another P cannot reach
-// it, and every GC empties the pool. The buffer a release displaces from
-// the spare goes to the pool, for concurrent runs; the recycling thus
-// holds at most one buffer beyond what the pool holds.
-var (
-	spareMem atomic.Pointer[[]int32]
-	memPool  sync.Pool // of *[]int32
-)
+// little stack.
+var mems scratch.Pool[[]int32]
 
-// Release hands the data memory back for the next Run and sets Mem to
-// nil. It is safe on a nil Result and idempotent.
+// Release hands the data memory back, so the next Run on any goroutine
+// takes it instead of allocating one, and sets Mem to nil. It is safe on
+// a nil Result and idempotent.
 func (r *Result) Release() {
 	if r == nil {
 		return
 	}
 	if r.buf != nil {
-		putMem(r.buf)
+		mems.Put(r.buf)
 	}
 	r.buf, r.Mem = nil, nil
-}
-
-// putMem makes a released buffer the spare and pools the one it displaces.
-func putMem(bp *[]int32) {
-	if old := spareMem.Swap(bp); old != nil {
-		memPool.Put(old)
-	}
-}
-
-// newMem takes a released data memory of n words, the spare first, then
-// a pooled one, or allocates one. Programs rely on zero-initialized
-// globals, so a reused buffer is cleared.
-func newMem(n int) *[]int32 {
-	if bp := reuse(spareMem.Swap(nil), n); bp != nil {
-		return bp
-	}
-	pooled, _ := memPool.Get().(*[]int32)
-	if bp := reuse(pooled, n); bp != nil {
-		return bp
-	}
-	mem := make([]int32, n)
-	return &mem
-}
-
-// reuse clears a released buffer to n words. It returns nil for a nil
-// buffer and for one too small for n, which it keeps for a smaller
-// program: as the spare if that is empty, else in the pool.
-func reuse(bp *[]int32, n int) *[]int32 {
-	if bp == nil {
-		return nil
-	}
-	if cap(*bp) < n {
-		if !spareMem.CompareAndSwap(nil, bp) {
-			memPool.Put(bp)
-		}
-		return nil
-	}
-	*bp = (*bp)[:n]
-	clear(*bp)
-	return bp
 }
 
 // Utilization returns the whole-run U_µP.
@@ -328,10 +286,19 @@ func Run(p *isa.Program, opts Options) (*Result, error) {
 // RunCtx is Run with cancellation: the run looks at ctx every 65,536
 // instructions (ctxCheckInstrs) and returns ctx.Err() once it is done.
 func RunCtx(ctx context.Context, p *isa.Program, opts Options) (*Result, error) {
-	bp := newMem(p.MemWords)
+	bp := mems.Get()
+	if bp != nil && cap(*bp) < p.MemWords {
+		mems.Put(bp) // too small here, kept for a smaller program
+		bp = nil
+	}
+	if bp == nil {
+		bp = new([]int32)
+	}
+	*bp = slices.Grow((*bp)[:0], p.MemWords)[:p.MemWords]
+	clear(*bp) // programs rely on zero-initialized globals
 	res, err := run(ctx, p, opts, *bp)
 	if err != nil {
-		putMem(bp)
+		mems.Put(bp)
 		return nil, err
 	}
 	res.buf = bp

@@ -48,8 +48,8 @@ func TestReleasedMemoryIsZeroedOnReuse(t *testing.T) {
 		t.Error("no run reused a released buffer")
 	}
 
-	// Writers and readers on eight goroutines share the spare and the
-	// pool: no reader may see a word another goroutine's writer left.
+	// Writers and readers on eight goroutines share the recycled
+	// memories: no reader may see a word another goroutine's writer left.
 	const workers, rounds = 8, 50
 	errs := make(chan error, workers)
 	for g := 0; g < workers; g++ {
@@ -83,20 +83,33 @@ func TestReleasedMemoryIsZeroedOnReuse(t *testing.T) {
 	}
 }
 
-// TestTooSmallMemoryIsHandedBack checks that newMem keeps a released
-// buffer too small for the run at hand for a later, smaller program.
+// TestTooSmallMemoryIsHandedBack checks that Run keeps a released
+// memory too small for the program at hand for a later, smaller one.
 func TestTooSmallMemoryIsHandedBack(t *testing.T) {
-	spareMem.Swap(nil) // start from an empty spare
-	small := make([]int32, 64)
-	putMem(&small)
-	big := newMem(128)
-	if len(*big) != 128 {
-		t.Fatalf("newMem(128) returned %d words", len(*big))
+	for mems.Get() != nil { // start from an empty recycler
 	}
-	if got := newMem(64); got != &small {
-		t.Error("a released 64-word buffer was dropped when a 128-word run could not use it")
+	sized := func(words int) *Result {
+		p := writeGlobals()
+		p.MemWords = words
+		res, err := Run(p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	putMem(big)
+	small := sized(1 << 10)
+	smallMem := &small.Mem[0]
+	small.Release()
+	big := sized(1 << 11)
+	defer big.Release()
+	if len(big.Mem) != 1<<11 {
+		t.Fatalf("a %d-word program ran on %d words", 1<<11, len(big.Mem))
+	}
+	again := sized(1 << 10)
+	defer again.Release()
+	if &again.Mem[0] != smallMem {
+		t.Error("a released small memory was dropped when a bigger program could not use it")
+	}
 }
 
 func TestReleaseNilSafeAndIdempotent(t *testing.T) {
@@ -156,9 +169,9 @@ func TestISSMemoryReuseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestISSMemorySurvivesGCZeroAlloc checks that a released memory outlives
-// garbage collections, which empty a sync.Pool, and serves a run on
-// another goroutine, which may sit on another P.
+// TestISSMemorySurvivesGCZeroAlloc checks that a released memory
+// outlives two garbage collections, which empty a bare sync.Pool, and
+// serves a run on another goroutine, which may sit on another P.
 func TestISSMemorySurvivesGCZeroAlloc(t *testing.T) {
 	p := bigProgram()
 	res, err := Run(p, Options{})

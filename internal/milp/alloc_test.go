@@ -30,7 +30,7 @@ func denseInstance(n int) *Instance {
 // allocates only the relaxation and the returned optimum — the same
 // small count on instances whose searches differ several-fold in size.
 // The nodes, the open-node heap and the pick sequences live in the
-// pooled workspace.
+// recycled workspace.
 func TestSolveInstanceZeroAlloc(t *testing.T) {
 	// relaxation, its deltas and table; optimum, picks
 	warmSolveAllocs(t, Config{}, 5, func(o *Optimum) int64 { return o.Stats.Nodes })
@@ -38,7 +38,7 @@ func TestSolveInstanceZeroAlloc(t *testing.T) {
 
 // TestSolveInstanceCertZeroAlloc: a warm solve with a certificate adds a
 // constant number of allocations at any trail length. The compact trail
-// lives in the pooled workspace, and the returned certificate is
+// lives in the recycled workspace, and the returned certificate is
 // materialized once: the certificate, its claimed picks, one expanded
 // list, one pruned list and one picks arena.
 func TestSolveInstanceCertZeroAlloc(t *testing.T) {
@@ -51,9 +51,6 @@ func TestSolveInstanceCertZeroAlloc(t *testing.T) {
 // most maxAllocs times on two dense instances whose size (as measured)
 // differs at least twofold.
 func warmSolveAllocs(t *testing.T, cfg Config, maxAllocs float64, size func(*Optimum) int64) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops workspaces at random under -race")
-	}
 	var sizes []int64
 	for _, n := range []int{12, 24} {
 		in := denseInstance(n)
@@ -64,13 +61,13 @@ func warmSolveAllocs(t *testing.T, cfg Config, maxAllocs float64, size func(*Opt
 			}
 			return opt
 		}
-		opt := solve() // warm the workspace pool
+		opt := solve() // warm the recycled workspace
 		if opt.Stats.Nodes < 1000 {
 			t.Fatalf("n=%d: search priced %d nodes, want >= 1000", n, opt.Stats.Nodes)
 		}
 		sizes = append(sizes, size(opt))
-		// AllocsPerRun pins GOMAXPROCS to 1, so every pool Get finds the
-		// workspace the previous solve put back.
+		// Every solve finds the workspace the previous one put back, on
+		// any P and under -race.
 		if a := testing.AllocsPerRun(20, func() { solve() }); a > maxAllocs {
 			t.Errorf("n=%d (size %d): warm SolveInstance allocates %v times, want <= %v",
 				n, size(opt), a, maxAllocs)
@@ -85,9 +82,6 @@ func warmSolveAllocs(t *testing.T, cfg Config, maxAllocs float64, size func(*Opt
 // nothing per recorded trail node or replayed child, on trails that
 // differ at least twofold.
 func TestCheckZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
 	// claimed picks; cover index and its table; relaxation, its deltas
 	// and table; pick buffer
 	const maxAllocs = 7

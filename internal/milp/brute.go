@@ -104,12 +104,7 @@ func BruteForce(in *Instance) (*Optimum, error) {
 		Inst:   in,
 	}
 	for _, p := range bestPicks {
-		cl := &in.Clusters[p.j]
-		o := &cl.Options[p.oi]
-		opt.Picks = append(opt.Picks, Pick{
-			Region: cl.Region, Label: cl.Label,
-			Set: o.Set, SetIndex: o.SetIndex, GEQ: o.GEQ, OF: o.OF,
-		})
+		opt.Picks = append(opt.Picks, in.pickOf(p))
 	}
 	return opt, nil
 }

@@ -2,12 +2,12 @@ package milp
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"lppart/internal/cache"
 	"lppart/internal/dse"
 	"lppart/internal/explore"
+	"lppart/internal/scratch"
 	"lppart/internal/units"
 )
 
@@ -28,15 +28,9 @@ type Config struct {
 	OnProgress func(done, total int)
 }
 
-// Pick is one cluster→hardware assignment of an optimal configuration.
-type Pick struct {
-	Region   int     `json:"region"`
-	Label    string  `json:"label"`
-	Set      string  `json:"set"`
-	SetIndex int     `json:"set_index"`
-	GEQ      int     `json:"geq"`
-	OF       float64 `json:"of"` // the pick's own Fig. 1 objective value
-}
+// Pick is one cluster→hardware assignment of an optimal configuration,
+// the explorer's pick.
+type Pick = dse.Pick
 
 // SolveStats counts one instance solve's work.
 type SolveStats struct {
@@ -71,6 +65,13 @@ type Optimum struct {
 
 // pick is the compact (cluster index, option index) pair.
 type pick struct{ j, oi int }
+
+// pickOf returns the optimum's record of pick p.
+func (in *Instance) pickOf(p pick) Pick {
+	cl := &in.Clusters[p.j]
+	o := &cl.Options[p.oi]
+	return Pick{Region: cl.Region, Label: cl.Label, Set: o.Set, SetIndex: o.SetIndex, GEQ: o.GEQ, OF: o.OF}
+}
 
 // lexLess orders pick sequences: elementwise by (j, oi), a strict
 // prefix first. The canonical tie-break when two configurations price
@@ -121,9 +122,9 @@ type trailNode struct {
 // the deterministic heap tie-break. open is a best-first min-heap of slab
 // indices on (bound, index); path is the scratch buffer workspace.picksOf
 // fills, best the incumbent's pick sequence, and trail the certificate's
-// expanded and pruned nodes in recording order. Workspaces are drawn
-// from a sync.Pool, so repeat solves allocate per solve, not per node.
-// Every field is reset before use, so pooling cannot affect results.
+// expanded and pruned nodes in recording order. Workspaces are recycled
+// through workspaces, so repeat solves allocate per solve, not per node.
+// Every field is reset before use, so recycling cannot affect results.
 type workspace struct {
 	slab  []node
 	open  []int32
@@ -132,7 +133,7 @@ type workspace struct {
 	trail []trailNode
 }
 
-var wsPool = sync.Pool{New: func() any { return new(workspace) }}
+var workspaces = scratch.Pool[workspace]{New: func() *workspace { return new(workspace) }}
 
 // reset empties the workspace for a solve of at most maxPicks picks.
 func (ws *workspace) reset(maxPicks int) {
@@ -236,8 +237,8 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 	r := newRelaxation(in)
 	st := SolveStats{}
 	rec := cfg.Certificate
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
 	ws.reset(maxPicks)
 
 	// The incumbent starts at the empty (all-software) configuration —
@@ -336,12 +337,7 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 	if len(ws.best) > 0 {
 		opt.Picks = make([]Pick, len(ws.best)) //lint:alloc the returned picks
 		for i, p := range ws.best {
-			cl := &in.Clusters[p.j]
-			o := &cl.Options[p.oi]
-			opt.Picks[i] = Pick{
-				Region: cl.Region, Label: cl.Label,
-				Set: o.Set, SetIndex: o.SetIndex, GEQ: o.GEQ, OF: o.OF,
-			}
+			opt.Picks[i] = in.pickOf(p)
 		}
 	}
 	if rec {

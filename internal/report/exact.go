@@ -7,19 +7,6 @@ import (
 	"lppart/internal/milp"
 )
 
-// exactPickCell formats an optimum's hardware picks, or the
-// all-software marker.
-func exactPickCell(picks []milp.Pick) string {
-	if len(picks) == 0 {
-		return "(all software)"
-	}
-	parts := make([]string, 0, len(picks))
-	for _, p := range picks {
-		parts = append(parts, p.Label+"@"+p.Set)
-	}
-	return strings.Join(parts, "+")
-}
-
 // Exact renders one application's exact optima: per explored cache
 // geometry, the provably minimal objective next to the Fig. 1 greedy
 // round's, the optimality gap between them, and the certified
@@ -39,7 +26,7 @@ func Exact(r *milp.Result) string {
 		}
 		fmt.Fprintf(&sb, "%-10s %-10s %10.6f %10.6f %7.3f %8d %7v  %s\n",
 			geomCell(o.Geom[0]), geomCell(o.Geom[1]),
-			gOF, o.OF, gap, o.Stats.Nodes, o.Stats.Proven, exactPickCell(o.Picks))
+			gOF, o.OF, gap, o.Stats.Nodes, o.Stats.Proven, pickCell(o.Picks))
 	}
 	return sb.String()
 }
@@ -49,14 +36,14 @@ func Exact(r *milp.Result) string {
 // against.
 type GapRow struct {
 	App       string
-	GreedyOF  float64 // Fig. 1 greedy objective, reference geometry
-	ExactOF   float64 // proven minimum, reference geometry
-	Picks     string  // the exact optimum's configuration
-	Certified bool    // bound-trail certificate re-checked
-	Points    int     // global Pareto frontier size
-	Configs   int64   // configurations the exact-bound search evaluated
-	Pruned    int64   // subtrees/options the exact-bound search cut
-	Verdict   string  // where the greedy Table 1 point ended up
+	GreedyOF  float64     // Fig. 1 greedy objective, reference geometry
+	ExactOF   float64     // proven minimum, reference geometry
+	Picks     []milp.Pick // the exact optimum's configuration
+	Certified bool        // bound-trail certificate re-checked
+	Points    int         // global Pareto frontier size
+	Configs   int64       // configurations the exact-bound search evaluated
+	Pruned    int64       // subtrees/options the exact-bound search cut
+	Verdict   string      // where the greedy Table 1 point ended up
 }
 
 // Gap renders the per-application optimality-gap table: the Fig. 1
@@ -80,7 +67,7 @@ func Gap(rows []GapRow) string {
 		}
 		fmt.Fprintf(&sb, "%-7s %10.6f %10.6f %7.3f %5s %8d %8d %7d  %-24s %s\n",
 			r.App, r.GreedyOF, r.ExactOF, gap, cert,
-			r.Points, r.Configs, r.Pruned, r.Picks, r.Verdict)
+			r.Points, r.Configs, r.Pruned, pickCell(r.Picks), r.Verdict)
 	}
 	return sb.String()
 }

@@ -14,15 +14,15 @@ func geomCell(c cache.Config) string {
 	return fmt.Sprintf("%dx%dx%dw", c.Sets, c.Assoc, c.LineWords)
 }
 
-// pickCell formats a point's hardware picks ("label@set+label@set"), or
-// the all-software marker.
-func pickCell(p dse.Point) string {
-	if len(p.Clusters) == 0 {
+// pickCell formats a configuration's hardware picks
+// ("label@set+label@set"), or the all-software marker.
+func pickCell(picks []dse.Pick) string {
+	if len(picks) == 0 {
 		return "(all software)"
 	}
-	parts := make([]string, 0, len(p.Clusters))
-	for _, c := range p.Clusters {
-		parts = append(parts, c.Label+"@"+c.Set)
+	parts := make([]string, 0, len(picks))
+	for _, p := range picks {
+		parts = append(parts, p.Label+"@"+p.Set)
 	}
 	return strings.Join(parts, "+")
 }
@@ -43,7 +43,7 @@ func Pareto(f *dse.Frontier) string {
 		fmt.Fprintf(&sb, "%-3d %-10s %-10s %12s %14v %8d %7.3f %7.3f  %s\n",
 			p.ID, geomCell(p.ICache), geomCell(p.DCache),
 			energyCell(p.Energy), units.Cycles(p.Cycles), p.GEQ,
-			p.EnergyRatio, p.CycleRatio, pickCell(p))
+			p.EnergyRatio, p.CycleRatio, pickCell(p.Clusters))
 	}
 	return sb.String()
 }

@@ -26,9 +26,9 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"lppart/internal/cdfg"
+	"lppart/internal/scratch"
 	"lppart/internal/tech"
 )
 
@@ -141,9 +141,9 @@ type slotKey struct {
 
 // workspace is the reusable scratch state of one scheduling run: node and
 // occupancy slabs plus the dependence-tracking maps of buildDFG. Instances
-// are drawn from a sync.Pool, so steady-state ScheduleBlock calls allocate
-// only the BlockSchedule they return. Every field is reset before use, so
-// pooling cannot affect results.
+// are recycled through workspaces, so steady-state ScheduleBlock calls
+// allocate only the BlockSchedule they return. Every field is reset
+// before use, so recycling cannot affect results.
 type workspace struct {
 	nodes    []node
 	order    []int
@@ -157,18 +157,26 @@ type workspace struct {
 	memUse  []int16
 	usageHi int
 
+	// lastDef and lastStore map a slot to its last writer's node;
+	// lastUses and loadsSince map it to its readers since, a list in
+	// links given as 1 + its head's index (0: none).
 	lastDef    map[slotKey]int
-	lastUses   map[slotKey][]int
+	lastUses   map[slotKey]int
 	lastStore  map[slotKey]int
-	loadsSince map[slotKey][]int
+	loadsSince map[slotKey]int
+	links      []link
 }
 
-var wsPool = sync.Pool{New: func() any {
+// link is one entry of a reader list: a node and 1 + the index of the
+// next entry (0 ends the list).
+type link struct{ node, next int }
+
+var workspaces = scratch.Pool[workspace]{New: func() *workspace {
 	return &workspace{
 		lastDef:    make(map[slotKey]int),
-		lastUses:   make(map[slotKey][]int),
+		lastUses:   make(map[slotKey]int),
 		lastStore:  make(map[slotKey]int),
-		loadsSince: make(map[slotKey][]int),
+		loadsSince: make(map[slotKey]int),
 	}
 }}
 
@@ -200,6 +208,13 @@ func (ws *workspace) resetOccupancy(maxSteps int) {
 	ws.usageHi = 0
 }
 
+// push prepends node ni to slot k's reader list in m. Lists are walked
+// newest first; the edges a walk adds do not depend on the order.
+func (ws *workspace) push(m map[slotKey]int, k slotKey, ni int) {
+	ws.links = append(ws.links, link{ni, m[k]})
+	m[k] = len(ws.links)
+}
+
 // note records that occupancy was written up to (but not including) step
 // end, so the next resetOccupancy clears exactly the dirty prefix.
 func (ws *workspace) note(end int) {
@@ -225,8 +240,8 @@ func (ws *workspace) Less(i, j int) bool {
 //
 //lint:hotpath the paper's Table 1 inner loop; kept allocation-free since PR 6
 func ScheduleBlock(cfg Config, f *cdfg.Function, b *cdfg.Block) (*BlockSchedule, error) {
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
 	if err := ws.buildDFG(cfg, b); err != nil {
 		return nil, err
 	}
@@ -440,6 +455,7 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 	clear(lastUses)
 	clear(lastStore)
 	clear(loadsSince)
+	ws.links = ws.links[:0]
 	// Values defined by unscheduled ops (consts) are always available;
 	// values from scheduled ops create RAW edges. Walk ops in block
 	// order, consulting only scheduled (node-mapped) producers.
@@ -455,7 +471,7 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 				if d, ok := lastDef[k]; ok {
 					addEdge(d, ni) // RAW
 				}
-				lastUses[k] = append(lastUses[k], ni)
+				ws.push(lastUses, k, ni)
 			}
 		}
 		if isNode && op.Code == cdfg.Load {
@@ -463,7 +479,7 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 			if s, ok := lastStore[ak]; ok {
 				addEdge(s, ni) // memory RAW
 			}
-			loadsSince[ak] = append(loadsSince[ak], ni)
+			ws.push(loadsSince, ak, ni)
 		}
 		// Writes.
 		if isNode && op.Code == cdfg.Store {
@@ -471,10 +487,10 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 			if s, ok := lastStore[ak]; ok {
 				addEdge(s, ni) // memory WAW
 			}
-			for _, l := range loadsSince[ak] {
-				addEdge(l, ni) // memory WAR
+			for j := loadsSince[ak]; j != 0; j = ws.links[j-1].next {
+				addEdge(ws.links[j-1].node, ni) // memory WAR
 			}
-			loadsSince[ak] = nil
+			loadsSince[ak] = 0
 			lastStore[ak] = ni
 		}
 		if d := op.Def(); d.Valid() {
@@ -483,16 +499,16 @@ func (ws *workspace) buildDFG(cfg Config, b *cdfg.Block) error {
 				if prev, ok := lastDef[k]; ok {
 					addEdge(prev, ni) // WAW
 				}
-				for _, u := range lastUses[k] {
-					addEdge(u, ni) // WAR
+				for j := lastUses[k]; j != 0; j = ws.links[j-1].next {
+					addEdge(ws.links[j-1].node, ni) // WAR
 				}
 				lastDef[k] = ni
-				lastUses[k] = nil
+				lastUses[k] = 0
 			} else {
 				// A const/copy-free def overwrites the slot: later
 				// readers no longer depend on the previous producer.
 				delete(lastDef, k)
-				lastUses[k] = nil
+				lastUses[k] = 0
 			}
 		}
 	}

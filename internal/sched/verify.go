@@ -61,8 +61,8 @@ func verifyBlock(cfg Config, rs *RegionSchedule, bs *BlockSchedule) error {
 			rs.Region.Label, bs.Block.ID, fmt.Sprintf(format, args...))
 	}
 	// Re-derive the dependence graph the scheduler used.
-	ws := wsPool.Get().(*workspace)
-	defer wsPool.Put(ws)
+	ws := workspaces.Get()
+	defer workspaces.Put(ws)
 	if err := ws.buildDFG(cfg, bs.Block); err != nil {
 		return fail("dependence graph: %v", err)
 	}

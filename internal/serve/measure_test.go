@@ -323,7 +323,7 @@ func TestMeasureTierHitZeroAlloc(t *testing.T) {
 	if w := s.measureWait.Value(); w != 0 {
 		t.Errorf("hits waited %d times, want 0", w)
 	}
-	if allocs != 0 && !raceEnabled {
+	if allocs != 0 {
 		t.Errorf("a tier hit allocates %.0f times, want 0", allocs)
 	}
 }

@@ -47,7 +47,7 @@ func TestSweepBodyDigest(t *testing.T) {
 // the body — nothing that grows with the stream's length.
 func TestColdSweepNoTraceZeroAlloc(t *testing.T) {
 	if raceEnabled {
-		t.Skip("the ISS memory's sync.Pool drops at random under -race")
+		t.Skip("the standard library's sync.Pools (fmt's printers, encoding/json's encoder states) drop at random under -race")
 	}
 	const slack = 256 << 10
 	s := New(Config{Workers: 1})

@@ -367,7 +367,7 @@ type Library struct {
 	WireGEQRef       int
 
 	// executors caches the per-class capable-resource lists served by
-	// Executors. Default() fills it after the resource table is final;
+	// Executors. buildDefault fills it after the resource table is final;
 	// keeping it a plain value field (not a sync.Once) keeps the struct
 	// copyable and its AppendKey encoding — which the measurement memo
 	// fingerprints — independent of call order.
@@ -416,10 +416,23 @@ func (l *Library) buildExecutors() {
 	}
 }
 
-// Default returns the reference CMOS6-style 0.8µ/5V technology library.
-// All constants are documented inline; they are self-consistent rather
-// than copied from the (unpublished) NEC library.
+// defaultLib is the reference library, built once.
+var defaultLib = buildDefault()
+
+// Default returns a copy of the reference CMOS6-style 0.8µ/5V technology
+// library. The copy is the caller's: editing its fields (the A5 ablation
+// replaces Micro) leaves the next Default unchanged. It shares the
+// reference's read-only tables — the resources' op-cycle maps, Micro.Uses
+// and the executor lists — which no caller may mutate.
 func Default() *Library {
+	lib := *defaultLib
+	return &lib
+}
+
+// buildDefault builds the reference library. All constants are
+// documented inline; they are self-consistent rather than copied from
+// the (unpublished) NEC library.
+func buildDefault() *Library {
 	lib := &Library{
 		Name: "cmos6-0.8u",
 		// A small FSM row per control step: state register bits plus

@@ -1,6 +1,7 @@
 package tech
 
 import (
+	"bytes"
 	"testing"
 
 	"lppart/internal/units"
@@ -279,5 +280,31 @@ func TestEnergyScaleSanity(t *testing.T) {
 	// be well under a memory word read.
 	if lib.Memory.EReadWord < 10*units.NanoJoule {
 		t.Errorf("memory read %v implausibly small", lib.Memory.EReadWord)
+	}
+}
+
+// TestDefaultAllocatesOnce: the reference library is built once, and
+// Default hands out a copy of it, one allocation; it built the whole
+// library on every call, 29 allocations, paid by every evaluation that
+// leaves its library unset.
+func TestDefaultAllocatesOnce(t *testing.T) {
+	if a := testing.AllocsPerRun(100, func() { Default() }); a > 1 {
+		t.Errorf("Default allocates %v times per call, want <= 1", a)
+	}
+}
+
+// TestDefaultCopyIsTheCallers: editing one Default's fields, as the A5
+// ablation edits Micro, leaves the next Default unchanged.
+func TestDefaultCopyIsTheCallers(t *testing.T) {
+	want := Default().AppendKey(nil)
+	lib := Default()
+	lib.Micro = lib.Micro.Gated(lib)
+	lib.Micro.BaseEnergy[IClassALU] = 0
+	lib.Memory.EReadWord = 0
+	if got := Default().AppendKey(nil); !bytes.Equal(got, want) {
+		t.Error("editing one Default's Micro and Memory changed the next Default")
+	}
+	if Default().Micro.GatedClocks {
+		t.Error("the next Default has gated clocks")
 	}
 }
