@@ -22,6 +22,7 @@ import (
 	"lppart/internal/apps"
 	"lppart/internal/behav"
 	"lppart/internal/cache"
+	"lppart/internal/explore"
 	"lppart/internal/system"
 	"lppart/internal/tech"
 )
@@ -236,8 +237,9 @@ func BenchmarkExtensionControlDominated(b *testing.B) {
 // with the parallel engine: the six applications fan out onto the
 // exploration pool (one worker per GOMAXPROCS CPU, so `-cpu 1,2,4`
 // sweeps the width) and each evaluation runs serially inside its worker.
-// The reported rows are byte-identical to the serial BenchmarkFig6 path
-// (see TestEvaluateAllMatchesSerial).
+// The fan-out is cmd/report's: explore.Map over system.Evaluate. The
+// reported rows are byte-identical to the serial BenchmarkFig6 path (see
+// TestEvaluateAllMatchesSerial).
 func BenchmarkFig6Parallel(b *testing.B) {
 	list := apps.All()
 	srcs := make([]*behav.Program, len(list))
@@ -252,7 +254,9 @@ func BenchmarkFig6Parallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		evals, err = system.EvaluateAll(srcs, system.Config{}, 0)
+		evals, err = explore.Map(0, srcs, func(_ int, src *behav.Program) (*system.Evaluation, error) {
+			return system.Evaluate(src, system.Config{})
+		})
 		if err != nil {
 			b.Fatal(err)
 		}

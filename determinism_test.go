@@ -9,13 +9,15 @@ import (
 
 	"lppart/internal/apps"
 	"lppart/internal/behav"
+	"lppart/internal/explore"
 	"lppart/internal/report"
 	"lppart/internal/system"
 )
 
-// TestEvaluateAllMatchesSerial covers the whole-app fan-out layer: the
-// six evaluations coming back from the shared worker pool must render the
-// same Table 1 as six independent serial runs, in the same order.
+// TestEvaluateAllMatchesSerial covers the whole-app fan-out cmd/report
+// makes: the six evaluations coming back from the shared worker pool
+// (explore.Map over system.Evaluate) must render the same Table 1 as six
+// independent serial runs, in the same order.
 func TestEvaluateAllMatchesSerial(t *testing.T) {
 	list := apps.All()
 	serial := make([]*system.Evaluation, 0, len(list))
@@ -32,12 +34,14 @@ func TestEvaluateAllMatchesSerial(t *testing.T) {
 		}
 		serial = append(serial, ev)
 	}
-	parallel, err := system.EvaluateAll(srcs, system.Config{}, 4)
+	parallel, err := explore.Map(4, srcs, func(_ int, src *behav.Program) (*system.Evaluation, error) {
+		return system.Evaluate(src, system.Config{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := report.Table1(parallel), report.Table1(serial); got != want {
-		t.Errorf("EvaluateAll Table 1 differs from serial evaluations:\n--- serial ---\n%s\n--- parallel ---\n%s",
+		t.Errorf("fanned-out Table 1 differs from serial evaluations:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			want, got)
 	}
 }

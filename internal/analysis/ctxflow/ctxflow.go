@@ -1,6 +1,6 @@
 // Package ctxflow implements the lppartvet pass that keeps cancellation
 // plumbed end to end. PR 4/5 threaded context.Context through the
-// service and evaluation layers (PartitionCtx, EvaluateAllCtx, MapCtx,
+// service and evaluation layers (PartitionCtx, EvaluateCtx, MapCtx,
 // the serve admission queue); this pass makes the discipline static:
 //
 //  1. A function holding a context must forward it. Passing a nil

@@ -78,11 +78,11 @@ type Config struct {
 	ExactBound bool
 	// Store, when non-nil, persists the measurement phase (the
 	// initial-design record system.EvaluateIRCtx shares, plus the
-	// geometry sweep) content-addressed by the program's
-	// system.Fingerprint: a warm run skips the ISS and the sweep entirely
-	// and produces a byte-identical frontier. Verify mode bypasses the
-	// store — an audit must exercise the full live flow. Never assign it
-	// a nil *memostore.Store: the typed nil is a non-nil Store.
+	// geometry sweep; see system.Measure): a warm run skips the ISS and
+	// the sweep entirely and produces a byte-identical frontier. Verify
+	// mode bypasses the store — an audit must exercise the full live
+	// flow. Never assign it a nil *memostore.Store: the typed nil is a
+	// non-nil Store.
 	Store system.Store
 	// OnProgress, when set, is called after each geometry finishes with
 	// (completed, total) counts. It may be called concurrently.
@@ -212,8 +212,10 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 		}
 	}
 
-	// One library for the key, the records and the baselines.
+	// One library for the key, the records and the baselines; the
+	// exploration's store, not Sys.Store, holds the records.
 	sys := cfg.Sys
+	sys.Store = cfg.Store
 	if sys.Part.Lib == nil {
 		sys.Part.Lib = tech.Default()
 	}
@@ -234,23 +236,11 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 	// stored. With a store attached, a previous run's measurement is
 	// replayed instead (bit-identical records, so the frontier is
 	// byte-identical to a cold run's).
-	useStore := cfg.Store != nil && !cfg.Sys.Part.Verify
-	var fp [32]byte
-	var m *measurement
-	if useStore {
-		fp = system.Fingerprint(ir, sys)
-		m = loadMeasurement(cfg.Store, fp, pairs, sys)
+	m, reps, err := system.Measure(ctx, ir, sys, pairs)
+	if err != nil {
+		return nil, err
 	}
-	if m == nil {
-		var err error
-		if m, err = measure(ctx, ir, sys, pairs); err != nil {
-			return nil, err
-		}
-		if useStore {
-			storeMeasurement(cfg.Store, fp, pairs, m)
-		}
-	}
-	anchor, reps := m.reps[0], m.reps[1:]
+	anchor, reps := reps[0], reps[1:]
 	base := m.Base
 	emup, initCycles := m.Initial.EMuP, m.Initial.TotalCycles()
 

@@ -2,18 +2,17 @@
 // memory and the scheduler's, binder's and exact solver's workspaces.
 //
 // A bare sync.Pool strands such state: it keeps a Put in the putting P's
-// private slot, two GCs empty it, and under the race detector it drops a
-// random quarter of the Puts. A Pool therefore keeps the last value put
-// back as a spare outside its sync.Pool, so a serial caller always finds
-// its scratch again, for the life of the process; so does a caller that
-// released a larger value last (the ISS's memories). The value a Put
-// displaces goes to the sync.Pool, for concurrent callers.
+// private slot, where another P's Get does not look, two GCs empty it,
+// and under the race detector it drops a random quarter of the Puts. A
+// Pool is a mutex-guarded LIFO free list instead: every Put is visible
+// to the next Get on any goroutine, for the life of the process, and the
+// value put back last comes back first, so a serial caller finds its
+// own scratch again, and so does a caller that released a larger value
+// last (the ISS's memories). The list never holds more values than were
+// out at once.
 package scratch
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Pool recycles values of type T. The zero Pool is empty and ready for
 // use; a Pool must not be copied after first use.
@@ -22,29 +21,32 @@ type Pool[T any] struct {
 	// recycled; without it such a Get returns nil.
 	New func() *T
 
-	spare atomic.Pointer[T]
-	pool  sync.Pool // of *T
+	mu   sync.Mutex
+	free []*T // LIFO: the last value put back is on top
 }
 
-// Get takes the spare, else a value from the sync.Pool, else New's. The
-// caller owns it until Put and must reset whatever state it relies on.
+// Get takes the value put back last, else New's. The caller owns it
+// until Put and must reset whatever state it relies on.
 func (p *Pool[T]) Get() *T {
-	if v := p.spare.Swap(nil); v != nil {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		v := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
 		return v
 	}
-	if v, ok := p.pool.Get().(*T); ok {
-		return v
-	}
+	p.mu.Unlock()
 	if p.New == nil {
 		return nil
 	}
 	return p.New()
 }
 
-// Put makes v the spare and moves the value it displaces to the
-// sync.Pool. The caller must not use v afterwards.
+// Put puts v on top of the free list. The caller must not use v
+// afterwards.
 func (p *Pool[T]) Put(v *T) {
-	if old := p.spare.Swap(v); old != nil {
-		p.pool.Put(old)
-	}
+	p.mu.Lock()
+	p.free = append(p.free, v)
+	p.mu.Unlock()
 }

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestPutSurvivesGCZeroAlloc: the value put back is the spare, which no GC
-// empties, so a Get after two GCs (which drain a sync.Pool) finds it.
+// TestPutSurvivesGCZeroAlloc: the value put back is on the free list,
+// which no GC empties, so a Get after two GCs (which drain a sync.Pool)
+// finds it.
 func TestPutSurvivesGCZeroAlloc(t *testing.T) {
 	var p Pool[[]int32]
 	v := new([]int32)
@@ -32,9 +33,33 @@ func TestNewFillsAnEmptyPool(t *testing.T) {
 	}
 }
 
+// TestPutVisibleOnAnotherGoroutine: every value put back, on any
+// goroutine, comes back from the next Gets, the last one put first.
+func TestPutVisibleOnAnotherGoroutine(t *testing.T) {
+	var p Pool[int]
+	vals := []*int{new(int), new(int), new(int)}
+	for _, v := range vals {
+		done := make(chan struct{})
+		go func() {
+			p.Put(v)
+			close(done)
+		}()
+		<-done
+	}
+	runtime.GC()
+	runtime.GC()
+	for i := len(vals) - 1; i >= 0; i-- {
+		if got := p.Get(); got != vals[i] {
+			t.Fatalf("Get %d = %p, want %p (put back %d-th)", len(vals)-1-i, got, vals[i], i)
+		}
+	}
+	if got := p.Get(); got != nil {
+		t.Errorf("Get on an emptied pool with no New = %p, want nil", got)
+	}
+}
+
 // TestNoValueHasTwoHolders: goroutines that mark a value on Get and
-// clear the mark before Put never find a value already marked, whichever
-// of the spare and the sync.Pool served it.
+// clear the mark before Put never find a value already marked.
 func TestNoValueHasTwoHolders(t *testing.T) {
 	type slot struct{ held bool }
 	p := Pool[slot]{New: func() *slot { return new(slot) }}

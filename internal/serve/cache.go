@@ -11,7 +11,7 @@ import (
 
 // lruCache is a bounded most-recently-used cache of finished bytes keyed
 // by content address: 200 response bodies under their storeKey and
-// measurement records under system.MeasureKey and dse's sweep key. The
+// measurement records under the keys system.Measure derives. The
 // key derivations are domain-separated hashes, so the kinds never
 // collide.
 type lruCache struct {
@@ -154,7 +154,8 @@ func (s *Server) endLease(key memostore.Key, res *result) {
 
 // measureTier is the system.Store one computation — a partition miss,
 // a /v1/batch item or an explore or exact job — reads and writes its
-// measurement records through: the server's tiers, counted on their own
+// measurement records through, and /v1/sweep writes its measurement
+// record through: the server's tiers, counted on their own
 // hit/miss/wait series so lppartd_cache_ops_total keeps counting
 // requests only.
 //

@@ -450,8 +450,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) *result {
 // computeSweep measures the application's initial design with the
 // single-pass stack-distance profiler teed into its one ISS run, which
 // prices the whole geometry grid and counts the reference stream without
-// storing it. The measurement record goes into the tiers under the key a
-// partition miss on the program looks up. A program the measurement
+// storing it. The measurement record goes through a measure tier under
+// the key a partition miss on the program looks up
+// (system.StoreMeasurement); the sweep never reads the tiers, since its
+// body needs the reference stream's counts. A program the measurement
 // rejects gets /v1/partition's error text.
 func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *SweepRequest,
 	pairs [][2]cache.Config, key string) *result {
@@ -459,7 +461,9 @@ func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *Swe
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
-	cfg := system.Config{MaxInstrs: s.cfg.MaxInstrs}
+	tier := s.newMeasureTier(ctx)
+	defer tier.done()
+	cfg := system.Config{MaxInstrs: s.cfg.MaxInstrs, Store: tier}
 	ev, base, reps, st, err := system.MeasureAndSweepCtx(ctx, ir, cfg, pairs)
 	if ctx.Err() != nil {
 		return errResult(&apiError{Status: http.StatusGatewayTimeout, Err: "sweep deadline exceeded"})
@@ -467,8 +471,7 @@ func (s *Server) computeSweep(ctx context.Context, prog *behav.Program, req *Swe
 	if err != nil {
 		return errResult(&apiError{Status: http.StatusUnprocessableEntity, Err: err.Error()})
 	}
-	rec := system.EncodeMeasurement(system.NewMeasurement(ev, base))
-	_ = s.tierPut(system.MeasureKey(system.Fingerprint(ir, cfg)), rec) //lint:err persistence must never fail a served request
+	system.StoreMeasurement(ir, cfg, ev, base)
 	name := req.App
 	if name == "" {
 		name = ir.Name

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -300,48 +301,107 @@ func settable(v reflect.Value) reflect.Value {
 	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 }
 
-// FuzzDecodeMeasurement fuzzes the initial-design measurement record,
-// the bytes a memostore or the server's LRU hands back. The decoder may
-// not panic, and any record that decodes must re-encode to a record that
-// decodes again and re-encodes to the same bytes. The encoding stores
-// every field, floats as raw bit patterns, so equal encodings are equal
-// records. The seeds are the genuine records of the six applications
-// and the examples, which must round-trip byte-exactly, and truncations
-// of them.
+// exploreGrid is the measured grid of a default dse.Prepare: the anchor
+// pair, then dse.DefaultGeometries (the reference geometry, halved
+// i-cache, halved d-cache, both halved).
+func exploreGrid() [][2]cache.Config {
+	i, d := cache.DefaultICache(), cache.DefaultDCache()
+	ih, dh := i, d
+	ih.Sets /= 2
+	dh.Sets /= 2
+	return [][2]cache.Config{{i, d}, {i, d}, {ih, d}, {i, dh}, {ih, dh}}
+}
+
+// FuzzDecodeMeasurement fuzzes both persisted record kinds, the bytes a
+// memostore or the server's LRU hands back: the initial-design
+// measurement record and the geometry sweep's record. Neither decoder
+// may panic, and any record that decodes must re-encode to a record
+// that decodes again and re-encodes to the same bytes. The encodings
+// store every field, floats as raw bit patterns, so equal encodings are
+// equal records. The seeds are the genuine records of the six
+// applications and the examples on a default dse.Prepare's grid, which
+// must round-trip byte-exactly, and truncations of them: the
+// measurement records first, then the sweep records.
 func FuzzDecodeMeasurement(f *testing.F) {
 	var cfg Config
+	pairs := exploreGrid()
 	srcs := replaySources(f)
 	names := make([]string, 0, len(srcs))
 	for name := range srcs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var mrecs, srecs [][]byte
 	for _, name := range names {
-		ev, base, err := MeasureInitialCtx(context.Background(), buildSource(f, srcs[name]), cfg)
+		m, reps, err := Measure(context.Background(), buildSource(f, srcs[name]), cfg, pairs)
 		if err != nil {
 			f.Fatal(err)
 		}
-		rec := EncodeMeasurement(NewMeasurement(ev, base))
-		if got := DecodeMeasurement(rec, cfg); got == nil || !bytes.Equal(EncodeMeasurement(got), rec) {
+		mrec, srec := EncodeMeasurement(m), encodeReports(reps)
+		if got := DecodeMeasurement(mrec, cfg); got == nil || !bytes.Equal(EncodeMeasurement(got), mrec) {
 			f.Fatalf("%s: genuine measurement record does not round-trip", name)
 		}
+		if got := decodeReports(srec, pairs); got == nil || !bytes.Equal(encodeReports(got), srec) {
+			f.Fatalf("%s: genuine sweep record does not round-trip", name)
+		}
+		mrecs, srecs = append(mrecs, mrec), append(srecs, srec)
+	}
+	for _, rec := range append(mrecs, srecs...) {
 		f.Add(rec)
 		f.Add(rec[:len(rec)-1])
 		f.Add(rec[:len(rec)/2])
 		f.Add(rec[:8])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m := DecodeMeasurement(data, cfg)
-		if m == nil {
-			return
+		if m := DecodeMeasurement(data, cfg); m != nil {
+			rec := EncodeMeasurement(m)
+			again := DecodeMeasurement(rec, cfg)
+			if again == nil {
+				t.Fatal("re-encoded measurement record does not decode")
+			}
+			if !bytes.Equal(EncodeMeasurement(again), rec) {
+				t.Fatal("re-encoded measurement record decodes to a different record")
+			}
 		}
-		rec := EncodeMeasurement(m)
-		again := DecodeMeasurement(rec, cfg)
-		if again == nil {
-			t.Fatal("re-encoded measurement record does not decode")
-		}
-		if !bytes.Equal(EncodeMeasurement(again), rec) {
-			t.Fatal("re-encoded measurement record decodes to a different record")
+		if reps := decodeReports(data, pairs); reps != nil {
+			rec := encodeReports(reps)
+			again := decodeReports(rec, pairs)
+			if again == nil {
+				t.Fatal("re-encoded sweep record does not decode")
+			}
+			if !bytes.Equal(encodeReports(again), rec) {
+				t.Fatal("re-encoded sweep record decodes to a different record")
+			}
 		}
 	})
+}
+
+// measurementRecordDigest is the SHA-256 of the six applications'
+// measurement and sweep records on a default Prepare's grid. A
+// memostore written by any earlier build holds these bytes, so they must
+// not move while the records keep their version. (Measurement record
+// version 2 added the initial design's breakdown and globals digest.)
+const measurementRecordDigest = "56f04e7bd23fea5fe7952f96fbe2d16ca7970c17632ca0d6584765fcba32ce5e"
+
+// TestMeasurementRecordDigest pins the persisted measurement records
+// byte for byte, profile included: a -store directory written before a
+// change to how the measurement is taken must still replay.
+func TestMeasurementRecordDigest(t *testing.T) {
+	pairs := exploreGrid()
+	h := sha256.New()
+	for _, a := range apps.All() {
+		ir, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, reps, err := Measure(context.Background(), ir, Config{}, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(EncodeMeasurement(m))
+		h.Write(encodeReports(reps))
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != measurementRecordDigest {
+		t.Errorf("measurement record digest %s, want %s", got, measurementRecordDigest)
+	}
 }

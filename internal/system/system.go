@@ -20,7 +20,6 @@ import (
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
 	"lppart/internal/codegen"
-	"lppart/internal/explore"
 	"lppart/internal/isa"
 	"lppart/internal/iss"
 	"lppart/internal/mem"
@@ -48,13 +47,13 @@ type Config struct {
 	// grow into the static data, and a return that does not follow a
 	// call, as machine faults.
 	MaxInstrs int64
-	// Store, when non-nil, persists the initial-design measurement under
-	// MeasureKey (see Measurement). An evaluation that finds the record
-	// skips the initial compile and ISS run and goes straight to the
-	// Fig. 1 loop and the co-simulation; its result is byte-identical to
-	// a cold run's, Initial.ISS aside. Part.Verify bypasses the store: an
-	// audit must exercise the full live flow. Never assign it a nil
-	// *memostore.Store: the typed nil is a non-nil Store.
+	// Store, when non-nil, persists the measurement (see Measure). An
+	// evaluation that finds the record skips the initial compile and ISS
+	// run and goes straight to the Fig. 1 loop and the co-simulation; its
+	// result is byte-identical to a cold run's, Initial.ISS aside.
+	// Part.Verify bypasses the store: an audit must exercise the full
+	// live flow. Never assign it a nil *memostore.Store: the typed nil is
+	// a non-nil Store.
 	Store Store
 }
 
@@ -234,31 +233,6 @@ type isaProgram struct {
 	lay  *codegen.Layout
 }
 
-// EvaluateAll runs the full design flow for several applications
-// concurrently on a bounded worker pool (workers <= 0 selects one worker
-// per CPU) and returns the evaluations in input order. Evaluate is
-// re-entrant — every run builds its own IR, designs, caches and cores —
-// so concurrent evaluations share only read-only state (the technology
-// library and resource sets of cfg, and the source ASTs).
-func EvaluateAll(srcs []*behav.Program, cfg Config, workers int) ([]*Evaluation, error) {
-	return EvaluateAllCtx(context.Background(), srcs, cfg, workers) //lint:ctx non-Ctx convenience wrapper
-}
-
-// EvaluateAllCtx is EvaluateAll with cancellation: a cancelled or
-// deadline-expired ctx stops the pool from starting new evaluations and
-// aborts in-progress ones at their next stage boundary, returning
-// ctx.Err(). Served requests use this so a timed-out caller stops
-// burning workers mid-grid.
-func EvaluateAllCtx(ctx context.Context, srcs []*behav.Program, cfg Config, workers int) ([]*Evaluation, error) {
-	return explore.MapCtx(ctx, workers, srcs, func(_ int, src *behav.Program) (*Evaluation, error) {
-		ev, err := EvaluateCtx(ctx, src, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", src.Name, err)
-		}
-		return ev, nil
-	})
-}
-
 // Evaluate runs the full design flow for one application: behavioral
 // source → IR → profile → initial design → partitioning → partitioned
 // design, with a functional cross-check between the two designs.
@@ -268,7 +242,9 @@ func Evaluate(src *behav.Program, cfg Config) (*Evaluation, error) {
 	return EvaluateCtx(context.Background(), src, cfg) //lint:ctx non-Ctx convenience wrapper
 }
 
-// EvaluateCtx is Evaluate with cancellation (see EvaluateAllCtx).
+// EvaluateCtx is Evaluate with cancellation: a cancelled or
+// deadline-expired ctx aborts the evaluation at its next stage boundary
+// (or inside an ISS run) with ctx.Err().
 func EvaluateCtx(ctx context.Context, src *behav.Program, cfg Config) (*Evaluation, error) {
 	cfg.defaults()
 	ir, err := cdfg.Build(src)
@@ -426,33 +402,28 @@ func runtimeError(ir *cdfg.Program, p *isa.Program, e *iss.SimError) *cdfg.Runti
 // program replaces the initial design's compile and ISS run. The
 // replay's cross-check compares the partitioned design's globals with
 // the record's digest; on a mismatch, or on any failure of the replay,
-// the evaluation starts over cold, so every result and every error is
-// the cold run's.
+// the evaluation measures again without reading the store, rewrites the
+// record and continues cold, so every result and every error is the
+// cold run's.
 func EvaluateIRCtx(ctx context.Context, ir *cdfg.Program, cfg Config) (*Evaluation, error) {
 	cfg.defaults()
-	useStore := cfg.Store != nil && !cfg.Part.Verify
-	var key [32]byte
-	if useStore {
-		key = MeasureKey(Fingerprint(ir, cfg))
-		if m := LoadMeasurement(cfg.Store, key, cfg); m != nil {
-			ev := &Evaluation{App: ir.Name, IR: ir, Initial: m.Initial, Profile: m.Profile}
-			if err := partitionCtx(ctx, ev, m.Base, &cfg, func(lay *codegen.Layout, mem []int32) error {
-				if globalsDigest(globalWords(ir, lay, mem)) != m.Globals {
-					return errDigest
-				}
-				return nil
-			}); err == nil {
-				return ev, nil
-			}
-		}
-	}
-
-	ev, base, err := MeasureInitialCtx(ctx, ir, cfg)
+	m, _, ev, base, err := measure(ctx, ir, cfg, nil, true)
 	if err != nil {
 		return nil, err
 	}
-	if useStore {
-		_ = cfg.Store.Put(key, EncodeMeasurement(NewMeasurement(ev, base))) //lint:err persistence is best-effort (see Config.Store)
+	if ev == nil {
+		ev = &Evaluation{App: ir.Name, IR: ir, Initial: m.Initial, Profile: m.Profile}
+		if err := partitionCtx(ctx, ev, m.Base, &cfg, func(lay *codegen.Layout, mem []int32) error {
+			if globalsDigest(globalWords(ir, lay, mem)) != m.Globals {
+				return errDigest
+			}
+			return nil
+		}); err == nil {
+			return ev, nil
+		}
+		if _, _, ev, base, err = measure(ctx, ir, cfg, nil, false); err != nil {
+			return nil, err
+		}
 	}
 	err = partitionCtx(ctx, ev, base, &cfg, func(lay *codegen.Layout, mem []int32) error {
 		return verify(ir, ev.initialGlobals, lay, mem)

@@ -430,28 +430,24 @@ func TestPartitionConfigF(t *testing.T) {
 	}
 }
 
-// A cancelled context must abort EvaluateAllCtx with ctx.Err() instead of
-// running the remaining evaluations to completion.
-func TestEvaluateAllCtxCancelled(t *testing.T) {
-	var srcs []*behav.Program
-	for _, a := range apps.All() {
-		p, err := a.Parse()
-		if err != nil {
-			t.Fatal(err)
-		}
-		srcs = append(srcs, p)
+// A cancelled context must abort EvaluateCtx with ctx.Err() instead of
+// running the evaluation to completion.
+func TestEvaluateCtxCancelled(t *testing.T) {
+	src, err := apps.All()[1].Parse()
+	if err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := EvaluateAllCtx(ctx, srcs, Config{}, 2); err != context.Canceled {
-		t.Fatalf("EvaluateAllCtx under cancelled ctx: err = %v, want context.Canceled", err)
+	if _, err := EvaluateCtx(ctx, src, Config{}); err != context.Canceled {
+		t.Fatalf("EvaluateCtx under cancelled ctx: err = %v, want context.Canceled", err)
 	}
 
-	// Deadline expiry mid-run surfaces as DeadlineExceeded, not a partial
-	// result: use a deadline far too short for even one evaluation.
+	// Deadline expiry surfaces as DeadlineExceeded, not a partial
+	// result: use a deadline far too short for one evaluation.
 	dctx, dcancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer dcancel()
-	if _, err := EvaluateAllCtx(dctx, srcs, Config{}, 2); err != context.DeadlineExceeded {
-		t.Fatalf("EvaluateAllCtx past deadline: err = %v, want context.DeadlineExceeded", err)
+	if _, err := EvaluateCtx(dctx, src, Config{}); err != context.DeadlineExceeded {
+		t.Fatalf("EvaluateCtx past deadline: err = %v, want context.DeadlineExceeded", err)
 	}
 }
