@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lppart/internal/behav"
+	"lppart/internal/scratch"
 )
 
 // Build lowers a checked behavioral program to IR and constructs the
@@ -16,7 +17,16 @@ import (
 //     equivalent except for fault timing.
 //   - Loop and if regions contain their condition evaluation; a for-loop's
 //     init assignment stays in the enclosing region (it runs once).
+//
+// Each function's ops are emitted into one recycled buffer and copied
+// once, at exact size, into the function's op arena (see Block.Ops).
 func Build(src *behav.Program) (*Program, error) {
+	sc := buildScratches.Get()
+	defer sc.release()
+	return build(src, sc)
+}
+
+func build(src *behav.Program, sc *buildScratch) (*Program, error) {
 	p := &Program{Name: src.Name, funcIdx: make(map[string]int)}
 	globalIdx := make(map[string]int)
 	for _, g := range src.Globals {
@@ -32,6 +42,7 @@ func Build(src *behav.Program) (*Program, error) {
 			localIdx:  make(map[string]int),
 			fn:        &Function{Name: fd.Name},
 			regionID:  &nextRegion,
+			sc:        sc,
 		}
 		if err := b.buildFunc(fd); err != nil {
 			return nil, err
@@ -61,6 +72,35 @@ type builder struct {
 	regions   []*Region // region stack
 	regionID  *int
 	nextTemp  int
+	sc        *buildScratch
+}
+
+// buildScratch is the builder's growth buffer: the current function's
+// ops in emission order (an op's index is its ID) and, per block ID,
+// the stretch of ops emitted while the block was cur.
+type buildScratch struct {
+	ops     []Op
+	stretch []stretch
+}
+
+// stretch is a block's ops[start:end]; start is -1 until the block is
+// cur, end until it stops being cur.
+type stretch struct{ start, end int }
+
+var buildScratches = scratch.Pool[buildScratch]{New: func() *buildScratch { return new(buildScratch) }}
+
+// reset empties the scratch for the next function. The ops are cleared,
+// so recycled memory keeps no Args or Callee alive.
+func (sc *buildScratch) reset() {
+	clear(sc.ops)
+	sc.ops = sc.ops[:0]
+	sc.stretch = sc.stretch[:0]
+}
+
+// release hands the scratch back, also after a failed build.
+func (sc *buildScratch) release() {
+	sc.reset()
+	buildScratches.Put(sc)
 }
 
 func (b *builder) buildFunc(fd *behav.FuncDecl) error {
@@ -73,15 +113,26 @@ func (b *builder) buildFunc(fd *behav.FuncDecl) error {
 	entry := b.newBlock()
 	b.fn.Entry = entry.ID
 	root.Entry = entry.ID
-	b.cur = entry
+	b.setCur(entry)
 	if err := b.stmt(fd.Body); err != nil {
 		return err
 	}
 	// Implicit return at the end of the body.
-	if b.cur.Terminator() == nil {
+	if !b.terminated() {
 		b.emit(Op{Code: Ret, A: NoOperand, B: NoOperand, Dst: NoVar, Arr: NoArr, Pos: fd.Pos})
 	}
 	b.popRegion()
+	b.setCur(nil)
+	// One exact arena per function; every block's ops are its stretch,
+	// capped so that an append to one block cannot write into the next.
+	arena := make([]Op, len(b.sc.ops))
+	copy(arena, b.sc.ops)
+	for id, st := range b.sc.stretch {
+		if st.end > st.start {
+			b.fn.Blocks[id].Ops = arena[st.start:st.end:st.end]
+		}
+	}
+	b.sc.reset()
 	return nil
 }
 
@@ -126,17 +177,43 @@ func (b *builder) popRegion() { b.regions = b.regions[:len(b.regions)-1] }
 func (b *builder) newBlock() *Block {
 	blk := &Block{ID: len(b.fn.Blocks)}
 	b.fn.Blocks = append(b.fn.Blocks, blk)
+	b.sc.stretch = append(b.sc.stretch, stretch{-1, -1})
 	for _, r := range b.regions {
 		r.Blocks = append(r.Blocks, blk.ID)
 	}
 	return blk
 }
 
-func (b *builder) emit(op Op) *Op {
-	op.ID = b.fn.nextOp
-	b.fn.nextOp++
-	b.cur.Ops = append(b.cur.Ops, op)
-	return &b.cur.Ops[len(b.cur.Ops)-1]
+// setCur ends cur's stretch of the op buffer and starts blk's (none when
+// blk is nil). Every block is cur for exactly one contiguous stretch: a
+// merge or exit block becomes cur only after the blocks before it close.
+func (b *builder) setCur(blk *Block) {
+	if b.cur != nil {
+		b.sc.stretch[b.cur.ID].end = len(b.sc.ops)
+	}
+	b.cur = blk
+	if blk == nil {
+		return
+	}
+	st := &b.sc.stretch[blk.ID]
+	if st.start >= 0 {
+		panic(fmt.Sprintf("cdfg: %s: block b%d is cur a second time", b.fn.Name, blk.ID))
+	}
+	st.start = len(b.sc.ops)
+}
+
+// terminated reports whether cur's ops so far end in a terminator.
+func (b *builder) terminated() bool {
+	n := len(b.sc.ops)
+	return n > b.sc.stretch[b.cur.ID].start && b.sc.ops[n-1].Code.IsTerminator()
+}
+
+// emit appends op to cur and returns its index in the op buffer, which
+// stays valid across later emits (a pointer would not).
+func (b *builder) emit(op Op) int {
+	op.ID = len(b.sc.ops)
+	b.sc.ops = append(b.sc.ops, op)
+	return op.ID
 }
 
 func (b *builder) lookupScalar(name string, pos behav.Pos) (VarRef, error) {
@@ -211,7 +288,7 @@ func (b *builder) stmt(s behav.Stmt) error {
 		b.emit(Op{Code: Ret, A: a, B: NoOperand, Dst: NoVar, Arr: NoArr, Pos: s.Pos})
 		// Statements after a return are unreachable; give them a fresh
 		// block so the current block stays well-formed.
-		b.cur = b.newBlock()
+		b.setCur(b.newBlock())
 		return nil
 	case *behav.ExprStmt:
 		call, ok := s.X.(*behav.CallExpr)
@@ -264,7 +341,7 @@ func (b *builder) ifStmt(s *behav.IfStmt) error {
 	condBlk := b.newBlock()
 	region.Entry = condBlk.ID
 	b.emit(Op{Code: Br, Dst: NoVar, A: NoOperand, B: NoOperand, Arr: NoArr, Target: condBlk.ID, Pos: s.Pos})
-	b.cur = condBlk
+	b.setCur(condBlk)
 	cond, err := b.expr(s.Cond)
 	if err != nil {
 		return err
@@ -272,13 +349,12 @@ func (b *builder) ifStmt(s *behav.IfStmt) error {
 	cbr := b.emit(Op{Code: CBr, Dst: NoVar, A: cond, B: NoOperand, Arr: NoArr, Pos: s.Pos})
 
 	thenBlk := b.newBlock()
-	cbr = &condBlk.Ops[len(condBlk.Ops)-1]
-	cbr.Then = thenBlk.ID
-	b.cur = thenBlk
+	b.sc.ops[cbr].Then = thenBlk.ID
+	b.setCur(thenBlk)
 	if err := b.stmt(s.Then); err != nil {
 		return err
 	}
-	if b.cur.Terminator() == nil {
+	if !b.terminated() {
 		b.emit(Op{Code: Br, Dst: NoVar, A: NoOperand, B: NoOperand, Arr: NoArr, Target: merge.ID, Pos: s.Pos})
 	}
 
@@ -286,18 +362,17 @@ func (b *builder) ifStmt(s *behav.IfStmt) error {
 	if s.Else != nil {
 		elseBlk := b.newBlock()
 		elseTarget = elseBlk.ID
-		b.cur = elseBlk
+		b.setCur(elseBlk)
 		if err := b.stmt(s.Else); err != nil {
 			return err
 		}
-		if b.cur.Terminator() == nil {
+		if !b.terminated() {
 			b.emit(Op{Code: Br, Dst: NoVar, A: NoOperand, B: NoOperand, Arr: NoArr, Target: merge.ID, Pos: s.Pos})
 		}
 	}
-	cbr = &condBlk.Ops[len(condBlk.Ops)-1]
-	cbr.Else = elseTarget
+	b.sc.ops[cbr].Else = elseTarget
 	b.popRegion()
-	b.cur = merge
+	b.setCur(merge)
 	return nil
 }
 
@@ -325,7 +400,7 @@ func (b *builder) loop(label string, pos behav.Pos, cond behav.Expr, body *behav
 	header := b.newBlock()
 	region.Entry = header.ID
 	b.emit(Op{Code: Br, Dst: NoVar, A: NoOperand, B: NoOperand, Arr: NoArr, Target: header.ID, Pos: pos})
-	b.cur = header
+	b.setCur(header)
 	var condOperand Operand
 	if cond != nil {
 		c, err := b.expr(cond)
@@ -336,28 +411,27 @@ func (b *builder) loop(label string, pos behav.Pos, cond behav.Expr, body *behav
 	} else {
 		condOperand = ConstOperand(1)
 	}
-	headerBlk := b.cur // condition evaluation stays straight-line
-	cbrIdx := len(headerBlk.Ops)
-	b.emit(Op{Code: CBr, Dst: NoVar, A: condOperand, B: NoOperand, Arr: NoArr, Else: exit.ID, Pos: pos})
+	// The condition evaluation stays straight-line, in the header.
+	cbr := b.emit(Op{Code: CBr, Dst: NoVar, A: condOperand, B: NoOperand, Arr: NoArr, Else: exit.ID, Pos: pos})
 
 	bodyBlk := b.newBlock()
-	headerBlk.Ops[cbrIdx].Then = bodyBlk.ID
-	b.cur = bodyBlk
+	b.sc.ops[cbr].Then = bodyBlk.ID
+	b.setCur(bodyBlk)
 	if err := b.stmt(body); err != nil {
 		return err
 	}
 	if post != nil {
-		if b.cur.Terminator() == nil {
+		if !b.terminated() {
 			if err := b.assign(post); err != nil {
 				return err
 			}
 		}
 	}
-	if b.cur.Terminator() == nil {
+	if !b.terminated() {
 		b.emit(Op{Code: Br, Dst: NoVar, A: NoOperand, B: NoOperand, Arr: NoArr, Target: header.ID, Pos: pos})
 	}
 	b.popRegion()
-	b.cur = exit
+	b.setCur(exit)
 	return nil
 }
 

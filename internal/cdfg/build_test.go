@@ -510,3 +510,20 @@ func TestDumpStable(t *testing.T) {
 		t.Errorf("dump malformed:\n%s", d1)
 	}
 }
+
+// TestSecondStretchPanics: a block made cur again after another block
+// took over would split its ops across two stretches of the function's
+// arena; the builder refuses.
+func TestSecondStretchPanics(t *testing.T) {
+	b := &builder{fn: &Function{Name: "f"}, sc: new(buildScratch)}
+	first, second := b.newBlock(), b.newBlock()
+	b.setCur(first)
+	b.emit(Op{Code: Br, Target: second.ID})
+	b.setCur(second)
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "b0 is cur a second time") {
+			t.Errorf("setCur back to b0 = panic %v, want the second-stretch panic", r)
+		}
+	}()
+	b.setCur(first)
+}

@@ -305,7 +305,11 @@ func (v *Var) IsArray() bool { return v.Len > 0 }
 // Block is a basic block: a straight-line op sequence whose last op is a
 // terminator.
 type Block struct {
-	ID  int
+	ID int
+	// Ops is the block's slice of its function's one op arena, which
+	// Build allocates at exact size: the blocks of a function share one
+	// backing array, and cap(Ops) == len(Ops), so an append to a block
+	// copies its ops out instead of overwriting the next block's.
 	Ops []Op
 }
 
@@ -345,7 +349,6 @@ type Function struct {
 	Blocks []*Block
 	Entry  int     // entry block ID
 	Root   *Region // region tree root (the function-body cluster)
-	nextOp int
 }
 
 // Block returns the block with the given ID.

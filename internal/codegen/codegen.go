@@ -38,6 +38,7 @@ import (
 
 	"lppart/internal/cdfg"
 	"lppart/internal/isa"
+	"lppart/internal/scratch"
 )
 
 // The default memory map, shared with the system model so that a program
@@ -166,8 +167,14 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 			next, opts.StackWords, opts.MemWords)
 	}
 
-	cg := &compiler{prog: p, opts: opts, lay: lay,
+	buf := codeBufs.Get()
+	cg := &compiler{prog: p, opts: opts, lay: lay, code: (*buf)[:0],
 		calls: []pendingCall{}, funcs: make(map[string]int)}
+	defer func() {
+		clear(cg.code) // recycled memory keeps no Comment alive
+		*buf = cg.code[:0]
+		codeBufs.Put(buf)
+	}()
 	cg.layoutTables()
 	// Startup stub: call main, halt.
 	cg.emit(isa.Instr{Op: isa.CALL, Region: -1, Comment: "startup"})
@@ -187,9 +194,11 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 		}
 		cg.code[pc.at].Target = at
 	}
+	code := make([]isa.Instr, len(cg.code))
+	copy(code, cg.code)
 	return &isa.Program{
 		Name:      p.Name,
-		Code:      cg.code,
+		Code:      code,
 		Entry:     0,
 		Funcs:     cg.funcs,
 		MemWords:  opts.MemWords,
@@ -199,10 +208,9 @@ func Compile(p *cdfg.Program, opts Options) (*isa.Program, *Layout, error) {
 	}, lay, nil
 }
 
-// layoutTables picks every function's pinned locals, sizes the code
-// array once (see codeCap) and the block op count and array extent tables
-// exactly, and fills in every block's entry charge (segmentOps) and the
-// global arrays' extents.
+// layoutTables picks every function's pinned locals, sizes the block op
+// count and array extent tables exactly, and fills in every block's entry
+// charge (segmentOps) and the global arrays' extents.
 func (c *compiler) layoutTables() {
 	p := c.prog
 	nBlocks, nArrays, maxLocals := 0, 0, 0
@@ -224,7 +232,6 @@ func (c *compiler) layoutTables() {
 			}
 		}
 	}
-	c.code = make([]isa.Instr, 0, c.codeCap())
 	c.blockOps = make([]int32, 0, nBlocks)
 	for _, f := range p.Funcs {
 		for _, b := range f.Blocks {
@@ -240,72 +247,6 @@ func (c *compiler) layoutTables() {
 		}
 	}
 	c.tagBuf = make([]int32, 0, maxLocals)
-}
-
-// codeCap estimates the instruction count of the program's code. It
-// counts, per function, the prologue and every op's own instructions, a
-// call's argument loads and result move, a return's epilogue, and an
-// excluded region's rendezvous in place of its blocks; on top, a
-// write-back per named destination, a quarter load per named operand and
-// half a write-back per block. These weights were fitted so the estimate
-// exceeds the code by 5% or more on every program in the tests and by
-// 1.1 to 1.5 times on the applications, unpartitioned and partitioned.
-// A program that needs more still compiles, its array grown by append.
-func (c *compiler) codeCap() int {
-	q := 4 * 2 // quarter instructions; the startup stub
-	for fi, f := range c.prog.Funcs {
-		if c.lay.Recursive[f.Name] {
-			q += 4 * 2 // frame push
-		}
-		q += 4 * (1 + len(f.Params) + len(c.pinned[fi]))
-		for _, b := range f.Blocks {
-			q += blockCap(f, b)
-		}
-		if f.Root == nil || len(c.opts.Exclude) == 0 {
-			continue
-		}
-		f.Root.Walk(func(r *cdfg.Region) {
-			if _, ok := c.opts.Exclude[r.ID]; !ok {
-				return
-			}
-			q += 4 * (2 + 2*len(c.pinned[fi]))
-			for _, bid := range r.Blocks {
-				q -= blockCap(f, f.Block(bid))
-			}
-		})
-	}
-	return (q + 3) / 4
-}
-
-// blockCap is codeCap's estimate for one block of f, in quarter
-// instructions.
-func blockCap(f *cdfg.Function, b *cdfg.Block) int {
-	named := func(o cdfg.Operand) int {
-		if o.IsConst || !o.Ref.Valid() || !o.Ref.Global && f.Locals[o.Ref.ID].Temp {
-			return 0
-		}
-		return 1
-	}
-	q := 2
-	for i := range b.Ops {
-		op := &b.Ops[i]
-		n := 1
-		switch op.Code {
-		case cdfg.Nop:
-			continue
-		case cdfg.LAnd, cdfg.LOr:
-			n = 3
-		case cdfg.Call:
-			n = 3 + len(op.Args)
-		case cdfg.Ret:
-			n = 4
-		case cdfg.CBr:
-			n = 2
-		}
-		n += named(cdfg.VarOperand(op.Dst))
-		q += 4*n + named(op.A) + named(op.B)
-	}
-	return q
 }
 
 // localArrays appends the extents of f's array locals to the array table
@@ -352,11 +293,15 @@ type pendingCall struct {
 	callee string
 }
 
+// codeBufs recycles the code array Compile emits into; the program gets
+// an exact copy of it.
+var codeBufs = scratch.Pool[[]isa.Instr]{New: func() *[]isa.Instr { return new([]isa.Instr) }}
+
 type compiler struct {
 	prog  *cdfg.Program
 	opts  Options
 	lay   *Layout
-	code  []isa.Instr
+	code  []isa.Instr // a recycled buffer from codeBufs
 	calls []pendingCall
 	funcs map[string]int
 
@@ -423,7 +368,7 @@ type fnCtx struct {
 	fn        *cdfg.Function
 	localArr  []int32 // local ID -> Target of its array accesses
 	recursive bool
-	blockAt   map[int]int   // block ID -> instruction index
+	blockAt   []int         // block ID -> instruction index, -1 if not emitted
 	fixups    []blockFixup  // branches to patch
 	regionOf  []int         // block ID -> innermost region ID (-1 outside)
 	excluded  map[int]bool  // block IDs dropped (inside excluded regions)
@@ -434,13 +379,13 @@ type fnCtx struct {
 	pinned map[int]int
 	// tempUses counts reads of each temporary; single-use temporaries
 	// (the common case: expression-tree values) are freed on read and
-	// never written back to memory.
-	tempUses map[int]int
+	// never written back to memory. It is indexed by local ID.
+	tempUses []int32
 }
 
 // countTempUses tallies how often each temporary local is read.
-func countTempUses(f *cdfg.Function) map[int]int {
-	uses := make(map[int]int)
+func countTempUses(f *cdfg.Function) []int32 {
+	uses := make([]int32, len(f.Locals))
 	var buf []cdfg.VarRef
 	for _, b := range f.Blocks {
 		for i := range b.Ops {
@@ -531,9 +476,12 @@ func (c *compiler) compileFunc(fi int, f *cdfg.Function) error {
 		fn:        f,
 		localArr:  c.localArrays(f),
 		recursive: c.lay.Recursive[f.Name],
-		blockAt:   make(map[int]int),
+		blockAt:   make([]int, len(f.Blocks)),
 		excluded:  make(map[int]bool),
 		asicEntry: make(map[int]entry),
+	}
+	for i := range fx.blockAt {
+		fx.blockAt[i] = -1
 	}
 	fx.pinned = c.pinned[fi]
 	fx.tempUses = countTempUses(f)
@@ -639,11 +587,10 @@ func (c *compiler) compileFunc(fi int, f *cdfg.Function) error {
 		c.code[at].Block = int32(c.blockBase + bid + 1)
 	}
 	for _, fix := range fx.fixups {
-		at, ok := fx.blockAt[fix.block]
-		if !ok {
+		if fix.block < 0 || fix.block >= len(fx.blockAt) || fx.blockAt[fix.block] < 0 {
 			return fmt.Errorf("codegen: %s: branch to missing block b%d", f.Name, fix.block)
 		}
-		c.code[fix.at].Target = at
+		c.code[fix.at].Target = fx.blockAt[fix.block]
 	}
 	return nil
 }

@@ -54,6 +54,7 @@ type Config struct {
 	// Sys carries the measurement and partitioning knobs (the same
 	// configuration system.Evaluate takes); Sys.ICache/DCache anchor the
 	// measured baseline the per-geometry baselines are derived from.
+	// Sys.Store must be nil: Prepare rejects it, the store is Store's.
 	Sys system.Config
 	// Geometries are the (i-cache, d-cache) pairs to explore; nil selects
 	// DefaultGeometries(). Data caches are forced to write-back.
@@ -214,6 +215,9 @@ func Prepare(ctx context.Context, ir *cdfg.Program, cfg Config) (*Prep, error) {
 
 	// One library for the key, the records and the baselines; the
 	// exploration's store, not Sys.Store, holds the records.
+	if cfg.Sys.Store != nil {
+		return nil, fmt.Errorf("dse: Config.Sys.Store is set; an exploration's records go to Config.Store")
+	}
 	sys := cfg.Sys
 	sys.Store = cfg.Store
 	if sys.Part.Lib == nil {

@@ -128,3 +128,27 @@ func TestStoreSequencePinned(t *testing.T) {
 		t.Errorf("store sequence digest %s, want %s", got, storeSequenceDigest)
 	}
 }
+
+// TestPrepareRejectsSysStore: a store passed in Sys rather than in
+// Config.Store is an error naming Config.Store, not an exploration that
+// silently runs without a store; Prepare touches neither store.
+func TestPrepareRejectsSysStore(t *testing.T) {
+	a, err := apps.ByName("trick")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir, err := a.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysStore, store := newRecordingStore(), newRecordingStore()
+	cfg := Config{Workers: 1, Store: store}
+	cfg.Sys.Store = sysStore
+	p, err := Prepare(context.Background(), ir, cfg)
+	if err == nil || !strings.Contains(err.Error(), "Config.Store") {
+		t.Fatalf("Prepare with Sys.Store = (%v, %v), want an error naming Config.Store", p, err)
+	}
+	if len(sysStore.log)+len(store.log) != 0 {
+		t.Errorf("Prepare used a store before failing: Sys.Store %q, Store %q", sysStore.log, store.log)
+	}
+}

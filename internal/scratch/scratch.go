@@ -1,5 +1,8 @@
 // Package scratch recycles per-call working state: the ISS's data
-// memory and the scheduler's, binder's and exact solver's workspaces.
+// memory, the scheduler's, binder's and exact solver's workspaces, and
+// the growth buffers cdfg.Build emits a function's ops into and
+// codegen.Compile emits code into (each copies its result out at exact
+// size).
 //
 // A bare sync.Pool strands such state: it keeps a Put in the putting P's
 // private slot, where another P's Get does not look, two GCs empty it,

@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"unsafe"
 
 	"lppart/internal/apps"
+	"lppart/internal/apps/appstest"
 	"lppart/internal/behav"
 	"lppart/internal/cache"
 	"lppart/internal/cdfg"
@@ -51,18 +51,12 @@ func (s *mapStore) Put(k memostore.Key, b []byte) error {
 // replaySources returns the six applications and the examples' own
 // behavioral programs.
 func replaySources(t testing.TB) map[string]string {
-	srcs := make(map[string]string)
-	for _, a := range apps.All() {
-		srcs["app "+a.Name] = a.Source
-	}
-	mains, err := filepath.Glob("../../examples/*/main.go")
+	srcs, err := appstest.Examples()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range mains {
-		if src, ok := exampleSource(t, path); ok {
-			srcs["example "+filepath.Base(filepath.Dir(path))] = src
-		}
+	for _, a := range apps.All() {
+		srcs["app "+a.Name] = a.Source
 	}
 	return srcs
 }

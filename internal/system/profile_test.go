@@ -2,15 +2,10 @@ package system
 
 import (
 	"context"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
-	"lppart/internal/apps"
+	"lppart/internal/apps/appstest"
 	"lppart/internal/behav"
 	"lppart/internal/cdfg"
 	"lppart/internal/interp"
@@ -68,53 +63,14 @@ func main() { var n; budget = 25; while more() { n = n + 1; } return n; }
 // own sources and the hand-written shapes.
 func profileSources(t *testing.T) map[string]string {
 	t.Helper()
-	srcs := make(map[string]string)
-	for _, a := range append(apps.All(), apps.ControlDominated()) {
-		srcs["app "+a.Name] = a.Source
-	}
-	mains, err := filepath.Glob("../../examples/*/main.go")
+	srcs, err := appstest.Corpus()
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, path := range mains {
-		if src, ok := exampleSource(t, path); ok {
-			srcs["example "+filepath.Base(filepath.Dir(path))] = src
-		}
 	}
 	for name, src := range profileShapes {
 		srcs[name] = src
 	}
 	return srcs
-}
-
-// exampleSource extracts an example's behavioral program: the string
-// constant named source, if the example declares one (the others run
-// built-in applications).
-func exampleSource(t testing.TB, path string) (string, bool) {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range f.Decls {
-		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs := spec.(*ast.ValueSpec)
-			for i, name := range vs.Names {
-				if lit, ok := vs.Values[i].(*ast.BasicLit); ok && name.Name == "source" {
-					src, err := strconv.Unquote(lit.Value)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return src, true
-				}
-			}
-		}
-	}
-	return "", false
 }
 
 // TestBlockProfileMatchesInterpreter is the block profile's oracle: the
