@@ -14,7 +14,7 @@ import (
 
 // FuzzDecodeMeasurement fuzzes the measurement phase as Prepare replays
 // it from a store: the bytes a memostore hands back from disk, standing
-// in for either of engine's two records (the measurement record and the
+// in for either of 3d's two records (the measurement record and the
 // sweep record; the codecs themselves are fuzzed in internal/system).
 // Prepare may not panic or fail on any bytes. A record that does not
 // decode reads as a miss and the cold run rewrites both records; either
@@ -22,7 +22,9 @@ import (
 // warm, without a write, to the same baselines. A genuine record replays
 // to the cold run's baselines. The seeds are the six applications'
 // genuine records, each application's measurement record then its sweep
-// record, and truncations of each.
+// record, and truncations of each. The target is 3d, the application
+// whose cold Prepare is cheapest (about a quarter of engine's): an input
+// that does not decode runs Prepare cold, so it sets the fuzzer's pace.
 func FuzzDecodeMeasurement(f *testing.F) {
 	for _, a := range apps.All() {
 		ir, err := a.Build()
@@ -37,7 +39,7 @@ func FuzzDecodeMeasurement(f *testing.F) {
 			f.Add(rec[:8])
 		}
 	}
-	a, err := apps.ByName("engine")
+	a, err := apps.ByName("3d")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -51,8 +51,16 @@ func (d *Dec) U64() uint64 {
 // I64 reads a signed field.
 func (d *Dec) I64() int64 { return int64(d.U64()) }
 
-// F64 reads a float's bit pattern.
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
+// F64 reads a float's bit pattern. Every float a record holds is a
+// finite measurement, so a NaN or an infinity is corrupt and sets Bad.
+func (d *Dec) F64() float64 {
+	v := math.Float64frombits(d.U64())
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.Bad = true
+		return 0
+	}
+	return v
+}
 
 // Len reads a count of elements that each take at least one byte, so a
 // count larger than the whole record is corrupt (and would otherwise

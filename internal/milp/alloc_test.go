@@ -37,13 +37,12 @@ func TestSolveInstanceZeroAlloc(t *testing.T) {
 }
 
 // TestSolveInstanceCertZeroAlloc: a warm solve with a certificate adds a
-// constant number of allocations at any trail length. The compact trail
-// lives in the recycled workspace, and the returned certificate is
-// materialized once: the certificate, its claimed picks, one expanded
-// list, one pruned list and one picks arena.
+// constant number of allocations at any trail length. The flat trail
+// lives in the recycled workspace, and the returned certificate copies
+// it once: the certificate, its claimed picks and the trail.
 func TestSolveInstanceCertZeroAlloc(t *testing.T) {
-	warmSolveAllocs(t, Config{Certificate: true}, 5+5, func(o *Optimum) int64 {
-		return int64(len(o.Cert.Expanded) + len(o.Cert.Pruned))
+	warmSolveAllocs(t, Config{Certificate: true}, 5+3, func(o *Optimum) int64 {
+		return int64(len(o.Cert.Trail))
 	})
 }
 
@@ -82,14 +81,14 @@ func warmSolveAllocs(t *testing.T, cfg Config, maxAllocs float64, size func(*Opt
 // nothing per recorded trail node or replayed child, on trails that
 // differ at least twofold.
 func TestCheckZeroAlloc(t *testing.T) {
-	// claimed picks; cover index and its table; relaxation, its deltas
-	// and table; pick buffer
-	const maxAllocs = 7
+	// claimed picks; cover index table; relaxation, its deltas and
+	// table; pick buffer
+	const maxAllocs = 6
 	var trails []int
 	for _, n := range []int{12, 24} {
 		in := denseInstance(n)
 		opt := solveCert(t, in)
-		trail := len(opt.Cert.Expanded) + len(opt.Cert.Pruned)
+		trail := len(opt.Cert.Trail)
 		trails = append(trails, trail)
 		a := testing.AllocsPerRun(5, func() {
 			if err := Check(in, opt.Cert); err != nil {
@@ -103,5 +102,22 @@ func TestCheckZeroAlloc(t *testing.T) {
 	}
 	if trails[1] < 2*trails[0] {
 		t.Fatalf("trail lengths %v do not differ enough to show independence", trails)
+	}
+}
+
+// BenchmarkSolveCheck times the certified exact tier the way its callers
+// use it: a warm certified solve of denseInstance(24), then the replay
+// of its certificate.
+func BenchmarkSolveCheck(b *testing.B) {
+	in := denseInstance(24)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opt, err := SolveInstance(context.Background(), in, Config{Certificate: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := Check(in, opt.Cert); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -24,12 +24,13 @@ func fuzzInstances() []*Instance {
 	}
 }
 
-// FuzzCheck feeds arbitrary JSON certificates to Check. It must never
-// panic, it must give the map-keyed oracle's verdict, and it may accept a
-// certificate only if its claimed objective is the true minimum brute
-// force finds. The corpus starts from each instance's genuine
-// certificate, its forgeries and its trail edits: duplicate keys, a key
-// in both lists, out-of-range and non-ascending picks.
+// FuzzCheck feeds arbitrary JSON certificates through UnmarshalJSON to
+// Check. It must never panic, it must give the map-keyed oracle's
+// verdict on the same JSON, and it may accept a certificate only if its
+// claimed objective is the true minimum brute force finds. The corpus
+// starts from each instance's genuine certificate, its forgeries and its
+// trail edits: duplicate keys, a key in both lists, out-of-range and
+// non-ascending picks, wrong suffix starts and orphaned children.
 func FuzzCheck(f *testing.F) {
 	instances := fuzzInstances()
 	minOF := make([]float64, len(instances))
@@ -39,9 +40,9 @@ func FuzzCheck(f *testing.F) {
 			f.Fatal(err)
 		}
 		minOF[i] = ref.OF
-		opt := solveCert(f, in)
-		seeds := []Certificate{*opt.Cert}
-		for _, fg := range append(forgeries(opt.Cert), trailEdits(opt.Cert)...) {
+		w := wireOf(f, solveCert(f, in).Cert)
+		seeds := []wireCert{*w}
+		for _, fg := range append(forgeries(w), trailEdits(w)...) {
 			seeds = append(seeds, fg.cert)
 		}
 		for _, c := range seeds {
@@ -53,12 +54,14 @@ func FuzzCheck(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var cert Certificate
-		if json.Unmarshal(data, &cert) != nil {
+		var w wireCert
+		if json.Unmarshal(data, &w) != nil {
 			return
 		}
+		var cert Certificate
+		err := json.Unmarshal(data, &cert)
 		for i, in := range instances {
-			if sameVerdict(t, in, &cert, fmt.Sprintf("instance %d", i)) && cert.OF != minOF[i] {
+			if agree(t, in, &cert, err, &w, fmt.Sprintf("instance %d", i)) && cert.OF != minOF[i] {
 				t.Fatalf("instance %d: Check accepted objective %v, the minimum is %v", i, cert.OF, minOF[i])
 			}
 		}

@@ -1,15 +1,18 @@
 package milp
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 )
 
 // checkOracle is the reference certificate replay Check's verdicts are
-// compared with: two cover maps keyed by the canonical "j.oi,…|next"
-// string of each trail node, where a later entry of a key overwrites an
-// earlier one and the pruned map is consulted first.
-func checkOracle(in *Instance, cert *Certificate) error {
+// compared with. It reads the JSON form: two cover maps keyed by the
+// canonical "j.oi,…|next" string of each trail node, where a later entry
+// of a key overwrites an earlier one and the pruned map is consulted
+// first.
+func checkOracle(in *Instance, cert *wireCert) error {
 	if cert == nil {
 		return fmt.Errorf("milp: no certificate")
 	}
@@ -87,19 +90,56 @@ func checkOracle(in *Instance, cert *Certificate) error {
 	return walk(make([][2]int, 0, maxPicks), frame{}, 0)
 }
 
-// sameVerdict fails t unless Check and the oracle both accept cert or
-// both reject it, and returns whether Check accepted.
-func sameVerdict(t *testing.T, in *Instance, cert *Certificate, what string) bool {
+// wireOf returns c's JSON form.
+func wireOf(t testing.TB, c *Certificate) *wireCert {
 	t.Helper()
-	got, want := Check(in, cert), checkOracle(in, cert)
-	if (got == nil) != (want == nil) {
+	w, err := c.wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// decode turns a JSON-form certificate into the one Check reads, through
+// its JSON bytes and UnmarshalJSON.
+func decode(t testing.TB, w *wireCert) (*Certificate, error) {
+	t.Helper()
+	b, err := json.Marshal(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Certificate
+	if err := json.Unmarshal(b, &c); err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// sameVerdict fails t unless Check on the decoded certificate and the
+// oracle on its JSON form give the same verdict, in the same words, and
+// returns whether Check accepted.
+func sameVerdict(t *testing.T, in *Instance, w *wireCert, what string) bool {
+	t.Helper()
+	c, err := decode(t, w)
+	return agree(t, in, c, err, w, what)
+}
+
+// agree is sameVerdict on a certificate decoded already: c, or the
+// error its decode returned, against the oracle on its JSON form w.
+func agree(t *testing.T, in *Instance, c *Certificate, decodeErr error, w *wireCert, what string) bool {
+	t.Helper()
+	got := decodeErr
+	if got == nil {
+		got = Check(in, c)
+	}
+	if want := checkOracle(in, w); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("%s: Check says %v, the oracle %v", what, got, want)
 	}
 	return got == nil
 }
 
 // cloneCert deep-copies c's trail, so an edit cannot reach the original.
-func cloneCert(c *Certificate) Certificate {
+func cloneCert(c *wireCert) wireCert {
 	cp := *c
 	cp.Picks = append([][2]int(nil), c.Picks...)
 	clone := func(nodes []CertNode) []CertNode {
@@ -119,12 +159,15 @@ func cloneCert(c *Certificate) Certificate {
 // trailEdits are the certificates whose verdict depends on how the cover
 // index resolves keys: duplicate keys in one list (the last entry
 // wins), one key in both lists (the pruned entry is consulted first),
-// and trail nodes or claimed picks that are out of range or not
-// ascending (never looked up, or infeasible). Some are accepted and some
-// rejected; Check must agree with the oracle on each.
-func trailEdits(c *Certificate) []forgery {
+// trail nodes or claimed picks that are out of range or not ascending
+// (never looked up, or infeasible), and the nodes the decoder drops or
+// resolves specially: a next other than the implied one, a pick past
+// int32, a child whose prefix is absent or listed after it, a child
+// under a prefix both pruned and expanded, and a trail without its root. Some are accepted and some rejected; Check
+// must agree with the oracle on each.
+func trailEdits(c *wireCert) []forgery {
 	var out []forgery
-	add := func(what string, edit func(*Certificate)) {
+	add := func(what string, edit func(*wireCert)) {
 		cp := cloneCert(c)
 		edit(&cp)
 		out = append(out, forgery{what, cp})
@@ -134,42 +177,82 @@ func trailEdits(c *Certificate) []forgery {
 		cn.Value++
 		return cn
 	}
+	// child is a node one pick below cn, on the cluster after its last.
+	child := func(cn CertNode) CertNode {
+		return CertNode{Picks: append(append([][2]int{}, cn.Picks...), [2]int{cn.Next, 0}), Next: cn.Next + 1, Value: -1}
+	}
 	if len(c.Expanded) > 0 {
 		last := len(c.Expanded) - 1
-		add("an earlier duplicate expanded key with a wrong value", func(cp *Certificate) {
+		add("an earlier duplicate expanded key with a wrong value", func(cp *wireCert) {
 			cp.Expanded = append([]CertNode{wrong(cp.Expanded[last])}, cp.Expanded...)
 		})
-		add("a later duplicate expanded key with a wrong value", func(cp *Certificate) {
+		add("a later duplicate expanded key with a wrong value", func(cp *wireCert) {
 			cp.Expanded = append(cp.Expanded, wrong(cp.Expanded[0]))
 		})
-		add("an expanded key also pruned", func(cp *Certificate) {
+		add("an expanded key also pruned", func(cp *wireCert) {
 			cp.Pruned = append(cp.Pruned, cp.Expanded[last])
+		})
+		add("an expanded node with a wrong next", func(cp *wireCert) {
+			cn := wrong(cp.Expanded[last])
+			cn.Next++
+			cp.Expanded = append(cp.Expanded, cn)
+		})
+		add("the root's key with a wrong next", func(cp *wireCert) {
+			cp.Expanded[0].Next = 1
+		})
+		add("no root", func(cp *wireCert) {
+			cp.Expanded = cp.Expanded[1:]
+		})
+		add("the expanded list reversed, children before their prefixes", func(cp *wireCert) {
+			slices.Reverse(cp.Expanded)
+		})
+		add("a pruned child of an expanded node with a wrong bound", func(cp *wireCert) {
+			cp.Pruned = append(cp.Pruned, child(cp.Expanded[last]))
 		})
 	}
 	if len(c.Pruned) > 0 {
-		add("an earlier duplicate pruned key with a wrong value", func(cp *Certificate) {
+		add("an earlier duplicate pruned key with a wrong value", func(cp *wireCert) {
 			cp.Pruned = append([]CertNode{wrong(cp.Pruned[0])}, cp.Pruned...)
 		})
-		add("a later duplicate pruned key with a wrong value", func(cp *Certificate) {
+		add("a later duplicate pruned key with a wrong value", func(cp *wireCert) {
 			cp.Pruned = append(cp.Pruned, wrong(cp.Pruned[0]))
 		})
-		add("a pruned key also expanded with a wrong value", func(cp *Certificate) {
+		add("a pruned key also expanded with a wrong value", func(cp *wireCert) {
 			cp.Expanded = append(cp.Expanded, wrong(cp.Pruned[0]))
 		})
+		add("a pruned node with a wrong next", func(cp *wireCert) {
+			cn := wrong(cp.Pruned[0])
+			cn.Next--
+			cp.Pruned = append(cp.Pruned, cn)
+		})
+		add("a child whose prefix is absent", func(cp *wireCert) {
+			cp.Pruned = append(cp.Pruned, child(cp.Pruned[0]))
+			cp.Expanded = append(cp.Expanded, child(cp.Pruned[0]))
+		})
+		add("a child under a prefix both pruned and expanded", func(cp *wireCert) {
+			p := cp.Pruned[len(cp.Pruned)-1]
+			cp.Expanded = append(cp.Expanded, wrong(p), child(p))
+			cp.Pruned = append(cp.Pruned, child(p))
+		})
 	}
-	add("out-of-range trail picks", func(cp *Certificate) {
+	add("out-of-range trail picks", func(cp *wireCert) {
 		cp.Expanded = append(cp.Expanded,
 			CertNode{Picks: [][2]int{{1 << 20, 0}}, Next: 1},
 			CertNode{Picks: [][2]int{{0, -1}}, Next: 1},
 			CertNode{Picks: [][2]int{{-1, 0}}, Next: -7})
 	})
-	add("non-ascending trail picks", func(cp *Certificate) {
+	add("trail picks past int32 that wrap onto a node's key", func(cp *wireCert) {
+		wrapped := CertNode{Picks: [][2]int{{1 << 32, 0}}, Next: 1, Value: -1}
+		cp.Expanded = append(cp.Expanded, wrapped)
+		cp.Pruned = append(cp.Pruned, wrapped)
+	})
+	add("non-ascending trail picks", func(cp *wireCert) {
 		cp.Pruned = append(cp.Pruned, CertNode{Picks: [][2]int{{1, 0}, {0, 0}}, Next: 1, Value: cp.OF})
 	})
-	add("out-of-range claimed picks", func(cp *Certificate) {
+	add("out-of-range claimed picks", func(cp *wireCert) {
 		cp.Picks = [][2]int{{0, 1 << 20}}
 	})
-	add("non-ascending claimed picks", func(cp *Certificate) {
+	add("non-ascending claimed picks", func(cp *wireCert) {
 		cp.Picks = [][2]int{{1, 0}, {0, 0}}
 	})
 	return out
@@ -182,14 +265,14 @@ func TestCheckMatchesOracle(t *testing.T) {
 	instances := append(fuzzInstances(), denseInstance(10))
 	var accepted, rejected int
 	for i, in := range instances {
-		opt := solveCert(t, in)
-		if !sameVerdict(t, in, opt.Cert, "genuine certificate") {
+		w := wireOf(t, solveCert(t, in).Cert)
+		if !sameVerdict(t, in, w, "genuine certificate") {
 			t.Fatalf("instance %d: genuine certificate rejected", i)
 		}
-		for _, fg := range forgeries(opt.Cert) {
+		for _, fg := range forgeries(w) {
 			sameVerdict(t, in, &fg.cert, fmt.Sprintf("instance %d: %s", i, fg.what))
 		}
-		for _, fg := range trailEdits(opt.Cert) {
+		for _, fg := range trailEdits(w) {
 			if sameVerdict(t, in, &fg.cert, fmt.Sprintf("instance %d: %s", i, fg.what)) {
 				accepted++
 			} else {

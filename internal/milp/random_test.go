@@ -129,12 +129,12 @@ func TestRandomInstancesMatchBruteForce(t *testing.T) {
 			ties++
 		}
 
-		cert := opt.Cert
-		if err := Check(in, cert); err != nil {
+		if err := Check(in, opt.Cert); err != nil {
 			t.Fatalf("instance %d: genuine certificate rejected: %v", i, err)
 		}
+		cert := wireOf(t, opt.Cert)
 		sameVerdict(t, in, cert, fmt.Sprintf("instance %d: genuine certificate", i))
-		reject := func(what string, forged Certificate) {
+		reject := func(what string, forged wireCert) {
 			t.Helper()
 			if sameVerdict(t, in, &forged, fmt.Sprintf("instance %d: %s", i, what)) {
 				t.Fatalf("instance %d: Check accepted a certificate with %s", i, what)

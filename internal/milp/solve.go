@@ -92,45 +92,36 @@ func lexLess(a, b []pick) bool {
 }
 
 // node is one open subproblem: the configuration picked so far plus the
-// suffix Clusters[next:] it may still draw from. The pick sequence is not
-// stored: a node keeps its own last pick and its parent's slab index, and
-// workspace.picksOf rebuilds the sequence where it is read.
+// suffix Clusters[last.j+1:] it may still draw from. The pick sequence is
+// not stored: a node keeps its own last pick and its parent's slab index,
+// and workspace.picksOf rebuilds the sequence where it is read.
 type node struct {
 	bound  float64
 	f      frame
-	next   int
 	parent int32 // slab index of the parent node; -1 at the root
+	ptrail int32 // trail index of the parent's expanded entry; -1 at the root
 	depth  int32 // picks made so far
-	last   pick  // the pick that created this node; unset at the root
+	last   pick  // the pick that created this node; (-1, -1) at the root
 }
 
-// trailNode is one certificate trail entry in compact form: the
-// node's subproblem as its last pick plus its parent's slab index (every
-// parent was expanded, so it is in the slab), and the recorded value —
-// the objective of an expanded node, the bound of a pruned one.
-type trailNode struct {
-	value  float64
-	parent int32 // slab index of the parent node; -1 at the root
-	depth  int32
-	next   int
-	last   pick
-	pruned bool
-}
+// next is the start of the suffix nd may still draw from.
+func (nd *node) next() int { return nd.last.j + 1 }
 
 // workspace is one solve's search storage. Queued nodes live by value in
 // slab, in queue order, so a node's slab index is its creation order —
 // the deterministic heap tie-break. open is a best-first min-heap of slab
 // indices on (bound, index); path is the scratch buffer workspace.picksOf
 // fills, best the incumbent's pick sequence, and trail the certificate's
-// expanded and pruned nodes in recording order. Workspaces are recycled
-// through workspaces, so repeat solves allocate per solve, not per node.
-// Every field is reset before use, so recycling cannot affect results.
+// expanded and pruned nodes in recording order, each naming its parent
+// by trail index. Workspaces are recycled through workspaces, so repeat
+// solves allocate per solve, not per node. Every field is reset before
+// use, so recycling cannot affect results.
 type workspace struct {
 	slab  []node
 	open  []int32
 	path  []pick
 	best  []pick
-	trail []trailNode
+	trail []TrailNode
 }
 
 var workspaces = scratch.Pool[workspace]{New: func() *workspace { return new(workspace) }}
@@ -163,8 +154,8 @@ func (ws *workspace) picksOf(nd *node) []pick {
 
 // record appends nd to the certificate trail with its recorded value.
 func (ws *workspace) record(nd *node, value float64, pruned bool) {
-	ws.trail = append(ws.trail, trailNode{ //lint:alloc amortized trail growth, reused across solves
-		value: value, parent: nd.parent, depth: nd.depth, next: nd.next, last: nd.last, pruned: pruned,
+	ws.trail = append(ws.trail, TrailNode{ //lint:alloc amortized trail growth, reused across solves
+		Value: value, Parent: nd.ptrail, J: int32(nd.last.j), OI: int32(nd.last.oi), Pruned: pruned,
 	})
 }
 
@@ -251,10 +242,10 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 	// suffix empty) need no record: their own configuration was already
 	// priced against the incumbent.
 	consider := func(nd *node) {
-		if int(nd.depth) >= maxPicks || nd.next >= n {
+		if int(nd.depth) >= maxPicks || nd.next() >= n {
 			return
 		}
-		nd.bound = r.bound(nd.f, nd.next, int(nd.depth))
+		nd.bound = r.bound(nd.f, nd.next(), int(nd.depth))
 		if nd.bound >= bestOF {
 			st.Pruned++
 			if rec {
@@ -264,7 +255,7 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 		}
 		ws.queue(nd)
 	}
-	root := node{parent: -1}
+	root := node{parent: -1, ptrail: -1, last: pick{-1, -1}}
 	consider(&root)
 
 	for len(ws.open) > 0 {
@@ -291,21 +282,23 @@ func SolveInstance(ctx context.Context, in *Instance, cfg Config) (*Optimum, err
 			break
 		}
 		st.Expanded++
+		ptrail := int32(-1)
 		if rec {
+			ptrail = int32(len(ws.trail))
 			ws.record(&nd, in.objective(nd.f), false)
 		}
 		// A child's picksOf rewrites only the slot past nd's picks.
 		picked := ws.picksOf(&nd)
-		for j := nd.next; j < n; j++ {
+		for j := nd.next(); j < n; j++ {
 			if in.clashes(picked, j) {
 				continue
 			}
 			for oi := range in.Clusters[j].Options {
 				st.Nodes++
 				child := node{
-					next:   j + 1,
 					f:      in.add(nd.f, j, oi),
 					parent: idx,
+					ptrail: ptrail,
 					depth:  nd.depth + 1,
 					last:   pick{j, oi},
 				}

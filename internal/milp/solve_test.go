@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // trapInstance is the hand-built case where greedy is provably
@@ -65,16 +66,16 @@ func TestGreedySuboptimalInstance(t *testing.T) {
 	}
 }
 
-// forgery is one tampered copy of a genuine certificate.
+// forgery is one tampered copy of a genuine certificate, in JSON form.
 type forgery struct {
 	what string
-	cert Certificate
+	cert wireCert
 }
 
 // forgeries tampers with a genuine certificate: a better claimed
 // optimum, a worse one no configuration prices to, and (when the trail
 // has an expanded node) a truncated trail.
-func forgeries(c *Certificate) []forgery {
+func forgeries(c *wireCert) []forgery {
 	lowered := *c
 	lowered.OF = c.OF - 0.01 // claim an unachievable optimum
 	raised := *c
@@ -103,8 +104,12 @@ func TestCheckRejectsForgery(t *testing.T) {
 	if err := Check(in, opt.Cert); err != nil {
 		t.Fatalf("genuine certificate rejected: %v", err)
 	}
-	for _, fg := range forgeries(opt.Cert) {
-		if Check(in, &fg.cert) == nil {
+	for _, fg := range forgeries(wireOf(t, opt.Cert)) {
+		forged, err := decode(t, &fg.cert)
+		if err != nil {
+			t.Fatalf("%s: %v", fg.what, err)
+		}
+		if Check(in, forged) == nil {
 			t.Fatalf("Check accepted %s", fg.what)
 		}
 	}
@@ -138,24 +143,31 @@ func solveCert(t testing.TB, in *Instance) *Optimum {
 	return opt
 }
 
-// TestCertificateLayout: the materialized trail keeps the wire shape of
-// one slice per node. Each node's picks are capacity-limited, so an
-// append cannot overwrite the next node's picks in the shared arena, the
-// root's picks are an empty list, and an unrecorded list stays nil and
-// marshals to null.
+// TestCertificateLayout: the certificate is the solver's flat trail,
+// copied once at exact size, with the root first (no parent, no pick)
+// and every other node's parent an earlier expanded node. An entry stays
+// within 24 bytes. An empty trail stays nil, and the JSON form still
+// says null for both lists.
 func TestCertificateLayout(t *testing.T) {
-	opt := solveCert(t, denseInstance(12))
-	for _, list := range [][]CertNode{opt.Cert.Expanded, opt.Cert.Pruned} {
-		for i, cn := range list {
-			if cn.Picks == nil || cap(cn.Picks) != len(cn.Picks) {
-				t.Fatalf("node %d: picks %v with capacity %d", i, cn.Picks, cap(cn.Picks))
-			}
+	if size := unsafe.Sizeof(TrailNode{}); size > 24 {
+		t.Errorf("TrailNode takes %d bytes, want <= 24", size)
+	}
+	trail := solveCert(t, denseInstance(12)).Cert.Trail
+	if cap(trail) != len(trail) {
+		t.Fatalf("trail of %d nodes has capacity %d", len(trail), cap(trail))
+	}
+	if root := trail[0]; root.Parent != -1 || root.J != -1 || root.OI != -1 || root.Pruned {
+		t.Fatalf("first trail node %+v, want the expanded root", root)
+	}
+	for i, tn := range trail[1:] {
+		if p := tn.Parent; p < 0 || int(p) > i || trail[p].Pruned {
+			t.Fatalf("trail node %d: parent %d is not an earlier expanded node", i+1, p)
 		}
 	}
-	if root := opt.Cert.Expanded[0]; len(root.Picks) != 0 || root.Next != 0 {
-		t.Fatalf("first expanded node %+v, want the root", root)
-	}
 	empty := solveCert(t, &Instance{App: "empty", MuPE: 1, E0: 1, T0: 1, F: 1, GEQBudget: 1})
+	if empty.Cert.Trail != nil {
+		t.Fatalf("empty instance's trail %v, want nil", empty.Cert.Trail)
+	}
 	b, err := json.Marshal(empty.Cert)
 	if err != nil {
 		t.Fatal(err)

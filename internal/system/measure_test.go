@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -376,6 +378,42 @@ func FuzzDecodeMeasurement(f *testing.F) {
 // not move while the records keep their version. (Measurement record
 // version 2 added the initial design's breakdown and globals digest.)
 const measurementRecordDigest = "56f04e7bd23fea5fe7952f96fbe2d16ca7970c17632ca0d6584765fcba32ce5e"
+
+// TestRecordsRejectNonFiniteEnergies: a record whose energy field
+// holds a NaN or an infinity is corrupt. Both decoders read it as a
+// miss, so the cold run rewrites it instead of pricing with the value
+// (a NaN baseline also never compares equal to its own replay).
+func TestRecordsRejectNonFiniteEnergies(t *testing.T) {
+	pairs := exploreGrid()
+	ir, err := apps.All()[0].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, reps, err := Measure(context.Background(), ir, Config{}, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mrec, srec := EncodeMeasurement(m), encodeReports(reps)
+	// The measurement record's first energy follows its version; the
+	// sweep record's first follows the version, the count and the first
+	// report's two geometries and eight counters.
+	moff, soff := 8, 16+2*32+8*8
+	if f := math.Float64frombits(binary.LittleEndian.Uint64(srec[soff:])); f != float64(reps[0].EICache) {
+		t.Fatalf("sweep record offset %d holds %v, want the first i-cache energy %v", soff, f, reps[0].EICache)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b := append([]byte(nil), mrec...)
+		binary.LittleEndian.PutUint64(b[moff:], math.Float64bits(bad))
+		if DecodeMeasurement(b, Config{}) != nil {
+			t.Errorf("measurement record with energy %v decodes", bad)
+		}
+		b = append(b[:0], srec...)
+		binary.LittleEndian.PutUint64(b[soff:], math.Float64bits(bad))
+		if decodeReports(b, pairs) != nil {
+			t.Errorf("sweep record with energy %v decodes", bad)
+		}
+	}
+}
 
 // TestMeasurementRecordDigest pins the persisted measurement records
 // byte for byte, profile included: a -store directory written before a
